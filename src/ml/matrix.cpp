@@ -44,8 +44,79 @@ Matrix& Matrix::operator*=(float s) {
 
 namespace raw {
 
+namespace {
+
+// Width-specialized bodies for the encoder's output widths. Each output row
+// accumulates in a local acc[D] loaded from and stored back to C. With the
+// trip count fixed and acc unable to alias A or B, GCC vectorizes the inner
+// loop at -O2 with baseline SSE2 (mulps/addps); the runtime-width loop stays
+// scalar. Per output element the arithmetic is exactly the generic loop's:
+// k ascending, the same av == 0 skip, and a separate multiply and add (the
+// build pins -ffp-contract=off), and SIMD lanes round like the scalar ops,
+// so the results are bit-identical to the generic path.
+
+template <std::size_t D>
+void gemm_rows_fixed(const float* a, std::size_t a_cols, const float* b,
+                     float* c, std::size_t r0, std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* ar = a + i * a_cols;
+    float* cr = c + i * D;
+    float acc[D];
+    for (std::size_t j = 0; j < D; ++j) acc[j] = cr[j];
+    for (std::size_t k = 0; k < a_cols; ++k) {
+      const float av = ar[k];
+      if (av == 0.0f) continue;
+      const float* br = b + k * D;
+      for (std::size_t j = 0; j < D; ++j) acc[j] += av * br[j];
+    }
+    for (std::size_t j = 0; j < D; ++j) cr[j] = acc[j];
+  }
+}
+
+// i-outer, k-inner: each output row of A^T B stays in acc while k walks
+// the shared dimension in the same ascending order as the generic
+// k-outer loop, so every element sees the same sequence of adds.
+template <std::size_t D>
+void gemm_tn_fixed(const float* a, std::size_t a_cols, const float* b,
+                   std::size_t n, float* c) {
+  for (std::size_t i = 0; i < a_cols; ++i) {
+    float* cr = c + i * D;
+    float acc[D];
+    for (std::size_t j = 0; j < D; ++j) acc[j] = cr[j];
+    for (std::size_t k = 0; k < n; ++k) {
+      const float av = a[k * a_cols + i];
+      if (av == 0.0f) continue;
+      const float* br = b + k * D;
+      for (std::size_t j = 0; j < D; ++j) acc[j] += av * br[j];
+    }
+    for (std::size_t j = 0; j < D; ++j) cr[j] = acc[j];
+  }
+}
+
+template <std::size_t D>
+void propagate_fixed(const std::pair<std::uint32_t, std::uint32_t>* edges,
+                     const float* weights, std::size_t n_edges, const float* x,
+                     float* y) {
+  for (std::size_t e = 0; e < n_edges; ++e) {
+    const float w = weights[e];
+    const float* src = x + std::size_t{edges[e].second} * D;
+    float* dst = y + std::size_t{edges[e].first} * D;
+    float acc[D];
+    for (std::size_t c = 0; c < D; ++c) acc[c] = dst[c];
+    for (std::size_t c = 0; c < D; ++c) acc[c] += w * src[c];
+    for (std::size_t c = 0; c < D; ++c) dst[c] = acc[c];
+  }
+}
+
+}  // namespace
+
+// The generic loops below are the reference; widths 16 and 32 (the encoder
+// dims in use) take the fixed-width bodies above.
+
 void gemm_rows(const float* a, std::size_t a_cols, const float* b,
                std::size_t b_cols, float* c, std::size_t r0, std::size_t r1) {
+  if (b_cols == 16) return gemm_rows_fixed<16>(a, a_cols, b, c, r0, r1);
+  if (b_cols == 32) return gemm_rows_fixed<32>(a, a_cols, b, c, r0, r1);
   for (std::size_t i = r0; i < r1; ++i) {
     const float* ar = a + i * a_cols;
     float* cr = c + i * b_cols;
@@ -60,6 +131,8 @@ void gemm_rows(const float* a, std::size_t a_cols, const float* b,
 
 void gemm_tn(const float* a, std::size_t a_cols, const float* b,
              std::size_t b_cols, std::size_t n, float* c) {
+  if (b_cols == 16) return gemm_tn_fixed<16>(a, a_cols, b, n, c);
+  if (b_cols == 32) return gemm_tn_fixed<32>(a, a_cols, b, n, c);
   for (std::size_t k = 0; k < n; ++k) {
     const float* ar = a + k * a_cols;
     const float* br = b + k * b_cols;
@@ -69,6 +142,19 @@ void gemm_tn(const float* a, std::size_t a_cols, const float* b,
       float* cr = c + i * b_cols;
       for (std::size_t j = 0; j < b_cols; ++j) cr[j] += av * br[j];
     }
+  }
+}
+
+void propagate(const std::pair<std::uint32_t, std::uint32_t>* edges,
+               const float* weights, std::size_t n_edges, const float* x,
+               std::size_t cols, float* y) {
+  if (cols == 16) return propagate_fixed<16>(edges, weights, n_edges, x, y);
+  if (cols == 32) return propagate_fixed<32>(edges, weights, n_edges, x, y);
+  for (std::size_t e = 0; e < n_edges; ++e) {
+    const float w = weights[e];
+    const float* src = x + std::size_t{edges[e].second} * cols;
+    float* dst = y + std::size_t{edges[e].first} * cols;
+    for (std::size_t c = 0; c < cols; ++c) dst[c] += w * src[c];
   }
 }
 
@@ -144,11 +230,7 @@ void add_row_bias(Matrix& x, const Matrix& bias) {
   if (bias.rows() != 1 || bias.cols() != x.cols()) {
     throw std::invalid_argument("add_row_bias: shape mismatch");
   }
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    float* r = x.row(i);
-    const float* b = bias.row(0);
-    for (std::size_t j = 0; j < x.cols(); ++j) r[j] += b[j];
-  }
+  raw::add_row_bias_rows(x.data(), x.cols(), bias.data(), 0, x.rows());
 }
 
 std::vector<bool> relu_inplace(Matrix& x) {
@@ -174,13 +256,7 @@ void relu_backward_inplace(Matrix& grad, const std::vector<bool>& mask) {
 
 Matrix mean_rows(const Matrix& x) {
   Matrix m(1, x.cols());
-  if (x.rows() == 0) return m;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const float* r = x.row(i);
-    for (std::size_t j = 0; j < x.cols(); ++j) m.at(0, j) += r[j];
-  }
-  const float inv = 1.0f / static_cast<float>(x.rows());
-  for (std::size_t j = 0; j < x.cols(); ++j) m.at(0, j) *= inv;
+  raw::mean_rows(x.data(), x.rows(), x.cols(), m.data());
   return m;
 }
 

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -63,6 +65,13 @@ void gemm_rows(const float* a, std::size_t a_cols, const float* b,
 /// C (a_cols x b_cols, pre-zeroed) += A^T * B over rows [0, n), k ascending.
 void gemm_tn(const float* a, std::size_t a_cols, const float* b,
              std::size_t b_cols, std::size_t n, float* c);
+
+/// y += A x for a sparse A given as an edge list: for each edge e = (i, j),
+/// in list order, row i of y gets weights[e] * row j of x. x and y are
+/// row-major, cols wide, and must not overlap.
+void propagate(const std::pair<std::uint32_t, std::uint32_t>* edges,
+               const float* weights, std::size_t n_edges, const float* x,
+               std::size_t cols, float* y);
 
 /// Rows [r0, r1) of x (row-major, cols wide) get bias (1 x cols) added.
 void add_row_bias_rows(float* x, std::size_t cols, const float* bias,

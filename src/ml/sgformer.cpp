@@ -23,6 +23,14 @@ obs::Counter& backward_counter() {
       &obs::Registry::global().counter("atlas_ml_sgformer_backward_total");
   return *c;
 }
+
+// A_norm x. A_norm is symmetric, so this is also the transposed product.
+Matrix propagate(const SgFormer::Cache& c, const Matrix& x) {
+  Matrix y(x.rows(), x.cols());
+  raw::propagate(c.norm_edges.data(), c.norm_weights.data(), c.norm_edges.size(),
+                 x.data(), x.cols(), y.data());
+  return y;
+}
 }  // namespace
 
 SgFormer::SgFormer(const Config& config) : config_(config) {
@@ -47,18 +55,6 @@ SgFormer::SgFormer(const Config& config) : config_(config) {
   gwg_ = Matrix(d, d);
   gw_out_ = Matrix(d, d);
   gb_out_ = Matrix(1, d);
-}
-
-void SgFormer::propagate(const Cache& cache, const Matrix& x, Matrix& y) const {
-  // y = A_norm x, A_norm symmetric -> also used for the transposed product.
-  y = Matrix(x.rows(), x.cols());
-  for (std::size_t e = 0; e < cache.norm_edges.size(); ++e) {
-    const auto [i, j] = cache.norm_edges[e];
-    const float w = cache.norm_weights[e];
-    const float* src = x.row(j);
-    float* dst = y.row(i);
-    for (std::size_t c = 0; c < x.cols(); ++c) dst[c] += w * src[c];
-  }
 }
 
 SgFormer::Output SgFormer::forward(const GraphView& g, Cache* cache) const {
@@ -103,9 +99,7 @@ SgFormer::Output SgFormer::forward(const GraphView& g, Cache* cache) const {
   }
 
   // Graph convolution branch.
-  Matrix prop;
-  propagate(c, c.h, prop);
-  c.ah = std::move(prop);
+  c.ah = propagate(c, c.h);
   Matrix gcn = matmul(c.ah, wg_);
 
   // Combine, nonlinearity, output projection.
@@ -224,15 +218,8 @@ void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
       ar[i] += hv;
     }
     const NormAdjacency& adj = *segs[s].adj;
-    const float* x = h + r0 * d;
-    float* y = ah + r0 * d;
-    for (std::size_t e = 0; e < adj.edges.size(); ++e) {
-      const auto [i, j] = adj.edges[e];
-      const float w = adj.weights[e];
-      const float* src = x + j * d;
-      float* dst = y + i * d;
-      for (std::size_t c = 0; c < d; ++c) dst[c] += w * src[c];
-    }
+    raw::propagate(adj.edges.data(), adj.weights.data(), adj.edges.size(),
+                   h + r0 * d, d, ah + r0 * d);
   });
 
   // GCN projection, branch combine, ReLU, output projection — all row-local,
@@ -302,9 +289,7 @@ void SgFormer::backward(const Cache& c, const Matrix& d_node,
   gwg_ += matmul_tn(c.ah, dgcn);
   {
     const Matrix dah = matmul_nt(dgcn, wg_);
-    Matrix dprop;
-    propagate(c, dah, dprop);  // A symmetric: A^T = A
-    dh += dprop;
+    dh += propagate(c, dah);  // A symmetric: A^T = A
   }
 
   // Attention branch: att = 0.5 V + 0.5/N * Q (K^T V).

@@ -112,8 +112,6 @@ class SgFormer {
   static SgFormer load(std::istream& is);
 
  private:
-  void propagate(const Cache& cache, const Matrix& x, Matrix& y) const;
-
   Config config_;
   Matrix w_in_, b_in_, wq_, wk_, wv_, wg_, w_out_, b_out_;
   Matrix gw_in_, gb_in_, gwq_, gwk_, gwv_, gwg_, gw_out_, gb_out_;

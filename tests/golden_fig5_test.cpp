@@ -34,6 +34,7 @@
 #include "power/power_analyzer.h"
 #include "sim/simulator.h"
 #include "util/arena.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 #ifndef ATLAS_SOURCE_DIR
@@ -71,6 +72,16 @@ std::vector<CsvRow> load_golden_csv(const std::string& path) {
                           v[10], v[11], v[12]});
   }
   return rows;
+}
+
+/// FNV-1a over the comb/clock/reg doubles of every (cycle, sub-module)
+/// prediction, in cycle-major order.
+std::uint64_t prediction_hash(const core::Prediction& p) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const power::GroupPower& g : p.submodule) {
+    for (const double v : {g.comb, g.clock, g.reg}) h = util::fnv1a64(&v, sizeof v, h);
+  }
+  return h;
 }
 
 /// The CSV stores %.3f-rounded values; allow rounding plus a whisker of
@@ -136,6 +147,11 @@ TEST(GoldenFig5Test, C4PerCyclePowerMatchesCommittedCsv) {
 /// serve-path property suite to the same deterministic inputs the committed
 /// CSVs pin, so a fused-kernel numerics drift fails alongside the golden
 /// columns instead of only in small synthetic tests.
+///
+/// The identity checks alone pass when a change alters both paths the same
+/// way, so the predictions themselves are pinned too: training runs the
+/// same encoder kernels as inference, and any change to their arithmetic
+/// (loop order, zero-skip, contracted multiply-adds) moves this hash.
 TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
   struct ThreadCountGuard {
     ~ThreadCountGuard() { util::set_global_threads(0); }
@@ -170,6 +186,9 @@ TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
 
   const core::Prediction ref = model.predict(gate, graphs, trace);
   ASSERT_EQ(ref.num_cycles, kCycles);
+  ASSERT_EQ(ref.submodule.size(), ref.num_submodules * kCycles);
+  EXPECT_EQ(util::hash_hex(prediction_hash(ref)), "120ee048e2dfe3ce")
+      << "ATLAS predictions changed; if intentional, update the pinned hash";
 
   for (const unsigned threads : {1u, 8u}) {
     util::set_global_threads(threads);

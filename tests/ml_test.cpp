@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -88,6 +89,149 @@ TEST(MatrixTest, ParallelMatmulBitIdenticalToSerial) {
     }
   }
   util::set_global_threads(0);
+}
+
+// Scalar references for the raw kernels: the generic loops, kept here so
+// the width-specialized bodies (d = 16, 32) are checked against an oracle
+// the library cannot change underneath them.
+void ref_gemm_rows(const float* a, std::size_t a_cols, const float* b,
+                   std::size_t b_cols, float* c, std::size_t rows) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t k = 0; k < a_cols; ++k) {
+      const float av = a[i * a_cols + k];
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b_cols; ++j) {
+        c[i * b_cols + j] += av * b[k * b_cols + j];
+      }
+    }
+  }
+}
+
+void ref_gemm_tn(const float* a, std::size_t a_cols, const float* b,
+                 std::size_t b_cols, std::size_t n, float* c) {
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < a_cols; ++i) {
+      const float av = a[k * a_cols + i];
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b_cols; ++j) {
+        c[i * b_cols + j] += av * b[k * b_cols + j];
+      }
+    }
+  }
+}
+
+void ref_propagate(const SgFormer::NormAdjacency& adj, const float* x,
+                   std::size_t cols, float* y) {
+  for (std::size_t e = 0; e < adj.edges.size(); ++e) {
+    const auto [i, j] = adj.edges[e];
+    for (std::size_t c = 0; c < cols; ++c) {
+      y[i * cols + c] += adj.weights[e] * x[j * cols + c];
+    }
+  }
+}
+
+// `count` directed edges between uniformly drawn nodes (self-loops and
+// repeats included).
+std::vector<std::pair<std::uint32_t, std::uint32_t>> random_edges(
+    std::size_t nodes, std::size_t count, util::Rng& rng) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::size_t e = 0; e < count; ++e) {
+    edges.emplace_back(static_cast<std::uint32_t>(rng.next_below(nodes)),
+                       static_cast<std::uint32_t>(rng.next_below(nodes)));
+  }
+  return edges;
+}
+
+// Gaussian values salted with the IEEE edge cases: signed zeros (both must
+// take the zero-skip), subnormals, infinities, NaN and magnitudes near 1e6.
+// The NaN is the hardware's default NaN (computed at run time, not folded),
+// the same bits inf - inf produces inside the kernels, so which operand's
+// payload an add propagates cannot change the bytes compared.
+std::vector<float> salted(std::size_t n, util::Rng& rng, double special_rate) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            nan,
+                            1.0e6f,
+                            -999983.0f};
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = rng.next_bool(special_rate)
+            ? specials[rng.next_below(std::size(specials))]
+            : static_cast<float>(rng.next_gaussian());
+  }
+  return v;
+}
+
+void expect_same_bytes(const std::vector<float>& got,
+                       const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+      << what;
+}
+
+TEST(MatrixTest, WidthSpecializedKernelsMatchScalarReferenceBytes) {
+  util::Rng rng(2024);
+  // 16 and 32 take the fixed-width bodies; 24 is the generic loop.
+  for (const std::size_t width : {16u, 32u, 24u}) {
+    for (const std::size_t rows : {1u, 2u, 7u, 64u, 65u, 131u}) {
+      for (const std::size_t inner : {1u, 5u, 32u}) {
+        const std::string what = "width=" + std::to_string(width) +
+                                 " rows=" + std::to_string(rows) +
+                                 " inner=" + std::to_string(inner);
+        // C = A B over (rows x inner) * (inner x width); rows split into
+        // chunks the way the fused encoder calls the kernel.
+        const std::vector<float> a = salted(rows * inner, rng, 0.3);
+        const std::vector<float> b = salted(inner * width, rng, 0.02);
+        const std::vector<float> c0 = salted(rows * width, rng, 0.05);
+        std::vector<float> want = c0;
+        ref_gemm_rows(a.data(), inner, b.data(), width, want.data(), rows);
+        for (const std::size_t grain : {1u, 64u}) {
+          std::vector<float> got = c0;
+          for (std::size_t r0 = 0; r0 < rows; r0 += grain) {
+            raw::gemm_rows(a.data(), inner, b.data(), width, got.data(), r0,
+                           std::min(rows, r0 + grain));
+          }
+          expect_same_bytes(got, want,
+                            "gemm_rows " + what + " grain=" + std::to_string(grain));
+        }
+
+        // C += A^T B over (rows x inner)^T * (rows x width).
+        const std::vector<float> bt = salted(rows * width, rng, 0.02);
+        const std::vector<float> ct0 = salted(inner * width, rng, 0.05);
+        std::vector<float> want_tn = ct0;
+        ref_gemm_tn(a.data(), inner, bt.data(), width, rows, want_tn.data());
+        std::vector<float> got_tn = ct0;
+        raw::gemm_tn(a.data(), inner, bt.data(), width, rows, got_tn.data());
+        expect_same_bytes(got_tn, want_tn, "gemm_tn " + what);
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, WidthSpecializedPropagateMatchesScalarReferenceBytes) {
+  util::Rng rng(77);
+  for (const std::size_t width : {16u, 32u, 24u}) {
+    for (const std::size_t nodes : {1u, 9u, 70u}) {
+      const auto edges = random_edges(nodes, 2 * nodes, rng);
+      const SgFormer::NormAdjacency adj =
+          SgFormer::build_norm_adjacency(nodes, &edges);
+      const std::vector<float> x = salted(nodes * width, rng, 0.1);
+      const std::vector<float> y0 = salted(nodes * width, rng, 0.05);
+      std::vector<float> want = y0;
+      ref_propagate(adj, x.data(), width, want.data());
+      std::vector<float> got = y0;
+      raw::propagate(adj.edges.data(), adj.weights.data(), adj.edges.size(),
+                     x.data(), width, got.data());
+      expect_same_bytes(got, want, "propagate width=" + std::to_string(width) +
+                                       " nodes=" + std::to_string(nodes));
+    }
+  }
 }
 
 TEST(MatrixTest, ShapeMismatchThrows) {
@@ -437,28 +581,19 @@ TEST_F(SgFormerTest, FusedForwardBitIdenticalToForward) {
   // The batched-serving kernel: several graphs of different sizes and
   // topologies packed into one forward_fused call must reproduce each
   // graph's forward() embedding bit for bit, at every thread count (the
-  // serve-path determinism contract rests on this).
-  SgFormer enc(cfg_);
+  // serve-path determinism contract rests on this). Dims 16 and 32 run the
+  // width-specialized kernels, 8 the generic loops; the last graph is
+  // random.
   util::Rng rng(91);
-  const std::vector<std::size_t> sizes = {4, 2, 5, 1};
+  const std::vector<std::size_t> sizes = {4, 2, 5, 1, 37};
   const std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       edge_sets = {edges_, {{0, 1}}, {{0, 1}, {1, 2}, {2, 4}, {3, 4}, {0, 4}},
-                   {}};
+                   {}, random_edges(37, 111, rng)};
   std::vector<Matrix> feats;
   std::size_t total = 0;
   for (const std::size_t n : sizes) {
     feats.push_back(Matrix::randn(n, 6, rng, 1.0f));
     total += n;
-  }
-
-  std::vector<Matrix> ref;
-  for (std::size_t g = 0; g < sizes.size(); ++g) {
-    GraphView v;
-    v.num_nodes = sizes[g];
-    v.feat_dim = 6;
-    v.features = feats[g].data();
-    v.edges = &edge_sets[g];
-    ref.push_back(enc.forward(v).graph_emb);
   }
 
   std::vector<SgFormer::NormAdjacency> adjs;
@@ -477,26 +612,70 @@ TEST_F(SgFormerTest, FusedForwardBitIdenticalToForward) {
     dst += f.size();
   }
 
-  for (const int threads : {1, 3, 8}) {
-    util::set_global_threads(threads);
-    util::Arena arena;
-    std::vector<float> out(sizes.size() * 8, -1.0f);
-    enc.forward_fused(segs.data(), segs.size(), packed.data(), out.data(),
-                      arena);
+  for (const std::size_t dim : {8u, 16u, 32u}) {
+    SgFormer::Config cfg = cfg_;
+    cfg.dim = dim;
+    const SgFormer enc(cfg);
+    std::vector<Matrix> ref;
     for (std::size_t g = 0; g < sizes.size(); ++g) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        EXPECT_EQ(out[g * 8 + j], ref[g].at(0, j))
-            << "threads=" << threads << " graph=" << g << " dim=" << j;
-      }
+      GraphView v;
+      v.num_nodes = sizes[g];
+      v.feat_dim = 6;
+      v.features = feats[g].data();
+      v.edges = &edge_sets[g];
+      ref.push_back(enc.forward(v).graph_emb);
     }
-    // A recycled arena (reset, then reused) must not change results.
-    arena.reset();
-    std::vector<float> again(sizes.size() * 8, -2.0f);
-    enc.forward_fused(segs.data(), segs.size(), packed.data(), again.data(),
-                      arena);
-    EXPECT_EQ(again, out) << "threads=" << threads;
+
+    for (const int threads : {1, 3, 8}) {
+      util::set_global_threads(threads);
+      util::Arena arena;
+      std::vector<float> out(sizes.size() * dim, -1.0f);
+      enc.forward_fused(segs.data(), segs.size(), packed.data(), out.data(),
+                        arena);
+      for (std::size_t g = 0; g < sizes.size(); ++g) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          EXPECT_EQ(out[g * dim + j], ref[g].at(0, j))
+              << "dim=" << dim << " threads=" << threads << " graph=" << g
+              << " j=" << j;
+        }
+      }
+      // A recycled arena (reset, then reused) must not change results.
+      arena.reset();
+      std::vector<float> again(sizes.size() * dim, -2.0f);
+      enc.forward_fused(segs.data(), segs.size(), packed.data(), again.data(),
+                        arena);
+      EXPECT_EQ(again, out) << "dim=" << dim << " threads=" << threads;
+    }
   }
   util::set_global_threads(0);
+}
+
+TEST_F(SgFormerTest, ForwardPropagationMatchesScalarEdgeLoop) {
+  // forward()'s A H on a random graph, at the width-specialized dims, must
+  // equal the scalar edge loop byte for byte (forward_fused runs the same
+  // kernel; the test above pins fused against forward).
+  util::Rng rng(4242);
+  const std::size_t n = 37;
+  const auto edges = random_edges(n, 3 * n, rng);
+  const Matrix feats = Matrix::randn(n, 6, rng, 1.0f);
+  GraphView v;
+  v.num_nodes = n;
+  v.feat_dim = 6;
+  v.features = feats.data();
+  v.edges = &edges;
+  const SgFormer::NormAdjacency adj = SgFormer::build_norm_adjacency(n, &edges);
+
+  for (const std::size_t dim : {16u, 32u}) {
+    SgFormer::Config cfg = cfg_;
+    cfg.dim = dim;
+    SgFormer::Cache cache;
+    SgFormer(cfg).forward(v, &cache);
+    std::vector<float> ah(n * dim, 0.0f);
+    ref_propagate(adj, cache.h.data(), dim, ah.data());
+    ASSERT_EQ(cache.ah.size(), ah.size());
+    EXPECT_EQ(std::memcmp(cache.ah.data(), ah.data(), ah.size() * sizeof(float)), 0)
+        << "dim=" << dim;
+  }
 }
 
 TEST_F(SgFormerTest, BuildNormAdjacencyMatchesForward) {
