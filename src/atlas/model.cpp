@@ -14,6 +14,62 @@ namespace atlas::core {
 using graph::SubmoduleGraph;
 using ml::Matrix;
 
+namespace {
+
+struct EncodeCounters {
+  obs::Counter& encodes;   // designs encoded (encode + encode_batch items)
+  obs::Counter& segments;  // (sub-module, cycle) embeddings produced
+  obs::Counter& memoized;  // ... of which copied from an earlier cycle
+};
+
+EncodeCounters& encode_counters() {
+  obs::Registry& reg = obs::Registry::global();
+  static EncodeCounters* c = new EncodeCounters{
+      reg.counter("atlas_model_encodes_total"),
+      reg.counter("atlas_model_encode_segments_total"),
+      reg.counter("atlas_model_encode_segments_memoized_total")};
+  return *c;
+}
+
+// Per-thread scratch for encode_batch's segment tasks (feature rows plus
+// the encoder's intermediates). It grows to the largest segment its thread
+// has encoded and is kept, so steady-state encoding allocates nothing.
+thread_local std::vector<float> tl_segment_scratch;
+
+// Representative cycle of every cycle of `g` (arena-allocated): rep[c] == c
+// for the first cycle with its toggle channel, otherwise the earlier cycle
+// it repeats. Open addressing over the channel hashes; a hit counts only
+// after an exact channel compare, so a hash collision can never merge two
+// different cycles.
+int* memoize_cycles(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                    util::Arena& arena) {
+  const int cycles = trace.num_cycles();
+  std::size_t slots = 2;  // a power of two, at least twice the cycles
+  while (slots < 2 * static_cast<std::size_t>(cycles)) slots *= 2;
+  int* rep = arena.alloc_array<int>(static_cast<std::size_t>(cycles));
+  std::uint64_t* hashes =
+      arena.alloc_array<std::uint64_t>(static_cast<std::size_t>(cycles));
+  int* table = arena.alloc_array<int>(slots);
+  std::fill(table, table + slots, -1);
+  for (int c = 0; c < cycles; ++c) {
+    const std::uint64_t h = graph::toggle_channel_hash(g, trace, c);
+    hashes[c] = h;
+    rep[c] = c;
+    std::size_t s = h & (slots - 1);
+    for (; table[s] >= 0; s = (s + 1) & (slots - 1)) {
+      const int prev = table[s];
+      if (hashes[prev] == h && graph::same_toggle_channel(g, trace, prev, c)) {
+        rep[c] = prev;
+        break;
+      }
+    }
+    if (rep[c] == c) table[s] = c;
+  }
+  return rep;
+}
+
+}  // namespace
+
 AtlasModel::AtlasModel(ml::SgFormer encoder, GroupModels models)
     : encoder_(std::move(encoder)), models_(std::move(models)) {}
 
@@ -60,11 +116,11 @@ DesignEmbeddings AtlasModel::encode(
     const netlist::Netlist& gate, const std::vector<SubmoduleGraph>& graphs,
     const sim::ToggleTrace& gate_trace) const {
   obs::ObsSpan span("model", "encode");
-  static obs::Counter* encodes =
-      &obs::Registry::global().counter("atlas_model_encodes_total");
-  encodes->inc();
+  encode_counters().encodes.inc();
   DesignEmbeddings emb;
   emb.num_cycles = gate_trace.num_cycles();
+  encode_counters().segments.inc(graphs.size() *
+                                 static_cast<std::size_t>(emb.num_cycles));
   emb.graphs.reserve(graphs.size());
 
   const std::size_t d = encoder_.dim();
@@ -90,23 +146,25 @@ DesignEmbeddings AtlasModel::encode(
 void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
                               util::Arena& arena) const {
   obs::ObsSpan span("model", "encode_batch");
-  static obs::Counter* encodes =
-      &obs::Registry::global().counter("atlas_model_encodes_total");
-  encodes->inc(n);
+  encode_counters().encodes.inc(n);
 
   const std::size_t d = encoder_.dim();
+  const util::Arena::Marker marker = arena.mark();
 
-  // Per-graph setup: static context, extras, the output matrix, and the
-  // shared normalized adjacency (cycle-invariant, built once per graph
-  // instead of once per forward). All independent across graphs.
+  // Per-graph setup: the cycle memo here (the arena is single-threaded),
+  // then static context, extras, the output matrix and the shared
+  // normalized adjacency (cycle-invariant, built once per graph instead of
+  // once per forward) in parallel. All independent across graphs.
   struct GraphRef {
     const netlist::Netlist* gate = nullptr;
     const SubmoduleGraph* g = nullptr;
     const sim::ToggleTrace* trace = nullptr;
     DesignEmbeddings::PerGraph* pg = nullptr;
     ml::SgFormer::NormAdjacency adj;
+    const int* rep = nullptr;  // [cycle] -> representative cycle
   };
   std::vector<GraphRef> grefs;
+  std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const EncodeItem& it = items[i];
     DesignEmbeddings& out = *it.out;
@@ -118,7 +176,9 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
       r.g = &(*it.graphs)[gi];
       r.trace = it.trace;
       r.pg = &out.graphs[gi];
+      r.rep = memoize_cycles(*r.g, *r.trace, arena);
       grefs.push_back(std::move(r));
+      total += static_cast<std::size_t>(out.num_cycles);
     }
   }
   util::parallel_for(grefs.size(), 1, [&](std::size_t i) {
@@ -135,58 +195,47 @@ void AtlasModel::encode_batch(const EncodeItem* items, std::size_t n,
     r.adj = ml::SgFormer::build_norm_adjacency(r.g->num_nodes(), &r.g->edges);
   });
 
-  // Flatten to (graph, cycle) segments and run the fused encoder over row
-  // blocks. Blocking only bounds peak scratch — segment results never cross
-  // block boundaries, so the split points cannot affect numerics.
+  // One pool task per distinct (graph, cycle) segment: feature fill and the
+  // whole encoder run in the executing thread's scratch and write straight
+  // into the segment's embedding row. Segments share nothing, so the
+  // result does not depend on the thread count or the batch composition.
   struct Seg {
     const GraphRef* ref = nullptr;
     int cycle = 0;
   };
-  std::vector<ml::SgFormer::Segment> segs;
-  std::vector<Seg> meta;
+  Seg* segs = arena.alloc_array<Seg>(total);
+  std::size_t distinct = 0;
   for (const GraphRef& r : grefs) {
     const int cycles = r.trace->num_cycles();
     for (int c = 0; c < cycles; ++c) {
-      segs.push_back(ml::SgFormer::Segment{r.g->num_nodes(), &r.adj});
-      meta.push_back(Seg{&r, c});
+      if (r.rep[c] == c) segs[distinct++] = Seg{&r, c};
     }
   }
+  util::parallel_for(distinct, 1, [&](std::size_t i) {
+    const Seg& s = segs[i];
+    const std::size_t nodes = s.ref->g->num_nodes();
+    const std::size_t feat = nodes * static_cast<std::size_t>(graph::kFeatureDim);
+    const std::size_t need = feat + encoder_.segment_scratch_floats(nodes);
+    if (tl_segment_scratch.size() < need) tl_segment_scratch.resize(need);
+    float* scratch = tl_segment_scratch.data();
+    graph::fill_cycle_features(*s.ref->g, *s.ref->trace, s.cycle, scratch);
+    encoder_.forward_segment(nodes, s.ref->adj, scratch, scratch + feat,
+                             s.ref->pg->emb.row(static_cast<std::size_t>(s.cycle)));
+  });
 
-  constexpr std::size_t kMaxFusedRows = 8192;
-  std::size_t s0 = 0;
-  while (s0 < segs.size()) {
-    std::size_t s1 = s0;
-    std::size_t rows = 0;
-    while (s1 < segs.size() &&
-           (s1 == s0 || rows + segs[s1].num_nodes <= kMaxFusedRows)) {
-      rows += segs[s1].num_nodes;
-      ++s1;
+  // Repeated cycles copy their representative's row.
+  for (const GraphRef& r : grefs) {
+    Matrix& emb = r.pg->emb;
+    const int cycles = r.trace->num_cycles();
+    for (int c = 0; c < cycles; ++c) {
+      if (r.rep[c] == c) continue;
+      const float* src = emb.row(static_cast<std::size_t>(r.rep[c]));
+      std::copy(src, src + d, emb.row(static_cast<std::size_t>(c)));
     }
-    const std::size_t count = s1 - s0;
-    const util::Arena::Marker marker = arena.mark();
-    std::size_t* off = arena.alloc_array<std::size_t>(count + 1);
-    off[0] = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      off[k + 1] = off[k] + segs[s0 + k].num_nodes;
-    }
-    float* feats =
-        arena.alloc_array<float>(rows * static_cast<std::size_t>(graph::kFeatureDim));
-    float* gemb = arena.alloc_array<float>(count * d);
-    util::parallel_for(count, 1, [&](std::size_t k) {
-      const Seg& m = meta[s0 + k];
-      graph::fill_cycle_features(
-          *m.ref->g, *m.ref->trace, m.cycle,
-          feats + off[k] * static_cast<std::size_t>(graph::kFeatureDim));
-    });
-    encoder_.forward_fused(segs.data() + s0, count, feats, gemb, arena);
-    util::parallel_for(count, 1, [&](std::size_t k) {
-      const Seg& m = meta[s0 + k];
-      std::copy(gemb + k * d, gemb + (k + 1) * d,
-                m.ref->pg->emb.row(static_cast<std::size_t>(m.cycle)));
-    });
-    arena.rewind(marker);
-    s0 = s1;
   }
+  encode_counters().segments.inc(total);
+  encode_counters().memoized.inc(total - distinct);
+  arena.rewind(marker);
 }
 
 Prediction AtlasModel::predict_from_embeddings(

@@ -86,14 +86,15 @@ class AtlasModel {
     DesignEmbeddings* out = nullptr;  // filled by encode_batch
   };
 
-  /// Stage 1 over a whole batch: packs every (design, sub-module, cycle)
-  /// into row blocks and runs the encoder's fused kernels over them — one
-  /// GEMM per layer over the concatenated node features instead of one
-  /// small forward per cycle. Each graph's normalized adjacency is built
-  /// once and shared across its cycles. Scratch (feature rows, activations,
-  /// embeddings) is bump-allocated from `arena` and recycled by the caller.
-  /// Bit-identical to calling encode() once per item, at any thread count
-  /// and any batch composition.
+  /// Stage 1 over a whole batch. Each distinct (sub-module, cycle) segment
+  /// runs the whole encoder (feature fill through mean pool) as one pool
+  /// task in per-thread scratch sized by the largest segment, and writes
+  /// its embedding row directly. Cycles of a graph whose toggle channel
+  /// repeats an earlier cycle's (confirmed by exact compare, not just the
+  /// hash) are encoded once and copied. Each graph's normalized adjacency
+  /// is built once and shared across its cycles; the memo tables come from
+  /// `arena` and are rewound before returning. Bit-identical to calling
+  /// encode() once per item, at any thread count and any batch composition.
   void encode_batch(const EncodeItem* items, std::size_t n,
                     util::Arena& arena) const;
 

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "layout/extraction.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace atlas::graph {
@@ -112,6 +113,27 @@ void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
     out[i * kFeatureDim + kToggleOffset] =
         static_cast<float>(trace.transitions(cycle, net)) * 0.5f;
   }
+}
+
+std::uint64_t toggle_channel_hash(const SubmoduleGraph& g,
+                                  const sim::ToggleTrace& trace, int cycle) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const NetId net : g.out_net) {
+    const int t = net == kNoNet ? 0 : trace.transitions(cycle, net);
+    h = (h ^ static_cast<std::uint64_t>(t)) * util::kFnvPrime;
+  }
+  return h;
+}
+
+bool same_toggle_channel(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                         int cycle_a, int cycle_b) {
+  for (const NetId net : g.out_net) {
+    if (net != kNoNet &&
+        trace.transitions(cycle_a, net) != trace.transitions(cycle_b, net)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace atlas::graph

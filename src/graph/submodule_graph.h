@@ -66,10 +66,21 @@ void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
                          int cycle, ml::Matrix& out);
 
 /// Same, into a raw row-major buffer of num_nodes x kFeatureDim floats
-/// (arena-backed scratch in the fused batched encode path). Writes exactly
-/// the values of the Matrix overload.
+/// (caller scratch in the batched encode path). Writes exactly the values
+/// of the Matrix overload.
 void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
                          int cycle, float* out);
+
+/// The toggle channel is the only feature fill_cycle_features varies by
+/// cycle, so two cycles of `g` with equal channels get identical feature
+/// rows (and identical encoder outputs). FNV-1a over the channel's
+/// per-node transition counts; equal channels hash equal.
+std::uint64_t toggle_channel_hash(const SubmoduleGraph& g,
+                                  const sim::ToggleTrace& trace, int cycle);
+
+/// Exact channel equality of two cycles of `g` (confirms a hash match).
+bool same_toggle_channel(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                         int cycle_a, int cycle_b);
 
 /// A GraphView over externally prepared features for graph `g`.
 ml::GraphView view_with_features(const SubmoduleGraph& g, const ml::Matrix& feats);

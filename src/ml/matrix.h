@@ -49,12 +49,12 @@ class Matrix {
 };
 
 // Raw row-major kernels. These are the single source of truth for the
-// arithmetic: the Matrix entry points below and the fused batched encoder
-// (sgformer forward_fused) both delegate here, so the request-at-a-time and
-// batched paths share identical loop order and rounding by construction.
-// Each output row of gemm_rows depends only on the matching input row, which
-// is what makes row-chunk parallelism and batch concatenation bit-identical
-// to the serial per-request ops.
+// arithmetic: the Matrix entry points below and the serving encoder's
+// single-segment forward (SgFormer::forward_segment) both delegate here, so
+// the training forward() and the inference path share identical loop order
+// and rounding by construction. Each output row of gemm_rows depends only
+// on the matching input row, which is what makes row-chunk parallelism
+// (matmul_parallel) bit-identical to the serial matmul.
 namespace raw {
 
 /// C rows [r0, r1) = A rows [r0, r1) * B. C rows must be pre-zeroed.

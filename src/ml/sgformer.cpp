@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace atlas::ml {
@@ -150,99 +149,71 @@ SgFormer::NormAdjacency SgFormer::build_norm_adjacency(
   return adj;
 }
 
-void SgFormer::forward_fused(const Segment* segs, std::size_t num_segs,
-                             const float* features, float* graph_emb,
-                             util::Arena& arena) const {
-  if (num_segs == 0) return;
+void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
+                               const float* features, float* scratch,
+                               float* graph_emb) const {
+  if (n == 0) throw std::invalid_argument("forward_segment: empty graph");
+  forward_counter().inc();
   const std::size_t d = config_.dim;
-  const std::size_t in_dim = config_.in_dim;
-  std::size_t* off = arena.alloc_array<std::size_t>(num_segs + 1);
-  off[0] = 0;
-  for (std::size_t s = 0; s < num_segs; ++s) {
-    if (segs[s].num_nodes == 0 || segs[s].adj == nullptr) {
-      throw std::invalid_argument("forward_fused: empty segment");
-    }
-    off[s + 1] = off[s] + segs[s].num_nodes;
+  const std::size_t nd = n * d;
+  // Four n x d buffers, each reused once its value is dead, plus the d x d
+  // K^T V tile. GEMM and propagate outputs accumulate, so each is zeroed
+  // right before it is written (matching the zero-init of forward()'s
+  // Matrix temporaries).
+  float* h = scratch;  // H
+  float* q = h + nd;   // Q
+  float* k = q + nd;   // K
+  float* v = k + nd;   // V
+  float* ktv = v + nd;
+
+  // H = ReLU(X W_in + b_in).
+  std::fill(h, h + nd, 0.0f);
+  raw::gemm_rows(features, config_.in_dim, w_in_.data(), d, h, 0, n);
+  raw::add_row_bias_rows(h, d, b_in_.data(), 0, n);
+  raw::relu(h, nd);
+
+  // Global linear attention: att = 0.5 * (V + Q (K^T V) / n).
+  std::fill(q, q + 3 * nd, 0.0f);
+  raw::gemm_rows(h, d, wq_.data(), d, q, 0, n);
+  raw::gemm_rows(h, d, wk_.data(), d, k, 0, n);
+  raw::gemm_rows(h, d, wv_.data(), d, v, 0, n);
+  std::fill(ktv, ktv + d * d, 0.0f);
+  raw::gemm_tn(k, d, v, d, n, ktv);
+  float* att = k;  // K is dead once K^T V is formed
+  std::fill(att, att + nd, 0.0f);
+  raw::gemm_rows(q, d, ktv, d, att, 0, n);
+  const float inv_n = 1.0f / static_cast<float>(n);
+  const float att_scale = 0.5f * inv_n;
+  for (std::size_t i = 0; i < nd; ++i) att[i] *= att_scale;
+  for (std::size_t i = 0; i < nd; ++i) {
+    const float hv = v[i] * 0.5f;
+    att[i] += hv;
   }
-  const std::size_t total = off[num_segs];
-  forward_counter().inc(num_segs);
 
-  // All scratch up front, on the calling thread (Arena is single-threaded;
-  // worker lambdas below only touch disjoint row ranges of these buffers).
-  float* h = arena.alloc_array<float>(total * d);
-  float* q = arena.alloc_array<float>(total * d);
-  float* k = arena.alloc_array<float>(total * d);
-  float* v = arena.alloc_array<float>(total * d);
-  float* att = arena.alloc_array<float>(total * d);
-  float* ah = arena.alloc_array<float>(total * d);
-  float* gcn = arena.alloc_array<float>(total * d);
-  float* emb = arena.alloc_array<float>(total * d);
-  float* ktv = arena.alloc_array<float>(num_segs * d * d);
-  std::fill(ktv, ktv + num_segs * d * d, 0.0f);
+  // Graph convolution branch: gcn = (A_norm H) W_g.
+  float* ah = q;  // Q is dead once the attention is formed
+  std::fill(ah, ah + nd, 0.0f);
+  raw::propagate(adj.edges.data(), adj.weights.data(), adj.edges.size(), h, d,
+                 ah);
+  float* gcn = v;  // V is dead once the skip half is added
+  std::fill(gcn, gcn + nd, 0.0f);
+  raw::gemm_rows(ah, d, wg_.data(), d, gcn, 0, n);
 
-  // GEMM accumulators must start at zero, matching matmul()'s zero-init.
-  const std::size_t grain = 64;  // rows per chunk for whole-batch GEMMs
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    const std::size_t n = (r1 - r0) * d;
-    for (float* buf : {h, q, k, v, att, ah, gcn, emb}) {
-      std::fill(buf + r0 * d, buf + r0 * d + n, 0.0f);
-    }
-    // H = ReLU(X W_in + b_in), one fused row-chunk pass.
-    raw::gemm_rows(features, in_dim, w_in_.data(), d, h, r0, r1);
-    raw::add_row_bias_rows(h, d, b_in_.data(), r0, r1);
-    raw::relu(h + r0 * d, n);
-  });
-
-  // Q/K/V projections over the whole concatenated batch.
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    raw::gemm_rows(h, d, wq_.data(), d, q, r0, r1);
-    raw::gemm_rows(h, d, wk_.data(), d, k, r0, r1);
-    raw::gemm_rows(h, d, wv_.data(), d, v, r0, r1);
-  });
-
-  // Per-segment reductions: K^T V, attention normalization + skip, and
-  // A_norm propagation — each in forward()'s exact serial order.
-  util::parallel_for(num_segs, 1, [&](std::size_t s) {
-    const std::size_t r0 = off[s];
-    const std::size_t n = segs[s].num_nodes;
-    float* kt = ktv + s * d * d;
-    raw::gemm_tn(k + r0 * d, d, v + r0 * d, d, n, kt);
-    raw::gemm_rows(q, d, kt, d, att, r0, r0 + n);
-    const float inv_n = 1.0f / static_cast<float>(n);
-    const float att_scale = 0.5f * inv_n;
-    float* ar = att + r0 * d;
-    const float* vr = v + r0 * d;
-    for (std::size_t i = 0; i < n * d; ++i) ar[i] *= att_scale;
-    for (std::size_t i = 0; i < n * d; ++i) {
-      const float hv = vr[i] * 0.5f;
-      ar[i] += hv;
-    }
-    const NormAdjacency& adj = *segs[s].adj;
-    raw::propagate(adj.edges.data(), adj.weights.data(), adj.edges.size(),
-                   h + r0 * d, d, ah + r0 * d);
-  });
-
-  // GCN projection, branch combine, ReLU, output projection — all row-local,
-  // so one fused row-chunk pass over the whole batch.
+  // Combine, nonlinearity, output projection, mean pool.
   const float alpha = config_.alpha;
   const float beta = 1.0f - config_.alpha;
-  util::parallel_for_chunks(total, grain, [&](std::size_t r0, std::size_t r1) {
-    raw::gemm_rows(ah, d, wg_.data(), d, gcn, r0, r1);
-    for (std::size_t i = r0 * d; i < r1 * d; ++i) {
-      float cv = gcn[i] * beta;
-      const float as = att[i] * alpha;
-      cv += as;
-      gcn[i] = cv;
-    }
-    raw::relu(gcn + r0 * d, (r1 - r0) * d);
-    raw::gemm_rows(gcn, d, w_out_.data(), d, emb, r0, r1);
-    raw::add_row_bias_rows(emb, d, b_out_.data(), r0, r1);
-  });
-
-  // Per-segment mean pool into the caller's output rows.
-  util::parallel_for(num_segs, 1, [&](std::size_t s) {
-    raw::mean_rows(emb + off[s] * d, segs[s].num_nodes, d, graph_emb + s * d);
-  });
+  for (std::size_t i = 0; i < nd; ++i) {
+    float cv = gcn[i] * beta;
+    const float as = att[i] * alpha;
+    cv += as;
+    gcn[i] = cv;
+  }
+  raw::relu(gcn, nd);
+  float* emb = h;  // H is dead once A H is formed
+  std::fill(emb, emb + nd, 0.0f);
+  raw::gemm_rows(gcn, d, w_out_.data(), d, emb, 0, n);
+  raw::add_row_bias_rows(emb, d, b_out_.data(), 0, n);
+  raw::mean_rows(emb, n, d, graph_emb);
 }
 
 void SgFormer::backward(const Cache& c, const Matrix& d_node,

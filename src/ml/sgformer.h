@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "ml/mlp.h"
-#include "util/arena.h"
 
 namespace atlas::ml {
 
@@ -74,29 +73,23 @@ class SgFormer {
       std::size_t num_nodes,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>* edges);
 
-  /// One (graph, cycle) instance inside a fused batch: a row block of
-  /// `num_nodes` feature rows plus the graph's prebuilt adjacency.
-  struct Segment {
-    std::size_t num_nodes = 0;
-    const NormAdjacency* adj = nullptr;
-  };
+  /// Floats of caller scratch forward_segment() needs for an n-node graph.
+  std::size_t segment_scratch_floats(std::size_t n) const {
+    return 4 * n * config_.dim + config_.dim * config_.dim;
+  }
 
-  /// Inference-only fused forward over a batch of segments whose features
-  /// are packed row-major into `features` (sum of num_nodes x in_dim).
-  /// Writes segment s's 1 x dim graph embedding to graph_emb + s * dim.
-  ///
-  /// The per-node projections run as one GEMM per layer over the whole
-  /// concatenated row block (parallelized over row chunks); attention
-  /// normalization, adjacency propagation, and the mean pool stay
-  /// per-segment. Every output row of the shared GEMM kernel depends only
-  /// on its own input row, and all per-segment reductions (K^T V, A_norm
-  /// propagation, mean pool) run in the same serial order as forward(), so
-  /// the result is bit-identical to calling forward() once per segment —
-  /// at any thread count and any batch composition. Scratch comes from
-  /// `arena` (no heap traffic when the arena is recycled).
-  void forward_fused(const Segment* segs, std::size_t num_segs,
-                     const float* features, float* graph_emb,
-                     util::Arena& arena) const;
+  /// Inference-only forward of one graph (one (sub-module, cycle) segment):
+  /// `features` holds n x in_dim rows, `adj` is the graph's prebuilt
+  /// build_norm_adjacency(), and the 1 x dim graph embedding is written to
+  /// `graph_emb`. Runs the same raw:: kernels as forward() in forward()'s
+  /// exact op order, so the result is bit-identical to
+  /// forward(...).graph_emb. Every intermediate, K^T V included, lives in
+  /// `scratch` (segment_scratch_floats(n) floats, contents ignored), so a
+  /// caller that recycles its scratch encodes without heap traffic. Serial
+  /// and touching only its arguments: callers parallelize across segments.
+  void forward_segment(std::size_t n, const NormAdjacency& adj,
+                       const float* features, float* scratch,
+                       float* graph_emb) const;
 
   /// Accumulate parameter gradients for one graph. `d_node` may be empty
   /// (zero); `d_graph` may be empty (zero).

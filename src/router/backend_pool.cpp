@@ -152,34 +152,46 @@ std::vector<RouteCandidate> order_candidates(
   return candidates;
 }
 
-std::vector<std::string> BackendPool::route_load_aware(std::uint64_t key) {
+std::vector<std::string> BackendPool::route_load_aware(std::uint64_t key,
+                                                       bool open_forward) {
   std::lock_guard<std::mutex> lock(mu_);
   hot_keys_.record(key);
   std::vector<std::string> chain = ring_.preference(key, ring_.size());
   const std::size_t eligible =
       std::min<std::size_t>(routing_.replicas, chain.size());
-  if (eligible <= 1 ||
-      !hot_keys_.is_hot(key, routing_.hot_top_k, routing_.hot_min_requests)) {
-    return chain;
-  }
-  std::vector<RouteCandidate> candidates;
-  candidates.reserve(eligible);
-  for (std::size_t i = 0; i < eligible; ++i) {
-    RouteCandidate c;
-    c.id = chain[i];
-    c.chain_pos = i;
-    for (const Entry& e : entries_) {
-      if (e.address.id != c.id) continue;
-      c.load = e.load;
-      c.load_fresh = e.load_fresh && e.state == BackendState::kUp;
-      c.overloaded = e.overloaded;
-      break;
+  if (eligible > 1 &&
+      hot_keys_.is_hot(key, routing_.hot_top_k, routing_.hot_min_requests)) {
+    std::vector<RouteCandidate> candidates;
+    candidates.reserve(eligible);
+    for (std::size_t i = 0; i < eligible; ++i) {
+      RouteCandidate c;
+      c.id = chain[i];
+      c.chain_pos = i;
+      for (const Entry& e : entries_) {
+        if (e.address.id != c.id) continue;
+        c.load = std::max(e.load, e.open_forwards);
+        c.load_fresh = e.load_fresh && e.state == BackendState::kUp;
+        c.overloaded = e.overloaded;
+        break;
+      }
+      candidates.push_back(std::move(c));
     }
-    candidates.push_back(std::move(c));
+    candidates = order_candidates(std::move(candidates));
+    for (std::size_t i = 0; i < eligible; ++i) chain[i] = candidates[i].id;
   }
-  candidates = order_candidates(std::move(candidates));
-  for (std::size_t i = 0; i < eligible; ++i) chain[i] = candidates[i].id;
+  if (open_forward && !chain.empty()) {
+    for (Entry& e : entries_) {
+      if (e.address.id == chain.front()) ++e.open_forwards;
+    }
+  }
   return chain;
+}
+
+void BackendPool::forward_done(const std::string& id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Entry& e : entries_) {
+    if (e.address.id == id && e.open_forwards > 0) --e.open_forwards;
+  }
 }
 
 void BackendPool::note_load(const std::string& id, std::uint64_t load,

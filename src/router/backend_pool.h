@@ -167,7 +167,17 @@ class BackendPool {
   /// the replica set is always a prefix of the failover chain: promotion
   /// only ever *adds* warm shards, and failing over from any replica lands
   /// on another replica or the successor that would inherit the key's arc.
-  std::vector<std::string> route_load_aware(std::uint64_t key);
+  ///
+  /// With `open_forward`, the returned chain's first backend is also
+  /// charged one open forward, in the same critical section as the pick,
+  /// until forward_done(). A replica ranks by the larger of its reported
+  /// depth and its open forwards, so hot requests routed between two load
+  /// reports spread over the replicas instead of all taking the same stale
+  /// minimum.
+  std::vector<std::string> route_load_aware(std::uint64_t key,
+                                            bool open_forward = false);
+  /// Close one open forward charged by route_load_aware(key, true).
+  void forward_done(const std::string& id);
 
   /// Ingest a data-path load report piggybacked on a reply from `id`:
   /// request-fresh queued + in-flight depth, and whether the shard's time
@@ -238,6 +248,8 @@ class BackendPool {
     std::uint64_t load = 0;
     bool load_fresh = false;
     bool overloaded = false;
+    /// Forwards this router has sent here and not yet seen answered.
+    std::uint64_t open_forwards = 0;
   };
   /// Outcome of one unlocked probe round-trip.
   struct ProbeResult {

@@ -402,7 +402,8 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
       return error_reply(ErrorCode::kBadRequest, e.what());
     }
     chain = pool_->route_load_aware(
-        placement_key(util::fnv1a64(req.netlist_verilog), req.model));
+        placement_key(util::fnv1a64(req.netlist_verilog), req.model),
+        /*open_forward=*/true);
     req.ext.want_queue_depth = true;
     const obs::TraceContext ctx = adopt_context(req.ext.trace);
     if (ctx.valid()) {
@@ -438,6 +439,7 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
       fwd.type = frame.type;
       fwd.payload = req.encode();
       forwarded = forward(upstreams, id, fwd, response);
+      if (i == 0) pool_->forward_done(id);
     } else {
       forwarded = forward(upstreams, id, frame, response);
     }

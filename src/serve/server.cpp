@@ -455,13 +455,13 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
     }
   });
 
-  // Phase B: one fused encode per distinct model over every job that
+  // Phase B: one encode_batch per distinct model over every job that
   // missed the embedding cache, on the dispatcher thread — the pool's
-  // threads parallelize inside encode_batch's row-chunked kernels, which
-  // beats one-request-per-thread for the matmul-bound encoder. Jobs on the
-  // same model share one call even across different designs. The encoder
-  // spans emitted here are batch-level (no single request's context could
-  // own a fused kernel).
+  // threads split the batch's (sub-module, cycle) segments, which beats
+  // one-request-per-thread for the matmul-bound encoder. Jobs on the same
+  // model share one call even across different designs. The encoder spans
+  // emitted here are batch-level (no single request's context could own a
+  // batch-wide call).
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < n; ++i) {
     if (!preps[i].reply && preps[i].needs_encode) pending.push_back(i);

@@ -19,16 +19,16 @@
 //     `fused_batching` on (the default) a batch executes in three phases:
 //     per-job prework fans out on util::ThreadPool::global() (parse, cache
 //     probes, stimulus), then all jobs that need the encoder run as ONE
-//     fused AtlasModel::encode_batch call per model on the dispatcher
-//     thread — so the pool's threads parallelize *inside* the batched
-//     kernels (row-chunked GEMMs over the concatenated node features)
-//     instead of one request each — then per-job heads + serialization fan
-//     out on the pool again. Scratch for the fused kernels comes from a
-//     recycled util::ArenaPool, so steady-state batches allocate nothing.
+//     AtlasModel::encode_batch call per model on the dispatcher thread —
+//     so the pool's threads split the whole batch's distinct (sub-module,
+//     cycle) segments, one segment per task, instead of one request each
+//     — then per-job heads + serialization fan out on the pool again.
+//     Scratch for the batched encode and heads comes from a recycled
+//     util::ArenaPool, so steady-state batches allocate nothing.
 //     With `fused_batching` off, each job runs end-to-end on a pool thread
 //     (the pre-fusion reference path). Both paths are bit-identical per
-//     request at any batch size and thread count: the fused encoder
-//     replays the exact per-graph op order (see ml/sgformer.h), and the
+//     request at any batch size and thread count: the segment encoder
+//     replays forward()'s exact op order (see ml/sgformer.h), and the
 //     pool is non-reentrant so handler-internal parallel loops run inline
 //     — the determinism contract tests pin this.
 //
@@ -265,9 +265,9 @@ class Server {
   /// out on the pool (prepare_predict under the job's trace scope), phase
   /// B runs ONE AtlasModel::encode_batch per distinct model over all jobs
   /// that missed the embedding cache (dispatcher thread; the pool threads
-  /// parallelize inside the fused kernels), phase C fans per-job heads +
+  /// split its (sub-module, cycle) segments), phase C fans per-job heads +
   /// serialization + promise fulfillment back out on the pool. Scratch for
-  /// the fused kernels is borrowed from arena_pool_.
+  /// the batched encode is borrowed from arena_pool_.
   void run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch);
   /// Phase C worker: finish one prepared job and fulfill its promise.
   /// Same never-throws / always-answers contract as process_job.
@@ -348,7 +348,7 @@ class Server {
   std::shared_ptr<ModelRegistry> registry_;
   FeatureCache cache_;
   ServerStats stats_;
-  /// Recycled bump-allocator scratch for the fused encode and the GBDT
+  /// Recycled bump-allocator scratch for the batched encode and the GBDT
   /// heads: one arena borrowed per fused batch / per finish_predict call,
   /// so steady-state serving does no scratch mallocs.
   util::ArenaPool arena_pool_;

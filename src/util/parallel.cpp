@@ -55,6 +55,23 @@ int resolve(int requested) {
 // Depth of nested parallel regions on this thread; > 0 means "run inline".
 thread_local int tl_parallel_depth = 0;
 
+// Run task(0..num_tasks) on the calling thread, in index order, as a
+// parallel region: parallel constructs inside the tasks run inline too.
+void run_inline(std::size_t num_tasks,
+                const std::function<void(std::size_t)>& task) {
+  PoolMetrics& pm = pool_metrics();
+  pm.batches.inc();
+  pm.inline_tasks.inc(num_tasks);
+  ++tl_parallel_depth;
+  try {
+    for (std::size_t i = 0; i < num_tasks; ++i) task(i);
+  } catch (...) {
+    --tl_parallel_depth;
+    throw;
+  }
+  --tl_parallel_depth;
+}
+
 }  // namespace
 
 int hardware_concurrency() {
@@ -143,19 +160,9 @@ void ThreadPool::worker_loop() {
 void ThreadPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
-  PoolMetrics& pm = pool_metrics();
   // Serial pool, single task, or nested call: run inline in index order.
   if (num_threads_ == 1 || num_tasks == 1 || tl_parallel_depth > 0) {
-    pm.batches.inc();
-    pm.inline_tasks.inc(num_tasks);
-    ++tl_parallel_depth;
-    try {
-      for (std::size_t i = 0; i < num_tasks; ++i) task(i);
-    } catch (...) {
-      --tl_parallel_depth;
-      throw;
-    }
-    --tl_parallel_depth;
+    run_inline(num_tasks, task);
     return;
   }
 
@@ -167,11 +174,10 @@ void ThreadPool::run(std::size_t num_tasks,
     // A concurrent external run() is already in flight; don't interleave
     // two batches — just run this one inline.
     lock.unlock();
-    pm.batches.inc();
-    pm.inline_tasks.inc(num_tasks);
-    for (std::size_t i = 0; i < num_tasks; ++i) task(i);
+    run_inline(num_tasks, task);
     return;
   }
+  PoolMetrics& pm = pool_metrics();
   obs::ObsSpan span("parallel", "pool_batch");
   pm.batches.inc();
   b.posted_at = std::chrono::steady_clock::now();

@@ -62,7 +62,9 @@ class ThreadPool {
 
   /// Run task(i) for i in [0, num_tasks); blocks until all complete.
   /// The first exception thrown by any task is rethrown here after the
-  /// batch drains. Reentrant calls (from inside a task) run inline.
+  /// batch drains. Reentrant calls (from inside a task) run inline, and so
+  /// does a call made while another thread's batch holds the pool; either
+  /// way the tasks run inside a parallel region.
   void run(std::size_t num_tasks, const std::function<void(std::size_t)>& task);
 
   /// The process-wide pool, sized by set_global_threads().

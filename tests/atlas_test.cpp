@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "atlas/finetune.h"
 #include "atlas/logic_cones.h"
@@ -10,6 +13,7 @@
 #include "atlas/preprocess.h"
 #include "atlas/pretrain.h"
 #include "netlist/verilog_io.h"
+#include "obs/metrics.h"
 #include "util/arena.h"
 #include "util/parallel.h"
 
@@ -418,6 +422,131 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
     EXPECT_EQ(via_batch.at(c).clock, direct.at(c).clock);
     EXPECT_EQ(via_batch.at(c).reg, direct.at(c).reg);
   }
+}
+
+/// Number of (sub-module, cycle) pairs whose toggle channel equals an
+/// earlier cycle's on the same sub-module — brute force, as the oracle for
+/// encode_batch's cycle memo.
+std::uint64_t expected_repeats(const std::vector<graph::SubmoduleGraph>& graphs,
+                               const sim::ToggleTrace& trace) {
+  std::uint64_t repeats = 0;
+  for (const graph::SubmoduleGraph& g : graphs) {
+    std::vector<std::vector<int>> seen;
+    for (int c = 0; c < trace.num_cycles(); ++c) {
+      std::vector<int> channel;
+      for (const netlist::NetId net : g.out_net) {
+        channel.push_back(net == netlist::kNoNet ? 0 : trace.transitions(c, net));
+      }
+      if (std::find(seen.begin(), seen.end(), channel) != seen.end()) {
+        ++repeats;
+      } else {
+        seen.push_back(std::move(channel));
+      }
+    }
+  }
+  return repeats;
+}
+
+TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
+  // encode_batch encodes each distinct toggle channel of a sub-module once
+  // and copies its embedding to the cycles that repeat it. Every row must
+  // be byte-identical to the serial encode(), and the memoized-segment
+  // counter must count exactly the repeats.
+  ml::SgFormer::Config ecfg;
+  ecfg.in_dim = graph::kFeatureDim;
+  ecfg.dim = 16;
+  const AtlasModel model(ml::SgFormer(ecfg),
+                         GroupModels{ml::GbdtRegressor(), ml::GbdtRegressor(),
+                                     ml::GbdtRegressor()});
+  const sim::ToggleTrace& real = test_->workloads[0].gate_trace;
+  const std::size_t nets = real.num_nets();
+  ASSERT_GE(real.num_cycles(), 10);
+
+  // Quiet cycles (q) and copies of real cycles 5 and 9, each repeated.
+  const std::vector<int> pattern = {-1, 5, -1, 5, 9, -1, 9, 5};
+  sim::ToggleTrace repeated(nets, static_cast<int>(pattern.size()));
+  for (std::size_t c = 0; c < pattern.size(); ++c) {
+    if (pattern[c] < 0) continue;
+    for (netlist::NetId n = 0; n < nets; ++n) {
+      repeated.set(static_cast<int>(c), n, real.value(pattern[c], n),
+                   real.transitions(pattern[c], n));
+    }
+  }
+  // Cycle c gives every net c transitions: no sub-module repeats a cycle.
+  sim::ToggleTrace distinct(nets, 6);
+  for (int c = 0; c < distinct.num_cycles(); ++c) {
+    for (netlist::NetId n = 0; n < nets; ++n) distinct.set(c, n, false, c);
+  }
+  const std::uint64_t repeated_expect =
+      expected_repeats(test_->gate_graphs, repeated);
+  ASSERT_GE(repeated_expect, 5 * test_->gate_graphs.size());
+  ASSERT_EQ(expected_repeats(test_->gate_graphs, distinct), 0u);
+  const sim::ToggleTrace& other = train_->workloads[0].gate_trace;
+
+  struct Input {
+    const DesignData* design;
+    const sim::ToggleTrace* trace;
+  };
+  const std::vector<Input> inputs = {
+      {test_, &repeated}, {test_, &distinct}, {train_, &other}};
+  std::vector<DesignEmbeddings> solo;
+  std::vector<std::uint64_t> repeats;
+  for (const Input& in : inputs) {
+    solo.push_back(model.encode(in.design->gate, in.design->gate_graphs, *in.trace));
+    repeats.push_back(expected_repeats(in.design->gate_graphs, *in.trace));
+  }
+
+  const obs::Counter& memoized = obs::Registry::global().counter(
+      "atlas_model_encode_segments_memoized_total");
+  const auto expect_bytes_equal = [](const DesignEmbeddings& got,
+                                     const DesignEmbeddings& want,
+                                     const std::string& what) {
+    ASSERT_EQ(got.num_cycles, want.num_cycles) << what;
+    ASSERT_EQ(got.graphs.size(), want.graphs.size()) << what;
+    for (std::size_t g = 0; g < want.graphs.size(); ++g) {
+      const ml::Matrix& a = got.graphs[g].emb;
+      const ml::Matrix& b = want.graphs[g].emb;
+      ASSERT_EQ(a.rows(), b.rows()) << what;
+      ASSERT_EQ(a.cols(), b.cols()) << what;
+      for (std::size_t r = 0; r < b.rows(); ++r) {
+        EXPECT_EQ(std::memcmp(a.row(r), b.row(r), b.cols() * sizeof(float)), 0)
+            << what << " graph " << g << " cycle " << r;
+      }
+    }
+  };
+
+  util::Arena arena;
+  for (const int threads : {1, 4}) {
+    util::set_global_threads(threads);
+    const std::string at = " threads=" + std::to_string(threads);
+    // Each trace alone...
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      DesignEmbeddings out;
+      const AtlasModel::EncodeItem item{&inputs[i].design->gate,
+                                        &inputs[i].design->gate_graphs,
+                                        inputs[i].trace, &out};
+      const std::uint64_t before = memoized.value();
+      model.encode_batch(&item, 1, arena);
+      EXPECT_EQ(memoized.value() - before, repeats[i]) << "item " << i << at;
+      expect_bytes_equal(out, solo[i], "item " + std::to_string(i) + at);
+    }
+    // ...and all three in one batch.
+    std::vector<DesignEmbeddings> outs(inputs.size());
+    std::vector<AtlasModel::EncodeItem> items;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      items.push_back(AtlasModel::EncodeItem{&inputs[i].design->gate,
+                                             &inputs[i].design->gate_graphs,
+                                             inputs[i].trace, &outs[i]});
+    }
+    const std::uint64_t before = memoized.value();
+    model.encode_batch(items.data(), items.size(), arena);
+    EXPECT_EQ(memoized.value() - before, repeats[0] + repeats[1] + repeats[2])
+        << at;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      expect_bytes_equal(outs[i], solo[i], "batch item " + std::to_string(i) + at);
+    }
+  }
+  util::set_global_threads(0);
 }
 
 TEST_F(AtlasCoreTest, MemoryModelAccurate) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "designgen/design_generator.h"
 #include "graph/submodule_graph.h"
 #include "liberty/library.h"
@@ -110,6 +112,37 @@ TEST_F(GraphTest, CycleFeaturesTrackToggles) {
     // Static channels untouched.
     EXPECT_FLOAT_EQ(feats.at(i, kCapOffset), g.static_features.at(i, kCapOffset));
   }
+}
+
+TEST_F(GraphTest, ToggleChannelKeyMatchesCycleFeatures) {
+  // The encoder's cycle memo keys on the toggle channel: two cycles are the
+  // same channel exactly when fill_cycle_features gives them identical
+  // rows, and equal channels hash equal.
+  sim::CycleSimulator sim(nl_);
+  sim::StimulusGenerator stim(nl_, sim::make_w1());
+  const sim::ToggleTrace trace = sim.run(stim, 20);
+  const auto g = build_submodule_graph(nl_, 0);
+  ml::Matrix fa;
+  ml::Matrix fb;
+  int same = 0;
+  int differ = 0;
+  for (int a = 0; a < trace.num_cycles(); ++a) {
+    fill_cycle_features(g, trace, a, fa);
+    for (int b = 0; b < trace.num_cycles(); ++b) {
+      fill_cycle_features(g, trace, b, fb);
+      const bool rows_equal =
+          std::equal(fa.data(), fa.data() + fa.size(), fb.data());
+      EXPECT_EQ(same_toggle_channel(g, trace, a, b), rows_equal)
+          << "cycles " << a << ", " << b;
+      if (rows_equal) {
+        EXPECT_EQ(toggle_channel_hash(g, trace, a),
+                  toggle_channel_hash(g, trace, b));
+      }
+      ++(rows_equal ? same : differ);
+    }
+  }
+  EXPECT_GT(differ, 0);  // the trace toggles the sub-module at all
+  EXPECT_GE(same, trace.num_cycles());
 }
 
 TEST_F(GraphTest, ViewExposesCorrectShape) {

@@ -11,7 +11,6 @@
 #include "ml/matrix.h"
 #include "ml/mlp.h"
 #include "ml/sgformer.h"
-#include "util/arena.h"
 #include "util/parallel.h"
 
 namespace atlas::ml {
@@ -577,83 +576,55 @@ TEST_F(SgFormerTest, SerializationRoundTrip) {
   }
 }
 
-TEST_F(SgFormerTest, FusedForwardBitIdenticalToForward) {
-  // The batched-serving kernel: several graphs of different sizes and
-  // topologies packed into one forward_fused call must reproduce each
-  // graph's forward() embedding bit for bit, at every thread count (the
-  // serve-path determinism contract rests on this). Dims 16 and 32 run the
-  // width-specialized kernels, 8 the generic loops; the last graph is
-  // random.
+TEST_F(SgFormerTest, SegmentForwardBitIdenticalToForward) {
+  // The serving encoder: forward_segment() on each graph, with its prebuilt
+  // adjacency and caller scratch, must reproduce forward()'s graph
+  // embedding byte for byte (the serve-path determinism contract rests on
+  // this). Dims 16 and 32 run the width-specialized kernels, 8 the generic
+  // loops; the last graph is random. One scratch buffer, pre-filled with
+  // NaN and reused across graphs of different sizes, shows its stale
+  // contents never reach the result.
   util::Rng rng(91);
   const std::vector<std::size_t> sizes = {4, 2, 5, 1, 37};
   const std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       edge_sets = {edges_, {{0, 1}}, {{0, 1}, {1, 2}, {2, 4}, {3, 4}, {0, 4}},
                    {}, random_edges(37, 111, rng)};
   std::vector<Matrix> feats;
-  std::size_t total = 0;
-  for (const std::size_t n : sizes) {
-    feats.push_back(Matrix::randn(n, 6, rng, 1.0f));
-    total += n;
-  }
-
   std::vector<SgFormer::NormAdjacency> adjs;
-  adjs.reserve(sizes.size());
-  std::vector<SgFormer::Segment> segs;
   for (std::size_t g = 0; g < sizes.size(); ++g) {
+    feats.push_back(Matrix::randn(sizes[g], 6, rng, 1.0f));
     adjs.push_back(SgFormer::build_norm_adjacency(sizes[g], &edge_sets[g]));
-  }
-  for (std::size_t g = 0; g < sizes.size(); ++g) {
-    segs.push_back(SgFormer::Segment{sizes[g], &adjs[g]});
-  }
-  Matrix packed(total, 6);
-  float* dst = packed.data();
-  for (const Matrix& f : feats) {
-    std::copy(f.data(), f.data() + f.size(), dst);
-    dst += f.size();
   }
 
   for (const std::size_t dim : {8u, 16u, 32u}) {
     SgFormer::Config cfg = cfg_;
     cfg.dim = dim;
     const SgFormer enc(cfg);
-    std::vector<Matrix> ref;
-    for (std::size_t g = 0; g < sizes.size(); ++g) {
+    std::vector<float> scratch(enc.segment_scratch_floats(37),
+                               std::numeric_limits<float>::quiet_NaN());
+    for (const std::size_t g : {4u, 0u, 1u, 2u, 3u}) {
       GraphView v;
       v.num_nodes = sizes[g];
       v.feat_dim = 6;
       v.features = feats[g].data();
       v.edges = &edge_sets[g];
-      ref.push_back(enc.forward(v).graph_emb);
-    }
+      const Matrix ref = enc.forward(v).graph_emb;
 
-    for (const int threads : {1, 3, 8}) {
-      util::set_global_threads(threads);
-      util::Arena arena;
-      std::vector<float> out(sizes.size() * dim, -1.0f);
-      enc.forward_fused(segs.data(), segs.size(), packed.data(), out.data(),
-                        arena);
-      for (std::size_t g = 0; g < sizes.size(); ++g) {
-        for (std::size_t j = 0; j < dim; ++j) {
-          EXPECT_EQ(out[g * dim + j], ref[g].at(0, j))
-              << "dim=" << dim << " threads=" << threads << " graph=" << g
-              << " j=" << j;
-        }
-      }
-      // A recycled arena (reset, then reused) must not change results.
-      arena.reset();
-      std::vector<float> again(sizes.size() * dim, -2.0f);
-      enc.forward_fused(segs.data(), segs.size(), packed.data(), again.data(),
-                        arena);
-      EXPECT_EQ(again, out) << "dim=" << dim << " threads=" << threads;
+      ASSERT_LE(enc.segment_scratch_floats(sizes[g]), scratch.size());
+      std::vector<float> out(dim, -1.0f);
+      enc.forward_segment(sizes[g], adjs[g], feats[g].data(), scratch.data(),
+                          out.data());
+      ASSERT_EQ(ref.size(), out.size());
+      EXPECT_EQ(std::memcmp(out.data(), ref.data(), dim * sizeof(float)), 0)
+          << "dim=" << dim << " graph=" << g;
     }
   }
-  util::set_global_threads(0);
 }
 
 TEST_F(SgFormerTest, ForwardPropagationMatchesScalarEdgeLoop) {
   // forward()'s A H on a random graph, at the width-specialized dims, must
-  // equal the scalar edge loop byte for byte (forward_fused runs the same
-  // kernel; the test above pins fused against forward).
+  // equal the scalar edge loop byte for byte (forward_segment runs the same
+  // kernel; the test above pins it against forward).
   util::Rng rng(4242);
   const std::size_t n = 37;
   const auto edges = random_edges(n, 3 * n, rng);

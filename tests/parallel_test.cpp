@@ -5,11 +5,13 @@
 // fixed-shape tree makes even non-associative float folds reproducible).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/parallel.h"
@@ -167,6 +169,32 @@ TEST(ParallelTest, NestedParallelRunsInline) {
     parallel_for(64, 4, [&](std::size_t inner) { ++hits[outer * 64 + inner]; });
   });
   for (const int h : hits) ASSERT_EQ(h, 1);
+}
+
+TEST(ParallelTest, ConcurrentBatchInlineFallbackIsAParallelRegion) {
+  // While one external run() holds the pool, a second external run() runs
+  // its tasks inline on its own thread. Those tasks are inside a parallel
+  // region like any other (nested parallel constructs must run inline, not
+  // post to the pool).
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.run(2, [&](std::size_t) {
+      started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (started.load() == 0) std::this_thread::yield();
+
+  std::vector<int> inside(3, -1);
+  pool.run(inside.size(), [&](std::size_t i) {
+    inside[i] = in_parallel_region() ? 1 : 0;
+  });
+  EXPECT_FALSE(in_parallel_region());
+  release.store(true);
+  holder.join();
+  EXPECT_EQ(inside, std::vector<int>(3, 1));
 }
 
 TEST(ParallelTest, ExceptionsPropagateToCaller) {

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <map>
 #include <set>
 #include <thread>
+
+#include <unistd.h>
 
 // TSan's ~10x slowdown serializes concurrent volleys, so assertions about
 // load-balance *quality* (not correctness) are skipped under it.
@@ -613,8 +616,11 @@ TEST_F(RouterTest, AdminFanOutReachesEveryShard) {
   Fleet fleet = start_fleet(/*allow_admin=*/true);
   Client client = connect(fleet);
 
-  const std::string model_path =
-      ::testing::TempDir() + "atlas_router_fanout_model.bin";
+  // Per process: two concurrent runs of this suite must not rewrite each
+  // other's artifact while its shards are loading it.
+  const std::string model_path = ::testing::TempDir() +
+                                 "atlas_router_fanout_model." +
+                                 std::to_string(::getpid()) + ".bin";
   (*model_)->save(model_path);
 
   // Load lands on *both* shards (models are replicated, designs sharded).
@@ -1211,6 +1217,41 @@ TEST(BackendPoolTest, QueueDepthGaugeZeroesOnTheFirstFailedProbe) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+TEST(BackendPoolTest, OpenForwardsSpreadConcurrentHotPicks) {
+  // Picks made between two load reports see the same reported depths; the
+  // open forwards each pick charges are what keep them from herding onto
+  // one replica. Closing them restores the warmth-stable tie to the owner.
+  FakeBackend a(/*queue_depth=*/0);
+  FakeBackend b(/*queue_depth=*/0);
+  ProbeConfig probe;
+  probe.interval_ms = 3'600'000;  // sweeps driven by hand, never scheduled
+  RoutingConfig routing;
+  routing.replicas = 2;
+  routing.hot_top_k = 1;
+  routing.hot_min_requests = 2;
+  BackendPool pool({parse_backend(a.id()), parse_backend(b.id())}, probe,
+                   routing);
+  pool.probe_all_now();
+  const std::uint64_t key = 0x5eed;
+  const std::vector<std::string> chain = pool.route(key);
+  ASSERT_EQ(chain.size(), 2u);
+  pool.route_load_aware(key);
+  pool.route_load_aware(key);
+  ASSERT_TRUE(pool.is_hot_key(key));
+
+  // Four picks with nothing answered: owner, replica, owner, replica.
+  std::vector<std::string> picks;
+  for (int i = 0; i < 4; ++i) {
+    picks.push_back(pool.route_load_aware(key, /*open_forward=*/true).front());
+  }
+  EXPECT_EQ(picks, (std::vector<std::string>{chain[0], chain[1], chain[0],
+                                             chain[1]}));
+  for (const std::string& id : picks) pool.forward_done(id);
+  // All answered: the tie goes back to the owner, pick after pick.
+  EXPECT_EQ(pool.route_load_aware(key).front(), chain[0]);
+  EXPECT_EQ(pool.route_load_aware(key).front(), chain[0]);
+}
+
 TEST(BackendPoolTest, SynchronousSweepIsBoundedByOneTimeoutNotPerBackend) {
   // Black holes: bound and listening but never accepting. A probe's
   // connect lands in the kernel backlog and succeeds, then the health
@@ -1314,10 +1355,17 @@ TEST_F(RouterTest, HotDesignReplicationBalancesSkewBitIdentically) {
   EXPECT_EQ(server_for(chain[0]).health_snapshot().cache_designs, 1u);
   EXPECT_EQ(server_for(chain[1]).health_snapshot().cache_designs, 0u);
 
-  // Skewed volley: 4 concurrent clients, 70% on the hot design.
+  // Skewed volley: 4 concurrent clients, 70% on the hot design, in
+  // lockstep rounds. A barrier releases each round's 4 requests together,
+  // and the 20 ms dispatch delay holds every one of them in flight until
+  // all 4 are routed, so each round overlaps fully no matter how the
+  // threads are scheduled. Every hot round then splits 2/2 over the two
+  // replicas: each pick charges its replica one open forward, so the next
+  // pick in the round sees it.
   constexpr int kClients = 4;
   constexpr int kPerClient = 16;
   std::atomic<int> failures{0};
+  std::barrier round(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -1325,6 +1373,7 @@ TEST_F(RouterTest, HotDesignReplicationBalancesSkewBitIdentically) {
       try {
         Client rc = Client::connect_tcp("127.0.0.1", router.port());
         for (int r = 0; r < kPerClient; ++r) {
+          round.arrive_and_wait();
           const bool hot_request = (r % 16) < 11;  // ~70% on one design
           const std::string verilog =
               hot_request ? hot : design_variant(2000 + c * 100 + r);
@@ -1333,6 +1382,7 @@ TEST_F(RouterTest, HotDesignReplicationBalancesSkewBitIdentically) {
       } catch (const std::exception& e) {
         ADD_FAILURE() << "volley client " << c << ": " << e.what();
         failures.fetch_add(1);
+        round.arrive_and_drop();  // never strand the other clients
       }
     });
   }
@@ -1357,10 +1407,10 @@ TEST_F(RouterTest, HotDesignReplicationBalancesSkewBitIdentically) {
   // The acceptance bound: with the hot design spread over its replicas no
   // shard carries more than 2x the mean request share. Single-owner
   // routing parks ~75% of this volley on the owner and fails it. Skipped
-  // under TSan: its ~10x slowdown serializes the clients, so requests
-  // rarely overlap, every load tie re-prefers the owner, and the skew
-  // never spreads — a timing artifact, not a policy regression. The
-  // deterministic assertions (bit-identity, totals, failover) still run.
+  // under TSan: its ~10x slowdown can stretch a round's routing past the
+  // 20 ms hold, so replies land between the round's picks — a timing
+  // artifact, not a policy regression. The deterministic assertions
+  // (bit-identity, totals, failover) still run.
   EXPECT_LE(max_count * ids.size(), 2 * total)
       << chain[0] << "=" << counts[chain[0]] << " " << chain[1] << "="
       << counts[chain[1]] << " " << chain[2] << "=" << counts[chain[2]];
