@@ -124,6 +124,40 @@ void BM_SgFormerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SgFormerForward)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The serving encoder: forward_segment() on one (sub-module, cycle)
+// segment with its prebuilt adjacency and reused scratch, as encode_batch
+// runs it. The segment is the sub-module graph of C2 at scale 0.0025 (the
+// servebench designs) closest to the mean of ~74 nodes, with its static
+// features. Arg = encoder dim (16 is the serving model's).
+void BM_SgFormerForwardSegment(benchmark::State& state) {
+  static const std::vector<graph::SubmoduleGraph> graphs =
+      graph::build_submodule_graphs(designgen::generate_design(
+          designgen::paper_design_spec(2, 0.0025), lib()));
+  const graph::SubmoduleGraph* seg = &graphs.front();
+  for (const graph::SubmoduleGraph& g : graphs) {
+    const auto gap = [](std::size_t n) { return n > 74 ? n - 74 : 74 - n; };
+    if (gap(g.num_nodes()) < gap(seg->num_nodes())) seg = &g;
+  }
+  const std::size_t n = seg->num_nodes();
+  ml::SgFormer::Config cfg;
+  cfg.in_dim = graph::kFeatureDim;
+  cfg.dim = static_cast<std::size_t>(state.range(0));
+  const ml::SgFormer enc(cfg);
+  const ml::SgFormer::NormAdjacency adj =
+      ml::SgFormer::build_norm_adjacency(n, &seg->edges);
+  std::vector<float> scratch(enc.segment_scratch_floats(n));
+  std::vector<float> emb(cfg.dim);
+  for (auto _ : state) {
+    enc.forward_segment(n, adj, seg->static_features.data(), scratch.data(),
+                        emb.data());
+    benchmark::DoNotOptimize(emb.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nodes"] = static_cast<double>(n);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+}
+BENCHMARK(BM_SgFormerForwardSegment)->Arg(16)->Arg(32);
+
 void BM_GbdtPredict(benchmark::State& state) {
   util::Rng rng(7);
   const std::size_t n = 2000;

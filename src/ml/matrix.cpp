@@ -47,12 +47,14 @@ namespace raw {
 namespace {
 
 // Width-specialized bodies for the encoder's output widths. Each output row
-// accumulates in a local acc[D] loaded from and stored back to C. With the
-// trip count fixed and acc unable to alias A or B, GCC vectorizes the inner
-// loop at -O2 with baseline SSE2 (mulps/addps); the runtime-width loop stays
-// scalar. Per output element the arithmetic is exactly the generic loop's:
-// k ascending, the same av == 0 skip, and a separate multiply and add (the
-// build pins -ffp-contract=off), and SIMD lanes round like the scalar ops,
+// accumulates in a local acc[D] loaded from and stored back to C. Every D-wide
+// loop is fully unrolled (#pragma GCC unroll), so acc becomes D / 4 xmm
+// registers held across the whole k loop. Rolled, GCC 12 still vectorizes these
+// loops but keeps acc in a stack array, so every k step pays a load, add and
+// store through store forwarding. With baseline SSE2 the unrolled body compiles
+// to mulps/addps. Per output element the arithmetic is exactly the generic
+// loop's: k ascending, the same av == 0 skip, and a separate multiply and add
+// (the build pins -ffp-contract=off), and SIMD lanes round like the scalar ops,
 // so the results are bit-identical to the generic path.
 
 template <std::size_t D>
@@ -62,13 +64,16 @@ void gemm_rows_fixed(const float* a, std::size_t a_cols, const float* b,
     const float* ar = a + i * a_cols;
     float* cr = c + i * D;
     float acc[D];
+    #pragma GCC unroll 32
     for (std::size_t j = 0; j < D; ++j) acc[j] = cr[j];
     for (std::size_t k = 0; k < a_cols; ++k) {
       const float av = ar[k];
       if (av == 0.0f) continue;
       const float* br = b + k * D;
+      #pragma GCC unroll 32
       for (std::size_t j = 0; j < D; ++j) acc[j] += av * br[j];
     }
+    #pragma GCC unroll 32
     for (std::size_t j = 0; j < D; ++j) cr[j] = acc[j];
   }
 }
@@ -82,13 +87,16 @@ void gemm_tn_fixed(const float* a, std::size_t a_cols, const float* b,
   for (std::size_t i = 0; i < a_cols; ++i) {
     float* cr = c + i * D;
     float acc[D];
+    #pragma GCC unroll 32
     for (std::size_t j = 0; j < D; ++j) acc[j] = cr[j];
     for (std::size_t k = 0; k < n; ++k) {
       const float av = a[k * a_cols + i];
       if (av == 0.0f) continue;
       const float* br = b + k * D;
+      #pragma GCC unroll 32
       for (std::size_t j = 0; j < D; ++j) acc[j] += av * br[j];
     }
+    #pragma GCC unroll 32
     for (std::size_t j = 0; j < D; ++j) cr[j] = acc[j];
   }
 }
@@ -102,8 +110,11 @@ void propagate_fixed(const std::pair<std::uint32_t, std::uint32_t>* edges,
     const float* src = x + std::size_t{edges[e].second} * D;
     float* dst = y + std::size_t{edges[e].first} * D;
     float acc[D];
+    #pragma GCC unroll 32
     for (std::size_t c = 0; c < D; ++c) acc[c] = dst[c];
+    #pragma GCC unroll 32
     for (std::size_t c = 0; c < D; ++c) acc[c] += w * src[c];
+    #pragma GCC unroll 32
     for (std::size_t c = 0; c < D; ++c) dst[c] = acc[c];
   }
 }

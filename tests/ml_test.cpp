@@ -621,6 +621,123 @@ TEST_F(SgFormerTest, SegmentForwardBitIdenticalToForward) {
   }
 }
 
+// The whole serving segment forward recomputed with this file's scalar
+// references, from the weights as collect_params() exposes them
+// (w_in, b_in, Wq, Wk, Wv, Wg, W_out, b_out), in forward()'s op order.
+std::vector<float> ref_segment_forward(std::vector<ParamRef>& params,
+                                       std::size_t in_dim, std::size_t d,
+                                       float alpha, std::size_t n,
+                                       const SgFormer::NormAdjacency& adj,
+                                       const float* features) {
+  const float* w_in = params[0].value;
+  const float* b_in = params[1].value;
+  const float* wq = params[2].value;
+  const float* wk = params[3].value;
+  const float* wv = params[4].value;
+  const float* wg = params[5].value;
+  const float* w_out = params[6].value;
+  const float* b_out = params[7].value;
+  const std::size_t nd = n * d;
+  auto add_bias = [&](std::vector<float>& x, const float* bias) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < d; ++j) x[i * d + j] += bias[j];
+    }
+  };
+  auto relu = [](std::vector<float>& x) {
+    for (float& v : x) v = v > 0.0f ? v : 0.0f;
+  };
+
+  std::vector<float> h(nd, 0.0f);
+  ref_gemm_rows(features, in_dim, w_in, d, h.data(), n);
+  add_bias(h, b_in);
+  relu(h);
+
+  std::vector<float> q(nd, 0.0f), k(nd, 0.0f), v(nd, 0.0f), ktv(d * d, 0.0f);
+  ref_gemm_rows(h.data(), d, wq, d, q.data(), n);
+  ref_gemm_rows(h.data(), d, wk, d, k.data(), n);
+  ref_gemm_rows(h.data(), d, wv, d, v.data(), n);
+  ref_gemm_tn(k.data(), d, v.data(), d, n, ktv.data());
+  std::vector<float> att(nd, 0.0f);
+  ref_gemm_rows(q.data(), d, ktv.data(), d, att.data(), n);
+  const float att_scale = 0.5f * (1.0f / static_cast<float>(n));
+  for (std::size_t i = 0; i < nd; ++i) {
+    att[i] *= att_scale;
+    const float hv = v[i] * 0.5f;
+    att[i] += hv;
+  }
+
+  std::vector<float> ah(nd, 0.0f), combined(nd, 0.0f);
+  ref_propagate(adj, h.data(), d, ah.data());
+  ref_gemm_rows(ah.data(), d, wg, d, combined.data(), n);
+  for (std::size_t i = 0; i < nd; ++i) {
+    combined[i] *= 1.0f - alpha;
+    const float as = att[i] * alpha;
+    combined[i] += as;
+  }
+  relu(combined);
+
+  std::vector<float> emb(nd, 0.0f);
+  ref_gemm_rows(combined.data(), d, w_out, d, emb.data(), n);
+  add_bias(emb, b_out);
+  std::vector<float> out(d, 0.0f);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) out[j] += emb[i * d + j];
+  }
+  const float inv = 1.0f / static_cast<float>(n);
+  for (float& x : out) x *= inv;
+  return out;
+}
+
+TEST_F(SgFormerTest, SegmentForwardMatchesScalarReferenceBytes) {
+  // forward_segment() against an oracle outside the library.
+  // SegmentForwardBitIdenticalToForward compares two paths compiled with
+  // the same kernels and flags, so a rounding change they share would pass
+  // it; this one would not. The
+  // biases are randomized (they start at zero), the features carry both
+  // signed zeros so the zero-skip sees -0, and the last segment is salted
+  // with every IEEE edge case salted() knows.
+  util::Rng rng(515);
+  for (const std::size_t dim : {16u, 32u}) {
+    for (const float alpha : {0.5f, 0.3f}) {
+      SgFormer::Config cfg = cfg_;
+      cfg.dim = dim;
+      cfg.alpha = alpha;
+      SgFormer enc(cfg);
+      std::vector<ParamRef> params;
+      enc.collect_params(params);
+      ASSERT_EQ(params.size(), 8u);
+      for (const std::size_t b : {1u, 7u}) {
+        for (std::size_t j = 0; j < params[b].size; ++j) {
+          params[b].value[j] = static_cast<float>(rng.next_gaussian()) * 0.5f;
+        }
+      }
+      for (const std::size_t n : {1u, 2u, 7u, 74u, 131u}) {
+        const auto edges = random_edges(n, 2 * n, rng);
+        const SgFormer::NormAdjacency adj =
+            SgFormer::build_norm_adjacency(n, &edges);
+        const bool edge_cases = n == 131;
+        std::vector<float> feats = salted(n * cfg.in_dim, rng, 0.02);
+        if (!edge_cases) {
+          for (float& x : feats) {
+            if (!std::isfinite(x) || rng.next_bool(0.4)) {
+              x = rng.next_bool(0.5) ? 0.0f : -0.0f;
+            }
+          }
+        }
+        const std::vector<float> want = ref_segment_forward(
+            params, cfg.in_dim, dim, alpha, n, adj, feats.data());
+        std::vector<float> scratch(enc.segment_scratch_floats(n),
+                                   std::numeric_limits<float>::quiet_NaN());
+        std::vector<float> got(dim, -1.0f);
+        enc.forward_segment(n, adj, feats.data(), scratch.data(), got.data());
+        expect_same_bytes(got, want, "segment dim=" + std::to_string(dim) +
+                                         " alpha=" + std::to_string(alpha) +
+                                         " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
 TEST_F(SgFormerTest, ForwardPropagationMatchesScalarEdgeLoop) {
   // forward()'s A H on a random graph, at the width-specialized dims, must
   // equal the scalar edge loop byte for byte (forward_segment runs the same

@@ -9,11 +9,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "atlas/finetune.h"
 #include "atlas/model.h"
@@ -44,6 +47,24 @@ namespace atlas::serve {
 namespace {
 
 constexpr int kCycles = 20;
+
+/// `stem` + a per-process suffix + `ext` under the test temp dir, removed
+/// when the object goes out of scope: two concurrent runs of this suite
+/// never share (or rewrite) a file, and runs leave none behind.
+class TempFile {
+ public:
+  TempFile(const std::string& stem, const std::string& ext)
+      : path_(::testing::TempDir() + stem + "." + std::to_string(::getpid()) +
+              ext) {}
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Expensive shared state: a trained tiny model, a query design's Verilog
 /// text, and the reference prediction computed directly (no server).
@@ -533,7 +554,8 @@ TEST_F(ServeTest, ClientShutdownRequestIsHonored) {
 TEST_F(ServeTest, UnixDomainSocketServesPredictions) {
   ServerConfig cfg;
   cfg.port = -1;  // TCP disabled
-  cfg.unix_path = ::testing::TempDir() + "/atlas_serve_test.sock";
+  const TempFile socket_file("atlas_serve_test", ".sock");
+  cfg.unix_path = socket_file.path();
   Server server(cfg, make_registry());
   server.start();
   // UDS-only: the TCP port stays at its documented -1 sentinel (and the
@@ -1191,8 +1213,10 @@ TEST_F(ServeTest, AdminRequestsRejectedWithoutAllowAdmin) {
 }
 
 TEST_F(ServeTest, AdminLoadUnloadLifecycle) {
-  const std::string model_path = ::testing::TempDir() + "atlas_admin_model.bin";
-  const std::string lib_path = ::testing::TempDir() + "atlas_admin_x2.lib";
+  const TempFile model_file("atlas_admin_model", ".bin");
+  const TempFile lib_file("atlas_admin_x2", ".lib");
+  const std::string& model_path = model_file.path();
+  const std::string& lib_path = lib_file.path();
   (*model_)->save(model_path);
   liberty::save_liberty_file(scaled_library(), lib_path);
 
@@ -1238,7 +1262,8 @@ TEST_F(ServeTest, AdminLoadUnloadLifecycle) {
   }
 
   // A corrupt artifact is kBadRequest; the registry and connection survive.
-  const std::string corrupt_path = ::testing::TempDir() + "atlas_corrupt.bin";
+  const TempFile corrupt_file("atlas_corrupt", ".bin");
+  const std::string& corrupt_path = corrupt_file.path();
   {
     std::ofstream corrupt(corrupt_path, std::ios::binary);
     corrupt << "this is not an AtlasModel artifact";
@@ -1360,8 +1385,10 @@ TEST_F(ServeTest, ShutdownWakeupIsPromptNotPolled) {
 }
 
 TEST_F(ServeTest, RegistryLifecycleRacesWithInFlightPredicts) {
-  const std::string model_path = ::testing::TempDir() + "atlas_race_model.bin";
-  const std::string lib_path = ::testing::TempDir() + "atlas_race_x2.lib";
+  const TempFile model_file("atlas_race_model", ".bin");
+  const TempFile lib_file("atlas_race_x2", ".lib");
+  const std::string& model_path = model_file.path();
+  const std::string& lib_path = lib_file.path();
   (*model_)->save(model_path);
   liberty::save_liberty_file(scaled_library(), lib_path);
   const core::AtlasModel hot_model = core::AtlasModel::load(model_path);
