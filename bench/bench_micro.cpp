@@ -9,6 +9,7 @@
 #include "liberty/library.h"
 #include "ml/gbdt.h"
 #include "ml/sgformer.h"
+#include "netlist/verilog_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "power/power_analyzer.h"
@@ -187,6 +188,18 @@ void BM_SubmoduleGraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubmoduleGraphBuild);
+
+// A servebench new-designs sized netlist text (C2 @ 0.0025, ~120 KB, 879
+// cells): the parse every never-seen design pays before graph build.
+void BM_ParseVerilog(benchmark::State& state) {
+  static const std::string text = netlist::write_verilog(
+      designgen::generate_design(designgen::paper_design_spec(2, 0.0025), lib()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(netlist::parse_verilog(text, lib()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<long>(text.size()));
+}
+BENCHMARK(BM_ParseVerilog);
 
 // --- Observability overhead (src/obs/) -----------------------------------
 //

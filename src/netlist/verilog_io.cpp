@@ -1,11 +1,14 @@
 #include "netlist/verilog_io.h"
 
-#include <cctype>
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -72,14 +75,49 @@ std::string write_verilog(const Netlist& nl) {
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
+//
+// Zero-copy: tokens, attribute values and the interning keys are views into
+// the caller's text, which outlives the parse. Only what the Netlist keeps
+// (net, cell, sub-module and component names) is copied into owned strings.
 
 namespace {
 
+// Byte classes of the accepted subset; the letters, digits and whitespace
+// are those of the "C" locale.
+enum : std::uint8_t { kSpace = 1, kIdentChar = 2, kPunctChar = 4 };
+
+constexpr std::array<std::uint8_t, 256> make_char_classes() {
+  std::array<std::uint8_t, 256> t{};
+  const auto set = [&t](std::string_view chars, std::uint8_t cls) {
+    for (const char c : chars) t[static_cast<unsigned char>(c)] = cls;
+  };
+  set(" \t\n\v\f\r", kSpace);
+  set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$[]", kIdentChar);
+  set("(),;.=", kPunctChar);
+  return t;
+}
+
+constexpr std::array<std::uint8_t, 256> kCharClasses = make_char_classes();
+
+bool has_class(char c, std::uint8_t cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
 struct Token {
   enum Kind { kIdent, kString, kPunct, kAttrOpen, kAttrClose, kEnd } kind = kEnd;
-  std::string text;
+  std::string_view text;  // empty for (* *) and end of input
   int line = 0;
 };
+
+/// The token as an error message names it.
+std::string describe(const Token& t) {
+  switch (t.kind) {
+    case Token::kAttrOpen: return "'(*'";
+    case Token::kAttrClose: return "'*)'";
+    case Token::kEnd: return "end of input";
+    default: return "'" + std::string(t.text) + "'";
+  }
+}
 
 class Lexer {
  public:
@@ -90,71 +128,65 @@ class Lexer {
     Token t;
     t.line = line_;
     if (pos_ >= text_.size()) return t;
-    if (match("(*")) {
-      t.kind = Token::kAttrOpen;
-      return t;
-    }
-    if (match("*)")) {
-      t.kind = Token::kAttrClose;
-      return t;
-    }
     const char c = text_[pos_];
-    if (c == '"') {
-      ++pos_;
-      const std::size_t start = pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
-      if (pos_ >= text_.size()) throw VerilogParseError("unterminated string", t.line);
-      t.kind = Token::kString;
-      t.text = std::string(text_.substr(start, pos_ - start));
-      ++pos_;
+    const char after = pos_ + 1 < text_.size() ? text_[pos_ + 1] : '\0';
+    if (c == '(' && after == '*') {
+      t.kind = Token::kAttrOpen;
+      pos_ += 2;
       return t;
     }
-    if (std::strchr("(),;.=", c) != nullptr) {
+    if (c == '*' && after == ')') {
+      t.kind = Token::kAttrClose;
+      pos_ += 2;
+      return t;
+    }
+    if (c == '"') {
+      const std::size_t close = text_.find('"', pos_ + 1);
+      if (close == std::string_view::npos) {
+        throw VerilogParseError("unterminated string", t.line);
+      }
+      t.kind = Token::kString;
+      t.text = text_.substr(pos_ + 1, close - pos_ - 1);
+      pos_ = close + 1;
+      return t;
+    }
+    if (has_class(c, kPunctChar)) {
       t.kind = Token::kPunct;
-      t.text = std::string(1, c);
+      t.text = text_.substr(pos_, 1);
       ++pos_;
       return t;
     }
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' || text_[pos_] == '$' || text_[pos_] == '[' ||
-            text_[pos_] == ']')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && has_class(text_[pos_], kIdentChar)) ++pos_;
     if (pos_ == start) throw VerilogParseError("unexpected character", line_);
     t.kind = Token::kIdent;
-    t.text = std::string(text_.substr(start, pos_ - start));
+    t.text = text_.substr(start, pos_ - start);
     return t;
   }
 
  private:
-  bool match(std::string_view s) {
-    if (text_.substr(pos_, s.size()) == s) {
-      pos_ += s.size();
-      return true;
-    }
-    return false;
-  }
-
   void skip() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
+      const char after = c == '/' && pos_ + 1 < text_.size() ? text_[pos_ + 1] : '\0';
       if (c == '\n') {
         ++line_;
         ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
+      } else if (has_class(c, kSpace)) {
         ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < text_.size() &&
-               !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
-          if (text_[pos_] == '\n') ++line_;
-          ++pos_;
-        }
-        pos_ = (pos_ + 1 < text_.size()) ? pos_ + 2 : text_.size();
+      } else if (c == '/' && after == '/') {
+        pos_ = std::min(text_.find('\n', pos_ + 2), text_.size());
+      } else if (c == '/' && after == '*') {
+        // An unterminated comment runs to the end of the text; its newlines
+        // count only within the "*/" search window, which stops a byte short.
+        const std::size_t body = pos_ + 2;
+        const std::size_t close = text_.find("*/", body);
+        const std::size_t body_end =
+            close != std::string_view::npos ? close : std::max(body, text_.size() - 1);
+        line_ += static_cast<int>(
+            std::count(text_.begin() + static_cast<std::ptrdiff_t>(body),
+                       text_.begin() + static_cast<std::ptrdiff_t>(body_end), '\n'));
+        pos_ = close != std::string_view::npos ? close + 2 : text_.size();
       } else {
         return;
       }
@@ -166,8 +198,6 @@ class Lexer {
   int line_ = 1;
 };
 
-using AttrMap = std::map<std::string, std::string>;
-
 class Parser {
  public:
   Parser(std::string_view text, const liberty::Library& lib)
@@ -176,19 +206,21 @@ class Parser {
   }
 
   Netlist parse() {
-    AttrMap module_attrs;
-    if (cur_.kind == Token::kAttrOpen) module_attrs = parse_attrs();
+    std::optional<std::string_view> clock_net;
+    if (cur_.kind == Token::kAttrOpen) {
+      parse_attrs();
+      clock_net = attr("clock_net");
+      attrs_.clear();
+    }
     expect_ident("module");
-    const std::string mod_name = take_ident("module name");
-    Netlist nl(mod_name, lib_);
+    Netlist nl(std::string(take_ident("module name")), lib_);
 
+    // The port list only repeats the input/output declarations.
     expect_punct('(');
-    std::vector<std::string> port_names;
     while (!at_punct(')')) {
       if (cur_.kind == Token::kEnd) {
         throw VerilogParseError("unterminated port list", cur_.line);
       }
-      if (cur_.kind == Token::kIdent) port_names.push_back(cur_.text);
       advance();
     }
     expect_punct(')');
@@ -198,11 +230,11 @@ class Parser {
     while (!(cur_.kind == Token::kIdent && cur_.text == "endmodule")) {
       if (cur_.kind == Token::kEnd) throw VerilogParseError("missing endmodule", cur_.line);
       if (cur_.kind == Token::kAttrOpen) {
-        pending_attrs_ = parse_attrs();
+        parse_attrs();
         continue;
       }
       if (cur_.kind != Token::kIdent) {
-        throw VerilogParseError("unexpected token '" + cur_.text + "'", cur_.line);
+        throw VerilogParseError("unexpected token " + describe(cur_), cur_.line);
       }
       if (cur_.text == "input" || cur_.text == "output" || cur_.text == "wire") {
         parse_decl(nl);
@@ -212,10 +244,13 @@ class Parser {
     }
     advance();  // endmodule
 
-    if (const auto it = module_attrs.find("clock_net"); it != module_attrs.end()) {
-      const auto net = find_net(it->second);
-      if (!net) throw VerilogParseError("clock_net names unknown net " + it->second, 0);
-      nl.set_clock_net(*net);
+    if (clock_net) {
+      const auto it = nets_.find(*clock_net);
+      if (it == nets_.end()) {
+        throw VerilogParseError(
+            "clock_net names unknown net " + std::string(*clock_net), 0);
+      }
+      nl.set_clock_net(it->second);
     }
     return nl;
   }
@@ -229,9 +264,9 @@ class Parser {
 
   void expect_punct(char c) {
     if (!at_punct(c)) {
-      throw VerilogParseError(util::format("expected '%c', got '%s'", c,
-                                           cur_.text.c_str()),
-                              cur_.line);
+      throw VerilogParseError(
+          util::format("expected '%c', got %s", c, describe(cur_).c_str()),
+          cur_.line);
     }
     advance();
   }
@@ -243,39 +278,55 @@ class Parser {
     advance();
   }
 
-  std::string take_ident(const char* what) {
+  std::string_view take_ident(const char* what) {
     if (cur_.kind != Token::kIdent) {
       throw VerilogParseError(std::string("expected ") + what, cur_.line);
     }
-    std::string s = cur_.text;
+    const std::string_view s = cur_.text;
     advance();
     return s;
   }
 
-  AttrMap parse_attrs() {
-    AttrMap attrs;
+  /// Reads one `(* key = value, ... *)` block into attrs_, replacing the
+  /// previous block.
+  void parse_attrs() {
+    attrs_.clear();
     advance();  // consume (*
     while (cur_.kind != Token::kAttrClose) {
       if (cur_.kind == Token::kEnd) throw VerilogParseError("unterminated attribute", cur_.line);
-      const std::string key = take_ident("attribute name");
+      const std::string_view key = take_ident("attribute name");
       expect_punct('=');
       if (cur_.kind != Token::kString && cur_.kind != Token::kIdent) {
         throw VerilogParseError("expected attribute value", cur_.line);
       }
-      attrs[key] = cur_.text;
+      attrs_.emplace_back(key, cur_.text);
       advance();
       if (at_punct(',')) advance();
     }
     advance();  // consume *)
-    return attrs;
+  }
+
+  /// The value of `key` in the current attribute block; a repeated key's
+  /// last value wins.
+  std::optional<std::string_view> attr(std::string_view key) const {
+    for (auto it = attrs_.rbegin(); it != attrs_.rend(); ++it) {
+      if (it->first == key) return it->second;
+    }
+    return std::nullopt;
   }
 
   void parse_decl(Netlist& nl) {
-    const std::string kind = take_ident("declaration");
+    const std::string_view kind = take_ident("declaration");
     while (true) {
-      const std::string name = take_ident("net name");
-      const NetId id = intern_net(nl, name);
-      if (kind == "input") nl.mark_primary_input(id);
+      const int line = cur_.line;
+      const NetId id = intern_net(nl, take_ident("net name"));
+      if (kind == "input") {
+        try {
+          nl.mark_primary_input(id);
+        } catch (const std::invalid_argument& e) {
+          throw VerilogParseError(e.what(), line);
+        }
+      }
       if (kind == "output") nl.mark_primary_output(id);
       if (at_punct(',')) {
         advance();
@@ -287,91 +338,87 @@ class Parser {
   }
 
   void parse_instance(Netlist& nl) {
-    const std::string cell_name = take_ident("cell type");
+    const int line = cur_.line;
+    const std::string_view cell_name = take_ident("cell type");
     const auto lib_id = lib_.find(cell_name);
     if (!lib_id) {
-      throw VerilogParseError("unknown library cell '" + cell_name + "'", cur_.line);
+      throw VerilogParseError("unknown library cell '" + std::string(cell_name) + "'",
+                              cur_.line);
     }
     const liberty::Cell& lc = lib_.cell(*lib_id);
-    const std::string inst_name = take_ident("instance name");
+    const std::string_view inst_name = take_ident("instance name");
     expect_punct('(');
     std::vector<NetId> pin_nets(lc.pins.size(), kNoNet);
     while (!at_punct(')')) {
       expect_punct('.');
-      const std::string pin_name = take_ident("pin name");
+      const std::string_view pin_name = take_ident("pin name");
       expect_punct('(');
-      const std::string net_name = take_ident("net name");
+      const std::string_view net_name = take_ident("net name");
       expect_punct(')');
       const auto pin = lc.pin_index(pin_name);
       if (!pin) {
-        throw VerilogParseError("cell " + cell_name + " has no pin " + pin_name,
+        throw VerilogParseError(
+            "cell " + lc.name + " has no pin " + std::string(pin_name), cur_.line);
+      }
+      NetId& slot = pin_nets[static_cast<std::size_t>(*pin)];
+      if (slot != kNoNet) {
+        throw VerilogParseError("pin " + std::string(pin_name) + " connected twice",
                                 cur_.line);
       }
-      pin_nets[static_cast<std::size_t>(*pin)] = intern_net(nl, net_name);
+      slot = intern_net(nl, net_name);
       if (at_punct(',')) advance();
     }
     expect_punct(')');
     expect_punct(';');
 
     SubmoduleId sm = kNoSubmodule;
-    if (!pending_attrs_.empty()) {
-      sm = intern_submodule(nl, pending_attrs_);
-      pending_attrs_.clear();
+    if (!attrs_.empty()) {
+      sm = intern_submodule(nl);
+      attrs_.clear();
     }
     for (std::size_t p = 0; p < pin_nets.size(); ++p) {
       if (pin_nets[p] == kNoNet) {
-        throw VerilogParseError("instance " + inst_name + " leaves pin " +
+        throw VerilogParseError("instance " + std::string(inst_name) + " leaves pin " +
                                     lc.pins[p].name + " unconnected",
                                 cur_.line);
       }
     }
-    nl.add_cell(inst_name, *lib_id, std::move(pin_nets), sm);
+    try {
+      nl.add_cell(std::string(inst_name), *lib_id, std::move(pin_nets), sm);
+    } catch (const std::invalid_argument& e) {
+      throw VerilogParseError(e.what(), line);
+    }
   }
 
-  NetId intern_net(Netlist& nl, const std::string& name) {
-    const auto it = nets_.find(name);
-    if (it != nets_.end()) return it->second;
-    const NetId id = nl.add_net(name);
-    nets_.emplace(name, id);
-    return id;
-  }
-
-  std::optional<NetId> find_net(const std::string& name) const {
-    const auto it = nets_.find(name);
-    if (it == nets_.end()) return std::nullopt;
+  NetId intern_net(Netlist& nl, std::string_view name) {
+    const auto [it, inserted] = nets_.try_emplace(name, kNoNet);
+    if (inserted) it->second = nl.add_net(std::string(name));
     return it->second;
   }
 
-  SubmoduleId intern_submodule(Netlist& nl, const AttrMap& attrs) {
-    const auto sub_it = attrs.find("submodule");
-    if (sub_it == attrs.end()) return kNoSubmodule;
-    const auto it = submodules_.find(sub_it->second);
-    if (it != submodules_.end()) return it->second;
-    std::string role;
-    if (const auto r = attrs.find("role"); r != attrs.end()) role = r->second;
+  SubmoduleId intern_submodule(Netlist& nl) {
+    const auto name = attr("submodule");
+    if (!name) return kNoSubmodule;
+    const auto [it, inserted] = submodules_.try_emplace(*name, kNoSubmodule);
+    if (!inserted) return it->second;
     int comp = -1;
-    if (const auto c = attrs.find("component");
-        c != attrs.end() && c->second != "none") {
-      const auto cit = components_.find(c->second);
-      if (cit != components_.end()) {
-        comp = cit->second;
-      } else {
-        comp = nl.add_component(c->second);
-        components_.emplace(c->second, comp);
-      }
+    if (const auto c = attr("component"); c && *c != "none") {
+      const auto [cit, added] = components_.try_emplace(*c, -1);
+      if (added) cit->second = nl.add_component(std::string(*c));
+      comp = cit->second;
     }
-    const SubmoduleId id = nl.add_submodule(sub_it->second, role, comp);
-    submodules_.emplace(sub_it->second, id);
-    return id;
+    it->second = nl.add_submodule(std::string(*name),
+                                  std::string(attr("role").value_or("")), comp);
+    return it->second;
   }
 
   Lexer lexer_;
   const liberty::Library& lib_;
   Token cur_;
-  AttrMap pending_attrs_;
-  std::unordered_map<std::string, NetId> nets_;
-  std::unordered_map<std::string, SubmoduleId> submodules_;
-  std::unordered_map<std::string, int> components_;
+  std::vector<std::pair<std::string_view, std::string_view>> attrs_;
+  std::unordered_map<std::string_view, NetId> nets_;
+  std::unordered_map<std::string_view, SubmoduleId> submodules_;
+  std::unordered_map<std::string_view, int> components_;
 };
 
 }  // namespace

@@ -169,7 +169,20 @@ TEST_F(NetlistTest, PrimaryIoLists) {
   EXPECT_EQ(pos[0], q_);
 }
 
-class VerilogRoundTripTest : public NetlistTest {};
+class VerilogRoundTripTest : public NetlistTest {
+ protected:
+  /// The VerilogParseError parsing `text` raises. Any other exception type
+  /// escapes and fails the test.
+  VerilogParseError rejection(std::string_view text) {
+    try {
+      parse_verilog(text, lib_);
+    } catch (const VerilogParseError& e) {
+      return e;
+    }
+    ADD_FAILURE() << "accepted: " << text;
+    return VerilogParseError("accepted", -1);
+  }
+};
 
 TEST_F(VerilogRoundTripTest, WriteParseRoundTrip) {
   const int comp = nl_.add_component("exec");
@@ -212,6 +225,62 @@ TEST_F(VerilogRoundTripTest, ParseErrors) {
   EXPECT_THROW(
       parse_verilog("module x (); wire a; INV_X1 u0 (.A(a)); endmodule", lib_),
       VerilogParseError);
+}
+
+// The Netlist's own construction checks surface as located parse errors.
+TEST_F(VerilogRoundTripTest, NetlistRejectionsAreTypedAndLocated) {
+  const VerilogParseError twice = rejection(
+      "module x (a);\n  input a;\n  wire n;\n  INV_X1 u0 (.A(a), .Y(n));\n"
+      "  INV_X1 u1 (.A(a), .Y(n));\nendmodule\n");
+  EXPECT_EQ(twice.line(), 5);
+  EXPECT_NE(std::string(twice.what()).find("net n already driven"), std::string::npos)
+      << twice.what();
+
+  // A primary input driven by a cell, declared before the cell...
+  const VerilogParseError before = rejection(
+      "module x (a, b);\n  input a;\n  input b;\n  INV_X1 u0 (.A(a), .Y(b));\n"
+      "endmodule\n");
+  EXPECT_EQ(before.line(), 4);
+  EXPECT_NE(std::string(before.what()).find("net b already driven"), std::string::npos)
+      << before.what();
+
+  // ...and after it.
+  const VerilogParseError after = rejection(
+      "module x (a, b);\n  input a;\n  INV_X1 u0 (.A(a), .Y(b));\n"
+      "  input\n    b;\nendmodule\n");
+  EXPECT_EQ(after.line(), 5);
+  EXPECT_NE(std::string(after.what()).find("already cell-driven: b"), std::string::npos)
+      << after.what();
+}
+
+TEST_F(VerilogRoundTripTest, RejectsPinConnectedTwice) {
+  const VerilogParseError e = rejection(
+      "module x (a, b);\n  input a; input b;\n  wire y;\n"
+      "  INV_X1 u0 (.A(a), .A(b), .Y(y));\nendmodule\n");
+  EXPECT_EQ(e.line(), 4);
+  EXPECT_NE(std::string(e.what()).find("pin A connected twice"), std::string::npos)
+      << e.what();
+}
+
+// Tokens without text are named, not printed as ''.
+TEST_F(VerilogRoundTripTest, ErrorsNameTokensWithoutText) {
+  const VerilogParseError close = rejection("module x ();\n  *)\nendmodule\n");
+  EXPECT_EQ(close.line(), 2);
+  EXPECT_NE(std::string(close.what()).find("unexpected token '*)'"), std::string::npos)
+      << close.what();
+
+  const VerilogParseError end = rejection("module x (a)\n");
+  EXPECT_EQ(end.line(), 2);
+  EXPECT_NE(std::string(end.what()).find("expected ';', got end of input"),
+            std::string::npos)
+      << end.what();
+
+  // A NUL byte is not a token, wherever it sits.
+  using namespace std::string_view_literals;
+  const VerilogParseError nul = rejection("module x (a\0b);\nendmodule\n"sv);
+  EXPECT_EQ(nul.line(), 1);
+  EXPECT_NE(std::string(nul.what()).find("unexpected character"), std::string::npos)
+      << nul.what();
 }
 
 TEST_F(VerilogRoundTripTest, ParsesCommentsAndAttributes) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -296,6 +299,97 @@ INSTANTIATE_TEST_SUITE_P(
                       "module x (); (* submodule = *) endmodule",
                       "module x (a); input a; input a2; NAND2_X1 u0 (.A(a), "
                       ".B(a2), .Y(a)); endmodule"));
+
+// Writer/parser fixed point at the serving benchmark's design size. The text
+// is parsed from a temporary copy that is gone before the write, which reads
+// every net, cell, sub-module and component name: under ASan a name still
+// viewing the input text fails here.
+class VerilogTextRoundTripTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(VerilogTextRoundTripTest, WriteOfParseReproducesText) {
+  const std::string text = netlist::write_verilog(designgen::generate_design(
+      designgen::paper_design_spec(GetParam(), 0.0025), lib()));
+  const netlist::Netlist back = netlist::parse_verilog(std::string(text), lib());
+  EXPECT_EQ(netlist::write_verilog(back), text);
+}
+
+INSTANTIATE_TEST_SUITE_P(C1toC4, VerilogTextRoundTripTest, ::testing::Range(1, 5));
+
+/// A few cells over two sub-modules, one of them without a component, plus
+/// an untagged cell: every construct the writer emits, in about 1 KB.
+netlist::Netlist small_tagged_design() {
+  netlist::Netlist nl("mut", lib());
+  const int exec = nl.add_component("exec");
+  const netlist::SubmoduleId alu = nl.add_submodule("alu_0", "alu", exec);
+  const netlist::SubmoduleId regs = nl.add_submodule("regs_0", "regfile", -1);
+  const auto net = [&](const char* name) { return nl.add_net(name); };
+  const netlist::NetId clk = net("clk"), a = net("a"), b = net("b");
+  for (const netlist::NetId pi : {clk, a, b}) nl.mark_primary_input(pi);
+  nl.set_clock_net(clk);
+  const netlist::NetId n0 = net("n0"), n1 = net("n1"), n2 = net("n2");
+  const netlist::NetId q0 = net("q0"), q1 = net("q1"), y = net("y");
+  for (const netlist::NetId po : {q0, y}) nl.mark_primary_output(po);
+  nl.add_cell("u0", lib().must("NAND2_X1"), {a, b, n0}, alu);
+  nl.add_cell("u1", lib().must("INV_X1"), {n0, n1}, alu);
+  nl.add_cell("u2", lib().must("NAND2_X1"), {n1, q1, n2}, alu);
+  nl.add_cell("r0", lib().must("DFF_X1"), {n2, clk, q0}, regs);
+  nl.add_cell("r1", lib().must("DFF_X1"), {n1, clk, q1}, regs);
+  nl.add_cell("u3", lib().must("INV_X1"), {q1, y});
+  nl.check();
+  return nl;
+}
+
+// Seeded mutations of writer output: byte flips, span deletes, span
+// duplicates and truncations. Each input is rejected with a VerilogParseError
+// (any other exception fails the test) or accepted, and the writer's text
+// for an accepted netlist parses back to the same text.
+TEST(VerilogMutationProperty, RejectsTypedOrRoundTrips) {
+  const std::string bases[] = {
+      netlist::write_verilog(small_tagged_design()),
+      "// header\n(* clock_net = \"ck\" *)\nmodule m (ck, a, y);\n"
+      "  input ck; input a; output y;\n  /* block\n comment */ wire n;\n"
+      "  (* submodule = \"s0\", role = misc, component = \"c0\" *)\n"
+      "  INV_X1 u0 (.A(a), .Y(n));\n  DFF_X1 r0 (.D(n), .CK(ck), .Q(y));\n"
+      "endmodule\n"};
+  // Flipped bytes are drawn half from the grammar's own characters.
+  constexpr std::string_view kGrammar = "()*\"/;,.= \n_0aAinputoutputwire";
+  util::Rng rng(0x5eed);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = bases[i % 2];
+    const int edits = 1 + static_cast<int>(rng.next_below(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.next_below(text.size());
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.next_below(16), text.size() - at);
+      switch (rng.next_below(4)) {
+        case 0:
+          text[at] = rng.next_bool()
+                         ? static_cast<char>(rng.next_below(256))
+                         : kGrammar[rng.next_below(kGrammar.size())];
+          break;
+        case 1: text.erase(at, len); break;
+        case 2: text.insert(at + len, text.substr(at, len)); break;
+        default: text.resize(at); break;
+      }
+    }
+    std::optional<netlist::Netlist> nl;
+    try {
+      nl.emplace(netlist::parse_verilog(text, lib()));
+    } catch (const netlist::VerilogParseError&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string once = netlist::write_verilog(*nl);
+    ASSERT_EQ(netlist::write_verilog(netlist::parse_verilog(once, lib())), once)
+        << "mutated input:\n" << text;
+  }
+  // Both outcomes stay well exercised (159 and 1841 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
 
 // ---------------------------------------------------------------------------
 // Vectorless statistics invariants across input assumptions.
