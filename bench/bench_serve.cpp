@@ -266,67 +266,6 @@ int main(int argc, char** argv) {
                   nclients, nclients == 1 ? " " : "s", total / secs,
                   secs * 1e3 * nclients / total);
     }
-    // --- fused batch execution vs request-at-a-time ------------------------
-    // The batch-shape decision data. Eight concurrent requests land in one
-    // dispatcher batch, each with a distinct (workload, cycles) pair so
-    // every one is design-warm but embedding-cold — the encoder runs for
-    // all of them. Fused mode executes one encode_batch over the whole
-    // group (the thread pool parallelizes across the concatenated row
-    // blocks inside the kernels); request-at-a-time runs each job as its
-    // own pool task, whose nested kernel parallel_fors execute inline on
-    // that one worker. Warm throughput is repeated per mode to show the
-    // dispatch reshaping costs nothing on the cache-hit path.
-    {
-      const int reps = smoke ? 1 : 3;
-      std::printf("\nfused batch vs request-at-a-time (8 concurrent "
-                  "embedding-cold requests):\n");
-      for (const bool fused : {false, true}) {
-        serve::ServerConfig bcfg = scfg;
-        bcfg.fused_batching = fused;
-        serve::Server bsrv(bcfg, registry);
-        bsrv.start();
-        {
-          serve::Client prime =
-              serve::Client::connect_tcp("127.0.0.1", bsrv.port());
-          prime.predict(make_request(verilog, cycles, "w1"));
-        }
-        std::vector<double> volley_s;
-        for (int rep = 0; rep < reps; ++rep) {
-          std::vector<std::thread> threads;
-          threads.reserve(8);
-          util::Timer t;
-          for (int c = 0; c < 8; ++c) {
-            threads.emplace_back([&, rep, c] {
-              serve::Client cl =
-                  serve::Client::connect_tcp("127.0.0.1", bsrv.port());
-              const int cyc = std::max(1, cycles - 1 - rep * 8 - c);
-              cl.predict(make_request(verilog, cyc, c % 2 ? "w2" : "w1"));
-            });
-          }
-          for (std::thread& th : threads) th.join();
-          volley_s.push_back(t.seconds());
-        }
-        std::vector<std::thread> warm_threads;
-        warm_threads.reserve(8);
-        util::Timer wt;
-        for (int c = 0; c < 8; ++c) {
-          warm_threads.emplace_back([&] {
-            serve::Client cl =
-                serve::Client::connect_tcp("127.0.0.1", bsrv.port());
-            for (int r = 0; r < per_client; ++r) {
-              cl.predict(make_request(verilog, cycles, "w1"));
-            }
-          });
-        }
-        for (std::thread& th : warm_threads) th.join();
-        const double warm_rps = 8.0 * per_client / wt.seconds();
-        std::printf("  %-22s %8.2f ms/volley   warm 8-client %8.1f req/s\n",
-                    fused ? "fused encode_batch" : "request-at-a-time",
-                    median(volley_s) * 1e3, warm_rps);
-        bsrv.stop();
-      }
-    }
-
     // --- tracing overhead: disabled vs unsampled vs sampled ----------------
     {
       // Micro: raw ObsSpan cost per tier. Disabled must be nanoseconds —

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "atlas/model.h"
+
 namespace atlas::core {
 
 using graph::SubmoduleGraph;
@@ -85,25 +87,44 @@ std::size_t ct_dim(std::size_t d) { return d; }
 std::size_t comb_dim(std::size_t d) { return d + 3; }
 std::size_t reg_dim(std::size_t d) { return d + 3; }
 
-void fill_ct_row(const Matrix& emb, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
+void fill_ct_row(const float* emb, std::size_t d, float* row) {
+  std::copy(emb, emb + d, row);
 }
 
-void fill_comb_row(const Matrix& emb, const SubmoduleStatic& st,
+void fill_comb_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                    const CycleExtras& ex, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
-  row[emb.cols()] = static_cast<float>(st.n_comb);
-  row[emb.cols() + 1] = ex.i_comb;
-  row[emb.cols() + 2] = ex.c_comb;
+  std::copy(emb, emb + d, row);
+  row[d] = static_cast<float>(st.n_comb);
+  row[d + 1] = ex.i_comb;
+  row[d + 2] = ex.c_comb;
 }
 
-void fill_reg_row(const Matrix& emb, const SubmoduleStatic& st,
+void fill_reg_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                   const CycleExtras& ex, float* row) {
-  std::copy(emb.row(0), emb.row(0) + emb.cols(), row);
-  row[emb.cols()] = static_cast<float>(st.n_reg);
-  row[emb.cols() + 1] = ex.i_reg;
-  row[emb.cols() + 2] = ex.c_reg;
+  std::copy(emb, emb + d, row);
+  row[d] = static_cast<float>(st.n_reg);
+  row[d + 1] = ex.i_reg;
+  row[d + 2] = ex.c_reg;
 }
+
+namespace {
+
+// Every `stride`-th cycle of `trace`, as a trace of its own. A segment's
+// embedding and extras depend only on its own cycle, so encoding this
+// yields exactly the training cycles' rows without encoding the others.
+sim::ToggleTrace every_nth_cycle(const sim::ToggleTrace& trace, int stride) {
+  sim::ToggleTrace out(trace.num_nets(),
+                       (trace.num_cycles() + stride - 1) / stride);
+  for (int c = 0; c < out.num_cycles(); ++c) {
+    for (netlist::NetId n = 0; n < trace.num_nets(); ++n) {
+      out.set(c, n, trace.value(c * stride, n),
+              trace.transitions(c * stride, n));
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 GroupModels finetune_models(const std::vector<const DesignData*>& designs,
                             const ml::SgFormer& encoder,
@@ -129,34 +150,43 @@ GroupModels finetune_models(const std::vector<const DesignData*>& designs,
   y_comb.reserve(rows);
   y_reg.reserve(rows);
 
-  Matrix feats;
+  // Training rows come from the inference encoder: one encode_batch per
+  // design over the training cycles of all its workloads. The extraction
+  // model's default heads are never evaluated.
+  const AtlasModel extractor(
+      encoder, GroupModels{ml::GbdtRegressor(), ml::GbdtRegressor(),
+                           ml::GbdtRegressor()});
+  util::Arena arena;
   std::size_t row = 0;
   for (const DesignData* dd : designs) {
-    std::vector<SubmoduleStatic> statics;
-    statics.reserve(dd->gate_graphs.size());
-    for (const SubmoduleGraph& g : dd->gate_graphs) {
-      statics.push_back(compute_submodule_static(dd->gate, g));
-    }
+    std::vector<sim::ToggleTrace> traces;
     for (const auto& wl : dd->workloads) {
-      const int cycles = wl.gate_trace.num_cycles();
+      traces.push_back(every_nth_cycle(wl.gate_trace, stride));
+    }
+    std::vector<DesignEmbeddings> embs(traces.size());
+    std::vector<AtlasModel::EncodeItem> items;
+    for (std::size_t w = 0; w < traces.size(); ++w) {
+      items.push_back({&dd->gate, &dd->gate_graphs, &traces[w], &embs[w]});
+    }
+    extractor.encode_batch(items.data(), items.size(), arena);
+    for (std::size_t w = 0; w < traces.size(); ++w) {
+      const power::PowerResult& golden = dd->workloads[w].golden;
       for (std::size_t gi = 0; gi < dd->gate_graphs.size(); ++gi) {
-        const SubmoduleGraph& g = dd->gate_graphs[gi];
-        for (int c = 0; c < cycles; c += stride) {
-          graph::fill_cycle_features(g, wl.gate_trace, c, feats);
-          const auto out = encoder.forward(graph::view_with_features(g, feats));
-          const CycleExtras ex =
-              compute_cycle_extras(g, statics[gi], wl.gate_trace, c);
-          fill_ct_row(out.graph_emb, x_ct.row(row));
-          fill_comb_row(out.graph_emb, statics[gi], ex, x_comb.row(row));
-          fill_reg_row(out.graph_emb, statics[gi], ex, x_reg.row(row));
-          const power::GroupPower& label = wl.golden.submodule(c, g.submodule);
+        const DesignEmbeddings::PerGraph& pg = embs[w].graphs[gi];
+        const SubmoduleStatic& st = pg.st;
+        const netlist::SubmoduleId sm = dd->gate_graphs[gi].submodule;
+        for (std::size_t c = 0; c < pg.extras.size(); ++c) {
+          const CycleExtras& ex = pg.extras[c];
+          fill_ct_row(pg.emb.row(c), d, x_ct.row(row));
+          fill_comb_row(pg.emb.row(c), d, st, ex, x_comb.row(row));
+          fill_reg_row(pg.emb.row(c), d, st, ex, x_reg.row(row));
+          const power::GroupPower& label =
+              golden.submodule(static_cast<int>(c) * stride, sm);
           // Ratio targets against the analytic gate-level estimates (see
           // comb_physics_uw): trees model the bounded layout-uplift ratio.
-          y_ct.push_back(label.clock / ct_normalizer(statics[gi]));
-          y_comb.push_back(label.comb /
-                           (comb_physics_uw(statics[gi], ex) + kRatioEps));
-          y_reg.push_back(label.reg /
-                          (reg_physics_uw(statics[gi], ex) + kRatioEps));
+          y_ct.push_back(label.clock / ct_normalizer(st));
+          y_comb.push_back(label.comb / (comb_physics_uw(st, ex) + kRatioEps));
+          y_reg.push_back(label.reg / (reg_physics_uw(st, ex) + kRatioEps));
           ++row;
         }
       }

@@ -84,11 +84,13 @@ std::size_t ct_dim(std::size_t d);
 std::size_t comb_dim(std::size_t d);
 std::size_t reg_dim(std::size_t d);
 
-/// Assemble one feature row. `emb` is the 1 x d graph embedding.
-void fill_ct_row(const ml::Matrix& emb, float* row);
-void fill_comb_row(const ml::Matrix& emb, const SubmoduleStatic& st,
+/// Assemble one head input row: the d-float graph embedding `emb`, then
+/// (for Comb/Reg) the group's n, I, C. Training and prediction both build
+/// their rows here.
+void fill_ct_row(const float* emb, std::size_t d, float* row);
+void fill_comb_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                    const CycleExtras& ex, float* row);
-void fill_reg_row(const ml::Matrix& emb, const SubmoduleStatic& st,
+void fill_reg_row(const float* emb, std::size_t d, const SubmoduleStatic& st,
                   const CycleExtras& ex, float* row);
 
 /// Train the three group models from the given training designs (all

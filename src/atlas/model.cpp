@@ -17,7 +17,7 @@ using ml::Matrix;
 namespace {
 
 struct EncodeCounters {
-  obs::Counter& encodes;   // designs encoded (encode + encode_batch items)
+  obs::Counter& encodes;   // designs encoded (encode_batch items)
   obs::Counter& segments;  // (sub-module, cycle) embeddings produced
   obs::Counter& memoized;  // ... of which copied from an earlier cycle
 };
@@ -115,31 +115,10 @@ Prediction AtlasModel::predict(const netlist::Netlist& gate,
 DesignEmbeddings AtlasModel::encode(
     const netlist::Netlist& gate, const std::vector<SubmoduleGraph>& graphs,
     const sim::ToggleTrace& gate_trace) const {
-  obs::ObsSpan span("model", "encode");
-  encode_counters().encodes.inc();
   DesignEmbeddings emb;
-  emb.num_cycles = gate_trace.num_cycles();
-  encode_counters().segments.inc(graphs.size() *
-                                 static_cast<std::size_t>(emb.num_cycles));
-  emb.graphs.reserve(graphs.size());
-
-  const std::size_t d = encoder_.dim();
-  Matrix feats;
-  for (const SubmoduleGraph& g : graphs) {
-    DesignEmbeddings::PerGraph pg;
-    pg.st = compute_submodule_static(gate, g);
-    pg.emb = Matrix(static_cast<std::size_t>(emb.num_cycles), d);
-    pg.extras.resize(static_cast<std::size_t>(emb.num_cycles));
-    for (int c = 0; c < emb.num_cycles; ++c) {
-      graph::fill_cycle_features(g, gate_trace, c, feats);
-      const auto out = encoder_.forward(graph::view_with_features(g, feats));
-      std::copy(out.graph_emb.row(0), out.graph_emb.row(0) + d,
-                pg.emb.row(static_cast<std::size_t>(c)));
-      pg.extras[static_cast<std::size_t>(c)] =
-          compute_cycle_extras(g, pg.st, gate_trace, c);
-    }
-    emb.graphs.push_back(std::move(pg));
-  }
+  util::Arena arena;
+  const EncodeItem item{&gate, &graphs, &gate_trace, &emb};
+  encode_batch(&item, 1, arena);
   return emb;
 }
 
@@ -261,10 +240,9 @@ Prediction AtlasModel::predict_from_embeddings(
   const std::size_t ncg = graphs.size() * cycles;
   if (ncg == 0) return pred;
 
-  // Assemble head feature rows for every (graph, cycle) into one block and
-  // evaluate each forest with its batched SoA traversal. Row values and the
-  // per-row accumulation are exactly what the scalar fill_*_row +
-  // predict_row path computed, so predictions are bit-identical.
+  // Assemble head feature rows for every (graph, cycle) into one block (the
+  // same fill_*_row layout fine-tuning trains on) and evaluate each forest
+  // with its batched SoA traversal.
   util::Arena local;
   util::Arena& a = arena != nullptr ? *arena : local;
   const util::Arena::Marker marker = a.mark();
@@ -285,17 +263,9 @@ Prediction AtlasModel::predict_from_embeddings(
       const std::size_t r = gi * cycles + c;
       const float* e = pg.emb.row(c);
       const CycleExtras& ex = pg.extras[c];
-      std::copy(e, e + d, ct_rows + r * cdim);
-      float* cr = comb_rows + r * odim;
-      std::copy(e, e + d, cr);
-      cr[d] = static_cast<float>(st.n_comb);
-      cr[d + 1] = ex.i_comb;
-      cr[d + 2] = ex.c_comb;
-      float* rr = reg_rows + r * rdim;
-      std::copy(e, e + d, rr);
-      rr[d] = static_cast<float>(st.n_reg);
-      rr[d + 1] = ex.i_reg;
-      rr[d + 2] = ex.c_reg;
+      fill_ct_row(e, d, ct_rows + r * cdim);
+      fill_comb_row(e, d, st, ex, comb_rows + r * odim);
+      fill_reg_row(e, d, st, ex, reg_rows + r * rdim);
     }
   });
 

@@ -42,9 +42,9 @@ struct Prediction {
 /// Everything the GBDT heads consume for one design under one workload:
 /// per-sub-module static context plus, per cycle, the encoder's graph
 /// embedding and the paper's extra toggle-weighted features. Computing this
-/// is the expensive part of prediction (per-cycle encoder forwards); the
-/// serve-layer feature cache stores it so repeat queries on the same
-/// (design, workload) skip straight to the GBDT heads.
+/// is the expensive part of prediction (the encoder over every sub-module
+/// cycle); the serve-layer feature cache stores it so repeat queries on the
+/// same (design, workload) skip straight to the GBDT heads.
 struct DesignEmbeddings {
   struct PerGraph {
     SubmoduleStatic st;
@@ -66,19 +66,22 @@ class AtlasModel {
 
   /// Predict per-cycle post-layout power from the gate-level netlist and its
   /// workload trace. `graphs` must come from build_submodule_graphs(gate).
-  /// Exactly encode() followed by predict_from_embeddings().
+  /// Exactly encode() followed by predict_from_embeddings(), so it runs the
+  /// segment encoder on the global pool like every other inference caller.
   Prediction predict(const netlist::Netlist& gate,
                      const std::vector<graph::SubmoduleGraph>& graphs,
                      const sim::ToggleTrace& gate_trace) const;
 
-  /// Stage 1: run the encoder over every (sub-module, cycle) and collect
-  /// the head inputs. Reusable across predictions with the same workload.
+  /// Stage 1 for one design: encode_batch() over a single item with a
+  /// local arena. Collects the head inputs for every (sub-module, cycle);
+  /// reusable across predictions with the same workload.
   DesignEmbeddings encode(const netlist::Netlist& gate,
                           const std::vector<graph::SubmoduleGraph>& graphs,
                           const sim::ToggleTrace& gate_trace) const;
 
-  /// One design in a fused encode batch (the dispatcher's formed batch,
-  /// grouped by model).
+  /// One design in an encode batch (the serve dispatcher's formed batch
+  /// grouped by model, one training design's workloads in fine-tuning, or
+  /// encode()'s single item).
   struct EncodeItem {
     const netlist::Netlist* gate = nullptr;
     const std::vector<graph::SubmoduleGraph>* graphs = nullptr;
@@ -86,23 +89,27 @@ class AtlasModel {
     DesignEmbeddings* out = nullptr;  // filled by encode_batch
   };
 
-  /// Stage 1 over a whole batch. Each distinct (sub-module, cycle) segment
-  /// runs the whole encoder (feature fill through mean pool) as one pool
-  /// task in per-thread scratch sized by the largest segment, and writes
-  /// its embedding row directly. Cycles of a graph whose toggle channel
-  /// repeats an earlier cycle's (confirmed by exact compare, not just the
-  /// hash) are encoded once and copied. Each graph's normalized adjacency
-  /// is built once and shared across its cycles; the memo tables come from
-  /// `arena` and are rewound before returning. Bit-identical to calling
-  /// encode() once per item, at any thread count and any batch composition.
+  /// Stage 1 over a whole batch: the one inference encode path (only
+  /// pre-training runs SgFormer::forward). Each distinct (sub-module,
+  /// cycle) segment runs the whole encoder (feature fill through mean pool)
+  /// as one pool task in per-thread scratch sized by the largest segment,
+  /// and writes its embedding row directly. Cycles of a graph whose toggle
+  /// channel repeats an earlier cycle's (confirmed by exact compare, not
+  /// just the hash) are encoded once and copied. Each graph's normalized
+  /// adjacency is built once and shared across its cycles; the memo tables
+  /// come from `arena` and are rewound before returning. Every row is
+  /// bit-identical to a per-cycle SgFormer::forward, at any thread count
+  /// and any batch composition (atlas_test pins it against a forward()
+  /// reference).
   void encode_batch(const EncodeItem* items, std::size_t n,
                     util::Arena& arena) const;
 
   /// Stage 2: GBDT heads only. Bit-identical to predict() when `emb` comes
-  /// from encode() on the same inputs — pinned by tests; the serve feature
-  /// cache depends on it. Head feature rows for all (sub-module, cycle)
-  /// pairs are assembled into one block and evaluated with the forests'
-  /// batched SoA traversal; `arena` (optional) supplies the scratch.
+  /// from encode() or encode_batch() on the same inputs — pinned by tests;
+  /// the serve feature cache depends on it. Head feature rows for all
+  /// (sub-module, cycle) pairs are assembled with fill_*_row into one block
+  /// and evaluated with the forests' batched SoA traversal; `arena`
+  /// (optional) supplies the scratch.
   Prediction predict_from_embeddings(
       const netlist::Netlist& gate,
       const std::vector<graph::SubmoduleGraph>& graphs,

@@ -31,7 +31,13 @@ std::string write_verilog(const Netlist& nl) {
     os << "(* clock_net = \"" << nl.net(nl.clock_net()).name << "\" *)\n";
   }
   const auto pis = nl.primary_inputs();
-  const auto pos_ = nl.primary_outputs();
+  // Outputs that are also inputs come first, then output-only nets, each
+  // group in net-id order: the parser numbers every input before the
+  // output-only nets, so this order survives write -> parse -> write.
+  auto pos_ = nl.primary_outputs();
+  std::stable_partition(pos_.begin(), pos_.end(), [&nl](NetId id) {
+    return nl.net(id).is_primary_input;
+  });
   os << "module " << nl.name() << " (";
   bool first = true;
   for (NetId id : pis) {

@@ -409,14 +409,7 @@ void Server::dispatcher_loop() {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(config_.dispatch_delay_for_test_ms));
     }
-    if (config_.fused_batching) {
-      run_batch_fused(batch);
-    } else {
-      util::ThreadPool::global().run(batch.size(), [&batch, this](
-                                                       std::size_t i) {
-        process_job(*batch[i]);
-      });
-    }
+    run_batch_fused(batch);
   }
 }
 
@@ -529,8 +522,9 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
 }
 
 void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
-  // Same contract as process_job: the promise is fulfilled exactly once on
-  // every path, kInternal at worst.
+  // The promise is fulfilled exactly once on EVERY path (server.h): catch
+  // everything, including non-std exceptions, and never let stats
+  // accounting stand between an exception and set_value.
   bool is_error = true;
   std::pair<MsgType, std::string> reply;
   try {
@@ -541,8 +535,9 @@ void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
     } else {
       reply = finish_predict(job, prep);
       is_error = reply.first == MsgType::kError;
-      // Same post-compute re-check as the reference path: a request that
-      // blew its deadline during compute must not get a late success.
+      // Re-check after compute: a request that blew its deadline inside the
+      // pipeline must not get a full late success reply (and must count as
+      // an error), or clients time out while `stats` reports green.
       const std::uint64_t total_ms = elapsed_us(job.enqueued_at) / 1000;
       if (!is_error && job.request.deadline_ms > 0 &&
           total_ms > job.request.deadline_ms) {
@@ -594,7 +589,7 @@ std::pair<MsgType, std::string> Server::submit_and_wait(
     }
   }
   if (rejected) {
-    // Jobs that reach the dispatcher are accounted in process_job; a
+    // Jobs that reach the dispatcher are accounted in complete_fused_job; a
     // shutdown rejection never gets there, so account it here.
     stats_.record(job->endpoint, elapsed_us(job->enqueued_at), true);
     return error_reply(ErrorCode::kShuttingDown, "server is shutting down");
@@ -699,7 +694,7 @@ std::pair<MsgType, std::string> Server::handle_stream_frame(
       if (begin.design_hash != 0) {
         // Early check so the client learns about a cold hash before paying
         // for the upload; the cache can still evict between here and the
-        // predict, so handle_predict re-checks and answers kUnknownDesign
+        // predict, so prepare_predict re-checks and answers kUnknownDesign
         // again rather than trusting this one.
         const std::shared_ptr<const ModelEntry> entry =
             registry_->get(begin.model);
@@ -910,79 +905,9 @@ std::pair<MsgType, std::string> Server::handle_unload_model(
   return {MsgType::kAdminOk, encode_string_payload("unloaded " + req.name)};
 }
 
-std::pair<MsgType, std::string> Server::compute_job_reply(PendingJob& job,
-                                                          bool& is_error) {
-  is_error = true;
-  const std::uint64_t waited_ms = elapsed_us(job.enqueued_at) / 1000;
-  if (job.request.deadline_ms > 0 && waited_ms > job.request.deadline_ms) {
-    return error_reply(ErrorCode::kDeadlineExceeded,
-                       "request waited " + std::to_string(waited_ms) +
-                           "ms, deadline " +
-                           std::to_string(job.request.deadline_ms) + "ms");
-  }
-  std::pair<MsgType, std::string> reply = handle_predict(job);
-  is_error = reply.first == MsgType::kError;
-  // Re-check after compute: a request that blew its deadline inside the
-  // handler must not get a full late success reply (and must count as
-  // an error), or clients time out while `stats` reports green.
-  const std::uint64_t total_ms = elapsed_us(job.enqueued_at) / 1000;
-  if (!is_error && job.request.deadline_ms > 0 &&
-      total_ms > job.request.deadline_ms) {
-    reply = error_reply(ErrorCode::kDeadlineExceeded,
-                        "request took " + std::to_string(total_ms) +
-                            "ms total, deadline " +
-                            std::to_string(job.request.deadline_ms) + "ms");
-    is_error = true;
-  }
-  return reply;
-}
-
-void Server::process_job(PendingJob& job) noexcept {
-  // Contract: the promise is fulfilled exactly once on EVERY path. A
-  // connection thread is blocked on it in submit_and_wait — an escaped
-  // exception here would either hang that thread forever (the job it
-  // co-owns keeps the promise alive) or unwind the dispatcher's pool batch;
-  // either way the connection dies without an answer instead of getting
-  // kInternal. So: catch everything, including non-std exceptions, and
-  // never let stats accounting stand between an exception and set_value.
-  bool is_error = true;
-  std::pair<MsgType, std::string> reply;
-  try {
-    // Install the request's trace context for the whole compute scope so
-    // every span below (handler, cache, encoder, pool batches it runs
-    // inline) chains onto the client/router span that sent it. Requests
-    // from pre-v2 clients carry no context; when tracing is on, mint a
-    // root so their server-side spans still group per-request (when
-    // tracing is off, stay id-free — the zero-cost path).
-    obs::TraceContext ctx = job.request.ext.trace;
-    if (!ctx.valid() && obs::trace_enabled()) {
-      ctx = obs::make_root_context(/*sampled=*/true);
-    }
-    obs::TraceContextScope scope(ctx);
-    reply = compute_job_reply(job, is_error);
-    maybe_log_slow(job, is_error);
-    if (config_.fault_inject_for_test) {
-      throw "injected non-std fault after handler";  // NOLINT
-    }
-  } catch (const std::exception& e) {
-    reply = error_reply(ErrorCode::kInternal, e.what());
-    is_error = true;
-  } catch (...) {
-    reply = error_reply(ErrorCode::kInternal,
-                        "handler raised a non-standard exception");
-    is_error = true;
-  }
-  try {
-    stats_.record(job.endpoint, elapsed_us(job.enqueued_at), is_error);
-  } catch (...) {
-    // Accounting must never cost the client its reply.
-  }
-  job.result.set_value(std::move(reply));
-}
-
 void Server::maybe_log_slow(const PendingJob& job, bool is_error) {
   if (config_.slow_ms <= 0) return;
-  // Error replies return before handle_predict stamps total_us; measure
+  // Error replies return before finish_predict stamps total_us; measure
   // from the enqueue time so a slow *failure* is still forensic material.
   const std::uint64_t total_us =
       std::max(job.timing.total_us, elapsed_us(job.enqueued_at));
@@ -1019,45 +944,20 @@ void Server::maybe_log_slow(const PendingJob& job, bool is_error) {
   }
 }
 
-std::pair<MsgType, std::string> Server::handle_predict(PendingJob& job) {
-  // Reference (request-at-a-time) path: prepare, solo encode on a miss,
-  // finish — the exact pipeline run_batch_fused executes in phases, so the
-  // bit-identity suite can compare the two end to end.
-  PredictPrep prep;
-  prepare_predict(job, prep);
-  if (prep.reply) return std::move(*prep.reply);
-  if (prep.needs_encode) {
-    const Clock::time_point t0 = Clock::now();
-    auto computed = std::make_shared<const core::DesignEmbeddings>(
-        prep.entry->model->encode(prep.design->gate, prep.design->graphs,
-                                  prep.toggles));
-    // Serve whatever the cache retained (a racing request may have won).
-    prep.emb = cache_.put_embeddings(prep.design_key, prep.emb_key,
-                                     std::move(computed));
-    job.timing.encode_us += elapsed_us(t0);
-  }
-  return finish_predict(job, prep);
-}
-
 void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
   const sim::ExternalTrace* trace = job.trace.get();
   const std::uint64_t design_hash = job.design_hash;
-  // Pre-handler phases. With a dispatcher stamp the interval splits into
-  // batch wait (enqueue -> batch formed; for streams that includes chunk
-  // assembly) and queue (batch formed -> here: dispatch overhead + waiting
-  // for a pool slot) — together "time not spent computing", now separable
-  // into "waiting to be batched" vs "batched but not yet running". Tests
-  // that drive jobs without the dispatcher fall back to one interval.
-  if (job.dispatched_at != Clock::time_point{}) {
-    job.timing.batch_wait_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            job.dispatched_at - job.enqueued_at)
-            .count());
-    job.timing.queue_us = elapsed_us(job.dispatched_at);
-  } else {
-    job.timing.queue_us = elapsed_us(job.enqueued_at);
-  }
+  // Pre-handler phases: batch wait (enqueue -> batch formed; for streams
+  // that includes chunk assembly) and queue (batch formed -> here: dispatch
+  // overhead + waiting for a pool slot) — together "time not spent
+  // computing", separable into "waiting to be batched" vs "batched but not
+  // yet running".
+  job.timing.batch_wait_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          job.dispatched_at - job.enqueued_at)
+          .count());
+  job.timing.queue_us = elapsed_us(job.dispatched_at);
   obs::ObsSpan span("serve", "handle_predict");
   prep.handler_start = Clock::now();
   if (config_.handler_delay_for_test_ms > 0) {
@@ -1137,10 +1037,12 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
     std::optional<netlist::Netlist> parsed;
     try {
       parsed = netlist::parse_verilog(req.netlist_verilog, *entry->library);
+      // A combinational loop parses but cannot be simulated: reject it as
+      // the client's error before it enters the design cache.
+      parsed->comb_topo_order();
     } catch (const std::exception& e) {
-      prep.reply =
-          error_reply(ErrorCode::kBadRequest,
-                      std::string("netlist parse failed: ") + e.what());
+      prep.reply = error_reply(ErrorCode::kBadRequest,
+                               std::string("invalid netlist: ") + e.what());
       return;
     }
     bool untagged = false;
@@ -1182,8 +1084,8 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
     return;
   }
   // Embedding miss: resolve the stimulus here (still per-job parallel work)
-  // and leave the encoder itself to the caller — solo encode() on the
-  // reference path, one fused encode_batch per model on the batched path.
+  // and leave the encoder itself to the caller: one fused encode_batch per
+  // model over the whole dispatcher batch.
   phase_start = Clock::now();
   if (external) {
     try {

@@ -15,22 +15,18 @@
 //     deadline are enforced during assembly, and StreamEnd enqueues the
 //     finished request to the dispatcher exactly like a Predict;
 //   * one dispatcher thread that drains the queue in opportunistic batches
-//     (whatever is queued when it wakes, capped at `batch_max`). With
-//     `fused_batching` on (the default) a batch executes in three phases:
-//     per-job prework fans out on util::ThreadPool::global() (parse, cache
-//     probes, stimulus), then all jobs that need the encoder run as ONE
-//     AtlasModel::encode_batch call per model on the dispatcher thread —
-//     so the pool's threads split the whole batch's distinct (sub-module,
-//     cycle) segments, one segment per task, instead of one request each
-//     — then per-job heads + serialization fan out on the pool again.
-//     Scratch for the batched encode and heads comes from a recycled
-//     util::ArenaPool, so steady-state batches allocate nothing.
-//     With `fused_batching` off, each job runs end-to-end on a pool thread
-//     (the pre-fusion reference path). Both paths are bit-identical per
-//     request at any batch size and thread count: the segment encoder
-//     replays forward()'s exact op order (see ml/sgformer.h), and the
-//     pool is non-reentrant so handler-internal parallel loops run inline
-//     — the determinism contract tests pin this.
+//     (whatever is queued when it wakes, capped at `batch_max`). Every
+//     batch executes in three phases: per-job prework fans out on
+//     util::ThreadPool::global() (parse, cache probes, stimulus), then all
+//     jobs that need the encoder run as ONE AtlasModel::encode_batch call
+//     per model on the dispatcher thread — so the pool's threads split the
+//     whole batch's distinct (sub-module, cycle) segments, one segment per
+//     task, instead of one request each — then per-job heads +
+//     serialization fan out on the pool again. Scratch for the batched
+//     encode and heads comes from a recycled util::ArenaPool, so
+//     steady-state batches allocate nothing. Each reply is bit-identical to
+//     a direct AtlasModel::predict at any batch size and thread count —
+//     the determinism contract tests pin this.
 //
 // Failure containment: any malformed frame, undecodable payload, unknown
 // model/workload, or handler exception turns into an Error response (or at
@@ -84,22 +80,16 @@ struct ServerConfig {
   std::size_t max_stream_bytes = 256ull << 20;  // 256 MiB
   /// Max predict requests dispatched as one thread-pool batch.
   std::size_t batch_max = 8;
-  /// Execute batches through the fused path: per-model encode_batch calls
-  /// (one set of GEMMs over the whole batch) with pooled arena scratch.
-  /// Off = the request-at-a-time reference path; results are bit-identical
-  /// either way (the property suite compares the two), so this is a
-  /// performance switch, not a behavior switch.
-  bool fused_batching = true;
   /// Test hook: sleep before dispatching each batch so deadline expiry can
   /// be exercised deterministically. 0 in production.
   int dispatch_delay_for_test_ms = 0;
   /// Test hook: sleep inside the predict handler so deadline expiry during
   /// compute (not queue wait) can be exercised. 0 in production.
   int handler_delay_for_test_ms = 0;
-  /// Test hook: process_job raises a non-std exception after the handler
-  /// ran, exercising the promise-fulfillment guarantee (a connection thread
-  /// blocked on the job must get kInternal, never hang or see a broken
-  /// promise). false in production.
+  /// Test hook: complete_fused_job raises a non-std exception after the
+  /// handler ran, exercising the promise-fulfillment guarantee (a
+  /// connection thread blocked on the job must get kInternal, never hang or
+  /// see a broken promise). false in production.
   bool fault_inject_for_test = false;
   /// Honor LoadModel/UnloadModel requests. Off by default: runtime registry
   /// mutation is an operator capability, not something any client on the
@@ -194,9 +184,7 @@ class Server {
     /// Splits the pre-handler interval into batch_wait_us (enqueue ->
     /// batch formed: stream assembly + waiting for the dispatcher to wake)
     /// and queue_us (batch formed -> handler entry: dispatch overhead +
-    /// waiting for a pool slot). Default-initialized (epoch) when a test
-    /// drives process_job directly; the handler falls back to the old
-    /// single-interval accounting in that case.
+    /// waiting for a pool slot).
     std::chrono::steady_clock::time_point dispatched_at{};
     /// Per-phase breakdown, filled by the predict pipeline (batch_wait_us +
     /// queue_us cover enqueue -> handler entry, so for streams they include
@@ -243,8 +231,7 @@ class Server {
     std::uint32_t cache_flags = 0;
     /// Stimulus for the encoder; only populated when needs_encode.
     sim::ToggleTrace toggles;
-    /// Embedding-cache miss: the job participates in phase B's fused
-    /// encode (or the solo encode on the reference path).
+    /// Embedding-cache miss: the job joins phase B's encode_batch.
     bool needs_encode = false;
     std::chrono::steady_clock::time_point handler_start{};
     /// The request's trace context (minted root if the client sent none
@@ -261,7 +248,7 @@ class Server {
   void reap_finished_connections();
 
   void dispatcher_loop();
-  /// Fused execution of one dispatcher batch: phase A fans per-job prework
+  /// Execution of one dispatcher batch: phase A fans per-job prework
   /// out on the pool (prepare_predict under the job's trace scope), phase
   /// B runs ONE AtlasModel::encode_batch per distinct model over all jobs
   /// that missed the embedding cache (dispatcher thread; the pool threads
@@ -270,16 +257,11 @@ class Server {
   /// the batched encode is borrowed from arena_pool_.
   void run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch);
   /// Phase C worker: finish one prepared job and fulfill its promise.
-  /// Same never-throws / always-answers contract as process_job.
+  /// Never throws and never leaves the promise unfulfilled: the connection
+  /// thread blocked in submit_and_wait must always get a reply (kInternal
+  /// at worst), or it would hang / rethrow broken_promise and drop the
+  /// whole connection.
   void complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept;
-  /// Run one job and fulfill its promise. Never throws and never leaves the
-  /// promise unfulfilled: the connection thread blocked in submit_and_wait
-  /// must always get a reply (kInternal at worst), or it would hang /
-  /// rethrow broken_promise and drop the whole connection.
-  void process_job(PendingJob& job) noexcept;
-  /// The computation behind process_job; may throw.
-  std::pair<MsgType, std::string> compute_job_reply(PendingJob& job,
-                                                    bool& is_error);
 
   /// Enqueue a job for the dispatcher and block on its reply; returns the
   /// shutting-down error instead when the server is draining.
@@ -308,25 +290,20 @@ class Server {
   void maybe_append_load_ext(const RequestTraceExt& ext, std::string& payload,
                              const ServerTiming* timing) const;
 
-  /// Returns {response type, payload}; never throws. job.trace is the
-  /// assembled client-supplied toggle trace for streamed requests, null
-  /// for the synthetic w1/w2 workloads. A nonzero job.design_hash replaces
-  /// the netlist text as the design-cache key component; a miss answers
-  /// kUnknownDesign (the StreamBegin-time check can race eviction, so it is
-  /// re-checked here) instead of parsing. Pins the registry entry (model +
-  /// library) for the whole request, so a concurrent unload/replace never
-  /// invalidates running work. Fills job.timing; the caller (process_job)
-  /// has already installed the request's TraceContextScope.
-  std::pair<MsgType, std::string> handle_predict(PendingJob& job);
-
   /// First half of the predict pipeline: stamps the batch_wait/queue
-  /// timing phases, pins the registry entry, validates the workload,
-  /// resolves the design (cache or parse) and probes the embedding cache.
-  /// On a miss it resolves/simulates the toggle trace into prep.toggles
-  /// and sets prep.needs_encode; any terminal failure lands in prep.reply.
-  /// Emits the per-request "handle_predict" span (the caller must have
-  /// installed the job's trace scope). Fills job.timing phases up to the
-  /// encoder.
+  /// timing phases, pins the registry entry (model + library) for the whole
+  /// request, so a concurrent unload/replace never invalidates running
+  /// work, validates the workload, resolves the design (cache or parse) and
+  /// probes the embedding cache. job.trace is the assembled client-supplied
+  /// toggle trace for streamed requests, null for the synthetic w1/w2
+  /// workloads. A nonzero job.design_hash replaces the netlist text as the
+  /// design-cache key component; a miss answers kUnknownDesign (the
+  /// StreamBegin-time check can race eviction, so it is re-checked here)
+  /// instead of parsing. On an embedding miss it resolves/simulates the
+  /// toggle trace into prep.toggles and sets prep.needs_encode; any
+  /// terminal failure lands in prep.reply. Emits the per-request
+  /// "handle_predict" span (the caller must have installed the job's trace
+  /// scope). Fills job.timing phases up to the encoder.
   void prepare_predict(PendingJob& job, PredictPrep& prep);
   /// Second half: GBDT heads over the embeddings (arena-backed scratch
   /// from arena_pool_), response assembly, serialization and the timing

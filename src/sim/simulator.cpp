@@ -102,7 +102,6 @@ CycleSimulator::CycleSimulator(const netlist::Netlist& nl) : nl_(nl) {
       for (std::size_t i = 0; i < nd; ++i) m.din.push_back(pins[p++]);
       for (std::size_t i = 0; i < nd; ++i) m.dout.push_back(pins[p++]);
       if (nd > 16) throw std::runtime_error("simulator: macro wider than 16 bits");
-      m.mem.assign(std::size_t{1} << na, 0);
       macros_.push_back(std::move(m));
     }
   }
@@ -117,6 +116,9 @@ ToggleTrace CycleSimulator::run(StimulusGenerator& stim, int num_cycles) {
     runs->inc();
     cycles->inc(static_cast<std::uint64_t>(num_cycles < 0 ? 0 : num_cycles));
   }
+  // Every run starts from zeroed SRAM contents, so a simulator can be
+  // reused without one run's writes leaking into the next.
+  for (MacroCell& m : macros_) m.mem.assign(std::size_t{1} << m.addr.size(), 0);
   const std::size_t n_nets = nl_.num_nets();
   std::vector<std::uint8_t> prev(n_nets, 0);  // values at end of previous cycle
   std::vector<std::uint8_t> cur(n_nets, 0);

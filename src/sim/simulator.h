@@ -66,7 +66,9 @@ class CycleSimulator {
   /// Throws if the netlist fails structural checks relevant to simulation.
   explicit CycleSimulator(const netlist::Netlist& nl);
 
-  /// Simulate `num_cycles` cycles driven by `stim`.
+  /// Simulate `num_cycles` cycles driven by `stim`. Each run starts from
+  /// reset state with zeroed SRAM contents, so repeated runs on one
+  /// simulator are independent of each other.
   ToggleTrace run(StimulusGenerator& stim, int num_cycles);
 
   /// Nets classified as part of the clock network (incl. the clock root).

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+
+#include <unistd.h>
 
 #include "atlas/finetune.h"
 #include "atlas/logic_cones.h"
@@ -50,6 +54,67 @@ class AtlasCoreTest : public ::testing::Test {
 liberty::Library* AtlasCoreTest::lib_ = nullptr;
 DesignData* AtlasCoreTest::train_ = nullptr;
 DesignData* AtlasCoreTest::test_ = nullptr;
+
+/// The oracle for the inference encoder: SgFormer::forward (the
+/// pre-training path) on every (graph, cycle) of the trace, plus the static
+/// context and the toggle-weighted extras — no memo, no segments, no pool.
+DesignEmbeddings reference_encode(
+    const AtlasModel& model, const netlist::Netlist& gate,
+    const std::vector<graph::SubmoduleGraph>& graphs,
+    const sim::ToggleTrace& trace) {
+  DesignEmbeddings emb;
+  emb.num_cycles = trace.num_cycles();
+  const std::size_t d = model.encoder().dim();
+  const std::size_t cycles = static_cast<std::size_t>(emb.num_cycles);
+  ml::Matrix feats;
+  for (const graph::SubmoduleGraph& g : graphs) {
+    DesignEmbeddings::PerGraph pg;
+    pg.st = compute_submodule_static(gate, g);
+    pg.emb = ml::Matrix(cycles, d);
+    pg.extras.resize(cycles);
+    for (int c = 0; c < emb.num_cycles; ++c) {
+      graph::fill_cycle_features(g, trace, c, feats);
+      const auto out =
+          model.encoder().forward(graph::view_with_features(g, feats));
+      std::copy(out.graph_emb.row(0), out.graph_emb.row(0) + d,
+                pg.emb.row(static_cast<std::size_t>(c)));
+      pg.extras[static_cast<std::size_t>(c)] =
+          compute_cycle_extras(g, pg.st, trace, c);
+    }
+    emb.graphs.push_back(std::move(pg));
+  }
+  return emb;
+}
+
+/// Byte-for-byte equality of everything the heads read: every embedding
+/// row, every cycle's extras and the static context.
+void expect_same_embeddings(const DesignEmbeddings& got,
+                            const DesignEmbeddings& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.num_cycles, want.num_cycles) << what;
+  ASSERT_EQ(got.graphs.size(), want.graphs.size()) << what;
+  for (std::size_t g = 0; g < want.graphs.size(); ++g) {
+    const DesignEmbeddings::PerGraph& a = got.graphs[g];
+    const DesignEmbeddings::PerGraph& b = want.graphs[g];
+    ASSERT_EQ(a.emb.rows(), b.emb.rows()) << what;
+    ASSERT_EQ(a.emb.cols(), b.emb.cols()) << what;
+    for (std::size_t r = 0; r < b.emb.rows(); ++r) {
+      EXPECT_EQ(std::memcmp(a.emb.row(r), b.emb.row(r),
+                            b.emb.cols() * sizeof(float)),
+                0)
+          << what << " graph " << g << " cycle " << r;
+    }
+    ASSERT_EQ(a.extras.size(), b.extras.size()) << what;
+    EXPECT_EQ(std::memcmp(a.extras.data(), b.extras.data(),
+                          b.extras.size() * sizeof(CycleExtras)),
+              0)
+        << what << " graph " << g << " extras";
+    EXPECT_EQ(a.st.n_comb, b.st.n_comb) << what;
+    EXPECT_EQ(a.st.n_reg, b.st.n_reg) << what;
+    EXPECT_EQ(a.st.internal_fj, b.st.internal_fj) << what;
+    EXPECT_EQ(a.st.cap_ff, b.st.cap_ff) << what;
+  }
+}
 
 TEST_F(AtlasCoreTest, PreprocessAlignsStages) {
   ASSERT_EQ(train_->gate_graphs.size(), train_->plus_graphs.size());
@@ -279,6 +344,41 @@ TEST_F(AtlasCoreTest, ModelSerializationRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST_F(AtlasCoreTest, TrainedArtifactByteIdenticalAcrossThreadCounts) {
+  // Training honours the same contract as inference: pre-training plus
+  // fine-tuning (whose embedding extraction runs encode_batch on the pool)
+  // must write the same model bytes at any thread count.
+  PretrainConfig pcfg;
+  pcfg.epochs = 1;
+  pcfg.cycles_per_graph = 1;
+  pcfg.dim = 16;
+  FinetuneConfig fcfg;
+  fcfg.gbdt.n_trees = 20;
+  fcfg.cycle_stride = 3;
+  const auto train_bytes = [&](int threads) {
+    util::set_global_threads(threads);
+    PretrainResult pre = pretrain_encoder({train_}, pcfg);
+    GroupModels models = finetune_models({train_, test_}, pre.encoder, fcfg);
+    const AtlasModel model(std::move(pre.encoder), std::move(models));
+    const std::string path = ::testing::TempDir() + "/atlas_threads_" +
+                             std::to_string(threads) + "_" +
+                             std::to_string(::getpid()) + ".bin";
+    model.save(path);
+    std::ifstream is(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const std::string serial = train_bytes(1);
+  const std::string pooled = train_bytes(4);
+  util::set_global_threads(0);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_TRUE(serial == pooled) << "model artifact differs between 1 and 4 "
+                                   "threads (" << serial.size() << " vs "
+                                << pooled.size() << " bytes)";
+}
+
 TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
   PretrainConfig pcfg;
   pcfg.epochs = 1;
@@ -296,10 +396,15 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
       model.predict(test_->gate, test_->gate_graphs, wl.gate_trace);
 
   // The split entry points the serving feature cache relies on: encode()
-  // once, then reuse the embeddings for repeated head evaluation. Both
+  // once, then reuse the embeddings for repeated head evaluation. encode()
+  // must reproduce the forward() reference byte for byte, and both head
   // evaluations must be bit-identical to the monolithic predict().
   const DesignEmbeddings emb =
       model.encode(test_->gate, test_->gate_graphs, wl.gate_trace);
+  expect_same_embeddings(
+      emb,
+      reference_encode(model, test_->gate, test_->gate_graphs, wl.gate_trace),
+      "encode vs reference");
   EXPECT_EQ(emb.num_cycles, direct.num_cycles);
   EXPECT_EQ(emb.graphs.size(), test_->gate_graphs.size());
   EXPECT_GT(emb.approx_bytes(), 0u);
@@ -328,12 +433,12 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
                std::invalid_argument);
 }
 
-TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
+TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToForwardReference) {
   // The serving dispatcher fuses a whole batch into one encode_batch call;
-  // every (design, workload) item must come out bit-identical to a solo
-  // encode() — at any thread count, any batch composition, and with a
-  // recycled arena. Two distinct designs and two workloads per design
-  // exercise mixed-shape batches.
+  // every (design, workload) item must come out bit-identical to the
+  // per-cycle forward() reference — at any thread count, any batch
+  // composition, and with a recycled arena. Two distinct designs and two
+  // workloads per design exercise mixed-shape batches.
   PretrainConfig pcfg;
   pcfg.epochs = 1;
   pcfg.cycles_per_graph = 1;
@@ -358,27 +463,11 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
   }
   ASSERT_GE(inputs.size(), 2u);
 
-  std::vector<DesignEmbeddings> solo;
+  std::vector<DesignEmbeddings> ref;
   for (const Item& it : inputs) {
-    solo.push_back(
-        model.encode(it.design->gate, it.design->gate_graphs, *it.trace));
+    ref.push_back(reference_encode(model, it.design->gate,
+                                    it.design->gate_graphs, *it.trace));
   }
-
-  const auto expect_same = [&](const DesignEmbeddings& a,
-                               const DesignEmbeddings& b, std::size_t idx) {
-    ASSERT_EQ(a.num_cycles, b.num_cycles) << "item " << idx;
-    ASSERT_EQ(a.graphs.size(), b.graphs.size()) << "item " << idx;
-    for (std::size_t g = 0; g < a.graphs.size(); ++g) {
-      ASSERT_EQ(a.graphs[g].emb.size(), b.graphs[g].emb.size());
-      for (std::size_t i = 0; i < a.graphs[g].emb.size(); ++i) {
-        ASSERT_EQ(a.graphs[g].emb.data()[i], b.graphs[g].emb.data()[i])
-            << "item " << idx << " graph " << g << " entry " << i;
-      }
-      ASSERT_EQ(a.graphs[g].extras.size(), b.graphs[g].extras.size());
-      EXPECT_EQ(a.graphs[g].st.n_comb, b.graphs[g].st.n_comb);
-      EXPECT_EQ(a.graphs[g].st.n_reg, b.graphs[g].st.n_reg);
-    }
-  };
 
   util::Arena arena;
   for (const int threads : {1, 4}) {
@@ -393,7 +482,7 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
     }
     model.encode_batch(items.data(), items.size(), arena);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      expect_same(out[i], solo[i], i);
+      expect_same_embeddings(out[i], ref[i], "item " + std::to_string(i));
     }
 
     arena.reset();  // recycled scratch must not change results
@@ -403,18 +492,18 @@ TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToEncode) {
                                &inputs[last].design->gate_graphs,
                                inputs[last].trace, &single};
     model.encode_batch(&one, 1, arena);
-    expect_same(single, solo[last], last);
+    expect_same_embeddings(single, ref[last], "single");
     arena.reset();
   }
   util::set_global_threads(0);
 
-  // The fused embeddings drive the heads to the same bits as the
-  // monolithic path — the end-to-end identity the serve tier pins.
+  // The reference embeddings drive the heads to the same bits as
+  // predict() — the end-to-end identity the serve tier pins.
   const Prediction direct = model.predict(
       inputs[0].design->gate, inputs[0].design->gate_graphs, *inputs[0].trace);
   util::Arena head_arena;
   const Prediction via_batch = model.predict_from_embeddings(
-      inputs[0].design->gate, inputs[0].design->gate_graphs, solo[0],
+      inputs[0].design->gate, inputs[0].design->gate_graphs, ref[0],
       &head_arena);
   ASSERT_EQ(via_batch.num_cycles, direct.num_cycles);
   for (int c = 0; c < direct.num_cycles; ++c) {
@@ -450,7 +539,7 @@ std::uint64_t expected_repeats(const std::vector<graph::SubmoduleGraph>& graphs,
 TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
   // encode_batch encodes each distinct toggle channel of a sub-module once
   // and copies its embedding to the cycles that repeat it. Every row must
-  // be byte-identical to the serial encode(), and the memoized-segment
+  // be byte-identical to the forward() reference, and the memoized-segment
   // counter must count exactly the repeats.
   ml::SgFormer::Config ecfg;
   ecfg.in_dim = graph::kFeatureDim;
@@ -489,32 +578,16 @@ TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
   };
   const std::vector<Input> inputs = {
       {test_, &repeated}, {test_, &distinct}, {train_, &other}};
-  std::vector<DesignEmbeddings> solo;
+  std::vector<DesignEmbeddings> ref;
   std::vector<std::uint64_t> repeats;
   for (const Input& in : inputs) {
-    solo.push_back(model.encode(in.design->gate, in.design->gate_graphs, *in.trace));
+    ref.push_back(reference_encode(model, in.design->gate,
+                                    in.design->gate_graphs, *in.trace));
     repeats.push_back(expected_repeats(in.design->gate_graphs, *in.trace));
   }
 
   const obs::Counter& memoized = obs::Registry::global().counter(
       "atlas_model_encode_segments_memoized_total");
-  const auto expect_bytes_equal = [](const DesignEmbeddings& got,
-                                     const DesignEmbeddings& want,
-                                     const std::string& what) {
-    ASSERT_EQ(got.num_cycles, want.num_cycles) << what;
-    ASSERT_EQ(got.graphs.size(), want.graphs.size()) << what;
-    for (std::size_t g = 0; g < want.graphs.size(); ++g) {
-      const ml::Matrix& a = got.graphs[g].emb;
-      const ml::Matrix& b = want.graphs[g].emb;
-      ASSERT_EQ(a.rows(), b.rows()) << what;
-      ASSERT_EQ(a.cols(), b.cols()) << what;
-      for (std::size_t r = 0; r < b.rows(); ++r) {
-        EXPECT_EQ(std::memcmp(a.row(r), b.row(r), b.cols() * sizeof(float)), 0)
-            << what << " graph " << g << " cycle " << r;
-      }
-    }
-  };
-
   util::Arena arena;
   for (const int threads : {1, 4}) {
     util::set_global_threads(threads);
@@ -528,7 +601,7 @@ TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
       const std::uint64_t before = memoized.value();
       model.encode_batch(&item, 1, arena);
       EXPECT_EQ(memoized.value() - before, repeats[i]) << "item " << i << at;
-      expect_bytes_equal(out, solo[i], "item " + std::to_string(i) + at);
+      expect_same_embeddings(out, ref[i], "item " + std::to_string(i) + at);
     }
     // ...and all three in one batch.
     std::vector<DesignEmbeddings> outs(inputs.size());
@@ -543,7 +616,8 @@ TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
     EXPECT_EQ(memoized.value() - before, repeats[0] + repeats[1] + repeats[2])
         << at;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      expect_bytes_equal(outs[i], solo[i], "batch item " + std::to_string(i) + at);
+      expect_same_embeddings(outs[i], ref[i],
+                             "batch item " + std::to_string(i) + at);
     }
   }
   util::set_global_threads(0);

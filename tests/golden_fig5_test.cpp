@@ -140,25 +140,23 @@ TEST(GoldenFig5Test, C4PerCyclePowerMatchesCommittedCsv) {
   check_design(4, "fig5_C4_W1.csv");
 }
 
-/// The fused batched inference path (encode_batch + predict_from_embeddings,
-/// the serving dispatcher's hot path) must be bit-identical to the
-/// request-at-a-time predict() on the exact golden fig5 pipeline: design C2
-/// at the bench's default scale under W1 over 300 cycles. This ties the
-/// serve-path property suite to the same deterministic inputs the committed
-/// CSVs pin, so a fused-kernel numerics drift fails alongside the golden
-/// columns instead of only in small synthetic tests.
-///
-/// The identity checks alone pass when a change alters both paths the same
-/// way, so the predictions themselves are pinned too: training runs the
-/// same encoder kernels as inference, and any change to their arithmetic
-/// (loop order, zero-skip, contracted multiply-adds) moves this hash.
+/// Pins the model's own predictions on the exact golden fig5 pipeline:
+/// design C2 at the bench's default scale under W1 over 300 cycles. The
+/// hash covers training too — fine-tuning extracts its rows with the same
+/// encode_batch as inference — so any change to the encoder's arithmetic
+/// (loop order, zero-skip, contracted multiply-adds) or to the training-row
+/// extraction moves it. predict() itself is encode_batch +
+/// predict_from_embeddings, so the loop below pins the serving
+/// dispatcher's hot path at 1 and 8 threads against the same predictions:
+/// a thread-count dependence fails alongside the golden columns instead of
+/// only in small synthetic tests.
 TEST(GoldenFig5Test, FusedBatchedPredictionBitIdenticalOnGoldenC2) {
   struct ThreadCountGuard {
     ~ThreadCountGuard() { util::set_global_threads(0); }
   } guard;
 
   // A small trained model (same recipe as the atlas unit suite) — the test
-  // pins fused-vs-solo identity, not prediction quality.
+  // pins exact predictions and thread-count identity, not their quality.
   const liberty::Library lib = liberty::make_default_library();
   core::PreprocessConfig pcfg_data;
   pcfg_data.cycles = 40;

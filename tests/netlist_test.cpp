@@ -214,6 +214,18 @@ TEST_F(VerilogRoundTripTest, WriteParseRoundTrip) {
   }
 }
 
+TEST_F(VerilogRoundTripTest, InputOutputNetIsFixedPointOnFirstRoundTrip) {
+  // `a` is declared an output after output-only `q`; the re-parse numbers
+  // inputs first, so the writer must list `a` ahead of `q` already.
+  const char* text =
+      "module m (q, a);\n  output q;\n  input a;\n  output a;\n"
+      "  INV_X1 u0 (.A(a), .Y(q));\nendmodule\n";
+  const std::string once = write_verilog(parse_verilog(text, lib_));
+  const std::string twice = write_verilog(parse_verilog(once, lib_));
+  EXPECT_EQ(once, twice);
+  EXPECT_LT(once.find("output a;"), once.find("output q;")) << once;
+}
+
 TEST_F(VerilogRoundTripTest, ParseErrors) {
   EXPECT_THROW(parse_verilog("module x (", lib_), VerilogParseError);
   EXPECT_THROW(parse_verilog("module x (); WAT u0 (.A(a)); endmodule", lib_),

@@ -423,6 +423,26 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
     EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
   }
 
+  // Netlists that parse but are not circuits: a combinational loop and a
+  // multi-driven net.
+  for (const char* text :
+       {"module x (a, y);\n  input a;\n  output y;\n  wire n1, n2;\n"
+        "  NAND2_X1 u0 (.A(a), .B(n2), .Y(n1));\n"
+        "  INV_X1 u1 (.A(n1), .Y(n2));\n"
+        "  INV_X1 u2 (.A(n1), .Y(y));\nendmodule\n",
+        "module x (a, y);\n  input a;\n  output y;\n"
+        "  INV_X1 u0 (.A(a), .Y(y));\n"
+        "  INV_X1 u1 (.A(a), .Y(y));\nendmodule\n"}) {
+    PredictRequest hostile = make_request();
+    hostile.netlist_verilog = text;
+    try {
+      client.predict(hostile);
+      FAIL() << "expected ServeError for " << text;
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
+    }
+  }
+
   // The same connection still works after every rejection...
   client.ping();
   // ...and so does real work.
@@ -1841,34 +1861,29 @@ TEST_F(ServeTest, WantTimingReturnsPerPhaseBreakdown) {
 TEST_F(ServeTest, TimingPhasesSumToTotalWithBatchWaitSplit) {
   // Regression: batch_wait_us used to be folded into queue_us, so the
   // phases double-counted the pre-dispatch interval and could exceed
-  // total_us. The split must hold on both execution paths, and the
-  // dispatch-delay hook (which runs *after* the batch is formed) must land
-  // in queue_us, not batch_wait_us.
-  for (const bool fused : {true, false}) {
-    ServerConfig cfg = loopback_config();
-    cfg.fused_batching = fused;
-    cfg.dispatch_delay_for_test_ms = 20;
-    Server server(cfg, make_registry());
-    server.start();
-    Client client = Client::connect_tcp("127.0.0.1", server.port());
+  // total_us. The dispatch-delay hook (which runs *after* the batch is
+  // formed) must land in queue_us, not batch_wait_us.
+  ServerConfig cfg = loopback_config();
+  cfg.dispatch_delay_for_test_ms = 20;
+  Server server(cfg, make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
 
-    PredictRequest req = make_request();
-    req.ext.want_timing = true;
-    const PredictResponse resp = client.predict(req);
-    server.stop();
+  PredictRequest req = make_request();
+  req.ext.want_timing = true;
+  const PredictResponse resp = client.predict(req);
+  server.stop();
 
-    ASSERT_TRUE(resp.has_timing) << "fused=" << fused;
-    EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +
-                  resp.timing.cache_us + resp.timing.encode_us +
-                  resp.timing.predict_us + resp.timing.serialize_us,
-              resp.timing.total_us)
-        << "fused=" << fused;
-    // The 20ms dispatch delay is queue time (batch formed, not yet
-    // running); batch wait only covers enqueue -> batch formation, which
-    // is microseconds on an idle server.
-    EXPECT_GE(resp.timing.queue_us, 20'000u) << "fused=" << fused;
-    EXPECT_LT(resp.timing.batch_wait_us, 20'000u) << "fused=" << fused;
-  }
+  ASSERT_TRUE(resp.has_timing);
+  EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +
+                resp.timing.cache_us + resp.timing.encode_us +
+                resp.timing.predict_us + resp.timing.serialize_us,
+            resp.timing.total_us);
+  // The 20ms dispatch delay is queue time (batch formed, not yet
+  // running); batch wait only covers enqueue -> batch formation, which
+  // is microseconds on an idle server.
+  EXPECT_GE(resp.timing.queue_us, 20'000u);
+  EXPECT_LT(resp.timing.batch_wait_us, 20'000u);
 }
 
 /// Restores the global pool size no matter how a test exits.
@@ -1877,14 +1892,12 @@ struct ThreadCountGuard {
 };
 
 TEST_F(ServeTest, FusedBatchingBitIdenticalAcrossBatchSizesAndThreads) {
-  // The tentpole invariant: the fused batched path produces bit-identical
+  // The determinism contract: the batched path produces bit-identical
   // results to a direct AtlasModel::predict at ANY thread count and ANY
   // batch composition, cold or warm cache. Pseudo-random volley sizes
   // straddle batch_max so batches of 1..8 all occur; concurrent identical
   // requests inside one volley also race the cache inserts, exercising the
-  // winner-return path end to end. The reference (request-at-a-time) path
-  // runs the same volleys and must match the same direct predictions —
-  // making fused and unfused transitively bit-identical.
+  // winner-return path end to end.
   const core::Prediction expected_w2 = direct_predict("w2");
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   const auto next = [&rng]() {
@@ -1894,42 +1907,37 @@ TEST_F(ServeTest, FusedBatchingBitIdenticalAcrossBatchSizesAndThreads) {
   ThreadCountGuard guard;
   for (const int threads : {1, 3, 8}) {
     util::set_global_threads(threads);
-    for (const bool fused : {true, false}) {
-      ServerConfig cfg = loopback_config();
-      cfg.fused_batching = fused;
-      Server server(cfg, make_registry());
-      server.start();
-      // Round 0 is a cold cache (fresh server); later rounds are warm.
-      for (int round = 0; round < 3; ++round) {
-        const std::size_t n = 1 + next() % 12;
-        std::vector<std::string> workloads(n);
-        for (std::string& w : workloads) w = (next() & 1) ? "w2" : "w1";
-        std::vector<PredictResponse> resp(n);
-        std::vector<std::thread> senders;
-        senders.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          senders.emplace_back([&, i] {
-            Client c = Client::connect_tcp("127.0.0.1", server.port());
-            resp[i] = c.predict(make_request(workloads[i]));
-          });
-        }
-        for (std::thread& t : senders) t.join();
-        for (std::size_t i = 0; i < n; ++i) {
-          const core::Prediction& expected =
-              workloads[i] == "w2" ? expected_w2 : *expected_w1_;
-          ASSERT_EQ(resp[i].design.size(), expected.design.size())
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i;
-          EXPECT_TRUE(same_bits(resp[i].design, expected.design))
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i << " w=" << workloads[i];
-          EXPECT_TRUE(same_bits(resp[i].submodule, expected.submodule))
-              << "threads=" << threads << " fused=" << fused
-              << " round=" << round << " i=" << i << " w=" << workloads[i];
-        }
+    Server server(loopback_config(), make_registry());
+    server.start();
+    // Round 0 is a cold cache (fresh server); later rounds are warm.
+    for (int round = 0; round < 3; ++round) {
+      const std::size_t n = 1 + next() % 12;
+      std::vector<std::string> workloads(n);
+      for (std::string& w : workloads) w = (next() & 1) ? "w2" : "w1";
+      std::vector<PredictResponse> resp(n);
+      std::vector<std::thread> senders;
+      senders.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        senders.emplace_back([&, i] {
+          Client c = Client::connect_tcp("127.0.0.1", server.port());
+          resp[i] = c.predict(make_request(workloads[i]));
+        });
       }
-      server.stop();
+      for (std::thread& t : senders) t.join();
+      for (std::size_t i = 0; i < n; ++i) {
+        const core::Prediction& expected =
+            workloads[i] == "w2" ? expected_w2 : *expected_w1_;
+        ASSERT_EQ(resp[i].design.size(), expected.design.size())
+            << "threads=" << threads << " round=" << round << " i=" << i;
+        EXPECT_TRUE(same_bits(resp[i].design, expected.design))
+            << "threads=" << threads << " round=" << round << " i=" << i
+            << " w=" << workloads[i];
+        EXPECT_TRUE(same_bits(resp[i].submodule, expected.submodule))
+            << "threads=" << threads << " round=" << round << " i=" << i
+            << " w=" << workloads[i];
+      }
     }
+    server.stop();
   }
 }
 
