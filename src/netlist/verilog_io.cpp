@@ -45,6 +45,8 @@ std::string write_verilog(const Netlist& nl) {
     first = false;
   }
   for (NetId id : pos_) {
+    // An input that is also an output is already listed as an input port.
+    if (nl.net(id).is_primary_input) continue;
     os << (first ? "" : ", ") << nl.net(id).name;
     first = false;
   }

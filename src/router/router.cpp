@@ -19,8 +19,7 @@ using serve::ErrorResponse;
 using serve::Frame;
 using serve::MsgType;
 
-std::pair<MsgType, std::string> error_reply(ErrorCode code,
-                                            const std::string& message) {
+Frame error_reply(ErrorCode code, const std::string& message) {
   ErrorResponse err;
   err.code = code;
   err.message = message;
@@ -42,20 +41,9 @@ void count_failover(const std::string& backend) {
   backend_counter("atlas_router_failovers_total", backend).inc();
 }
 
-/// Decode an optional selector payload ("fleet", ...); empty or undecodable
-/// payloads — every pre-v2 client — mean "no selector".
-std::string optional_string_payload(const std::string& payload) {
-  if (payload.empty()) return std::string();
-  try {
-    return serve::decode_string_payload(payload);
-  } catch (const serve::ProtocolError&) {
-    return std::string();
-  }
-}
-
 /// The trace context a routed request runs under: the client's when it sent
-/// one, a fresh sampled root when tracing is on (so v1 clients still get a
-/// fleet-linked trace), invalid otherwise (fully untraced fast path).
+/// one, a fresh sampled root when tracing is on (so context-less clients
+/// still get a fleet-linked trace), invalid otherwise (untraced path).
 obs::TraceContext adopt_context(const obs::TraceContext& from_request) {
   if (from_request.valid()) return from_request;
   if (obs::trace_enabled()) return obs::make_root_context(/*sampled=*/true);
@@ -242,41 +230,43 @@ void Router::connection_loop(Connection* conn) {
       try {
         if (!serve::read_frame(sock, frame, config_.max_frame_bytes)) break;
       } catch (const serve::ProtocolError& e) {
-        const auto [type, payload] =
-            error_reply(ErrorCode::kBadRequest, e.what());
+        const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
         try {
-          serve::write_frame(sock, type, payload);
+          serve::write_frame(sock, reply.type, reply.payload);
         } catch (const util::SocketError&) {
         }
         break;
       }
 
+      Frame reply;
       switch (frame.type) {
         case MsgType::kPing:
-          serve::write_frame(sock, MsgType::kPong,
-                             serve::encode_string_payload("pong"));
+          reply = {MsgType::kPong, serve::encode_string_payload("pong")};
           break;
         case MsgType::kHealth:
-          serve::write_frame(sock, MsgType::kHealthReport,
-                             health_snapshot().encode());
+          reply = {MsgType::kHealthReport, health_snapshot().encode()};
           break;
         case MsgType::kStats:
-          serve::write_frame(sock, MsgType::kStatsText,
-                             serve::encode_string_payload(stats_text()));
-          break;
         case MsgType::kMetrics:
-          serve::write_frame(
-              sock, MsgType::kMetricsText,
-              serve::encode_string_payload(
-                  optional_string_payload(frame.payload) == "fleet"
-                      ? fleet_metrics()
-                      : obs::Registry::global().render_prometheus()));
+          try {
+            const std::string mode =
+                serve::optional_string_payload(frame.payload);
+            reply = frame.type == MsgType::kStats
+                        ? Frame{MsgType::kStatsText,
+                                serve::encode_string_payload(stats_text())}
+                        : Frame{MsgType::kMetricsText,
+                                serve::encode_string_payload(
+                                    mode == "fleet"
+                                        ? fleet_metrics()
+                                        : obs::Registry::global()
+                                              .render_prometheus())};
+          } catch (const serve::ProtocolError& e) {
+            reply = error_reply(ErrorCode::kBadRequest, e.what());
+          }
           break;
-        case MsgType::kTraceDump: {
-          const auto [type, payload] = trace_dump_fanout();
-          serve::write_frame(sock, type, payload);
+        case MsgType::kTraceDump:
+          reply = trace_dump_fanout();
           break;
-        }
         case MsgType::kShutdown:
           // Shut the router down; the backends are someone else's lifecycle
           // (an operator draining the tier does not want the fleet dead).
@@ -285,44 +275,32 @@ void Router::connection_loop(Connection* conn) {
             stop_requested_.store(true);
           }
           stop_cv_.notify_all();
-          serve::write_frame(sock, MsgType::kShutdownOk,
-                             serve::encode_string_payload("ok"));
+          reply = {MsgType::kShutdownOk, serve::encode_string_payload("ok")};
           break;
-        case MsgType::kListModels: {
+        case MsgType::kListModels:
           // Models are replicated fleet-wide: any live shard's list is the
           // tier's list. Routed like a predict (with failover) so a dead
           // backend never blanks the answer.
-          const auto [type, payload] = route_predict(upstreams, frame);
-          serve::write_frame(sock, type, payload);
+        case MsgType::kPredict:
+          reply = route_predict(upstreams, std::move(frame));
           break;
-        }
         case MsgType::kLoadModel:
-        case MsgType::kUnloadModel: {
-          const auto [type, payload] = admin_fanout(frame);
-          serve::write_frame(sock, type, payload);
+        case MsgType::kUnloadModel:
+          reply = admin_fanout(frame);
           break;
-        }
-        case MsgType::kPredict: {
-          const auto [type, payload] = route_predict(upstreams, frame);
-          serve::write_frame(sock, type, payload);
-          break;
-        }
         case MsgType::kStreamBegin:
         case MsgType::kStreamChunk:
-        case MsgType::kStreamEnd: {
-          const auto [type, payload] = handle_stream(upstreams, frame, relay);
-          serve::write_frame(sock, type, payload);
+        case MsgType::kStreamEnd:
+          reply = handle_stream(upstreams, std::move(frame), relay);
           break;
-        }
-        default: {
-          const auto [type, payload] = error_reply(
+        default:
+          reply = error_reply(
               ErrorCode::kBadRequest,
               "unknown message type " +
                   std::to_string(static_cast<std::uint32_t>(frame.type)));
-          serve::write_frame(sock, type, payload);
           break;
-        }
       }
+      serve::write_frame(sock, reply.type, reply.payload, reply.ext);
     }
   } catch (const std::exception&) {
     // Client vanished mid-write: drop this connection only.
@@ -361,7 +339,7 @@ bool Router::forward(UpstreamMap& upstreams, const std::string& id,
     return false;
   }
   try {
-    serve::write_frame(*sock, request.type, request.payload);
+    serve::write_frame(*sock, request.type, request.payload, request.ext);
     if (!serve::read_frame(*sock, response, config_.max_frame_bytes)) {
       throw serve::ProtocolError("backend closed the connection");
     }
@@ -383,29 +361,28 @@ std::uint64_t Router::placement_key(std::uint64_t netlist_hash,
   return util::hash_mix(netlist_hash, lib_hash);
 }
 
-std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
-                                                      const Frame& frame) {
+Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
   std::vector<std::string> chain;
-  serve::PredictRequest req;
-  // Keyed predicts are always re-encoded: the forwarded copy asks the
-  // shard to piggyback its live load on the reply (want_queue_depth), and
-  // traced ones additionally get a fresh per-attempt child span as the
-  // backend's parent. Unkeyed requests (ListModels) keep the raw
-  // zero-copy forwarding path.
-  const bool keyed = frame.type == MsgType::kPredict;
+  // Keyed predicts ask the shard to piggyback its live load on the reply
+  // (want_queue_depth), and traced ones get a fresh per-attempt child span
+  // as the backend's parent — both in the forwarded frame's extension, so
+  // the client's payload bytes are forwarded unchanged. Unkeyed requests
+  // (ListModels) are forwarded as they came.
+  const bool keyed = request.type == MsgType::kPredict;
   std::optional<obs::TraceContextScope> scope;
   std::optional<obs::ObsSpan> span;
   if (keyed) {
+    serve::PredictRequest req;
     try {
-      req = serve::PredictRequest::decode(frame.payload);
+      req = serve::PredictRequest::decode(request.payload);
     } catch (const serve::ProtocolError& e) {
       return error_reply(ErrorCode::kBadRequest, e.what());
     }
     chain = pool_->route_load_aware(
         placement_key(util::fnv1a64(req.netlist_verilog), req.model),
         /*open_forward=*/true);
-    req.ext.want_queue_depth = true;
-    const obs::TraceContext ctx = adopt_context(req.ext.trace);
+    request.ext.want_queue_depth = true;
+    const obs::TraceContext ctx = adopt_context(request.ext.trace);
     if (ctx.valid()) {
       scope.emplace(ctx);
       span.emplace("router", "predict");
@@ -421,40 +398,30 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
   }
   // If every candidate sheds, the client must see the overload (retryable,
   // self-describing), not a generic routing failure.
-  std::optional<std::pair<MsgType, std::string>> overloaded_reply;
+  std::optional<Frame> overloaded_reply;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const std::string& id = chain[i];
     Frame response;
-    bool forwarded;
-    if (keyed) {
-      // The attempt span covers exactly this round trip, so a failover
-      // shows up in the merged timeline as one short failed attempt
-      // followed by a sibling against the successor.
-      std::optional<obs::ObsSpan> attempt;
-      if (span) {
-        attempt.emplace("router", "forward:" + id);
-        req.ext.trace = attempt->context();
-      }
-      Frame fwd;
-      fwd.type = frame.type;
-      fwd.payload = req.encode();
-      forwarded = forward(upstreams, id, fwd, response);
-      if (i == 0) pool_->forward_done(id);
-    } else {
-      forwarded = forward(upstreams, id, frame, response);
+    // The attempt span covers exactly this round trip, so a failover shows
+    // up in the merged timeline as one short failed attempt followed by a
+    // sibling against the successor.
+    std::optional<obs::ObsSpan> attempt;
+    if (span) {
+      attempt.emplace("router", "forward:" + id);
+      request.ext.trace = attempt->context();
     }
+    const bool forwarded = forward(upstreams, id, request, response);
+    if (keyed && i == 0) pool_->forward_done(id);
     if (!forwarded) {
       count_failover(id);
       continue;
     }
-    if (keyed) {
-      // Strip the load tail before anything is relayed — the client's
-      // payload must stay bit-identical to direct serving — and feed the
-      // request-fresh depth to the routing policy.
-      serve::LoadReport report;
-      if (serve::strip_load_ext(response.payload, report)) {
-        pool_->note_load(id, report.load, report.wait_dominated());
-      }
+    if (keyed && response.ext.load) {
+      // Feed the request-fresh depth to the routing policy and clear it:
+      // the client's reply must stay bit-identical to direct serving.
+      pool_->note_load(id, response.ext.load->load,
+                       response.ext.load->wait_dominated());
+      response.ext.load.reset();
     }
     if (response.type == MsgType::kError) {
       ErrorResponse err;
@@ -478,16 +445,16 @@ std::pair<MsgType, std::string> Router::route_predict(UpstreamMap& upstreams,
         // wants this request to land.
         pool_->note_overloaded(id);
         count_failover(id);
-        overloaded_reply = {response.type, response.payload};
+        overloaded_reply = std::move(response);
         continue;
       }
       // Authoritative: the backend looked at the request and said no
       // (unknown model, bad request, unknown design, ...). Relay it.
       count_error(id);
     }
-    return {response.type, response.payload};
+    return response;
   }
-  if (overloaded_reply) return *overloaded_reply;
+  if (overloaded_reply) return std::move(*overloaded_reply);
   return error_reply(ErrorCode::kInternal,
                      "all " + std::to_string(chain.size()) +
                          " candidate backends failed");
@@ -497,11 +464,8 @@ bool Router::replay_stream(UpstreamMap& upstreams, const std::string& id,
                            const StreamRelay& relay, Frame& error,
                            bool& authoritative) {
   authoritative = false;
-  Frame request;
-  request.type = MsgType::kStreamBegin;
-  request.payload = relay.begin_payload;
   Frame response;
-  if (!forward(upstreams, id, request, response)) return false;
+  if (!forward(upstreams, id, relay.begin, response)) return false;
   if (response.type == MsgType::kError) {
     // e.g. kUnknownDesign: the successor's cache is cold for a design-by-
     // hash stream. That is the client's fallback protocol, not ours.
@@ -509,10 +473,8 @@ bool Router::replay_stream(UpstreamMap& upstreams, const std::string& id,
     authoritative = true;
     return false;
   }
-  request.type = MsgType::kStreamChunk;
-  for (const std::string& chunk : relay.chunk_payloads) {
-    request.payload = chunk;
-    if (!forward(upstreams, id, request, response)) return false;
+  for (const Frame& chunk : relay.chunks) {
+    if (!forward(upstreams, id, chunk, response)) return false;
     if (response.type == MsgType::kError) {
       error = std::move(response);
       authoritative = true;
@@ -523,11 +485,12 @@ bool Router::replay_stream(UpstreamMap& upstreams, const std::string& id,
 }
 
 bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
-                             std::pair<MsgType, std::string>& reply) {
+                             Frame& reply) {
   count_failover(relay.backend);
   // Traced streams: each failover attempt gets its own child span under the
-  // context adopted at Begin, and the buffered Begin is re-parented under it
-  // before replay so the successor's spans link through this attempt.
+  // context adopted at Begin, and the buffered Begin's extension is
+  // re-parented under it before replay so the successor's spans link
+  // through this attempt.
   std::optional<obs::TraceContextScope> scope;
   if (relay.ctx.valid()) scope.emplace(relay.ctx);
   while (++relay.chain_pos < relay.chain.size()) {
@@ -535,15 +498,7 @@ bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
     std::optional<obs::ObsSpan> attempt;
     if (relay.ctx.valid()) {
       attempt.emplace("router", "stream_failover:" + candidate);
-      try {
-        serve::StreamBeginRequest begin =
-            serve::StreamBeginRequest::decode(relay.begin_payload);
-        begin.ext.trace = attempt->context();
-        relay.begin_payload = begin.encode();
-      } catch (const serve::ProtocolError&) {
-        // The buffered payload came from our own encoder; replay it as-is
-        // (losing only the re-parenting) rather than killing the stream.
-      }
+      relay.begin.ext.trace = attempt->context();
     }
     Frame error;
     bool authoritative = false;
@@ -553,7 +508,7 @@ bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
     }
     if (authoritative) {
       count_error(candidate);
-      reply = {error.type, error.payload};
+      reply = std::move(error);
       relay.reset();
       return false;
     }
@@ -565,9 +520,8 @@ bool Router::failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
   return false;
 }
 
-std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
-                                                      const Frame& frame,
-                                                      StreamRelay& relay) {
+Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
+                            StreamRelay& relay) {
   if (frame.type == MsgType::kStreamBegin) {
     if (relay.active) {
       // Mirror the backend contract (stream_begin while active is a
@@ -604,28 +558,24 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
       return error_reply(ErrorCode::kInternal,
                          "no live backends (ring is empty)");
     }
-    const obs::TraceContext ctx = adopt_context(begin.ext.trace);
+    const obs::TraceContext ctx = adopt_context(frame.ext.trace);
     std::optional<obs::TraceContextScope> scope;
     std::optional<obs::ObsSpan> span;
     if (ctx.valid()) {
       scope.emplace(ctx);
       span.emplace("router", "stream_begin");
     }
-    // Forwarded Begins are always re-encoded: want_queue_depth makes the
-    // shard piggyback its live load on the StreamEnd reply (stripped below
-    // before it reaches the client).
-    begin.ext.want_queue_depth = true;
+    // want_queue_depth makes the shard piggyback its live load on the
+    // StreamEnd reply (cleared below before it reaches the client).
+    frame.ext.want_queue_depth = true;
     for (std::size_t i = 0; i < chain.size(); ++i) {
       Frame response;
-      Frame fwd;
       std::optional<obs::ObsSpan> attempt;
       if (span) {
         attempt.emplace("router", "forward:" + chain[i]);
-        begin.ext.trace = attempt->context();
+        frame.ext.trace = attempt->context();
       }
-      fwd.type = frame.type;
-      fwd.payload = begin.encode();
-      if (!forward(upstreams, chain[i], fwd, response)) {
+      if (!forward(upstreams, chain[i], frame, response)) {
         count_failover(chain[i]);
         continue;
       }
@@ -642,15 +592,15 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
           continue;
         }
         count_error(chain[i]);
-        return {response.type, response.payload};
+        return response;
       }
       relay.active = true;
       relay.backend = chain[i];
       relay.chain = std::move(chain);
       relay.chain_pos = i;
-      relay.begin_payload = fwd.payload;
+      relay.begin = std::move(frame);
       relay.ctx = ctx;
-      return {response.type, response.payload};
+      return response;
     }
     return error_reply(ErrorCode::kInternal,
                        "all " + std::to_string(chain.size()) +
@@ -667,17 +617,16 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
   for (;;) {
     Frame response;
     if (!forward(upstreams, relay.backend, frame, response)) {
-      std::pair<MsgType, std::string> reply;
+      Frame reply;
       if (!failover_stream(upstreams, relay, reply)) return reply;
       continue;  // stream replayed onto the successor; re-send this frame
     }
-    if (frame.type == MsgType::kStreamEnd) {
-      // The load tail rides the End reply (the Begin we forwarded asked
-      // for it) — on errors too. Strip before relaying anything.
-      serve::LoadReport report;
-      if (serve::strip_load_ext(response.payload, report)) {
-        pool_->note_load(relay.backend, report.load, report.wait_dominated());
-      }
+    if (frame.type == MsgType::kStreamEnd && response.ext.load) {
+      // The load report rides the End reply (the Begin we forwarded asked
+      // for it) — on errors too. Clear it before relaying anything.
+      pool_->note_load(relay.backend, response.ext.load->load,
+                       response.ext.load->wait_dominated());
+      response.ext.load.reset();
     }
     if (response.type == MsgType::kError) {
       ErrorResponse err;
@@ -691,7 +640,7 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
         // fully buffered, so replaying it to the successor turns a drain
         // into a transparent retry.
         pool_->report_draining(relay.backend);
-        std::pair<MsgType, std::string> reply;
+        Frame reply;
         if (!failover_stream(upstreams, relay, reply)) return reply;
         continue;
       }
@@ -699,19 +648,19 @@ std::pair<MsgType, std::string> Router::handle_stream(UpstreamMap& upstreams,
       // our copy and relay.
       count_error(relay.backend);
       relay.reset();
-      return {response.type, response.payload};
+      return response;
     }
     if (frame.type == MsgType::kStreamChunk) {
-      relay.chunk_payloads.push_back(frame.payload);
-      return {response.type, response.payload};
+      relay.chunks.push_back(std::move(frame));
+      return response;
     }
     // StreamEnd answered with the prediction: the stream is done.
     relay.reset();
-    return {response.type, response.payload};
+    return response;
   }
 }
 
-std::pair<MsgType, std::string> Router::admin_fanout(const Frame& frame) {
+Frame Router::admin_fanout(const Frame& frame) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -769,7 +718,7 @@ std::pair<MsgType, std::string> Router::admin_fanout(const Frame& frame) {
                      "admin fan-out incomplete: " + text);
 }
 
-std::pair<MsgType, std::string> Router::trace_dump_fanout() {
+Frame Router::trace_dump_fanout() {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "trace dump is disabled "

@@ -14,9 +14,11 @@
 //     (with --replicas > 1) are eligible on the first R shards of their
 //     preference chain, picked by freshest-known queue depth with warmth-
 //     stable tie-breaking (see RoutingConfig / DESIGN.md §4k). Forwarded
-//     predicts ask the shard to piggyback its live load on the reply; the
-//     router strips that tail before relaying, so client payloads stay
-//     bit-identical to direct serving. Transport failures and
+//     predicts set want_queue_depth in the frame's extension block, so the
+//     shard attaches its live load to the reply's block; the router reads
+//     and clears that LoadReport before relaying, and never touches payload
+//     bytes, so client replies stay bit-identical to direct serving.
+//     Transport failures and
 //     kShuttingDown replies evict the shard from the ring and fail the
 //     request over to the ring successor — the shard that inherits the
 //     key's arc — transparently to the client; kOverloaded marks the shard
@@ -43,12 +45,13 @@
 //     reachable backend's and answers one merged Chrome trace document.
 //
 // Distributed tracing: a traced Predict/StreamBegin carries its context in
-// the request's ext tail. The router adopts it (or — tracing enabled — mints
-// a root for untraced v1 clients), runs the request under a "router" span,
-// and re-encodes the forwarded payload with a fresh per-attempt child span
-// ("forward:<backend>" / "stream_failover:<backend>") as the backend's
-// parent, so failovers appear in the merged timeline as sibling attempts.
-// Untraced requests keep the raw zero-copy forwarding path.
+// the frame's extension block. The router adopts it (or — tracing enabled —
+// mints a root for context-less clients), runs the request under a
+// "router" span, and sets a fresh per-attempt child span
+// ("forward:<backend>" / "stream_failover:<backend>") in the forwarded
+// frame's block as the backend's parent, so failovers appear in the merged
+// timeline as sibling attempts. The client's payload bytes are forwarded
+// unchanged on every path.
 //
 // Threading mirrors serve::Server: one accept thread per listener, one
 // thread per client connection. Each connection thread owns its upstream
@@ -148,11 +151,11 @@ class Router {
     std::string backend;             // pinned shard
     std::vector<std::string> chain;  // failover order captured at Begin
     std::size_t chain_pos = 0;
-    std::string begin_payload;              // Begin payload, for replay
-    std::vector<std::string> chunk_payloads;  // acked chunks, in order
+    serve::Frame begin;                // forwarded Begin, for replay
+    std::vector<serve::Frame> chunks;  // acked chunks, in order
     /// Trace context adopted at Begin (zero when the stream is untraced);
-    /// failover attempts parent their spans — and the re-encoded Begin
-    /// replayed to the successor — under it.
+    /// failover attempts parent their spans — and the Begin replayed to
+    /// the successor — under it.
     obs::TraceContext ctx;
 
     void reset() {
@@ -160,9 +163,9 @@ class Router {
       backend.clear();
       chain.clear();
       chain_pos = 0;
-      begin_payload.clear();
-      chunk_payloads.clear();
-      chunk_payloads.shrink_to_fit();
+      begin = serve::Frame{};
+      chunks.clear();
+      chunks.shrink_to_fit();
       ctx = obs::TraceContext{};
     }
   };
@@ -187,11 +190,12 @@ class Router {
   std::uint64_t placement_key(std::uint64_t netlist_hash,
                               const std::string& model) const;
 
-  std::pair<serve::MsgType, std::string> route_predict(UpstreamMap& upstreams,
-                                                       const serve::Frame& frame);
-  std::pair<serve::MsgType, std::string> handle_stream(UpstreamMap& upstreams,
-                                                       const serve::Frame& frame,
-                                                       StreamRelay& relay);
+  /// Predict (keyed, load-aware, with failover) and ListModels (any live
+  /// shard). Takes the request by value: its extension is rewritten per
+  /// attempt while its payload is forwarded untouched.
+  serve::Frame route_predict(UpstreamMap& upstreams, serve::Frame request);
+  serve::Frame handle_stream(UpstreamMap& upstreams, serve::Frame frame,
+                             StreamRelay& relay);
   /// Replay the buffered stream prefix (Begin + acked chunks) to `id`.
   /// Returns true when every frame was acked; an authoritative error reply
   /// lands in `error` with `authoritative` = true (relay it, the stream is
@@ -205,14 +209,14 @@ class Router {
   /// relay.backend on success; on authoritative rejection or chain
   /// exhaustion returns false with the reply to send in `reply`.
   bool failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
-                       std::pair<serve::MsgType, std::string>& reply);
+                       serve::Frame& reply);
 
-  std::pair<serve::MsgType, std::string> admin_fanout(const serve::Frame& frame);
+  serve::Frame admin_fanout(const serve::Frame& frame);
   /// Admin-gated TraceDump: drain the local span ring and every reachable
   /// backend's, answer one merged Chrome trace (kTraceJson). Unreachable or
   /// admin-disabled shards are skipped — a forensic pull should return what
   /// the rest of the fleet has, not fail on the sickest member.
-  std::pair<serve::MsgType, std::string> trace_dump_fanout();
+  serve::Frame trace_dump_fanout();
   /// Metrics "fleet" selector: every backend's Prometheus exposition merged
   /// with per-shard shard="<id>" labels, the router's own registry included
   /// as shard="router".

@@ -11,7 +11,7 @@ namespace {
 /// Decide the trace context a client call should attach: an explicit
 /// caller-supplied context wins, else the thread's ambient one, else —
 /// only when tracing is on — a fresh sampled root. Returns nullopt when
-/// the request should travel context-free (the v1-identical path).
+/// the request should travel context-free.
 std::optional<obs::TraceContext> originate_context(
     const obs::TraceContext& explicit_ctx) {
   if (explicit_ctx.valid()) return explicit_ctx;
@@ -19,6 +19,16 @@ std::optional<obs::TraceContext> originate_context(
   if (ambient.valid()) return ambient;
   if (obs::trace_enabled()) return obs::make_root_context(/*sampled=*/true);
   return std::nullopt;
+}
+
+/// Decode a PredictOk reply; the timing rides the frame's extension block.
+PredictResponse predict_reply(const Frame& frame) {
+  PredictResponse r = PredictResponse::decode(frame.payload);
+  if (frame.ext.timing) {
+    r.has_timing = true;
+    r.timing = *frame.ext.timing;
+  }
+  return r;
 }
 
 }  // namespace
@@ -42,12 +52,14 @@ void Client::set_io_timeout_ms(int timeout_ms) {
 }
 
 Frame Client::round_trip(MsgType type, const std::string& payload,
-                         MsgType expected) {
-  write_frame(sock_, type, payload);
+                         MsgType expected, const FrameExt& ext,
+                         LoadReport* load_out) {
+  write_frame(sock_, type, payload, ext);
   Frame resp;
   if (!read_frame(sock_, resp)) {
     throw ProtocolError("server closed the connection");
   }
+  if (load_out != nullptr) *load_out = resp.ext.load.value_or(LoadReport{});
   if (resp.type == MsgType::kError) {
     const ErrorResponse err = ErrorResponse::decode(resp.payload);
     throw ServeError(err.code, err.message);
@@ -70,59 +82,22 @@ HealthResponse Client::health() {
   return HealthResponse::decode(resp.payload);
 }
 
-PredictResponse Client::predict(const PredictRequest& request) {
-  const std::optional<obs::TraceContext> ctx =
-      originate_context(request.ext.trace);
-  if (!ctx) {
-    const Frame resp =
-        round_trip(MsgType::kPredict, request.encode(), MsgType::kPredictOk);
-    return PredictResponse::decode(resp.payload);
-  }
-  // Traced path: run the round trip under a client span and send that
-  // span as the server side's parent. The request copy only happens here,
-  // so the untraced path stays allocation-identical to v1.
-  obs::TraceContextScope scope(*ctx);
-  obs::ObsSpan span("client", "predict");
-  PredictRequest req = request;
-  req.ext.trace = span.context();
-  const Frame resp =
-      round_trip(MsgType::kPredict, req.encode(), MsgType::kPredictOk);
-  return PredictResponse::decode(resp.payload);
-}
-
 PredictResponse Client::predict(const PredictRequest& request,
                                 LoadReport* load_out) {
-  PredictRequest req = request;
-  req.ext.want_queue_depth = true;
-  const std::optional<obs::TraceContext> ctx =
-      originate_context(req.ext.trace);
+  FrameExt ext = request.ext;
+  if (load_out != nullptr) ext.want_queue_depth = true;
+  // Traced path: run the round trip under a client span and send that span
+  // as the server side's parent.
+  const std::optional<obs::TraceContext> ctx = originate_context(ext.trace);
   std::optional<obs::TraceContextScope> scope;
   std::optional<obs::ObsSpan> span;
   if (ctx) {
     scope.emplace(*ctx);
     span.emplace("client", "predict");
-    req.ext.trace = span->context();
+    ext.trace = span->context();
   }
-  // Hand-rolled round trip instead of round_trip(): the load tail rides
-  // error replies too (a shed answers kOverloaded + tail), so it must be
-  // stripped before the payload is decoded either way.
-  write_frame(sock_, MsgType::kPredict, req.encode());
-  Frame resp;
-  if (!read_frame(sock_, resp)) {
-    throw ProtocolError("server closed the connection");
-  }
-  LoadReport report;
-  strip_load_ext(resp.payload, report);
-  if (load_out != nullptr) *load_out = report;
-  if (resp.type == MsgType::kError) {
-    const ErrorResponse err = ErrorResponse::decode(resp.payload);
-    throw ServeError(err.code, err.message);
-  }
-  if (resp.type != MsgType::kPredictOk) {
-    throw ProtocolError("unexpected response type " +
-                        std::to_string(static_cast<std::uint32_t>(resp.type)));
-  }
-  return PredictResponse::decode(resp.payload);
+  return predict_reply(round_trip(MsgType::kPredict, request.encode(),
+                                  MsgType::kPredictOk, ext, load_out));
 }
 
 PredictResponse Client::predict_stream(StreamBeginRequest begin,
@@ -139,7 +114,8 @@ PredictResponse Client::predict_stream(StreamBeginRequest begin,
     span.emplace("client", "stream");
     begin.ext.trace = span->context();
   }
-  round_trip(MsgType::kStreamBegin, begin.encode(), MsgType::kStreamAck);
+  round_trip(MsgType::kStreamBegin, begin.encode(), MsgType::kStreamAck,
+             begin.ext);
   std::uint64_t seq = 0;
   for (std::size_t off = 0; off < trace_bytes.size(); off += chunk_bytes) {
     StreamChunk chunk;
@@ -150,9 +126,8 @@ PredictResponse Client::predict_stream(StreamBeginRequest begin,
   StreamEndRequest end;
   end.total_chunks = seq;
   end.total_bytes = trace_bytes.size();
-  const Frame resp =
-      round_trip(MsgType::kStreamEnd, end.encode(), MsgType::kPredictOk);
-  return PredictResponse::decode(resp.payload);
+  return predict_reply(
+      round_trip(MsgType::kStreamEnd, end.encode(), MsgType::kPredictOk));
 }
 
 PredictResponse Client::predict_stream_cached(const StreamBeginRequest& begin,

@@ -61,19 +61,18 @@ class Client {
   /// when the request carries none, the ambient thread context (if any) or
   /// — with tracing enabled — a fresh sampled root is attached, and the
   /// call runs under a "client" span whose id becomes the server side's
-  /// parent. With tracing off and no ambient context, the request encodes
-  /// byte-identically to protocol v1.
-  PredictResponse predict(const PredictRequest& request);
-
-  /// predict() that also asks the server to piggyback its load (queued +
-  /// in-flight jobs and whether its time is wait-dominated) on the reply —
-  /// the same LoadReport tail the routing tier uses to keep queue depths
-  /// request-fresh. The tail is stripped before decoding (and before a
-  /// ServeError is thrown — shed replies carry one too), so the decoded
-  /// response is identical to plain predict(). An ops/debug aid
-  /// (`atlas_client predict --show-load`); old servers ignore the flag and
-  /// `load_out` reports zeros.
-  PredictResponse predict(const PredictRequest& request, LoadReport* load_out);
+  /// parent. `request.ext` travels as the frame's extension block; a
+  /// PredictOk reply's timing extension fills has_timing / timing.
+  ///
+  /// A non-null `load_out` also asks the server to attach its load (queued
+  /// + in-flight jobs and whether its time is wait-dominated) to the reply
+  /// — the same LoadReport the routing tier uses to keep queue depths
+  /// request-fresh. It is filled before a ServeError is thrown (shed
+  /// replies carry one too) and reads zeros when the reply has none (a
+  /// router clears it before relaying). The decoded response is the same
+  /// either way. An ops/debug aid (`atlas_client predict --show-load`).
+  PredictResponse predict(const PredictRequest& request,
+                          LoadReport* load_out = nullptr);
 
   /// Upload a client-supplied toggle trace in chunks and get the prediction
   /// for it: stream_begin / stream_chunk* / stream_end. `trace_bytes` is
@@ -111,13 +110,13 @@ class Client {
   void unload_model(const std::string& name);
 
   /// Human stats table, or (json = true) the same snapshot as one JSON
-  /// object. Old servers ignore the selector and always answer the table.
+  /// object. A router ignores the selector and answers its backend table.
   std::string stats_text(bool json = false);
 
   /// Prometheus text exposition of the server's metrics registry. With
   /// fleet = true against a router, every backend's metrics merged with a
-  /// per-shard shard="host:port" label (a plain serve daemon — or an old
-  /// router — ignores the selector and answers its local registry).
+  /// per-shard shard="host:port" label (a plain serve daemon ignores the
+  /// selector and answers its local registry).
   std::string metrics_text(bool fleet = false);
 
   /// Admin: drain the peer's span ring as Chrome trace JSON (a router
@@ -130,9 +129,11 @@ class Client {
  private:
   explicit Client(util::Socket sock) : sock_(std::move(sock)) {}
 
-  /// Send `type`+payload, read one response frame, unwrap Error replies.
-  Frame round_trip(MsgType type, const std::string& payload,
-                   MsgType expected);
+  /// Send `type`+payload with extension `ext`, read one response frame,
+  /// unwrap Error replies. `load_out`, when non-null, receives the reply's
+  /// LoadReport (zeros when absent) before an Error is thrown.
+  Frame round_trip(MsgType type, const std::string& payload, MsgType expected,
+                   const FrameExt& ext = {}, LoadReport* load_out = nullptr);
 
   util::Socket sock_;
 };

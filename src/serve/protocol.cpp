@@ -1,8 +1,8 @@
 #include "serve/protocol.h"
 
 #include <cstring>
-#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/serialize.h"
 
@@ -52,54 +52,122 @@ T decode_payload(const std::string& payload, Fn&& fn) {
   std::istringstream is(payload, std::ios::binary);
   try {
     T value = fn(is);
+    // Payloads carry exactly their own fields; metadata rides the frame
+    // extension, so trailing bytes can only be corruption.
+    if (is.peek() != std::istream::traits_type::eof()) {
+      throw ProtocolError("trailing bytes after payload fields");
+    }
     return value;
   } catch (const util::SerializeError& e) {
     throw ProtocolError(std::string("bad payload: ") + e.what());
   }
 }
 
-/// True when the stream still has bytes — i.e. a v2+ extension tail
-/// follows the base fields just read.
-bool has_ext_tail(std::istream& is) {
-  return is.peek() != std::istream::traits_type::eof();
+// FrameExt presence bits. A field follows the mask only when its bit is
+// set, in bit order; the flag bits carry no bytes.
+constexpr std::uint32_t kExtTrace = 1u << 0;       // trace_hi, trace_lo, span_id
+constexpr std::uint32_t kExtSampled = 1u << 1;
+constexpr std::uint32_t kExtWantTiming = 1u << 2;
+constexpr std::uint32_t kExtWantQueueDepth = 1u << 3;
+constexpr std::uint32_t kExtTiming = 1u << 4;      // 7 x u64 (ServerTiming)
+constexpr std::uint32_t kExtLoad = 1u << 5;        // load, flags
+constexpr std::uint32_t kExtKnownBits = (1u << 6) - 1;
+static_assert(4 + 3 * 8 + 7 * 8 + 2 * 8 <= kMaxFrameExtBytes,
+              "the fullest extension block must fit the reader's cap");
+
+template <typename T>
+void append_pod(std::string& out, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out.append(buf, sizeof(T));
 }
 
-constexpr std::uint32_t kExtFlagSampled = 1u << 0;
-constexpr std::uint32_t kExtFlagWantTiming = 1u << 1;
-constexpr std::uint32_t kExtFlagWantQueueDepth = 1u << 2;
-
-constexpr char kLoadExtMagic[8] = {'A', 'T', 'L', 'D', 'R', 'P', 'T', '1'};
-
-void write_request_ext(std::ostream& os, const RequestTraceExt& ext) {
-  write_u32(os, kTraceExtVersion);
-  write_u64(os, ext.trace.trace_hi);
-  write_u64(os, ext.trace.trace_lo);
-  write_u64(os, ext.trace.span_id);
-  std::uint32_t flags = 0;
-  if (ext.trace.sampled) flags |= kExtFlagSampled;
-  if (ext.want_timing) flags |= kExtFlagWantTiming;
-  if (ext.want_queue_depth) flags |= kExtFlagWantQueueDepth;
-  write_u32(os, flags);
-}
-
-/// Reads the optional request tail. A tail from a future protocol version
-/// is skipped wholesale (its layout is unknown) rather than rejected, so
-/// a newer client degrades to v1 behavior against this server.
-RequestTraceExt read_request_ext(std::istream& is) {
-  RequestTraceExt ext;
-  if (!has_ext_tail(is)) return ext;
-  const std::uint32_t version = read_u32(is);
-  if (version != kTraceExtVersion) {
-    is.ignore(std::numeric_limits<std::streamsize>::max());
-    return ext;
+/// Appends the encoded block for `ext` (nothing when every field is absent).
+void append_frame_ext(std::string& out, const FrameExt& ext) {
+  std::uint32_t mask = 0;
+  if (ext.trace.valid()) {
+    mask |= kExtTrace;
+    if (ext.trace.sampled) mask |= kExtSampled;
   }
-  ext.trace.trace_hi = read_u64(is);
-  ext.trace.trace_lo = read_u64(is);
-  ext.trace.span_id = read_u64(is);
-  const std::uint32_t flags = read_u32(is);
-  ext.trace.sampled = (flags & kExtFlagSampled) != 0;
-  ext.want_timing = (flags & kExtFlagWantTiming) != 0;
-  ext.want_queue_depth = (flags & kExtFlagWantQueueDepth) != 0;
+  if (ext.want_timing) mask |= kExtWantTiming;
+  if (ext.want_queue_depth) mask |= kExtWantQueueDepth;
+  if (ext.timing) mask |= kExtTiming;
+  if (ext.load) mask |= kExtLoad;
+  if (mask == 0) return;
+  append_pod(out, mask);
+  if (mask & kExtTrace) {
+    append_pod(out, ext.trace.trace_hi);
+    append_pod(out, ext.trace.trace_lo);
+    append_pod(out, ext.trace.span_id);
+  }
+  if (const auto& t = ext.timing) {
+    for (const std::uint64_t v : {t->batch_wait_us, t->queue_us, t->cache_us,
+                                  t->encode_us, t->predict_us, t->serialize_us,
+                                  t->total_us}) {
+      append_pod(out, v);
+    }
+  }
+  if (ext.load) {
+    append_pod(out, ext.load->load);
+    append_pod(out, ext.load->flags);
+  }
+}
+
+/// Bounds-checked reads over the extension bytes, in the same byte order
+/// append_pod writes.
+class ExtReader {
+ public:
+  explicit ExtReader(std::string_view bytes) : rest_(bytes) {}
+
+  template <typename T>
+  T read() {
+    if (rest_.size() < sizeof(T)) {
+      throw ProtocolError("frame extension shorter than its presence mask");
+    }
+    T v;
+    std::memcpy(&v, rest_.data(), sizeof(T));
+    rest_.remove_prefix(sizeof(T));
+    return v;
+  }
+  bool done() const { return rest_.empty(); }
+
+ private:
+  std::string_view rest_;
+};
+
+FrameExt decode_frame_ext(std::string_view bytes) {
+  FrameExt ext;
+  if (bytes.empty()) return ext;
+  ExtReader in(bytes);
+  const std::uint32_t mask = in.read<std::uint32_t>();
+  if (mask == 0 || (mask & ~kExtKnownBits) != 0) {
+    throw ProtocolError("bad frame extension presence mask " +
+                        std::to_string(mask));
+  }
+  if (mask & kExtTrace) {
+    ext.trace.trace_hi = in.read<std::uint64_t>();
+    ext.trace.trace_lo = in.read<std::uint64_t>();
+    ext.trace.span_id = in.read<std::uint64_t>();
+    ext.trace.sampled = (mask & kExtSampled) != 0;
+  }
+  ext.want_timing = (mask & kExtWantTiming) != 0;
+  ext.want_queue_depth = (mask & kExtWantQueueDepth) != 0;
+  if (mask & kExtTiming) {
+    ServerTiming& t = ext.timing.emplace();
+    for (std::uint64_t* v : {&t.batch_wait_us, &t.queue_us, &t.cache_us,
+                             &t.encode_us, &t.predict_us, &t.serialize_us,
+                             &t.total_us}) {
+      *v = in.read<std::uint64_t>();
+    }
+  }
+  if (mask & kExtLoad) {
+    LoadReport& r = ext.load.emplace();
+    r.load = in.read<std::uint64_t>();
+    r.flags = in.read<std::uint64_t>();
+  }
+  if (!in.done()) {
+    throw ProtocolError("frame extension longer than its presence mask");
+  }
   return ext;
 }
 
@@ -121,44 +189,65 @@ const char* error_code_name(ErrorCode code) {
   return "kUnknownErrorCode";
 }
 
-std::string encode_frame(MsgType type, const std::string& payload) {
+std::string encode_frame(MsgType type, const std::string& payload,
+                         const FrameExt& ext) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kFrameMagic, 4);
-  const std::uint32_t t = static_cast<std::uint32_t>(type);
-  const std::uint64_t len = payload.size();
-  char buf[12];
-  std::memcpy(buf, &t, 4);
-  std::memcpy(buf + 4, &len, 8);
-  out.append(buf, 12);
+  out.reserve(kFrameHeaderBytes + payload.size() + kMaxFrameExtBytes);
+  out.resize(kFrameHeaderBytes);
   out += payload;
+  append_frame_ext(out, ext);
+  const std::uint32_t t = static_cast<std::uint32_t>(type);
+  const std::uint64_t body = out.size() - kFrameHeaderBytes;
+  const std::uint32_t ext_len =
+      static_cast<std::uint32_t>(body - payload.size());
+  std::memcpy(out.data(), kFrameMagic, 4);
+  std::memcpy(out.data() + 4, &t, 4);
+  std::memcpy(out.data() + 8, &body, 8);
+  std::memcpy(out.data() + 16, &ext_len, 4);
   return out;
 }
 
-void write_frame(util::Socket& sock, MsgType type, const std::string& payload) {
-  const std::string wire = encode_frame(type, payload);
+void write_frame(util::Socket& sock, MsgType type, const std::string& payload,
+                 const FrameExt& ext) {
+  const std::string wire = encode_frame(type, payload, ext);
   sock.send_all(wire.data(), wire.size());
 }
 
 bool read_frame(util::Socket& sock, Frame& out, std::size_t max_frame_bytes) {
   char header[kFrameHeaderBytes];
-  if (!sock.recv_exact(header, sizeof(header))) return false;
+  const std::size_t got = sock.recv_exact(header, sizeof(header));
+  if (got == 0) return false;
+  if (got < sizeof(header)) throw ProtocolError("truncated frame header");
   if (std::memcmp(header, kFrameMagic, 4) != 0) {
     throw ProtocolError("bad frame magic");
   }
   std::uint32_t type = 0;
   std::uint64_t len = 0;
+  std::uint32_t ext_len = 0;
   std::memcpy(&type, header + 4, 4);
   std::memcpy(&len, header + 8, 8);
+  std::memcpy(&ext_len, header + 16, 4);
   if (len > max_frame_bytes) {
     throw ProtocolError("declared frame length " + std::to_string(len) +
                         " exceeds limit " + std::to_string(max_frame_bytes));
   }
+  if (ext_len > kMaxFrameExtBytes) {
+    throw ProtocolError("declared extension length " + std::to_string(ext_len) +
+                        " exceeds limit " + std::to_string(kMaxFrameExtBytes));
+  }
+  if (ext_len > len) {
+    throw ProtocolError("declared extension length " + std::to_string(ext_len) +
+                        " exceeds the frame body of " + std::to_string(len) +
+                        " bytes");
+  }
   out.type = static_cast<MsgType>(type);
   out.payload.resize(static_cast<std::size_t>(len));
-  if (len > 0 && !sock.recv_exact(out.payload.data(), out.payload.size())) {
-    throw ProtocolError("truncated frame payload");
+  if (sock.recv_exact(out.payload.data(), out.payload.size()) < len) {
+    throw ProtocolError("truncated frame body");
   }
+  const std::size_t payload_len = static_cast<std::size_t>(len - ext_len);
+  out.ext = decode_frame_ext(std::string_view(out.payload).substr(payload_len));
+  out.payload.resize(payload_len);
   return true;
 }
 
@@ -170,7 +259,6 @@ std::string PredictRequest::encode() const {
     write_u32(os, static_cast<std::uint32_t>(cycles));
     write_u32(os, deadline_ms);
     write_u32(os, want_submodules ? 1u : 0u);
-    if (ext.should_encode()) write_request_ext(os, ext);
   });
 }
 
@@ -183,7 +271,6 @@ PredictRequest PredictRequest::decode(const std::string& payload) {
     r.cycles = static_cast<std::int32_t>(read_u32(is));
     r.deadline_ms = read_u32(is);
     r.want_submodules = read_u32(is) != 0;
-    r.ext = read_request_ext(is);
     return r;
   });
 }
@@ -198,7 +285,6 @@ std::string StreamBeginRequest::encode() const {
     write_u32(os, want_submodules ? 1u : 0u);
     write_u64(os, trace_bytes);
     write_u64(os, design_hash);
-    if (ext.should_encode()) write_request_ext(os, ext);
   });
 }
 
@@ -218,7 +304,6 @@ StreamBeginRequest StreamBeginRequest::decode(const std::string& payload) {
     r.want_submodules = read_u32(is) != 0;
     r.trace_bytes = read_u64(is);
     r.design_hash = read_u64(is);
-    r.ext = read_request_ext(is);
     return r;
   });
 }
@@ -303,7 +388,7 @@ StreamAck StreamAck::decode(const std::string& payload) {
 }
 
 std::string PredictResponse::encode() const {
-  std::string out = encode_payload([this](std::ostream& os) {
+  return encode_payload([this](std::ostream& os) {
     write_u32(os, cache_flags);
     write_f64(os, server_seconds);
     write_u32(os, static_cast<std::uint32_t>(num_cycles));
@@ -311,8 +396,6 @@ std::string PredictResponse::encode() const {
     write_group_power_rows(os, design);
     write_group_power_rows(os, submodule);
   });
-  if (has_timing) append_timing_ext(out, timing);
-  return out;
 }
 
 PredictResponse PredictResponse::decode(const std::string& payload) {
@@ -324,61 +407,8 @@ PredictResponse PredictResponse::decode(const std::string& payload) {
     r.num_submodules = read_u64(is);
     r.design = read_group_power_rows(is);
     r.submodule = read_group_power_rows(is);
-    if (has_ext_tail(is)) {
-      const std::uint32_t version = read_u32(is);
-      if (version == kTimingTailVersion) {
-        r.timing.batch_wait_us = read_u64(is);
-        r.timing.queue_us = read_u64(is);
-        r.timing.cache_us = read_u64(is);
-        r.timing.encode_us = read_u64(is);
-        r.timing.predict_us = read_u64(is);
-        r.timing.serialize_us = read_u64(is);
-        r.timing.total_us = read_u64(is);
-        r.has_timing = true;
-      } else if (version == kTraceExtVersion) {
-        // v2 tail from an older server: no batch_wait split yet.
-        r.timing.queue_us = read_u64(is);
-        r.timing.cache_us = read_u64(is);
-        r.timing.encode_us = read_u64(is);
-        r.timing.predict_us = read_u64(is);
-        r.timing.serialize_us = read_u64(is);
-        r.timing.total_us = read_u64(is);
-        r.has_timing = true;
-      }
-    }
     return r;
   });
-}
-
-void append_timing_ext(std::string& payload, const ServerTiming& timing) {
-  std::ostringstream os(std::ios::binary);
-  write_u32(os, kTimingTailVersion);
-  write_u64(os, timing.batch_wait_us);
-  write_u64(os, timing.queue_us);
-  write_u64(os, timing.cache_us);
-  write_u64(os, timing.encode_us);
-  write_u64(os, timing.predict_us);
-  write_u64(os, timing.serialize_us);
-  write_u64(os, timing.total_us);
-  payload += std::move(os).str();
-}
-
-void append_load_ext(std::string& payload, const LoadReport& report) {
-  char buf[kLoadExtBytes];
-  std::memcpy(buf, kLoadExtMagic, 8);
-  std::memcpy(buf + 8, &report.load, 8);
-  std::memcpy(buf + 16, &report.flags, 8);
-  payload.append(buf, kLoadExtBytes);
-}
-
-bool strip_load_ext(std::string& payload, LoadReport& out) {
-  if (payload.size() < kLoadExtBytes) return false;
-  const char* tail = payload.data() + payload.size() - kLoadExtBytes;
-  if (std::memcmp(tail, kLoadExtMagic, 8) != 0) return false;
-  std::memcpy(&out.load, tail + 8, 8);
-  std::memcpy(&out.flags, tail + 16, 8);
-  payload.resize(payload.size() - kLoadExtBytes);
-  return true;
 }
 
 std::string ModelListResponse::encode() const {
@@ -459,6 +489,10 @@ std::string encode_string_payload(const std::string& s) {
 std::string decode_string_payload(const std::string& payload) {
   return decode_payload<std::string>(
       payload, [](std::istream& is) { return read_string(is); });
+}
+
+std::string optional_string_payload(const std::string& payload) {
+  return payload.empty() ? std::string() : decode_string_payload(payload);
 }
 
 }  // namespace atlas::serve

@@ -5,15 +5,17 @@
 //   offset  size  field
 //   0       4     magic "ATSP"
 //   4       4     message type (u32, little-endian like all payloads)
-//   8       8     payload length in bytes (u64)
-//   16      ...   payload (type-specific, encoded with util/serialize)
+//   8       8     body length in bytes (u64): payload + extension
+//   16      4     extension length in bytes (u32), <= body length
+//   20      ...   payload (type-specific, encoded with util/serialize)
+//   ...     ...   extension block (FrameExt), the last bytes of the body
 //
-// The header is fixed-size so a reader can validate the magic and the
-// declared length *before* allocating: declared lengths above
-// `max_frame_bytes` are rejected without reading the payload, and payload
-// decoding reuses the hardened util/serialize codecs, so truncated or
-// hostile frames surface as ProtocolError / SerializeError — never as an
-// allocation bomb or a crash.
+// The header is fixed-size so a reader can validate the magic and both
+// declared lengths *before* allocating: bodies above `max_frame_bytes` and
+// extensions above kMaxFrameExtBytes (or longer than the body) are
+// rejected without reading further, and payload decoding reuses the
+// hardened util/serialize codecs, so truncated or hostile frames surface
+// as ProtocolError — never as an allocation bomb or a crash.
 //
 // Requests: Ping, Predict, ListModels, Stats, Shutdown, Metrics,
 // StreamBegin, StreamChunk, StreamEnd, LoadModel, UnloadModel, Health,
@@ -22,14 +24,15 @@
 // MetricsText, StreamAck, AdminOk, HealthReport, TraceJson, Error.
 // One response frame per request frame, in request order per connection.
 //
-// Protocol v2 (kProtocolVersion) adds optional extension *tails*: extra
-// fields appended after a payload's base fields, carrying the distributed
-// trace context on requests (RequestTraceExt) and the per-phase server
-// timing breakdown on PredictOk (ServerTiming). Tails are
-// backward/forward compatible by construction — see kProtocolVersion.
-// Metrics and Stats requests additionally accept an optional string
-// payload ("fleet" / "json") selecting an alternate rendering; servers
-// that predate it ignore request payloads on those types entirely.
+// Per-request metadata travels in the frame's extension block, never in a
+// payload: the distributed trace context and the want_timing /
+// want_queue_depth flags on requests, the per-phase ServerTiming and the
+// LoadReport on replies (FrameExt). Any frame type may carry one; an empty
+// block is zero bytes. Payload codecs therefore read exactly their own
+// fields, and a relay can rewrite the block without touching the payload.
+// Metrics and Stats requests accept an optional string payload ("fleet" /
+// "json") selecting an alternate rendering; an empty payload selects the
+// default and an undecodable one answers kBadRequest.
 //
 // Health is the readiness probe a routing tier keys decisions off: unlike
 // ping (which only proves the accept loop is alive) it reports registry
@@ -56,8 +59,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -72,25 +77,11 @@ class ProtocolError : public std::runtime_error {
 };
 
 inline constexpr char kFrameMagic[4] = {'A', 'T', 'S', 'P'};
-inline constexpr std::size_t kFrameHeaderBytes = 16;
+inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64ull << 20;  // 64 MiB
-
-/// ATSP protocol version. v1: PRs 2–7 (no trace context). v2: optional
-/// trace-context / server-timing extension tails on Predict and
-/// StreamBegin requests and the PredictOk response, plus the TraceDump
-/// admin request. The version is *not* negotiated on the wire — v2 relies
-/// on v1 decoders ignoring trailing payload bytes, so every pairing of
-/// old/new client/server interoperates:
-///
-///   * v2 -> v1: the extension tail rides after the base fields; a v1
-///     decoder reads exactly the base fields and never looks further.
-///   * v1 -> v2: no tail present; the v2 decoder detects end-of-payload
-///     and proceeds with an absent context (the server then generates a
-///     root context, so old clients still get coherent server-side spans).
-///   * future vN -> v2: the tail leads with its own version tag; a v2
-///     decoder skips tails it does not understand.
-inline constexpr std::uint32_t kProtocolVersion = 2;
-inline constexpr std::uint32_t kTraceExtVersion = 2;
+/// Largest extension block a reader accepts (the fullest block is 100
+/// bytes); checked before the frame body is allocated.
+inline constexpr std::size_t kMaxFrameExtBytes = 128;
 
 enum class MsgType : std::uint32_t {
   // Requests.
@@ -148,47 +139,101 @@ enum class ErrorCode : std::uint32_t {
 /// "kUnknownErrorCode".
 const char* error_code_name(ErrorCode code);
 
-struct Frame {
-  MsgType type = MsgType::kPing;
-  std::string payload;
+/// Per-phase server-side breakdown of one predict request, in
+/// microseconds. Carried in the reply frame's extension block when the
+/// request asked for it (want_timing), and logged by the server's
+/// slow-request log. Phases are disjoint; total_us additionally covers glue
+/// between them, so the sum of phases is <= total_us.
+///
+/// batch_wait_us and queue_us split what one "queue" phase used to
+/// double-count: time parked in the dispatcher queue while a batch formed
+/// (batch_wait_us; for streamed requests this also spans chunk assembly,
+/// since the clock starts at StreamBegin receipt) versus handoff from batch
+/// formation to the handler actually starting (queue_us). The split is what
+/// makes the reported phases add up to the end-to-end latency.
+struct ServerTiming {
+  std::uint64_t batch_wait_us = 0;  // enqueue -> dispatcher batch formed
+  std::uint64_t queue_us = 0;       // batch formed -> handler entry
+  std::uint64_t cache_us = 0;       // feature-cache lookups
+  std::uint64_t encode_us = 0;      // parse/sim/feature/encoder work
+  std::uint64_t predict_us = 0;     // GBDT head evaluation
+  std::uint64_t serialize_us = 0;   // response payload encode
+  std::uint64_t total_us = 0;       // enqueue -> response encoded
 };
 
-/// Serialize a frame (header + payload) into wire bytes.
-std::string encode_frame(MsgType type, const std::string& payload);
+/// Per-response load piggyback (want_queue_depth): the server attaches it
+/// to the reply of a request that asked — Error replies included, so a shed
+/// reports the depth that caused it — and the routing tier clears it before
+/// relaying, so routed replies stay bit-identical to direct serving.
+///
+/// `load` counts jobs admitted but not yet answered (queued + in flight),
+/// which is the signal a replica-routing policy needs: the dispatcher
+/// drains its queue into a forming batch immediately, so the health
+/// `queue_depth` alone reads ~0 even on a saturated shard.
+struct LoadReport {
+  std::uint64_t load = 0;
+  std::uint64_t flags = 0;
+
+  /// flags bit 0: the serving-side phase split for this request was
+  /// dominated by waiting (batch_wait_us + queue_us > half of total_us) —
+  /// the slow-log signal the router's shed policy keys off.
+  static constexpr std::uint64_t kFlagWaitDominated = 1ull << 0;
+  bool wait_dominated() const { return (flags & kFlagWaitDominated) != 0; }
+};
+
+/// The frame extension block. On the wire it is a u32 presence bitmask
+/// followed by the present fields in bit order (trace ids, timing, load);
+/// the flags live in the mask itself. An all-absent block encodes as zero
+/// bytes. Decoding rejects unknown mask bits, an explicit empty mask and
+/// any length mismatch with ProtocolError — there is no version tag and
+/// nothing is skipped.
+struct FrameExt {
+  /// Distributed trace context. `trace.span_id` is the *sender's* current
+  /// span — the receiver installs the context as-is and its spans parent
+  /// under it. Sent only when valid.
+  obs::TraceContext trace;
+  /// Request: attach the per-phase ServerTiming to the PredictOk reply
+  /// (independent of tracing/sampling).
+  bool want_timing = false;
+  /// Request: attach a LoadReport to the reply. Set by the routing tier on
+  /// forwarded predicts; this is what makes its per-backend load signal
+  /// request-fresh instead of probe-fresh.
+  bool want_queue_depth = false;
+  /// Reply: present iff the request set want_timing and the reply is
+  /// PredictOk.
+  std::optional<ServerTiming> timing;
+  /// Reply: present iff the request set want_queue_depth.
+  std::optional<LoadReport> load;
+};
+
+struct Frame {
+  Frame() = default;
+  Frame(MsgType t, std::string p, FrameExt e = {})
+      : type(t), payload(std::move(p)), ext(std::move(e)) {}
+
+  MsgType type = MsgType::kPing;
+  std::string payload;
+  FrameExt ext;
+};
+
+/// Serialize a frame (header + payload + extension block) into wire bytes.
+std::string encode_frame(MsgType type, const std::string& payload,
+                         const FrameExt& ext = {});
 
 /// Write one frame to a socket.
-void write_frame(util::Socket& sock, MsgType type, const std::string& payload);
+void write_frame(util::Socket& sock, MsgType type, const std::string& payload,
+                 const FrameExt& ext = {});
 
 /// Read one frame. Returns false on clean EOF at a frame boundary. Throws
-/// ProtocolError on bad magic, unreasonable declared length (checked
-/// against `max_frame_bytes` before any payload allocation), or truncation.
+/// ProtocolError on bad magic, an unreasonable declared body length
+/// (checked against `max_frame_bytes`) or extension length (checked
+/// against kMaxFrameExtBytes and the body length) — both before anything is
+/// allocated — on truncation, or on a malformed extension block. The body
+/// is read with one recv; `out.payload` excludes the extension bytes.
 bool read_frame(util::Socket& sock, Frame& out,
                 std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
 
 // ---- Request payloads -----------------------------------------------------
-
-/// v2 extension tail shared by Predict and StreamBegin requests: the
-/// distributed trace context plus per-request flags. Encoded only when it
-/// carries information (context valid or want_timing set), so v2 clients
-/// with tracing off emit byte-identical v1 payloads.
-///
-/// `trace.span_id` on the wire is the *sender's* current span — the
-/// receiver installs the context as-is and its spans parent under it.
-struct RequestTraceExt {
-  obs::TraceContext trace;
-  /// Ask the server to attach the per-phase ServerTiming breakdown to the
-  /// PredictOk response (independent of tracing/sampling).
-  bool want_timing = false;
-  /// Ask the server to append a LoadReport tail to the response (set by the
-  /// routing tier on forwarded predicts, and stripped by it before the
-  /// reply reaches the client). This is what makes the router's per-backend
-  /// load signal request-fresh instead of probe-fresh.
-  bool want_queue_depth = false;
-
-  bool should_encode() const {
-    return trace.valid() || want_timing || want_queue_depth;
-  }
-};
 
 struct PredictRequest {
   std::string model;            // registry name
@@ -197,7 +242,9 @@ struct PredictRequest {
   std::int32_t cycles = 300;
   std::uint32_t deadline_ms = 0;     // 0 = no deadline
   bool want_submodules = false;      // include per-sub-module rows
-  RequestTraceExt ext;               // v2 optional tail
+  /// Not part of the payload: serve::Client sends it as the request
+  /// frame's extension block and the server fills it from there.
+  FrameExt ext;
 
   std::string encode() const;
   static PredictRequest decode(const std::string& payload);
@@ -232,7 +279,9 @@ struct StreamBeginRequest {
   /// the entry was evicted mid-upload — and the client falls back to a full
   /// upload. 0 = not used.
   std::uint64_t design_hash = 0;
-  RequestTraceExt ext;  // v2 optional tail
+  /// Not part of the payload: travels as the StreamBegin frame's extension
+  /// block, and its flags govern the StreamEnd reply.
+  FrameExt ext;
 
   std::string encode() const;
   static StreamBeginRequest decode(const std::string& payload);
@@ -290,33 +339,6 @@ struct StreamAck {
 inline constexpr std::uint32_t kCacheHitDesign = 1u << 0;      // graphs reused
 inline constexpr std::uint32_t kCacheHitEmbeddings = 1u << 1;  // encoder skipped
 
-/// Per-phase server-side breakdown of one predict request, in
-/// microseconds. Carried on the PredictOk response when the request asked
-/// for it (want_timing), and logged by the server's slow-request log.
-/// Phases are disjoint; total_us additionally covers glue between them, so
-/// the sum of phases is <= total_us.
-///
-/// batch_wait_us and queue_us split what one "queue" phase used to
-/// double-count: time parked in the dispatcher queue while a batch formed
-/// (batch_wait_us; for streamed requests this also spans chunk assembly,
-/// since the clock starts at StreamBegin receipt) versus handoff from batch
-/// formation to the handler actually starting (queue_us). The split is what
-/// makes the reported phases add up to the end-to-end latency.
-struct ServerTiming {
-  std::uint64_t batch_wait_us = 0;  // enqueue -> dispatcher batch formed
-  std::uint64_t queue_us = 0;       // batch formed -> handler entry
-  std::uint64_t cache_us = 0;       // feature-cache lookups
-  std::uint64_t encode_us = 0;      // parse/sim/feature/encoder work
-  std::uint64_t predict_us = 0;     // GBDT head evaluation
-  std::uint64_t serialize_us = 0;   // response payload encode
-  std::uint64_t total_us = 0;       // enqueue -> response encoded
-};
-
-/// Version tag of the PredictOk timing tail. v3 added batch_wait_us; the
-/// decoder still accepts v2 tails (six fields, batch_wait_us reads as 0)
-/// from older servers, and pre-v3 clients simply ignore a v3 tail.
-inline constexpr std::uint32_t kTimingTailVersion = 3;
-
 struct PredictResponse {
   std::uint32_t cache_flags = 0;
   double server_seconds = 0.0;  // handler wall-clock on the server
@@ -324,8 +346,9 @@ struct PredictResponse {
   std::uint64_t num_submodules = 0;
   std::vector<power::GroupPower> design;     // [cycle]
   std::vector<power::GroupPower> submodule;  // [cycle*nsm + sm], optional
-  /// v2 optional tail: set only when the request carried want_timing and
-  /// the server understands v2.
+  /// Not part of the payload: serve::Client fills these from the reply
+  /// frame's extension block (FrameExt::timing), present only when the
+  /// request set ext.want_timing.
   bool has_timing = false;
   ServerTiming timing;
 
@@ -335,46 +358,6 @@ struct PredictResponse {
   std::string encode() const;
   static PredictResponse decode(const std::string& payload);
 };
-
-/// Append the v2 timing tail to an already-encoded PredictResponse base
-/// payload. The server uses this to measure serialize_us over the base
-/// encode itself and then attach the finished numbers without re-encoding;
-/// PredictResponse::encode() with has_timing produces identical bytes.
-void append_timing_ext(std::string& payload, const ServerTiming& timing);
-
-/// Per-response load piggyback (want_queue_depth): a fixed-size tail the
-/// server appends after every other tail on the reply to a request that
-/// asked for it, and the routing tier strips before relaying — clients
-/// never see it, so routed responses stay bit-identical to direct serving.
-///
-/// `load` counts jobs admitted but not yet answered (queued + in flight),
-/// which is the signal a replica-routing policy needs: the dispatcher
-/// drains its queue into a forming batch immediately, so the health
-/// `queue_depth` alone reads ~0 even on a saturated shard.
-struct LoadReport {
-  std::uint64_t load = 0;
-  std::uint64_t flags = 0;
-
-  /// flags bit 0: the serving-side phase split for this request was
-  /// dominated by waiting (batch_wait_us + queue_us > half of total_us) —
-  /// the PR 8 slow-log signal the router's shed policy keys off.
-  static constexpr std::uint64_t kFlagWaitDominated = 1ull << 0;
-  bool wait_dominated() const { return (flags & kFlagWaitDominated) != 0; }
-};
-
-/// The tail is self-delimiting from the *end* of the payload: 8 magic bytes
-/// ("ATLDRPT1") + 2 u64s, total 24 bytes. Leading with magic-from-the-end
-/// (rather than a version tag after the base fields) lets the router strip
-/// it from any response type — PredictOk with or without a timing tail,
-/// Error — without understanding the payload it rides on, and lets old
-/// decoders ignore it exactly like any other trailing bytes.
-inline constexpr std::size_t kLoadExtBytes = 24;
-void append_load_ext(std::string& payload, const LoadReport& report);
-
-/// Removes a trailing load tail from `payload` if one is present, filling
-/// `out`. Returns false (payload untouched) when the tail is absent — e.g.
-/// the backend predates want_queue_depth and ignored the flag.
-bool strip_load_ext(std::string& payload, LoadReport& out);
 
 struct ModelInfo {
   std::string name;
@@ -430,5 +413,10 @@ struct ErrorResponse {
 /// StatsText and Pong/ShutdownOk payloads are a bare string / empty.
 std::string encode_string_payload(const std::string& s);
 std::string decode_string_payload(const std::string& payload);
+
+/// The optional mode selector of Stats and Metrics requests: an empty
+/// payload is the default rendering (""), anything else must decode as a
+/// string payload (ProtocolError otherwise, answered as kBadRequest).
+std::string optional_string_payload(const std::string& payload);
 
 }  // namespace atlas::serve

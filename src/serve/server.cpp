@@ -27,8 +27,7 @@ std::uint64_t elapsed_us(Clock::time_point since) {
           .count());
 }
 
-std::pair<MsgType, std::string> error_reply(ErrorCode code,
-                                            const std::string& message) {
+Frame error_reply(ErrorCode code, const std::string& message) {
   ErrorResponse err;
   err.code = code;
   err.message = message;
@@ -47,7 +46,7 @@ obs::Gauge& queue_depth_gauge() {
 }
 
 /// Admitted-but-unanswered predict jobs (queued + in flight) — the load
-/// signal the shed watermark and the router's LoadReport piggyback read.
+/// signal the shed watermark and the LoadReport piggyback read.
 obs::Gauge& inflight_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("atlas_serve_inflight_jobs");
@@ -59,19 +58,6 @@ obs::Counter& shed_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("atlas_serve_shed_total");
   return c;
-}
-
-/// Decode an optional bare-string request payload ("json", "fleet", ...).
-/// Old clients send an empty payload on these request types; anything
-/// undecodable is treated the same way rather than rejected, so the
-/// request degrades to its default rendering.
-std::string optional_string_payload(const std::string& payload) {
-  if (payload.empty()) return {};
-  try {
-    return decode_string_payload(payload);
-  } catch (const ProtocolError&) {
-    return {};
-  }
 }
 
 }  // namespace
@@ -246,10 +232,9 @@ void Server::connection_loop(Connection* conn) {
       } catch (const ProtocolError& e) {
         // Bad magic / hostile length / truncation: the byte stream cannot
         // be resynchronized, so answer best-effort and drop the peer.
-        const auto [type, payload] =
-            error_reply(ErrorCode::kBadRequest, e.what());
+        const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
         try {
-          write_frame(sock, type, payload);
+          write_frame(sock, reply.type, reply.payload);
         } catch (const util::SocketError&) {
         }
         break;
@@ -276,20 +261,27 @@ void Server::connection_loop(Connection* conn) {
                       health_snapshot().encode());
           stats_.record("health", elapsed_us(received_at), false);
           break;
-        case MsgType::kStats: {
-          const std::string mode = optional_string_payload(frame.payload);
-          const std::string text = mode == "json"
-                                       ? stats_.render_json(cache_.stats())
-                                       : stats_text();
-          write_frame(sock, MsgType::kStatsText, encode_string_payload(text));
-          stats_.record("stats", elapsed_us(received_at), false);
+        case MsgType::kStats:
+        case MsgType::kMetrics: {
+          const bool is_stats = frame.type == MsgType::kStats;
+          Frame reply;
+          try {
+            const std::string mode = optional_string_payload(frame.payload);
+            reply = is_stats ? Frame{MsgType::kStatsText,
+                                     encode_string_payload(
+                                         mode == "json"
+                                             ? stats_.render_json(cache_.stats())
+                                             : stats_text())}
+                             : Frame{MsgType::kMetricsText,
+                                     encode_string_payload(metrics_text())};
+          } catch (const ProtocolError& e) {
+            reply = error_reply(ErrorCode::kBadRequest, e.what());
+          }
+          write_frame(sock, reply.type, reply.payload);
+          stats_.record(is_stats ? "stats" : "metrics", elapsed_us(received_at),
+                        reply.type == MsgType::kError);
           break;
         }
-        case MsgType::kMetrics:
-          write_frame(sock, MsgType::kMetricsText,
-                      encode_string_payload(metrics_text()));
-          stats_.record("metrics", elapsed_us(received_at), false);
-          break;
         case MsgType::kShutdown:
           // Flag before replying: once the client sees the ack, a
           // stop_requested() poll must already observe it. The flag is set
@@ -303,18 +295,14 @@ void Server::connection_loop(Connection* conn) {
           write_frame(sock, MsgType::kShutdownOk, encode_string_payload("ok"));
           stats_.record("shutdown", elapsed_us(received_at), false);
           break;
-        case MsgType::kLoadModel: {
-          const auto [type, payload] = handle_load_model(frame.payload);
-          write_frame(sock, type, payload);
-          stats_.record("admin", elapsed_us(received_at),
-                        type == MsgType::kError);
-          break;
-        }
+        case MsgType::kLoadModel:
         case MsgType::kUnloadModel: {
-          const auto [type, payload] = handle_unload_model(frame.payload);
-          write_frame(sock, type, payload);
+          const Frame reply = frame.type == MsgType::kLoadModel
+                                  ? handle_load_model(frame.payload)
+                                  : handle_unload_model(frame.payload);
+          write_frame(sock, reply.type, reply.payload);
           stats_.record("admin", elapsed_us(received_at),
-                        type == MsgType::kError);
+                        reply.type == MsgType::kError);
           break;
         }
         case MsgType::kTraceDump: {
@@ -322,11 +310,11 @@ void Server::connection_loop(Connection* conn) {
           // server internals, so it rides the same operator gate as the
           // registry mutations.
           if (!config_.allow_admin) {
-            const auto [type, payload] = error_reply(
+            const Frame reply = error_reply(
                 ErrorCode::kAdminDisabled,
                 "trace_dump is disabled (start the server with "
                 "--allow-admin)");
-            write_frame(sock, type, payload);
+            write_frame(sock, reply.type, reply.payload);
             stats_.record("admin", elapsed_us(received_at), true);
           } else {
             write_frame(sock, MsgType::kTraceJson,
@@ -340,38 +328,38 @@ void Server::connection_loop(Connection* conn) {
           try {
             job->request = PredictRequest::decode(frame.payload);
           } catch (const ProtocolError& e) {
-            const auto [type, payload] =
-                error_reply(ErrorCode::kBadRequest, e.what());
-            write_frame(sock, type, payload);
+            const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
+            write_frame(sock, reply.type, reply.payload);
             stats_.record("predict", elapsed_us(received_at), true);
             break;
           }
+          job->request.ext = frame.ext;
           job->enqueued_at = received_at;
           // Admission control runs before the queue: a shed request costs
           // one cache peek, not a dispatcher slot (see maybe_shed_predict).
           if (auto shed = maybe_shed_predict(job->request)) {
-            write_frame(sock, shed->first, shed->second);
+            write_frame(sock, shed->type, shed->payload, shed->ext);
             stats_.record("predict", elapsed_us(received_at), true);
             break;
           }
-          auto [type, payload] = submit_and_wait(job);
-          maybe_append_load_ext(job->request.ext, payload, &job->timing);
-          write_frame(sock, type, payload);
+          Frame reply = submit_and_wait(job);
+          maybe_attach_load(job->request.ext, reply, &job->timing);
+          write_frame(sock, reply.type, reply.payload, reply.ext);
           break;
         }
         case MsgType::kStreamBegin:
         case MsgType::kStreamChunk:
         case MsgType::kStreamEnd: {
-          const auto [type, payload] = handle_stream_frame(frame, stream);
-          write_frame(sock, type, payload);
+          const Frame reply = handle_stream_frame(frame, stream);
+          write_frame(sock, reply.type, reply.payload, reply.ext);
           break;
         }
         default: {
-          const auto [type, payload] = error_reply(
+          const Frame reply = error_reply(
               ErrorCode::kBadRequest,
               "unknown message type " +
                   std::to_string(static_cast<std::uint32_t>(frame.type)));
-          write_frame(sock, type, payload);
+          write_frame(sock, reply.type, reply.payload);
           break;
         }
       }
@@ -526,15 +514,15 @@ void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
   // everything, including non-std exceptions, and never let stats
   // accounting stand between an exception and set_value.
   bool is_error = true;
-  std::pair<MsgType, std::string> reply;
+  Frame reply;
   try {
     obs::TraceContextScope scope(prep.ctx);
     if (prep.reply) {
       reply = std::move(*prep.reply);
-      is_error = reply.first == MsgType::kError;
+      is_error = reply.type == MsgType::kError;
     } else {
       reply = finish_predict(job, prep);
-      is_error = reply.first == MsgType::kError;
+      is_error = reply.type == MsgType::kError;
       // Re-check after compute: a request that blew its deadline inside the
       // pipeline must not get a full late success reply (and must count as
       // an error), or clients time out while `stats` reports green.
@@ -568,8 +556,7 @@ void Server::complete_fused_job(PendingJob& job, PredictPrep& prep) noexcept {
   job.result.set_value(std::move(reply));
 }
 
-std::pair<MsgType, std::string> Server::submit_and_wait(
-    const std::shared_ptr<PendingJob>& job) {
+Frame Server::submit_and_wait(const std::shared_ptr<PendingJob>& job) {
   auto future = job->result.get_future();
   bool rejected = false;
   {
@@ -618,8 +605,7 @@ bool Server::predict_is_warm(const PredictRequest& req) const {
   return cache_.peek_embeddings(design_key, emb_key);
 }
 
-std::optional<std::pair<MsgType, std::string>> Server::maybe_shed_predict(
-    const PredictRequest& req) {
+std::optional<Frame> Server::maybe_shed_predict(const PredictRequest& req) {
   if (config_.shed_queue_depth == 0) return std::nullopt;
   const std::size_t load = inflight_.load(std::memory_order_relaxed);
   if (load < config_.shed_queue_depth) return std::nullopt;
@@ -627,7 +613,7 @@ std::optional<std::pair<MsgType, std::string>> Server::maybe_shed_predict(
   // the round trip it would cost the client to go anywhere else.
   if (predict_is_warm(req)) return std::nullopt;
   shed_counter().inc();
-  auto reply = error_reply(
+  Frame reply = error_reply(
       ErrorCode::kOverloaded,
       "cold request shed: " + std::to_string(load) +
           " jobs in flight >= watermark " +
@@ -635,14 +621,13 @@ std::optional<std::pair<MsgType, std::string>> Server::maybe_shed_predict(
           "; retry on a replica or later");
   // A shed is queue-bound by definition: report wait-dominated so a routing
   // tier prefers a warm replica for the retry.
-  maybe_append_load_ext(req.ext, reply.second, nullptr);
+  maybe_attach_load(req.ext, reply, nullptr);
   return reply;
 }
 
-void Server::maybe_append_load_ext(const RequestTraceExt& ext,
-                                   std::string& payload,
-                                   const ServerTiming* timing) const {
-  if (!ext.want_queue_depth) return;
+void Server::maybe_attach_load(const FrameExt& request_ext, Frame& reply,
+                               const ServerTiming* timing) const {
+  if (!request_ext.want_queue_depth) return;
   LoadReport report;
   report.load = inflight_.load(std::memory_order_relaxed);
   // Shed replies carry no timing and are queue-bound by definition.
@@ -654,11 +639,10 @@ void Server::maybe_append_load_ext(const RequestTraceExt& ext,
         (timing->batch_wait_us + timing->queue_us) * 2 > timing->total_us;
   }
   if (wait_dominated) report.flags |= LoadReport::kFlagWaitDominated;
-  append_load_ext(payload, report);
+  reply.ext.load = report;
 }
 
-std::pair<MsgType, std::string> Server::handle_stream_frame(
-    const Frame& frame, StreamState& stream) {
+Frame Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
   const Clock::time_point received_at = Clock::now();
   // Any assembly-stage failure answers an error, resets the stream state
   // (the partial upload is discarded) and is counted against the `stream`
@@ -686,6 +670,7 @@ std::pair<MsgType, std::string> Server::handle_stream_frame(
       } catch (const ProtocolError& e) {
         return fail(ErrorCode::kBadRequest, e.what());
       }
+      begin.ext = frame.ext;
       if (begin.design_hash != 0 && !begin.netlist_verilog.empty()) {
         return fail(ErrorCode::kBadRequest,
                     "stream_begin carries both a design_hash and netlist "
@@ -834,8 +819,8 @@ std::pair<MsgType, std::string> Server::handle_stream_frame(
       // The deadline spans the whole streamed request: assembly included.
       job->enqueued_at = stream.started;
       stream.reset();
-      auto reply = submit_and_wait(job);
-      maybe_append_load_ext(job->request.ext, reply.second, &job->timing);
+      Frame reply = submit_and_wait(job);
+      maybe_attach_load(job->request.ext, reply, &job->timing);
       return reply;
     }
     default:
@@ -843,8 +828,7 @@ std::pair<MsgType, std::string> Server::handle_stream_frame(
   }
 }
 
-std::pair<MsgType, std::string> Server::handle_load_model(
-    const std::string& payload) {
+Frame Server::handle_load_model(const std::string& payload) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -880,8 +864,7 @@ std::pair<MsgType, std::string> Server::handle_load_model(
   return {MsgType::kAdminOk, encode_string_payload("loaded " + req.name)};
 }
 
-std::pair<MsgType, std::string> Server::handle_unload_model(
-    const std::string& payload) {
+Frame Server::handle_unload_model(const std::string& payload) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
                        "model administration is disabled "
@@ -1054,6 +1037,16 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
       structural = core::assign_submodules_by_structure(*parsed);
     }
     auto graphs = graph::build_submodule_graphs(*parsed);
+    // A netlist without cells (or whose cells form no sub-module graph)
+    // has nothing to encode; answering it would cache an empty design and
+    // report all-zero power as a prediction.
+    if (parsed->num_cells() == 0 || graphs.empty()) {
+      prep.reply = error_reply(ErrorCode::kBadRequest,
+                               parsed->num_cells() == 0
+                                   ? "invalid netlist: no cells"
+                                   : "invalid netlist: no sub-module graphs");
+      return;
+    }
     // The cached netlist holds a raw reference to its library, so the entry
     // co-owns the library too — it may outlive the model binding that
     // created it (unload, or replace with a different substrate). The
@@ -1116,8 +1109,7 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   job.timing.encode_us += elapsed_us(phase_start);
 }
 
-std::pair<MsgType, std::string> Server::finish_predict(PendingJob& job,
-                                                       PredictPrep& prep) {
+Frame Server::finish_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
   Clock::time_point phase_start = Clock::now();
   // Head scratch (feature-row blocks, per-row outputs) comes from a
@@ -1136,15 +1128,11 @@ std::pair<MsgType, std::string> Server::finish_predict(PendingJob& job,
   resp.server_seconds =
       static_cast<double>(elapsed_us(prep.handler_start)) / 1e6;
   phase_start = Clock::now();
-  std::string payload = resp.encode();
+  Frame reply{MsgType::kPredictOk, resp.encode()};
   job.timing.serialize_us = elapsed_us(phase_start);
   job.timing.total_us = elapsed_us(job.enqueued_at);
-  if (req.ext.want_timing) {
-    // Appended after the base encode so serialize_us covers the encode the
-    // client actually paid for; the tail itself is ~50 bytes.
-    append_timing_ext(payload, job.timing);
-  }
-  return {MsgType::kPredictOk, std::move(payload)};
+  if (req.ext.want_timing) reply.ext.timing = job.timing;
+  return reply;
 }
 
 }  // namespace atlas::serve

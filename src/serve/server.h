@@ -189,9 +189,9 @@ class Server {
     /// Per-phase breakdown, filled by the predict pipeline (batch_wait_us +
     /// queue_us cover enqueue -> handler entry, so for streams they include
     /// assembly). Consumed by the slow-request log and, when the request
-    /// asked (ext.want_timing), echoed on the response tail.
+    /// asked (ext.want_timing), echoed in the reply frame's extension.
     ServerTiming timing;
-    std::promise<std::pair<MsgType, std::string>> result;
+    std::promise<Frame> result;
   };
   struct Connection {
     util::Socket sock;
@@ -240,7 +240,7 @@ class Server {
     obs::TraceContext ctx;
     /// Early terminal reply (validation error, deadline, cache race loss
     /// that cannot recover). When set, the job skips encode and finish.
-    std::optional<std::pair<MsgType, std::string>> reply;
+    std::optional<Frame> reply;
   };
 
   void accept_loop(util::Listener* listener);
@@ -265,12 +265,10 @@ class Server {
 
   /// Enqueue a job for the dispatcher and block on its reply; returns the
   /// shutting-down error instead when the server is draining.
-  std::pair<MsgType, std::string> submit_and_wait(
-      const std::shared_ptr<PendingJob>& job);
+  Frame submit_and_wait(const std::shared_ptr<PendingJob>& job);
 
   /// Handle one Stream* frame against `stream`; returns the reply frame.
-  std::pair<MsgType, std::string> handle_stream_frame(const Frame& frame,
-                                                      StreamState& stream);
+  Frame handle_stream_frame(const Frame& frame, StreamState& stream);
 
   /// Admission check for the shed watermark: true when the request would be
   /// answered from the caches (design AND embeddings present — const peeks,
@@ -280,15 +278,14 @@ class Server {
   /// Shed decision for one decoded predict request. Returns the kOverloaded
   /// error reply when the server is past config_.shed_queue_depth and the
   /// request is cold; nullopt admits it.
-  std::optional<std::pair<MsgType, std::string>> maybe_shed_predict(
-      const PredictRequest& req);
-  /// Append the LoadReport piggyback tail to `payload` when the request
-  /// asked for it (ext.want_queue_depth). `timing` drives the
+  std::optional<Frame> maybe_shed_predict(const PredictRequest& req);
+  /// Attach the LoadReport piggyback to `reply`'s extension when the
+  /// request asked for it (want_queue_depth). `timing` drives the
   /// wait-dominated flag; pass the job's filled timing, or nullptr for
   /// replies that never reached the handler (the shed reply itself, which
   /// reports wait-dominated by definition).
-  void maybe_append_load_ext(const RequestTraceExt& ext, std::string& payload,
-                             const ServerTiming* timing) const;
+  void maybe_attach_load(const FrameExt& request_ext, Frame& reply,
+                         const ServerTiming* timing) const;
 
   /// First half of the predict pipeline: stamps the batch_wait/queue
   /// timing phases, pins the registry entry (model + library) for the whole
@@ -307,9 +304,8 @@ class Server {
   void prepare_predict(PendingJob& job, PredictPrep& prep);
   /// Second half: GBDT heads over the embeddings (arena-backed scratch
   /// from arena_pool_), response assembly, serialization and the timing
-  /// tail. Requires prep.emb to be populated.
-  std::pair<MsgType, std::string> finish_predict(PendingJob& job,
-                                                 PredictPrep& prep);
+  /// extension. Requires prep.emb to be populated.
+  Frame finish_predict(PendingJob& job, PredictPrep& prep);
 
   /// Emit the slow-request log line / counter for a finished job if it
   /// crossed config_.slow_ms.
@@ -317,9 +313,8 @@ class Server {
 
   /// LoadModel / UnloadModel handlers (connection-thread inline; gated by
   /// config_.allow_admin). Never throw; failures become Error replies.
-  std::pair<MsgType, std::string> handle_load_model(const std::string& payload);
-  std::pair<MsgType, std::string> handle_unload_model(
-      const std::string& payload);
+  Frame handle_load_model(const std::string& payload);
+  Frame handle_unload_model(const std::string& payload);
 
   ServerConfig config_;
   std::shared_ptr<ModelRegistry> registry_;

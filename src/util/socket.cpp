@@ -68,7 +68,7 @@ void Socket::send_all(const void* data, std::size_t n) {
   }
 }
 
-bool Socket::recv_exact(void* data, std::size_t n) {
+std::size_t Socket::recv_exact(void* data, std::size_t n) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < n) {
@@ -80,13 +80,10 @@ bool Socket::recv_exact(void* data, std::size_t n) {
       }
       raise_errno("recv");
     }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw SocketError("connection closed mid-message");
-    }
+    if (r == 0) break;
     got += static_cast<std::size_t>(r);
   }
-  return true;
+  return got;
 }
 
 void Socket::set_io_timeout_ms(int timeout_ms) {

@@ -38,9 +38,10 @@ class Socket {
   /// Write exactly n bytes; throws SocketError on failure.
   void send_all(const void* data, std::size_t n);
 
-  /// Read exactly n bytes. Returns false on clean EOF before the first
-  /// byte; throws SocketError on mid-buffer EOF or errors.
-  bool recv_exact(void* data, std::size_t n);
+  /// Read exactly n bytes unless the peer closes first: returns the count
+  /// read — n, or fewer (0 for EOF before the first byte) when the peer
+  /// closed. Throws SocketError on errors and timeouts.
+  std::size_t recv_exact(void* data, std::size_t n);
 
   /// Bound every subsequent recv/send (SO_RCVTIMEO / SO_SNDTIMEO): a peer
   /// that stops reading or never answers surfaces as SocketError("... timed

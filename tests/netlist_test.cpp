@@ -224,6 +224,9 @@ TEST_F(VerilogRoundTripTest, InputOutputNetIsFixedPointOnFirstRoundTrip) {
   const std::string twice = write_verilog(parse_verilog(once, lib_));
   EXPECT_EQ(once, twice);
   EXPECT_LT(once.find("output a;"), once.find("output q;")) << once;
+  // The port list names each port once, though `a` is input and output.
+  const std::string header = once.substr(once.find("module m ("));
+  EXPECT_EQ(header.substr(0, header.find('\n')), "module m (a, q);") << once;
 }
 
 TEST_F(VerilogRoundTripTest, ParseErrors) {

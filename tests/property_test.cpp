@@ -2,7 +2,11 @@
 // configurations (TEST_P), complementing the example-based unit tests.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -16,9 +20,57 @@
 #include "netlist/verilog_io.h"
 #include "power/power_analyzer.h"
 #include "power/vectorless.h"
+#include "serve/protocol.h"
 #include "sim/simulator.h"
 #include "transform/rewrite.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/socket.h"
+
+// Allocation tracking for the ATSP mutation property: while an AllocTracker
+// is alive on a thread, every operator new request size on that thread is
+// folded into its running maximum.
+namespace {
+thread_local bool g_track_allocs = false;
+thread_local std::size_t g_largest_alloc = 0;
+
+void* tracked_alloc(std::size_t n) {
+  if (g_track_allocs && n > g_largest_alloc) g_largest_alloc = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+class AllocTracker {
+ public:
+  AllocTracker() {
+    g_largest_alloc = 0;
+    g_track_allocs = true;
+  }
+  ~AllocTracker() { g_track_allocs = false; }
+  std::size_t largest() const { return g_largest_alloc; }
+};
+}  // namespace
+
+// Every allocating form the runtime may pair with the frees below is
+// replaced, so no allocation made under ASan reaches free() unmatched.
+void* operator new(std::size_t n) { return tracked_alloc(n); }
+void* operator new[](std::size_t n) { return tracked_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return tracked_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace atlas {
 namespace {
@@ -389,6 +441,193 @@ TEST(VerilogMutationProperty, RejectsTypedOrRoundTrips) {
   // Both outcomes stay well exercised (159 and 1841 at this seed).
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 100);
+}
+
+// ---------------------------------------------------------------------------
+// ATSP wire codecs under seeded mutation.
+// ---------------------------------------------------------------------------
+
+/// A valid sample of one ATSP payload type and its decoder.
+struct WireCodec {
+  serve::MsgType type;
+  std::string payload;
+  void (*decode)(const std::string&);
+};
+
+std::vector<WireCodec> wire_codecs() {
+  using namespace serve;
+  std::vector<WireCodec> out;
+  PredictRequest predict;
+  predict.model = "tiny";
+  predict.netlist_verilog = "module m (a, y);\n  input a;\n  output y;\n"
+                            "  INV_X1 u0 (.A(a), .Y(y));\nendmodule\n";
+  predict.workload = "w1";
+  predict.cycles = 20;
+  predict.want_submodules = true;
+  out.push_back({MsgType::kPredict, predict.encode(),
+                 [](const std::string& p) { PredictRequest::decode(p); }});
+  StreamBeginRequest begin;
+  begin.model = "tiny";
+  begin.format = TraceFormat::kToggleDelta;
+  begin.cycles = 8;
+  begin.trace_bytes = 100;
+  begin.design_hash = 0x1234;
+  out.push_back({MsgType::kStreamBegin, begin.encode(),
+                 [](const std::string& p) { StreamBeginRequest::decode(p); }});
+  out.push_back({MsgType::kStreamChunk, StreamChunk{3, "chunk-bytes"}.encode(),
+                 [](const std::string& p) { StreamChunk::decode(p); }});
+  out.push_back({MsgType::kStreamEnd, StreamEndRequest{2, 200}.encode(),
+                 [](const std::string& p) { StreamEndRequest::decode(p); }});
+  out.push_back({MsgType::kLoadModel,
+                 LoadModelRequest{"m", "/models/m.bin", "cells.lib"}.encode(),
+                 [](const std::string& p) { LoadModelRequest::decode(p); }});
+  out.push_back({MsgType::kUnloadModel, UnloadModelRequest{"m"}.encode(),
+                 [](const std::string& p) { UnloadModelRequest::decode(p); }});
+  out.push_back({MsgType::kStreamAck, StreamAck{1, 64}.encode(),
+                 [](const std::string& p) { StreamAck::decode(p); }});
+  PredictResponse ok;
+  ok.cache_flags = kCacheHitDesign;
+  ok.num_cycles = 3;
+  ok.num_submodules = 1;
+  ok.design = {{1.0, 2.0, 3.0, 0.0}, {0.5, 0.25, 0.0, 0.0}, {}};
+  ok.submodule = {{0.1, 0.2, 0.3, 0.0}};
+  out.push_back({MsgType::kPredictOk, ok.encode(),
+                 [](const std::string& p) { PredictResponse::decode(p); }});
+  ModelListResponse models;
+  models.models = {{"tiny", 32, "cells", 1, 0xabc}, {"big", 16, "lib", 2, 7}};
+  out.push_back({MsgType::kModelList, models.encode(),
+                 [](const std::string& p) { ModelListResponse::decode(p); }});
+  HealthResponse health;
+  health.registry_generation = 3;
+  health.num_models = 2;
+  health.queue_depth = 1;
+  health.draining = true;
+  out.push_back({MsgType::kHealthReport, health.encode(),
+                 [](const std::string& p) { HealthResponse::decode(p); }});
+  out.push_back({MsgType::kError,
+                 ErrorResponse{ErrorCode::kOverloaded, "shed"}.encode(),
+                 [](const std::string& p) { ErrorResponse::decode(p); }});
+  return out;
+}
+
+/// 1-3 seeded edits: byte flips, span deletes, span duplicates and
+/// truncations. Edits land inside [lo, hi) when that range is non-empty.
+void mutate(std::string& bytes, util::Rng& rng, std::size_t lo, std::size_t hi) {
+  const int edits = 1 + static_cast<int>(rng.next_below(3));
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    if (hi > bytes.size()) hi = bytes.size();
+    const bool ranged = lo < hi;
+    const std::size_t at =
+        ranged ? lo + rng.next_below(hi - lo) : rng.next_below(bytes.size());
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.next_below(8), bytes.size() - at);
+    switch (rng.next_below(4)) {
+      case 0: bytes[at] = static_cast<char>(rng.next_below(256)); break;
+      case 1: bytes.erase(at, len); break;
+      case 2: bytes.insert(at + len, bytes.substr(at, len)); break;
+      default: bytes.resize(at); break;
+    }
+  }
+}
+
+/// Runs `fn` and reports whether it was accepted (true) or rejected with
+/// ProtocolError (false). Any other exception fails the test; the largest
+/// single allocation made meanwhile must stay within `alloc_cap`.
+template <typename Fn>
+bool decodes_or_rejects(Fn&& fn, std::size_t alloc_cap, const std::string& input) {
+  bool accepted = true;
+  AllocTracker tracker;
+  try {
+    fn();
+  } catch (const serve::ProtocolError&) {
+    accepted = false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected exception " << e.what() << " on "
+                  << util::hash_hex(util::fnv1a64(input));
+  }
+  EXPECT_LE(tracker.largest(), alloc_cap)
+      << "allocation past the cap on " << util::hash_hex(util::fnv1a64(input));
+  return accepted;
+}
+
+// Every ATSP payload decoder over mutated valid payloads: each input
+// decodes or throws ProtocolError — no other exception, no crash, and no
+// allocation beyond the default frame cap (the largest a payload can be).
+TEST(AtspMutationProperty, PayloadsDecodeOrThrowProtocolError) {
+  const std::vector<WireCodec> codecs = wire_codecs();
+  util::Rng rng(0xa75b);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3300; ++i) {
+    const WireCodec& codec = codecs[static_cast<std::size_t>(i) % codecs.size()];
+    std::string bytes = codec.payload;
+    mutate(bytes, rng, 0, 0);
+    const bool ok = decodes_or_rejects([&] { codec.decode(bytes); },
+                                       serve::kDefaultMaxFrameBytes, bytes);
+    (ok ? accepted : rejected) += 1;
+  }
+  // Both outcomes stay well exercised (270 and 3030 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
+}
+
+// Whole frames through read_frame over a socket pair, with edits aimed at
+// the header's length fields, the extension block, or anywhere. read_frame
+// runs with a small body cap, so no allocation may exceed it; frames that
+// survive are decoded with their type's payload decoder.
+TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
+  const std::vector<WireCodec> codecs = wire_codecs();
+  constexpr std::size_t kCap = 1 << 16;
+  serve::FrameExt full;
+  full.trace.trace_hi = 0x0123456789abcdefull;
+  full.trace.trace_lo = 0xfedcba9876543210ull;
+  full.trace.span_id = 0xc0ffee;
+  full.trace.sampled = true;
+  full.want_timing = true;
+  full.want_queue_depth = true;
+  full.timing.emplace().total_us = 200;
+  full.load.emplace().load = 3;
+  util::Rng rng(0xf4a3e);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const WireCodec& codec = codecs[static_cast<std::size_t>(i) % codecs.size()];
+    const bool with_ext = rng.next_bool();
+    std::string wire = serve::encode_frame(codec.type, codec.payload,
+                                           with_ext ? full : serve::FrameExt{});
+    const std::size_t ext_at = serve::kFrameHeaderBytes + codec.payload.size();
+    switch (rng.next_below(3)) {
+      case 0: mutate(wire, rng, 8, serve::kFrameHeaderBytes); break;
+      case 1: mutate(wire, rng, with_ext ? ext_at : 0, with_ext ? wire.size() : 0); break;
+      default: mutate(wire, rng, 0, 0); break;
+    }
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    util::Socket tx(fds[0]);
+    util::Socket rx(fds[1]);
+    tx.send_all(wire.data(), wire.size());
+    tx.shutdown_both();
+    bool more = true;
+    while (more) {
+      serve::Frame frame;
+      const bool ok = decodes_or_rejects(
+          [&] { more = serve::read_frame(rx, frame, kCap); }, kCap + 1, wire);
+      if (!ok) {
+        ++rejected;
+        break;
+      }
+      if (!more) break;
+      ++accepted;
+      for (const WireCodec& c : codecs) {
+        if (c.type != frame.type) continue;
+        decodes_or_rejects([&] { c.decode(frame.payload); },
+                           serve::kDefaultMaxFrameBytes, wire);
+      }
+    }
+  }
+  // 572 frames read and 2787 inputs rejected at this seed.
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 1000);
 }
 
 // ---------------------------------------------------------------------------

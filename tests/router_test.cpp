@@ -913,8 +913,8 @@ TEST_F(RouterTest, RoutedPredictionsBitIdenticalTracingOnVsOff) {
   TraceGuard guard;
   obs::Trace::enable();
   obs::Trace::clear();
-  // The traced path re-encodes the forwarded request (to stamp the
-  // per-attempt context); the payload the backend computes on must be
+  // The traced path sets the per-attempt context in the forwarded frame's
+  // extension block; the payload the backend computes on is forwarded
   // unchanged, so the answer stays bit-identical to the untraced one.
   const PredictResponse on = client.predict(make_request(verilog));
   expect_matches(on, *expected_w1_);
@@ -924,6 +924,32 @@ TEST_F(RouterTest, RoutedPredictionsBitIdenticalTracingOnVsOff) {
     EXPECT_EQ(on.design[c].reg, off.design[c].reg);
     EXPECT_EQ(on.design[c].clock, off.design[c].clock);
   }
+}
+
+// The router forwards the client's payload bytes and rewrites only the
+// frame's extension block: the backend's timing reaches the client, the
+// load report the router asked for does not.
+TEST_F(RouterTest, RoutedReplyRelaysTimingAndClearsTheLoadReport) {
+  Fleet fleet = start_fleet();
+  util::Socket raw = util::connect_tcp("127.0.0.1", fleet.router->port());
+  const PredictRequest req = make_request(design_variant(303));
+  serve::FrameExt ext;
+  ext.want_timing = true;
+  serve::write_frame(raw, serve::MsgType::kPredict, req.encode(), ext);
+  serve::Frame resp;
+  ASSERT_TRUE(serve::read_frame(raw, resp));
+  ASSERT_EQ(resp.type, serve::MsgType::kPredictOk);
+  ASSERT_TRUE(resp.ext.timing.has_value());
+  EXPECT_GT(resp.ext.timing->total_us, 0u);
+  EXPECT_FALSE(resp.ext.load.has_value());
+  expect_matches(PredictResponse::decode(resp.payload), *expected_w1_);
+
+  // Without the flag the relayed block is empty.
+  serve::write_frame(raw, serve::MsgType::kPredict, req.encode());
+  ASSERT_TRUE(serve::read_frame(raw, resp));
+  ASSERT_EQ(resp.type, serve::MsgType::kPredictOk);
+  EXPECT_FALSE(resp.ext.timing.has_value());
+  EXPECT_FALSE(resp.ext.load.has_value());
 }
 
 TEST_F(RouterTest, FleetMetricsSelectorAggregatesAllShardsWithLabels) {

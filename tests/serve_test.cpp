@@ -16,6 +16,7 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "atlas/finetune.h"
@@ -423,8 +424,9 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
     EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
   }
 
-  // Netlists that parse but are not circuits: a combinational loop and a
-  // multi-driven net.
+  // Netlists that parse but are not circuits: a combinational loop, a
+  // multi-driven net, an empty module and a module with ports but no
+  // cells (nothing to encode: no sub-module graph).
   for (const char* text :
        {"module x (a, y);\n  input a;\n  output y;\n  wire n1, n2;\n"
         "  NAND2_X1 u0 (.A(a), .B(n2), .Y(n1));\n"
@@ -432,7 +434,9 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
         "  INV_X1 u2 (.A(n1), .Y(y));\nendmodule\n",
         "module x (a, y);\n  input a;\n  output y;\n"
         "  INV_X1 u0 (.A(a), .Y(y));\n"
-        "  INV_X1 u1 (.A(a), .Y(y));\nendmodule\n"}) {
+        "  INV_X1 u1 (.A(a), .Y(y));\nendmodule\n",
+        "module e ();\nendmodule\n",
+        "module p (a, y);\n  input a;\n  output y;\nendmodule\n"}) {
     PredictRequest hostile = make_request();
     hostile.netlist_verilog = text;
     try {
@@ -472,7 +476,7 @@ TEST_F(ServeTest, MalformedFramesNeverKillTheDaemon) {
   {
     // Valid magic, hostile declared length (1 EiB).
     util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    char header[16];
+    char header[20] = {};
     std::memcpy(header, kFrameMagic, 4);
     const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
     const std::uint64_t len = 1ULL << 60;
@@ -489,10 +493,34 @@ TEST_F(ServeTest, MalformedFramesNeverKillTheDaemon) {
     } catch (const std::exception&) {
     }
   }
-  {
-    // Truncated frame: declared 100-byte payload, send 3, disconnect.
+  // Hostile extension lengths: one past the fixed cap (the 1 MiB body it
+  // declares is never sent), and one longer than the declared body. Both
+  // are rejected from the header alone — the body is never awaited, let
+  // alone allocated — with a kBadRequest reply before the drop.
+  for (const auto& [body_len, ext_len] :
+       {std::pair<std::uint64_t, std::uint32_t>{1u << 20, 1000},
+        std::pair<std::uint64_t, std::uint32_t>{8, 64}}) {
     util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    char header[16];
+    raw.set_io_timeout_ms(10000);
+    char header[20];
+    std::memcpy(header, kFrameMagic, 4);
+    const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
+    std::memcpy(header + 4, &type, 4);
+    std::memcpy(header + 8, &body_len, 8);
+    std::memcpy(header + 16, &ext_len, 4);
+    raw.send_all(header, sizeof(header));
+    Frame resp;
+    ASSERT_TRUE(read_frame(raw, resp));
+    ASSERT_EQ(resp.type, MsgType::kError);
+    const ErrorResponse err = ErrorResponse::decode(resp.payload);
+    EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+    EXPECT_NE(err.message.find("extension length"), std::string::npos)
+        << err.message;
+  }
+  {
+    // Truncated frame: declared 100-byte body, send 3, disconnect.
+    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
+    char header[20] = {};
     std::memcpy(header, kFrameMagic, 4);
     const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
     const std::uint64_t len = 100;
@@ -1678,108 +1706,137 @@ struct TraceGuard {
   }
 };
 
-TEST_F(ServeTest, RequestTraceExtTailRoundTripAndV1Compat) {
-  // A request with no context and no flags encodes the exact v1 bytes.
-  const std::string v1_bytes = make_request().encode();
+/// A connected AF_UNIX stream pair: frames written to `first` are read
+/// from `second` with no server in between.
+std::pair<util::Socket, util::Socket> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  return {util::Socket(fds[0]), util::Socket(fds[1])};
+}
 
+/// Writes `wire` to one end of a fresh pair and reads one frame back.
+Frame frame_through_pair(const std::string& wire) {
+  auto [tx, rx] = socket_pair();
+  tx.send_all(wire.data(), wire.size());
+  tx.shutdown_both();
+  Frame out;
+  if (!read_frame(rx, out)) throw std::runtime_error("no frame");
+  return out;
+}
+
+TEST_F(ServeTest, FrameExtensionRoundTripsBesideAnUntouchedPayload) {
   PredictRequest traced = make_request();
   traced.ext.trace.trace_hi = 0x0123456789abcdefull;
   traced.ext.trace.trace_lo = 0xfedcba9876543210ull;
   traced.ext.trace.span_id = 0xc0ffee;
   traced.ext.trace.sampled = true;
   traced.ext.want_timing = true;
-  const std::string v2_bytes = traced.encode();
+  traced.ext.want_queue_depth = true;
 
-  // The extension is a pure tail: the v1 prefix is untouched, so a v1
-  // decoder reading exact base fields parses the same request.
-  ASSERT_GT(v2_bytes.size(), v1_bytes.size());
-  EXPECT_EQ(v2_bytes.substr(0, v1_bytes.size()), v1_bytes);
+  // The extension is not part of the payload: encode() ignores it.
+  const std::string payload = traced.encode();
+  EXPECT_EQ(payload, make_request().encode());
 
-  const PredictRequest rt = PredictRequest::decode(v2_bytes);
-  EXPECT_EQ(rt.model, traced.model);
-  EXPECT_EQ(rt.cycles, traced.cycles);
+  const std::string wire = encode_frame(MsgType::kPredict, payload, traced.ext);
+  const Frame rt = frame_through_pair(wire);
+  EXPECT_EQ(rt.type, MsgType::kPredict);
+  EXPECT_EQ(rt.payload, payload);
   EXPECT_EQ(rt.ext.trace.trace_hi, traced.ext.trace.trace_hi);
   EXPECT_EQ(rt.ext.trace.trace_lo, traced.ext.trace.trace_lo);
   EXPECT_EQ(rt.ext.trace.span_id, traced.ext.trace.span_id);
   EXPECT_TRUE(rt.ext.trace.sampled);
   EXPECT_TRUE(rt.ext.want_timing);
+  EXPECT_TRUE(rt.ext.want_queue_depth);
+  EXPECT_FALSE(rt.ext.timing.has_value());
+  EXPECT_FALSE(rt.ext.load.has_value());
+  EXPECT_EQ(PredictRequest::decode(rt.payload).model, "tiny");
 
-  // Old-client path: no tail decodes to an absent context.
-  const PredictRequest v1 = PredictRequest::decode(v1_bytes);
-  EXPECT_FALSE(v1.ext.trace.valid());
-  EXPECT_FALSE(v1.ext.want_timing);
+  // An empty block is zero bytes: header + payload exactly, ext length 0.
+  const std::string bare = encode_frame(MsgType::kPredict, payload);
+  ASSERT_EQ(bare.size(), kFrameHeaderBytes + payload.size());
+  std::uint32_t ext_len = 1;
+  std::memcpy(&ext_len, bare.data() + 16, 4);
+  EXPECT_EQ(ext_len, 0u);
+  const Frame plain = frame_through_pair(bare);
+  EXPECT_EQ(plain.payload, payload);
+  EXPECT_FALSE(plain.ext.trace.valid());
+  EXPECT_FALSE(plain.ext.want_timing);
+  EXPECT_FALSE(plain.ext.want_queue_depth);
 
-  // Forward compat: an unknown (future) ext version is skipped wholesale,
-  // leaving the base request intact and the context absent.
-  std::ostringstream os(std::ios::binary);
-  util::write_u32(os, 99);
-  const std::string future = v1_bytes + std::move(os).str() + "future bytes";
-  const PredictRequest skipped = PredictRequest::decode(future);
-  EXPECT_EQ(skipped.model, "tiny");
-  EXPECT_EQ(skipped.cycles, kCycles);
-  EXPECT_FALSE(skipped.ext.trace.valid());
-  EXPECT_FALSE(skipped.ext.want_timing);
+  // Unknown presence bits and length mismatches are rejected, not skipped.
+  std::string unknown_bit = bare;
+  const std::uint32_t four = 4;
+  const std::uint64_t body = payload.size() + 4;
+  std::memcpy(unknown_bit.data() + 8, &body, 8);
+  std::memcpy(unknown_bit.data() + 16, &four, 4);
+  const std::uint32_t mask = 1u << 31;
+  unknown_bit.append(reinterpret_cast<const char*>(&mask), 4);
+  EXPECT_THROW(frame_through_pair(unknown_bit), ProtocolError);
+  std::string short_block = wire;
+  std::uint64_t wire_body = 0;
+  std::memcpy(&wire_body, short_block.data() + 8, 8);
+  --wire_body;
+  std::memcpy(short_block.data() + 8, &wire_body, 8);
+  std::uint32_t wire_ext = 0;
+  std::memcpy(&wire_ext, short_block.data() + 16, 4);
+  --wire_ext;
+  std::memcpy(short_block.data() + 16, &wire_ext, 4);
+  short_block.pop_back();
+  EXPECT_THROW(frame_through_pair(short_block), ProtocolError);
 
-  // StreamBegin shares the same tail.
+  // Payload decoders read exactly their own fields: trailing bytes are
+  // corruption, not an extension.
+  EXPECT_THROW(PredictRequest::decode(payload + "x"), ProtocolError);
+
+  // StreamBegin carries its extension the same way.
   StreamBeginRequest begin;
   begin.model = "tiny";
   begin.cycles = kCycles;
   begin.ext.trace = traced.ext.trace;
-  const StreamBeginRequest brt = StreamBeginRequest::decode(begin.encode());
+  const Frame brt = frame_through_pair(
+      encode_frame(MsgType::kStreamBegin, begin.encode(), begin.ext));
+  EXPECT_EQ(StreamBeginRequest::decode(brt.payload).model, "tiny");
   EXPECT_EQ(brt.ext.trace.trace_lo, traced.ext.trace.trace_lo);
   EXPECT_EQ(brt.ext.trace.span_id, traced.ext.trace.span_id);
 }
 
-TEST_F(ServeTest, ServerTimingTailRoundTrip) {
+TEST_F(ServeTest, ServerTimingRidesTheReplyExtension) {
   PredictResponse resp;
   resp.cache_flags = kCacheHitDesign;
   resp.server_seconds = 0.25;
   resp.num_cycles = 3;
   resp.design = {{1.0, 2.0, 3.0, 0.0}};
-  resp.has_timing = true;
-  resp.timing.batch_wait_us = 7;
-  resp.timing.queue_us = 11;
-  resp.timing.cache_us = 22;
-  resp.timing.encode_us = 33;
-  resp.timing.predict_us = 44;
-  resp.timing.serialize_us = 55;
-  resp.timing.total_us = 200;
+  FrameExt ext;
+  ServerTiming& t = ext.timing.emplace();
+  t.batch_wait_us = 7;
+  t.queue_us = 11;
+  t.cache_us = 22;
+  t.encode_us = 33;
+  t.predict_us = 44;
+  t.serialize_us = 55;
+  t.total_us = 200;
 
-  const PredictResponse rt = PredictResponse::decode(resp.encode());
-  ASSERT_TRUE(rt.has_timing);
-  EXPECT_EQ(rt.timing.batch_wait_us, 7u);
-  EXPECT_EQ(rt.timing.queue_us, 11u);
-  EXPECT_EQ(rt.timing.cache_us, 22u);
-  EXPECT_EQ(rt.timing.encode_us, 33u);
-  EXPECT_EQ(rt.timing.predict_us, 44u);
-  EXPECT_EQ(rt.timing.serialize_us, 55u);
-  EXPECT_EQ(rt.timing.total_us, 200u);
-  EXPECT_EQ(rt.design.size(), 1u);
+  // The payload is the same bytes with or without timing.
+  PredictResponse with_fields = resp;
+  with_fields.has_timing = true;
+  with_fields.timing = t;
+  EXPECT_EQ(with_fields.encode(), resp.encode());
+  EXPECT_FALSE(PredictResponse::decode(resp.encode()).has_timing);
 
-  // append_timing_ext (the server's measure-then-attach path) produces the
-  // same bytes as encoding with has_timing set.
-  PredictResponse base = resp;
-  base.has_timing = false;
-  std::string attached = base.encode();
-  append_timing_ext(attached, resp.timing);
-  EXPECT_EQ(attached, resp.encode());
-
-  // And a tail-less response decodes with has_timing false.
-  EXPECT_FALSE(PredictResponse::decode(base.encode()).has_timing);
-
-  // Back compat: a v2 tail from an older server (no batch_wait field)
-  // still decodes; the missing phase reads as zero.
-  std::ostringstream v2(std::ios::binary);
-  util::write_u32(v2, kTraceExtVersion);
-  for (const std::uint64_t v : {11ull, 22ull, 33ull, 44ull, 55ull, 200ull}) {
-    util::write_u64(v2, v);
-  }
-  const PredictResponse old =
-      PredictResponse::decode(base.encode() + std::move(v2).str());
-  ASSERT_TRUE(old.has_timing);
-  EXPECT_EQ(old.timing.batch_wait_us, 0u);
-  EXPECT_EQ(old.timing.queue_us, 11u);
-  EXPECT_EQ(old.timing.total_us, 200u);
+  const Frame rt = frame_through_pair(
+      encode_frame(MsgType::kPredictOk, resp.encode(), ext));
+  EXPECT_EQ(rt.payload, resp.encode());
+  ASSERT_TRUE(rt.ext.timing.has_value());
+  EXPECT_EQ(rt.ext.timing->batch_wait_us, 7u);
+  EXPECT_EQ(rt.ext.timing->queue_us, 11u);
+  EXPECT_EQ(rt.ext.timing->cache_us, 22u);
+  EXPECT_EQ(rt.ext.timing->encode_us, 33u);
+  EXPECT_EQ(rt.ext.timing->predict_us, 44u);
+  EXPECT_EQ(rt.ext.timing->serialize_us, 55u);
+  EXPECT_EQ(rt.ext.timing->total_us, 200u);
+  EXPECT_EQ(PredictResponse::decode(rt.payload).design.size(), 1u);
 }
 
 TEST_F(ServeTest, PredictUnderTracingLinksClientAndServerSpans) {
@@ -2075,70 +2132,68 @@ TEST_F(ServeTest, QueueDepthGaugeExportedInMetrics) {
 
 // ---- PR 10: load piggyback + overload shedding ----------------------------
 
-TEST(LoadExt, TailAppendsAndStripsByteExactly) {
-  std::string payload("base-bytes\x01\x02", 12);
-  const std::string original = payload;
-  LoadReport in;
+TEST_F(ServeTest, LoadReportRoundTripsInTheExtensionByteExactly) {
+  const std::string payload("base-bytes\x01\x02", 12);
+  FrameExt ext;
+  LoadReport& in = ext.load.emplace();
   in.load = 42;
   in.flags = LoadReport::kFlagWaitDominated;
-  append_load_ext(payload, in);
-  ASSERT_EQ(payload.size(), original.size() + kLoadExtBytes);
-
-  LoadReport out;
-  ASSERT_TRUE(strip_load_ext(payload, out));
-  EXPECT_EQ(payload, original) << "strip must restore the payload exactly";
-  EXPECT_EQ(out.load, 42u);
-  EXPECT_TRUE(out.wait_dominated());
-
-  // No tail present: the payload is untouched and absence is reported —
-  // the router's compatibility path for backends predating the flag.
-  LoadReport none;
-  EXPECT_FALSE(strip_load_ext(payload, none));
-  EXPECT_EQ(payload, original);
-  std::string tiny = "x";
-  EXPECT_FALSE(strip_load_ext(tiny, none));
-  EXPECT_EQ(tiny, "x");
+  const Frame rt = frame_through_pair(
+      encode_frame(MsgType::kError, payload, ext));
+  EXPECT_EQ(rt.payload, payload) << "the payload must arrive byte-exact";
+  ASSERT_TRUE(rt.ext.load.has_value());
+  EXPECT_EQ(rt.ext.load->load, 42u);
+  EXPECT_TRUE(rt.ext.load->wait_dominated());
+  EXPECT_FALSE(rt.ext.timing.has_value());
 }
 
-TEST(LoadExt, WantQueueDepthFlagRoundTripsOnTheWire) {
-  PredictRequest req;
-  req.model = "m";
-  req.netlist_verilog = "module m(); endmodule";
-  req.workload = "w1";
-  req.cycles = 4;
-  const std::string plain = req.encode();
-  req.ext.want_queue_depth = true;
-  const std::string flagged = req.encode();
-  EXPECT_NE(plain, flagged);
-  EXPECT_TRUE(PredictRequest::decode(flagged).ext.want_queue_depth);
-  EXPECT_FALSE(PredictRequest::decode(plain).ext.want_queue_depth);
-}
-
-TEST_F(ServeTest, WantQueueDepthAppendsAStrippableTailOnTheWire) {
+TEST_F(ServeTest, WantQueueDepthAttachesALoadReportOnTheWire) {
   Server server(loopback_config(), make_registry());
   server.start();
   util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
 
   PredictRequest req = make_request();
   req.ext.want_queue_depth = true;
-  write_frame(raw, MsgType::kPredict, req.encode());
+  write_frame(raw, MsgType::kPredict, req.encode(), req.ext);
   Frame resp;
   ASSERT_TRUE(read_frame(raw, resp));
   ASSERT_EQ(resp.type, MsgType::kPredictOk);
-  ASSERT_GE(resp.payload.size(), kLoadExtBytes);
-  EXPECT_EQ(resp.payload.substr(resp.payload.size() - kLoadExtBytes, 8),
-            "ATLDRPT1");
-  LoadReport report;
-  ASSERT_TRUE(strip_load_ext(resp.payload, report));
-  // After the strip the payload decodes to the same prediction a plain
-  // request gets — the bit-identity contract the routing tier relies on.
+  ASSERT_TRUE(resp.ext.load.has_value());
+  EXPECT_FALSE(resp.ext.timing.has_value());
+  // The payload decodes to the same prediction a plain request gets — the
+  // bit-identity contract the routing tier relies on.
   expect_matches_direct(PredictResponse::decode(resp.payload), *expected_w1_);
 
-  // A request that did not ask gets no tail (v1-identical replies).
+  // A request that did not ask gets an empty extension.
   write_frame(raw, MsgType::kPredict, make_request().encode());
   ASSERT_TRUE(read_frame(raw, resp));
   ASSERT_EQ(resp.type, MsgType::kPredictOk);
-  EXPECT_FALSE(strip_load_ext(resp.payload, report));
+  EXPECT_FALSE(resp.ext.load.has_value());
+  server.stop();
+}
+
+// An empty Stats/Metrics payload selects the default rendering; a payload
+// that is not a string payload is the client's error, answered kBadRequest
+// on a connection that stays usable.
+TEST_F(ServeTest, UndecodableStatsOrMetricsModeAnswersBadRequest) {
+  Server server(loopback_config(), make_registry());
+  server.start();
+  util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
+  Frame resp;
+  for (const MsgType type : {MsgType::kStats, MsgType::kMetrics}) {
+    write_frame(raw, type, "junk");
+    ASSERT_TRUE(read_frame(raw, resp));
+    ASSERT_EQ(resp.type, MsgType::kError);
+    EXPECT_EQ(ErrorResponse::decode(resp.payload).code, ErrorCode::kBadRequest);
+  }
+  write_frame(raw, MsgType::kStats, "");
+  ASSERT_TRUE(read_frame(raw, resp));
+  ASSERT_EQ(resp.type, MsgType::kStatsText);
+  EXPECT_NE(decode_string_payload(resp.payload).find("cache:"),
+            std::string::npos);
+  write_frame(raw, MsgType::kMetrics, encode_string_payload("fleet"));
+  ASSERT_TRUE(read_frame(raw, resp));
+  EXPECT_EQ(resp.type, MsgType::kMetricsText);
   server.stop();
 }
 

@@ -177,8 +177,8 @@ int cmd_unload(int argc, const char* const* argv) {
 int cmd_stats(int argc, const char* const* argv) {
   util::Cli cli;
   cli.flag("json", "false",
-           "ask the server for the snapshot as one JSON object (old servers "
-           "ignore the selector and answer the table)");
+           "ask the server for the snapshot as one JSON object (a router "
+           "ignores the selector and answers its backend table)");
   add_endpoint_flags(cli).parse(argc, argv);
   if (cli.help_requested()) return 0;
   serve::Client client = connect(cli);
@@ -374,8 +374,8 @@ int cmd_predict(int argc, const char* const* argv) {
       .flag("csv", "atlas_power.csv", "per-cycle predicted power CSV")
       .flag("show-load", "false",
             "also print the server's load report (queued + in-flight jobs, "
-            "wait- vs compute-dominated) piggybacked on the reply; old "
-            "servers report zeros");
+            "wait- vs compute-dominated) attached to the reply; a router "
+            "clears it, so zeros through a router");
   add_endpoint_flags(cli).parse(argc, argv);
   if (cli.help_requested()) return 0;
 
