@@ -4,6 +4,8 @@
 // numbers to watch when optimizing the Table IV "Infer" column.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "designgen/design_generator.h"
 #include "graph/submodule_graph.h"
 #include "liberty/library.h"
@@ -180,6 +182,37 @@ void BM_GbdtPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_GbdtPredict);
+
+// The batched serving path: predict_from_embeddings runs each head's
+// predict_rows over all of a request's feature rows at once. Shape of a
+// servebench warm-repeat request: 20 trees, 500 varied rows of 19 features.
+void BM_GbdtPredictRows(benchmark::State& state) {
+  constexpr std::size_t kFeatures = 19;
+  constexpr std::size_t kTrainRows = 2000;
+  constexpr std::size_t kRows = 500;
+  util::Rng rng(11);
+  ml::Matrix x(kTrainRows, kFeatures);
+  std::vector<double> y(kTrainRows);
+  for (std::size_t i = 0; i < kTrainRows; ++i) {
+    for (std::size_t j = 0; j < kFeatures; ++j) {
+      x.at(i, j) = static_cast<float>(rng.next_double());
+    }
+    y[i] = std::sin(6 * x.at(i, 0)) + x.at(i, 1) * x.at(i, 2) - x.at(i, 3) +
+           0.5 * x.at(i, 4 + i % 7);
+  }
+  ml::GbdtConfig cfg;
+  cfg.n_trees = 20;
+  ml::GbdtRegressor model(cfg);
+  model.fit(x, y);
+  std::vector<double> out(kRows);
+  for (auto _ : state) {
+    model.predict_rows(x.row(0), kRows, kFeatures, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kRows));
+}
+BENCHMARK(BM_GbdtPredictRows);
 
 void BM_SubmoduleGraphBuild(benchmark::State& state) {
   const netlist::Netlist& nl = design();

@@ -317,6 +317,18 @@ AtlasModel AtlasModel::load(const std::string& path) {
   ml::SgFormer encoder = ml::SgFormer::load(is);
   GroupModels models{ml::GbdtRegressor::load(is), ml::GbdtRegressor::load(is),
                      ml::GbdtRegressor::load(is)};
+  // Each head reads rows of exactly its fill_*_row width; a head trained on
+  // wider rows would index past them.
+  const std::size_t d = encoder.dim();
+  for (const auto& [head, width] : {std::pair{&models.f_ct, ct_dim(d)},
+                                    std::pair{&models.f_comb, comb_dim(d)},
+                                    std::pair{&models.f_reg, reg_dim(d)}}) {
+    if (head->num_trees() > 0 && head->num_features() != width) {
+      throw util::SerializeError("AtlasModel::load: head feature width " +
+                                 std::to_string(head->num_features()) +
+                                 " != " + std::to_string(width));
+    }
+  }
   return AtlasModel(std::move(encoder), std::move(models));
 }
 

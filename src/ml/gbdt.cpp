@@ -318,8 +318,13 @@ void GbdtRegressor::predict_rows(const float* rows, std::size_t n,
           const std::int32_t id = idx[i];
           const float fv =
               block[i * stride + static_cast<std::size_t>(forest_.feature[id])];
-          idx[i] = fv <= forest_.threshold[id] ? forest_.left[id]
-                                               : forest_.right[id];
+          // Arithmetic select, not ?: — GCC kept the ternary as a
+          // data-dependent jump. The mask is all-ones when the row goes
+          // left; NaN compares false and goes right, as in predict_row.
+          const std::int32_t l = forest_.left[id];
+          const std::int32_t r = forest_.right[id];
+          idx[i] = r ^ ((l ^ r) & -static_cast<std::int32_t>(
+                                      fv <= forest_.threshold[id]));
         }
       }
       for (std::size_t i = 0; i < bn; ++i) {
@@ -377,18 +382,47 @@ GbdtRegressor GbdtRegressor::load(std::istream& is) {
   GbdtRegressor m;
   m.num_features_ = util::read_u64(is);
   m.base_ = util::read_f64(is);
-  const std::size_t n_trees = util::read_u64(is);
-  m.trees_.resize(n_trees);
-  for (Tree& t : m.trees_) {
-    t.nodes.resize(util::read_u64(is));
-    for (Node& n : t.nodes) {
-      n.feature = static_cast<int>(util::read_i64(is));
-      n.threshold = util::read_f32(is);
-      n.left = static_cast<int>(util::read_i64(is));
-      n.right = static_cast<int>(util::read_i64(is));
-      n.value = util::read_f64(is);
+  // Node fields index the feature rows and the forest arrays unchecked at
+  // predict time, and the artifact may come from an admin LoadModel: check
+  // every split here. Children strictly after their parent also rule out
+  // cycles, so every walk reaches a leaf.
+  const auto read_int = [](std::istream& in) {
+    const std::int64_t v = util::read_i64(in);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      throw util::SerializeError("gbdt: node field out of range");
     }
-  }
+    return static_cast<int>(v);
+  };
+  m.trees_ = util::read_vector<Tree>(is, [&](std::istream& in) {
+    Tree t;
+    t.nodes = util::read_vector<Node>(in, [&](std::istream& nin) {
+      Node n;
+      n.feature = read_int(nin);
+      n.threshold = util::read_f32(nin);
+      n.left = read_int(nin);
+      n.right = read_int(nin);
+      n.value = util::read_f64(nin);
+      return n;
+    });
+    if (t.nodes.empty()) throw util::SerializeError("gbdt: empty tree");
+    const std::size_t size = t.nodes.size();
+    for (std::size_t i = 0; i < size; ++i) {
+      const Node& n = t.nodes[i];
+      if (n.feature == -1) continue;
+      const auto later_node = [&](int c) {
+        return c > 0 && static_cast<std::size_t>(c) > i &&
+               static_cast<std::size_t>(c) < size;
+      };
+      if (n.feature < 0 ||
+          static_cast<std::size_t>(n.feature) >= m.num_features_ ||
+          !later_node(n.left) || !later_node(n.right)) {
+        throw util::SerializeError("gbdt: malformed split at node " +
+                                   std::to_string(i));
+      }
+    }
+    return t;
+  });
   m.rebuild_forest();
   return m;
 }

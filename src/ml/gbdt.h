@@ -41,7 +41,8 @@ class GbdtRegressor {
   /// Traverses the flattened SoA forest trees-outer / row-block-inner, so
   /// the contiguous feature/threshold/child arrays stream through cache once
   /// per tree while a block of rows advances level-by-level in lockstep (the
-  /// inner loop is a branch-free compare/select over the block). Per-row
+  /// inner loop picks each row's child with an arithmetic select, which
+  /// compiles to a cmov, so no step branches on the data). Per-row
   /// accumulation order (base + tree 0 + tree 1 + ...) matches predict_row
   /// exactly, so results are bit-identical.
   void predict_rows(const float* rows, std::size_t n, std::size_t stride,
@@ -55,6 +56,9 @@ class GbdtRegressor {
   double training_rmse(const Matrix& x, const std::vector<double>& y) const;
 
   void save(std::ostream& os) const;
+  /// Throws util::SerializeError on a truncated stream or a hostile tree: an
+  /// empty tree, or a split whose feature is outside [0, num_features) or
+  /// whose child is not a later node of the same tree.
   static GbdtRegressor load(std::istream& is);
 
  private:

@@ -93,27 +93,6 @@ std::uint64_t process_seed() {
   return seed;
 }
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
@@ -176,6 +155,27 @@ std::string render_locked(Ring& r) {
 }
 
 }  // namespace
+
+void append_json_escaped(std::string& out, const char* s) {
+  for (; *s != '\0'; ++s) {
+    const char c = *s;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
 
 std::uint64_t trace_now_us() {
   return static_cast<std::uint64_t>(

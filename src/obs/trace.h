@@ -191,6 +191,10 @@ class Trace {
   static bool flush_file();
 };
 
+/// Append `s` to `out` as the body of a JSON string literal (quotes,
+/// backslashes and control characters escaped).
+void append_json_escaped(std::string& out, const char* s);
+
 /// Merge Chrome trace JSON documents (as produced by render_chrome_json,
 /// one per process) into a single document: traceEvents concatenated,
 /// dropped counts summed. Inputs that don't look like a trace document are

@@ -170,6 +170,41 @@ std::string Router::stats_text() const {
   return os.str();
 }
 
+std::string Router::stats_json() const {
+  const std::vector<BackendStatus> statuses = pool_->snapshot();
+  std::size_t up = 0;
+  for (const BackendStatus& s : statuses) {
+    if (s.state == BackendState::kUp) ++up;
+  }
+  auto u = [](std::uint64_t v) { return std::to_string(v); };
+  auto b = [](bool v) { return std::string(v ? "true" : "false"); };
+  std::string out = "{\"backends_up\":" + u(up) +
+                    ",\"ring_size\":" + u(pool_->ring_size()) +
+                    ",\"ring_generation\":" + u(pool_->ring_generation()) +
+                    ",\"hot_keys_tracked\":" + u(pool_->hot_keys_tracked()) +
+                    ",\"replicas\":" + u(pool_->routing().replicas) +
+                    ",\"backends\":[";
+  for (std::size_t i = 0; i < statuses.size(); ++i) {
+    const BackendStatus& s = statuses[i];
+    if (i > 0) out += ',';
+    // Health fields stay zero until the first probe succeeds.
+    out += "{\"id\":\"";
+    obs::append_json_escaped(out, s.address.id.c_str());
+    out += "\",\"state\":\"" + std::string(backend_state_name(s.state)) +
+           "\",\"in_ring\":" + b(s.in_ring) +
+           ",\"probes_ok\":" + u(s.probes_ok) +
+           ",\"probes_failed\":" + u(s.probes_failed) +
+           ",\"models\":" + u(s.health.num_models) +
+           ",\"cache_designs\":" + u(s.health.cache_designs) +
+           ",\"cache_total_bytes\":" + u(s.health.cache_total_bytes) +
+           ",\"queue_depth\":" + u(s.health.queue_depth) +
+           ",\"registry_generation\":" + u(s.health.registry_generation) +
+           ",\"load\":" + u(s.load) + ",\"load_fresh\":" + b(s.load_fresh) +
+           ",\"overloaded\":" + b(s.overloaded) + "}";
+  }
+  return out + "]}";
+}
+
 serve::HealthResponse Router::health_snapshot() const {
   // Health is rare monitoring traffic: refresh every shard synchronously so
   // the aggregate reflects the fleet as of this request, not the last
@@ -253,7 +288,9 @@ void Router::connection_loop(Connection* conn) {
                 serve::optional_string_payload(frame.payload);
             reply = frame.type == MsgType::kStats
                         ? Frame{MsgType::kStatsText,
-                                serve::encode_string_payload(stats_text())}
+                                serve::encode_string_payload(
+                                    mode == "json" ? stats_json()
+                                                   : stats_text())}
                         : Frame{MsgType::kMetricsText,
                                 serve::encode_string_payload(
                                     mode == "fleet"

@@ -135,6 +135,9 @@ class Router {
 
   /// The per-backend table the Stats wire request answers with.
   std::string stats_text() const;
+  /// The same table as one JSON object (Stats with mode "json"): the tier
+  /// summary fields plus a "backends" array, one object per shard.
+  std::string stats_json() const;
 
  private:
   struct Connection {

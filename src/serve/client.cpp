@@ -28,6 +28,7 @@ PredictResponse predict_reply(const Frame& frame) {
     r.has_timing = true;
     r.timing = *frame.ext.timing;
   }
+  r.has_load = frame.ext.load.has_value();
   return r;
 }
 

@@ -69,8 +69,9 @@ class Client {
   /// — the same LoadReport the routing tier uses to keep queue depths
   /// request-fresh. It is filled before a ServeError is thrown (shed
   /// replies carry one too) and reads zeros when the reply has none (a
-  /// router clears it before relaying). The decoded response is the same
-  /// either way. An ops/debug aid (`atlas_client predict --show-load`).
+  /// router clears it before relaying); the response's has_load tells the
+  /// two apart. The decoded prediction is the same either way. An ops/debug
+  /// aid (`atlas_client predict --show-load`).
   PredictResponse predict(const PredictRequest& request,
                           LoadReport* load_out = nullptr);
 

@@ -351,6 +351,9 @@ struct PredictResponse {
   /// request set ext.want_timing.
   bool has_timing = false;
   ServerTiming timing;
+  /// The reply carried a LoadReport (requested through Client::predict's
+  /// load_out, which receives it). False through a router, which strips it.
+  bool has_load = false;
 
   bool design_cache_hit() const { return cache_flags & kCacheHitDesign; }
   bool embedding_cache_hit() const { return cache_flags & kCacheHitEmbeddings; }

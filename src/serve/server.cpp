@@ -335,9 +335,17 @@ void Server::connection_loop(Connection* conn) {
           }
           job->request.ext = frame.ext;
           job->enqueued_at = received_at;
+          if (job->request.netlist_verilog.empty()) {
+            const Frame reply = error_reply(ErrorCode::kBadRequest,
+                                            "predict carries no netlist text");
+            write_frame(sock, reply.type, reply.payload);
+            stats_.record("predict", elapsed_us(received_at), true);
+            break;
+          }
+          admit_netlist(*job, /*client_hash=*/0);
           // Admission control runs before the queue: a shed request costs
           // one cache peek, not a dispatcher slot (see maybe_shed_predict).
-          if (auto shed = maybe_shed_predict(job->request)) {
+          if (auto shed = maybe_shed_predict(*job)) {
             write_frame(sock, shed->type, shed->payload, shed->ext);
             stats_.record("predict", elapsed_us(received_at), true);
             break;
@@ -588,30 +596,41 @@ Frame Server::submit_and_wait(const std::shared_ptr<PendingJob>& job) {
   return reply;
 }
 
-bool Server::predict_is_warm(const PredictRequest& req) const {
+void Server::admit_netlist(PendingJob& job, std::uint64_t client_hash) {
+  if (client_hash != 0) {
+    job.netlist_hash = client_hash;
+    return;
+  }
+  const Clock::time_point start = Clock::now();
+  job.netlist_hash = util::fnv1a64(job.request.netlist_verilog);
+  job.timing.cache_us = elapsed_us(start);
+}
+
+bool Server::predict_is_warm(const PendingJob& job) const {
+  const PredictRequest& req = job.request;
   const std::shared_ptr<const ModelEntry> entry = registry_->get(req.model);
   // Unknown model: admit, so the normal path answers kUnknownModel —
   // shedding would hide a configuration error behind a retryable
   // overload signal.
   if (!entry) return true;
   // Mirror prepare_predict's key derivation exactly; a mismatch here would
-  // shed requests the cache could have answered. Plain predicts carry the
-  // netlist text (no design_hash) and use a built-in workload (trace hash 0).
-  const std::uint64_t design_key = design_cache_key(
-      util::fnv1a64(req.netlist_verilog), entry->library_hash);
+  // shed requests the cache could have answered. Plain predicts use a
+  // built-in workload (trace hash 0).
+  const std::uint64_t design_key =
+      design_cache_key(job.netlist_hash, entry->library_hash);
   if (!cache_.peek_design(design_key)) return false;
   const EmbeddingKey emb_key{req.model, req.workload, req.cycles,
                              /*trace_hash=*/0, entry->generation};
   return cache_.peek_embeddings(design_key, emb_key);
 }
 
-std::optional<Frame> Server::maybe_shed_predict(const PredictRequest& req) {
+std::optional<Frame> Server::maybe_shed_predict(const PendingJob& job) {
   if (config_.shed_queue_depth == 0) return std::nullopt;
   const std::size_t load = inflight_.load(std::memory_order_relaxed);
   if (load < config_.shed_queue_depth) return std::nullopt;
   // Warm requests are never shed: answering from the cache is cheaper than
   // the round trip it would cost the client to go anywhere else.
-  if (predict_is_warm(req)) return std::nullopt;
+  if (predict_is_warm(job)) return std::nullopt;
   shed_counter().inc();
   Frame reply = error_reply(
       ErrorCode::kOverloaded,
@@ -621,7 +640,7 @@ std::optional<Frame> Server::maybe_shed_predict(const PredictRequest& req) {
           "; retry on a replica or later");
   // A shed is queue-bound by definition: report wait-dominated so a routing
   // tier prefers a warm replica for the retry.
-  maybe_attach_load(req.ext, reply, nullptr);
+  maybe_attach_load(job.request.ext, reply, nullptr);
   return reply;
 }
 
@@ -674,6 +693,11 @@ Frame Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
       if (begin.design_hash != 0 && !begin.netlist_verilog.empty()) {
         return fail(ErrorCode::kBadRequest,
                     "stream_begin carries both a design_hash and netlist "
+                    "text; send exactly one");
+      }
+      if (begin.design_hash == 0 && begin.netlist_verilog.empty()) {
+        return fail(ErrorCode::kBadRequest,
+                    "stream_begin carries neither a design_hash nor netlist "
                     "text; send exactly one");
       }
       if (begin.design_hash != 0) {
@@ -814,10 +838,10 @@ Frame Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
       job->trace = std::make_shared<const sim::ExternalTrace>(
           is_delta ? sim::ExternalTrace::from_delta_bytes(std::move(stream.data))
                    : sim::ExternalTrace::from_vcd_text(std::move(stream.data)));
-      job->design_hash = stream.begin.design_hash;
       job->endpoint = "stream";
       // The deadline spans the whole streamed request: assembly included.
       job->enqueued_at = stream.started;
+      admit_netlist(*job, stream.begin.design_hash);
       stream.reset();
       Frame reply = submit_and_wait(job);
       maybe_attach_load(job->request.ext, reply, &job->timing);
@@ -930,16 +954,18 @@ void Server::maybe_log_slow(const PendingJob& job, bool is_error) {
 void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
   const sim::ExternalTrace* trace = job.trace.get();
-  const std::uint64_t design_hash = job.design_hash;
   // Pre-handler phases: batch wait (enqueue -> batch formed; for streams
   // that includes chunk assembly) and queue (batch formed -> here: dispatch
   // overhead + waiting for a pool slot) — together "time not spent
   // computing", separable into "waiting to be batched" vs "batched but not
-  // yet running".
-  job.timing.batch_wait_us = static_cast<std::uint64_t>(
+  // yet running". The admission hash ran inside the pre-dispatch interval
+  // and is already in cache_us, so batch wait leaves it out.
+  const std::uint64_t pre_dispatch_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           job.dispatched_at - job.enqueued_at)
           .count());
+  job.timing.batch_wait_us =
+      pre_dispatch_us - std::min(pre_dispatch_us, job.timing.cache_us);
   job.timing.queue_us = elapsed_us(job.dispatched_at);
   obs::ObsSpan span("serve", "handle_predict");
   prep.handler_start = Clock::now();
@@ -994,12 +1020,11 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   // mixes in the library's content hash: two models on different substrates
   // can never serve each other's parsed graphs, while models sharing a
   // substrate (equal hash) still share the entry.
-  // Design-by-hash requests supply that netlist hash directly (the client
-  // computed the same FNV-1a over the text it uploaded earlier), so the key
-  // resolves without the text ever crossing the wire again.
-  prep.design_key = design_cache_key(
-      design_hash != 0 ? design_hash : util::fnv1a64(req.netlist_verilog),
-      entry->library_hash);
+  // The netlist hash was stamped at admission (admit_netlist); design-by-hash
+  // requests supply it directly (the client computed the same FNV-1a over
+  // the text it uploaded earlier), so the key resolves without the text
+  // ever crossing the wire again.
+  prep.design_key = design_cache_key(job.netlist_hash, entry->library_hash);
   const std::uint64_t design_key = prep.design_key;
 
   Clock::time_point phase_start = Clock::now();
@@ -1007,11 +1032,11 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   job.timing.cache_us += elapsed_us(phase_start);
   if (prep.design) {
     prep.cache_flags |= kCacheHitDesign;
-  } else if (design_hash != 0) {
+  } else if (req.netlist_verilog.empty()) {
     // A hash reference cannot rebuild the artifacts (there is no text to
     // parse); this is the StreamBegin check losing a race with eviction.
     prep.reply = error_reply(ErrorCode::kUnknownDesign,
-                             "design " + util::hash_hex(design_hash) +
+                             "design " + util::hash_hex(job.netlist_hash) +
                                  " is no longer cached; re-send the netlist");
     return;
   } else {

@@ -174,9 +174,11 @@ class Server {
     std::shared_ptr<const sim::ExternalTrace> trace;
     /// Stats endpoint this job is accounted under ("predict" | "stream").
     const char* endpoint = "predict";
-    /// Design-by-hash streamed requests: the client-supplied FNV-1a hash of
-    /// the netlist text (0 = netlist travels in the request).
-    std::uint64_t design_hash = 0;
+    /// FNV-1a hash of the netlist text, the design-cache key component:
+    /// the client's hash for design-by-hash streams (no text travels),
+    /// otherwise computed once on the connection thread at admission (see
+    /// admit_netlist) so the dispatcher never rehashes.
+    std::uint64_t netlist_hash = 0;
     /// Predict: frame receipt. Stream: StreamBegin receipt, so the deadline
     /// spans assembly + queue wait + compute.
     std::chrono::steady_clock::time_point enqueued_at;
@@ -270,15 +272,19 @@ class Server {
   /// Handle one Stream* frame against `stream`; returns the reply frame.
   Frame handle_stream_frame(const Frame& frame, StreamState& stream);
 
+  /// Stamp job.netlist_hash on the connection thread: `client_hash` when
+  /// nonzero (a design-by-hash stream), otherwise FNV-1a over the request's
+  /// netlist text. The hashing time is charged to job.timing.cache_us.
+  static void admit_netlist(PendingJob& job, std::uint64_t client_hash);
   /// Admission check for the shed watermark: true when the request would be
   /// answered from the caches (design AND embeddings present — const peeks,
   /// no LRU perturbation). Unknown models return true so the normal path
   /// answers kUnknownModel instead of a misleading kOverloaded.
-  bool predict_is_warm(const PredictRequest& req) const;
-  /// Shed decision for one decoded predict request. Returns the kOverloaded
+  bool predict_is_warm(const PendingJob& job) const;
+  /// Shed decision for one admitted predict job. Returns the kOverloaded
   /// error reply when the server is past config_.shed_queue_depth and the
   /// request is cold; nullopt admits it.
-  std::optional<Frame> maybe_shed_predict(const PredictRequest& req);
+  std::optional<Frame> maybe_shed_predict(const PendingJob& job);
   /// Attach the LoadReport piggyback to `reply`'s extension when the
   /// request asked for it (want_queue_depth). `timing` drives the
   /// wait-dominated flag; pass the job's filled timing, or nullptr for
@@ -293,14 +299,14 @@ class Server {
   /// work, validates the workload, resolves the design (cache or parse) and
   /// probes the embedding cache. job.trace is the assembled client-supplied
   /// toggle trace for streamed requests, null for the synthetic w1/w2
-  /// workloads. A nonzero job.design_hash replaces the netlist text as the
-  /// design-cache key component; a miss answers kUnknownDesign (the
-  /// StreamBegin-time check can race eviction, so it is re-checked here)
-  /// instead of parsing. On an embedding miss it resolves/simulates the
-  /// toggle trace into prep.toggles and sets prep.needs_encode; any
-  /// terminal failure lands in prep.reply. Emits the per-request
-  /// "handle_predict" span (the caller must have installed the job's trace
-  /// scope). Fills job.timing phases up to the encoder.
+  /// workloads. job.netlist_hash is the design-cache key component; a miss
+  /// for a request without netlist text (a design-by-hash stream) answers
+  /// kUnknownDesign (the StreamBegin-time check can race eviction, so it is
+  /// re-checked here) instead of parsing. On an embedding miss it
+  /// resolves/simulates the toggle trace into prep.toggles and sets
+  /// prep.needs_encode; any terminal failure lands in prep.reply. Emits the
+  /// per-request "handle_predict" span (the caller must have installed the
+  /// job's trace scope). Fills job.timing phases up to the encoder.
   void prepare_predict(PendingJob& job, PredictPrep& prep);
   /// Second half: GBDT heads over the embeddings (arena-backed scratch
   /// from arena_pool_), response assembly, serialization and the timing

@@ -12,6 +12,7 @@
 #include "ml/mlp.h"
 #include "ml/sgformer.h"
 #include "util/parallel.h"
+#include "util/serialize.h"
 
 namespace atlas::ml {
 namespace {
@@ -856,26 +857,44 @@ TEST(GbdtTest, BatchedTraversalBitIdenticalToPredictRow) {
   GbdtRegressor model(cfg);
   model.fit(x, y);
 
-  // Queries include NaN rows and out-of-distribution values.
-  Matrix q(64, 3);
+  // Queries include NaN, +-inf and out-of-distribution values. The row
+  // counts cover one row, a partial 64-row block, one full block plus a
+  // tail, and two full blocks plus a tail.
+  Matrix q(130, 3);
   for (std::size_t i = 0; i < q.rows(); ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       q.at(i, j) = static_cast<float>(rng.next_double(-4, 4));
     }
   }
+  const float inf = std::numeric_limits<float>::infinity();
+  q.at(0, 2) = -inf;
   q.at(5, 1) = std::numeric_limits<float>::quiet_NaN();
   q.at(17, 0) = std::numeric_limits<float>::quiet_NaN();
+  q.at(62, 0) = inf;
+  q.at(64, 1) = -inf;
+  q.at(100, 0) = inf;
+  q.at(100, 1) = inf;
+  q.at(100, 2) = inf;
+  q.at(129, 0) = -inf;
+  q.at(129, 1) = std::numeric_limits<float>::quiet_NaN();
 
-  std::vector<double> batched(q.rows());
-  model.predict_rows(q.data(), q.rows(), q.cols(), batched.data());
+  std::vector<double> serial(q.rows());
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    serial[i] = model.predict_row(q.row(i));
+  }
+  for (const std::size_t n_rows : {1u, 63u, 65u, 130u}) {
+    std::vector<double> batched(n_rows);
+    model.predict_rows(q.data(), n_rows, q.cols(), batched.data());
+    for (std::size_t i = 0; i < n_rows; ++i) {
+      EXPECT_EQ(batched[i], serial[i]) << "row " << i << " of " << n_rows;
+    }
+  }
   for (const int threads : {1, 4}) {
     util::set_global_threads(threads);
     const std::vector<double> via_predict = model.predict(q);
     for (std::size_t i = 0; i < q.rows(); ++i) {
-      const double serial = model.predict_row(q.row(i));
-      EXPECT_EQ(batched[i], serial) << "row " << i;
-      EXPECT_EQ(via_predict[i], serial) << "row " << i << " threads "
-                                        << threads;
+      EXPECT_EQ(via_predict[i], serial[i]) << "row " << i << " threads "
+                                           << threads;
     }
   }
   util::set_global_threads(0);
@@ -908,6 +927,81 @@ TEST(GbdtTest, SerializationRoundTrip) {
   for (std::size_t i = 0; i < 200; i += 17) {
     EXPECT_DOUBLE_EQ(back.predict_row(x.row(i)), model.predict_row(x.row(i)));
   }
+}
+
+/// One hand-written GBDT node as the artifact stores it.
+struct RawNode {
+  std::int64_t feature, left, right;
+  float threshold = 0.5f;
+  double value = 0.0;
+};
+
+/// A one-tree GBDT artifact over `num_features` features.
+std::string gbdt_artifact(std::uint64_t num_features,
+                          const std::vector<RawNode>& nodes) {
+  std::stringstream ss;
+  util::write_header(ss, "GBDT", 1);
+  util::write_u64(ss, num_features);
+  util::write_f64(ss, 0.0);
+  util::write_u64(ss, 1);
+  util::write_u64(ss, nodes.size());
+  for (const RawNode& n : nodes) {
+    util::write_i64(ss, n.feature);
+    util::write_f32(ss, n.threshold);
+    util::write_i64(ss, n.left);
+    util::write_i64(ss, n.right);
+    util::write_f64(ss, n.value);
+  }
+  return ss.str();
+}
+
+GbdtRegressor load_gbdt(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return GbdtRegressor::load(is);
+}
+
+TEST(GbdtTest, HandWrittenTreeLoadsAndPredicts) {
+  // Control for the hostile cases below: a well-formed split loads and both
+  // predict paths route by it.
+  const GbdtRegressor m = load_gbdt(gbdt_artifact(
+      2, {{1, 1, 2}, {-1, -1, -1, 0.0f, 10.0}, {-1, -1, -1, 0.0f, 20.0}}));
+  const float lo[2] = {9.0f, 0.25f};
+  const float hi[2] = {9.0f, 0.75f};
+  EXPECT_EQ(m.predict_row(lo), 10.0);
+  EXPECT_EQ(m.predict_row(hi), 20.0);
+  double out[2];
+  const float rows[4] = {9.0f, 0.25f, 9.0f, 0.75f};
+  m.predict_rows(rows, 2, 2, out);
+  EXPECT_EQ(out[0], 10.0);
+  EXPECT_EQ(out[1], 20.0);
+}
+
+TEST(GbdtTest, HostileArtifactsGetSerializeError) {
+  // Node fields index the feature row and the forest arrays unchecked at
+  // predict time; load must reject every shape that would read or write
+  // out of bounds, or walk forever, before any of it is used.
+  const RawNode leaf{-1, -1, -1};
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"child past the tree", gbdt_artifact(2, {{0, 1, 99}, leaf})},
+      {"negative child", gbdt_artifact(2, {{0, -5, 1}, leaf})},
+      {"child pointing at its parent", gbdt_artifact(2, {{0, 1, 0}, leaf})},
+      {"backward child", gbdt_artifact(2, {{0, 1, 2}, {0, 0, 2}, leaf})},
+      {"feature past the row", gbdt_artifact(2, {{2, 1, 2}, leaf, leaf})},
+      {"negative non-leaf feature", gbdt_artifact(2, {{-2, 1, 2}, leaf, leaf})},
+      {"feature beyond int", gbdt_artifact(2, {{1ll << 40, 1, 2}, leaf, leaf})},
+      {"empty tree", gbdt_artifact(2, {})},
+  };
+  for (const auto& [what, bytes] : cases) {
+    EXPECT_THROW(load_gbdt(bytes), util::SerializeError) << what;
+  }
+
+  // A tree count no stream could hold fails before allocating for it.
+  std::stringstream ss;
+  util::write_header(ss, "GBDT", 1);
+  util::write_u64(ss, 2);
+  util::write_f64(ss, 0.0);
+  util::write_u64(ss, 1ull << 60);
+  EXPECT_THROW(load_gbdt(ss.str()), util::SerializeError);
 }
 
 TEST(GbdtTest, InvalidInputsThrow) {

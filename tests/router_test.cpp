@@ -51,6 +51,8 @@
 #include "util/hash.h"
 #include "util/socket.h"
 
+#include "json_reader.h"
+
 namespace atlas::router {
 namespace {
 
@@ -681,6 +683,49 @@ TEST_F(RouterTest, AdminGateAndControlPlane) {
   const std::string metrics = client.metrics_text();
   EXPECT_NE(metrics.find("atlas_router_probe_latency_us"), std::string::npos);
   EXPECT_NE(metrics.find("atlas_router_ring_backends 2"), std::string::npos);
+}
+
+TEST_F(RouterTest, StatsJsonIsOneObjectOfTheBackendTable) {
+  Fleet fleet = start_fleet();
+  Client client = connect(fleet);
+  const std::string text = client.stats_text(/*json=*/true);
+  test::Json doc;
+  ASSERT_NO_THROW(doc = test::JsonParser(text).parse()) << text;
+  ASSERT_EQ(doc.type, test::Json::Type::kObject) << text;
+  EXPECT_EQ(doc.at("backends_up").num, 2);
+  EXPECT_GT(doc.at("ring_size").num, 0);
+  EXPECT_EQ(doc.at("replicas").num, 1);
+  const test::Json& backends = doc.at("backends");
+  ASSERT_EQ(backends.type, test::Json::Type::kArray);
+  ASSERT_EQ(backends.arr.size(), 2u);
+  std::set<std::string> ids;
+  for (const test::Json& b : backends.arr) {
+    ids.insert(b.at("id").str);
+    EXPECT_EQ(b.at("state").str, "up");
+    EXPECT_TRUE(b.at("in_ring").b);
+    EXPECT_GT(b.at("probes_ok").num, 0);
+    EXPECT_EQ(b.at("models").num, 1);
+    EXPECT_EQ(b.at("overloaded").type, test::Json::Type::kBool);
+  }
+  EXPECT_EQ(ids, (std::set<std::string>{fleet.id_a, fleet.id_b}));
+  // The plain table still answers the default mode.
+  EXPECT_NE(client.stats_text().find("atlas_router:"), std::string::npos);
+}
+
+TEST_F(RouterTest, ClientSeesThatTheRouterStrippedTheLoadReport) {
+  Fleet fleet = start_fleet();
+  Client client = connect(fleet);
+  serve::LoadReport load;
+  const PredictResponse resp =
+      client.predict(make_request(design_variant(304)), &load);
+  EXPECT_FALSE(resp.has_load);
+  expect_matches(resp, *expected_w1_);
+
+  // Direct to a shard the same request gets its report.
+  Client direct = Client::connect_tcp("127.0.0.1", fleet.a->port());
+  EXPECT_TRUE(
+      direct.predict(make_request(design_variant(304)), &load).has_load);
+  EXPECT_FALSE(direct.predict(make_request(design_variant(304))).has_load);
 }
 
 // ---- PR 8: fleet observability --------------------------------------------

@@ -1158,6 +1158,39 @@ TEST_F(ServeTest, DesignByHashEvictionRaceFallsBackCleanly) {
   server.stop();
 }
 
+TEST_F(ServeTest, ByHashStreamHitsADesignUploadedByPredictUntilEvicted) {
+  // A plain predict's admission hash and a stream client's design_hash are
+  // the same FNV-1a of the text, so a design uploaded once by predict is
+  // reachable by hash. Once evicted, the hash answers kUnknownDesign.
+  const DeltaFixture f = make_delta_fixture(*verilog_, *lib_, **model_);
+  ServerConfig cfg = loopback_config();
+  cfg.cache_designs = 1;  // any other design evicts ours
+  Server server(cfg, make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+  expect_matches_direct(client.predict(make_request()), *expected_w1_);
+
+  StreamBeginRequest by_hash =
+      make_stream_begin(*verilog_, TraceFormat::kToggleDelta);
+  by_hash.netlist_verilog.clear();
+  by_hash.design_hash = util::fnv1a64(*verilog_);
+  const PredictResponse warm = client.predict_stream(by_hash, f.delta);
+  EXPECT_TRUE(warm.design_cache_hit());
+  expect_matches_direct(warm, f.direct);
+
+  PredictRequest other = make_request();
+  other.netlist_verilog = netlist::write_verilog(designgen::generate_design(
+      designgen::paper_design_spec(3, 0.0025), *lib_));
+  client.predict(other);
+  try {
+    client.predict_stream(by_hash, f.delta);
+    FAIL() << "expected ServeError";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnknownDesign);
+  }
+  server.stop();
+}
+
 TEST_F(ServeTest, ConcurrentDeltaStreamsAllBitIdentical) {
   // Delta-stream assembly, validation, hash fallback and cache insertion
   // racing across connections (the TSan target for this subsystem): every
@@ -1324,6 +1357,75 @@ TEST_F(ServeTest, AdminLoadUnloadLifecycle) {
   }
   ASSERT_EQ(client.models().size(), 1u);
   expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  server.stop();
+}
+
+TEST_F(ServeTest, AdminLoadRejectsHostileGbdtHeadsAndKeepsServing) {
+  // A model artifact whose clock-tree head is hand-written: one split over
+  // two leaves with the given fields, the encoder and other heads genuine.
+  // Every hostile shape must answer kBadRequest from the admin load while
+  // the registry keeps serving the model it had.
+  const core::AtlasModel& model = **model_;
+  const std::uint64_t width = model.models().f_ct.num_features();
+  const auto write_artifact = [&](const std::string& path,
+                                  std::uint64_t num_features,
+                                  std::int64_t feature, std::int64_t left,
+                                  std::int64_t right) {
+    std::ofstream os(path, std::ios::binary);
+    util::write_header(os, "ATLS", 1);
+    model.encoder().save(os);
+    util::write_header(os, "GBDT", 1);
+    util::write_u64(os, num_features);
+    util::write_f64(os, 0.0);
+    util::write_u64(os, 1);  // trees
+    util::write_u64(os, 3);  // nodes
+    const std::int64_t nodes[3][3] = {
+        {feature, left, right}, {-1, -1, -1}, {-1, -1, -1}};
+    for (const auto& n : nodes) {
+      util::write_i64(os, n[0]);
+      util::write_f32(os, 0.5f);
+      util::write_i64(os, n[1]);
+      util::write_i64(os, n[2]);
+      util::write_f64(os, 1.0);
+    }
+    model.models().f_comb.save(os);
+    model.models().f_reg.save(os);
+  };
+
+  ServerConfig cfg = loopback_config();
+  cfg.allow_admin = true;
+  Server server(cfg, make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+  const TempFile artifact("atlas_hostile_head", ".bin");
+
+  // Control: the hand-written head is well formed, so the writer is right.
+  write_artifact(artifact.path(), width, 0, 1, 2);
+  client.load_model("control", artifact.path());
+  client.unload_model("control");
+
+  struct Hostile {
+    const char* what;
+    std::uint64_t num_features;
+    std::int64_t feature, left, right;
+  };
+  const std::int64_t w = static_cast<std::int64_t>(width);
+  for (const Hostile& h : {Hostile{"child past the tree", width, 0, 1, 99},
+                           Hostile{"backward child", width, 0, 1, 0},
+                           Hostile{"feature past the row", width, w, 1, 2},
+                           Hostile{"head wider than its rows", width + 1000,
+                                   w + 500, 1, 2}}) {
+    write_artifact(artifact.path(), h.num_features, h.feature, h.left,
+                   h.right);
+    try {
+      client.load_model("hostile", artifact.path());
+      FAIL() << "expected ServeError for " << h.what;
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << h.what;
+    }
+    ASSERT_EQ(client.models().size(), 1u) << h.what;
+    expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  }
   server.stop();
 }
 
@@ -1941,6 +2043,75 @@ TEST_F(ServeTest, TimingPhasesSumToTotalWithBatchWaitSplit) {
   // is microseconds on an idle server.
   EXPECT_GE(resp.timing.queue_us, 20'000u);
   EXPECT_LT(resp.timing.batch_wait_us, 20'000u);
+}
+
+TEST_F(ServeTest, AdmissionHashIsChargedToCacheTimeNotBatchWait) {
+  // The server hashes a request's netlist text once, on the connection
+  // thread as the request is admitted. That time derives the design-cache
+  // key, so it is cache_us, never batch_wait_us, and the phases still fit
+  // inside total_us. A 4 MiB comment makes the hash take milliseconds; the
+  // prediction is unchanged by it.
+  PredictRequest req = make_request();
+  req.netlist_verilog =
+      *verilog_ + "\n// " + std::string(std::size_t{4} << 20, 'x') + "\n";
+  req.ext.want_timing = true;
+  std::uint64_t local_us = ~std::uint64_t{0};
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t h = util::fnv1a64(req.netlist_verilog);
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_NE(h, 0u);
+    local_us = std::min(local_us, static_cast<std::uint64_t>(us));
+  }
+
+  Server server(loopback_config(), make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+  for (const bool warm : {false, true}) {
+    const PredictResponse resp = client.predict(req);
+    ASSERT_TRUE(resp.has_timing);
+    EXPECT_EQ(resp.design_cache_hit(), warm);
+    expect_matches_direct(resp, *expected_w1_);
+    EXPECT_GE(resp.timing.cache_us, local_us / 4) << "warm=" << warm;
+    // Counted in batch wait as well, the hash would push the sum past the
+    // total by about cache_us.
+    EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +
+                  resp.timing.cache_us + resp.timing.encode_us +
+                  resp.timing.predict_us + resp.timing.serialize_us,
+              resp.timing.total_us)
+        << "warm=" << warm;
+  }
+  server.stop();
+}
+
+TEST_F(ServeTest, RequestsWithoutANetlistAreRejectedAtAdmission) {
+  // The design key comes from the netlist text or, for a stream, the
+  // client's hash of it; a request with neither names no design.
+  Server server(loopback_config(), make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+
+  PredictRequest empty = make_request();
+  empty.netlist_verilog.clear();
+  try {
+    client.predict(empty);
+    FAIL() << "expected ServeError";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+  }
+
+  try {
+    client.predict_stream(make_stream_begin("", TraceFormat::kToggleDelta),
+                          "ATDT");
+    FAIL() << "expected ServeError";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+  }
+
+  expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  server.stop();
 }
 
 /// Restores the global pool size no matter how a test exits.

@@ -374,8 +374,7 @@ int cmd_predict(int argc, const char* const* argv) {
       .flag("csv", "atlas_power.csv", "per-cycle predicted power CSV")
       .flag("show-load", "false",
             "also print the server's load report (queued + in-flight jobs, "
-            "wait- vs compute-dominated) attached to the reply; a router "
-            "clears it, so zeros through a router");
+            "wait- vs compute-dominated) attached to the reply");
   add_endpoint_flags(cli).parse(argc, argv);
   if (cli.help_requested()) return 0;
 
@@ -391,9 +390,15 @@ int cmd_predict(int argc, const char* const* argv) {
   if (cli.boolean("show-load")) {
     serve::LoadReport load;
     resp = client.predict(req, &load);
-    std::printf("server load: %llu jobs queued or in flight (%s)\n",
-                static_cast<unsigned long long>(load.load),
-                load.wait_dominated() ? "wait-dominated" : "compute-dominated");
+    if (resp.has_load) {
+      std::printf("server load: %llu jobs queued or in flight (%s)\n",
+                  static_cast<unsigned long long>(load.load),
+                  load.wait_dominated() ? "wait-dominated"
+                                        : "compute-dominated");
+    } else {
+      std::printf("server load: no load report attached (a router strips "
+                  "it)\n");
+    }
   } else {
     resp = client.predict(req);
   }
