@@ -261,6 +261,23 @@ void BM_ObsSpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSpanEnabled);
 
+// The tier every span site in the serving path pays while a request carries
+// an unsampled trace context: the tracer is on, but the span only extends
+// the id chain (no clock reads, no ring push).
+void BM_ObsSpanUnsampled(benchmark::State& state) {
+  obs::Trace::enable();
+  {
+    obs::TraceContextScope scope(obs::make_root_context(/*sampled=*/false));
+    for (auto _ : state) {
+      obs::ObsSpan span("bench", "unsampled");
+      benchmark::DoNotOptimize(&span);
+    }
+  }
+  obs::Trace::disable();
+  obs::Trace::clear();
+}
+BENCHMARK(BM_ObsSpanUnsampled);
+
 // Contended counter increment: all threads hammer one cache line. This is
 // the worst case; real instrumentation points increment far less often
 // than once per ~20 ns, so even the 8-thread number is invisible at the

@@ -14,17 +14,11 @@
 namespace atlas::router {
 namespace {
 
+using serve::error_reply;
 using serve::ErrorCode;
 using serve::ErrorResponse;
 using serve::Frame;
 using serve::MsgType;
-
-Frame error_reply(ErrorCode code, const std::string& message) {
-  ErrorResponse err;
-  err.code = code;
-  err.message = message;
-  return {MsgType::kError, err.encode()};
-}
 
 obs::Counter& backend_counter(const char* name, const std::string& backend) {
   return obs::Registry::global().counter(name,
@@ -55,15 +49,15 @@ obs::TraceContext adopt_context(const obs::TraceContext& from_request) {
 Router::Router(RouterConfig config, std::vector<BackendAddress> backends)
     : config_(std::move(config)),
       pool_(std::make_unique<BackendPool>(std::move(backends), config_.probe,
-                                          config_.routing)) {}
+                                          config_.routing)),
+      host_("router", config_, config_.verbose) {}
 
 Router::~Router() { stop(); }
 
 void Router::start() {
-  if (started_) throw std::logic_error("Router::start called twice");
-  if (config_.port < 0 && config_.unix_path.empty()) {
-    throw util::SocketError("router has no endpoint (TCP and UDS disabled)");
-  }
+  // Bind before the prober starts: a bind failure then leaves no thread
+  // behind for a stop() that has nothing to stop.
+  host_.bind();
   pool_->start();
   // Register the per-backend counter families up front so they render at
   // zero before the first request/error/failover — scrapers see the series
@@ -73,72 +67,20 @@ void Router::start() {
     backend_counter("atlas_router_errors_total", b.id);
     backend_counter("atlas_router_failovers_total", b.id);
   }
-  if (config_.port >= 0) {
-    int port = config_.port;
-    tcp_listener_ = util::Listener::tcp(config_.host, port);
-    resolved_port_ = port;
-  }
-  if (!config_.unix_path.empty()) {
-    unix_listener_ = util::Listener::unix_domain(config_.unix_path);
-  }
-  started_ = true;
-  if (tcp_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  }
-  if (unix_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-  }
-  if (config_.verbose) {
-    obs::LogLine line(obs::LogLevel::kInfo, "router");
-    line.kv("event", "listening")
-        .kv("backends", static_cast<std::int64_t>(pool_->all_backends().size()))
-        .kv("ring", static_cast<std::int64_t>(pool_->ring_size()));
-    if (resolved_port_ >= 0) {
-      line.kv("host", config_.host).kv("port", resolved_port_);
-    }
-    if (!config_.unix_path.empty()) line.kv("uds", config_.unix_path);
-  }
+  host_.start([this]() -> serve::ConnectionHost::FrameHandler {
+    // Per-connection: the upstream sockets and the stream relay die with it.
+    auto upstreams = std::make_shared<UpstreamMap>();
+    auto relay = std::make_shared<StreamRelay>();
+    return [this, upstreams, relay](Frame& frame) {
+      return handle_frame(std::move(frame), *upstreams, *relay);
+    };
+  });
 }
 
 void Router::stop() {
-  if (!started_ || stopped_) return;
-  stopping_.store(true);
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  for (;;) {
-    std::unique_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conns_.empty()) break;
-      conn = std::move(conns_.back());
-      conns_.pop_back();
-    }
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  tcp_listener_.close();
-  unix_listener_.close();
+  if (!host_.running()) return;
+  host_.close_connections();
   pool_->stop();
-  stopped_ = true;
-  if (config_.verbose) {
-    obs::LogLine(obs::LogLevel::kInfo, "router").kv("event", "stopped");
-  }
-}
-
-void Router::wait_for_stop_request(const std::function<bool()>& poll) {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  for (;;) {
-    if (stop_requested_.load()) return;
-    if (poll && poll()) return;
-    if (poll) {
-      stop_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    } else {
-      stop_cv_.wait(lock);
-    }
-  }
 }
 
 std::string Router::stats_text() const {
@@ -213,137 +155,59 @@ serve::HealthResponse Router::health_snapshot() const {
   // probe timeout total — not one per dead backend.
   pool_->probe_all_now();
   serve::HealthResponse h = pool_->aggregate_health();
-  h.draining = stopping_.load() || stop_requested_.load();
+  h.draining = host_.stopping() || host_.stop_requested();
   return h;
 }
 
-void Router::accept_loop(util::Listener* listener) {
-  while (!stopping_.load()) {
-    std::optional<util::Socket> sock;
-    try {
-      sock = listener->accept(/*timeout_ms=*/100);
-    } catch (const util::SocketError&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
-    }
-    reap_finished_connections();
-    if (!sock) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(*sock);
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    raw->thread = std::thread([this, raw] { connection_loop(raw); });
-  }
-}
-
-void Router::reap_finished_connections() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = std::partition(conns_.begin(), conns_.end(),
-                             [](const auto& c) { return !c->done.load(); });
-    for (auto move_it = it; move_it != conns_.end(); ++move_it) {
-      finished.push_back(std::move(*move_it));
-    }
-    conns_.erase(it, conns_.end());
-  }
-  for (auto& c : finished) {
-    if (c->thread.joinable()) c->thread.join();
-  }
-}
-
-void Router::connection_loop(Connection* conn) {
-  util::Socket& sock = conn->sock;
-  UpstreamMap upstreams;  // owned by this thread; dies with the connection
-  StreamRelay relay;
-  try {
-    for (;;) {
-      Frame frame;
+Frame Router::handle_frame(Frame frame, UpstreamMap& upstreams,
+                          StreamRelay& relay) {
+  switch (frame.type) {
+    case MsgType::kPing:
+      return {MsgType::kPong, serve::encode_string_payload("pong")};
+    case MsgType::kHealth:
+      return {MsgType::kHealthReport, health_snapshot().encode()};
+    case MsgType::kStats:
+    case MsgType::kMetrics:
       try {
-        if (!serve::read_frame(sock, frame, config_.max_frame_bytes)) break;
+        const std::string mode = serve::optional_string_payload(frame.payload);
+        return frame.type == MsgType::kStats
+                   ? Frame{MsgType::kStatsText,
+                           serve::encode_string_payload(
+                               mode == "json" ? stats_json() : stats_text())}
+                   : Frame{MsgType::kMetricsText,
+                           serve::encode_string_payload(
+                               mode == "fleet" ? fleet_metrics()
+                                               : obs::Registry::global()
+                                                     .render_prometheus())};
       } catch (const serve::ProtocolError& e) {
-        const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
-        try {
-          serve::write_frame(sock, reply.type, reply.payload);
-        } catch (const util::SocketError&) {
-        }
-        break;
+        return error_reply(ErrorCode::kBadRequest, e.what());
       }
-
-      Frame reply;
-      switch (frame.type) {
-        case MsgType::kPing:
-          reply = {MsgType::kPong, serve::encode_string_payload("pong")};
-          break;
-        case MsgType::kHealth:
-          reply = {MsgType::kHealthReport, health_snapshot().encode()};
-          break;
-        case MsgType::kStats:
-        case MsgType::kMetrics:
-          try {
-            const std::string mode =
-                serve::optional_string_payload(frame.payload);
-            reply = frame.type == MsgType::kStats
-                        ? Frame{MsgType::kStatsText,
-                                serve::encode_string_payload(
-                                    mode == "json" ? stats_json()
-                                                   : stats_text())}
-                        : Frame{MsgType::kMetricsText,
-                                serve::encode_string_payload(
-                                    mode == "fleet"
-                                        ? fleet_metrics()
-                                        : obs::Registry::global()
-                                              .render_prometheus())};
-          } catch (const serve::ProtocolError& e) {
-            reply = error_reply(ErrorCode::kBadRequest, e.what());
-          }
-          break;
-        case MsgType::kTraceDump:
-          reply = trace_dump_fanout();
-          break;
-        case MsgType::kShutdown:
-          // Shut the router down; the backends are someone else's lifecycle
-          // (an operator draining the tier does not want the fleet dead).
-          {
-            std::lock_guard<std::mutex> stop_lock(stop_mu_);
-            stop_requested_.store(true);
-          }
-          stop_cv_.notify_all();
-          reply = {MsgType::kShutdownOk, serve::encode_string_payload("ok")};
-          break;
-        case MsgType::kListModels:
-          // Models are replicated fleet-wide: any live shard's list is the
-          // tier's list. Routed like a predict (with failover) so a dead
-          // backend never blanks the answer.
-        case MsgType::kPredict:
-          reply = route_predict(upstreams, std::move(frame));
-          break;
-        case MsgType::kLoadModel:
-        case MsgType::kUnloadModel:
-          reply = admin_fanout(frame);
-          break;
-        case MsgType::kStreamBegin:
-        case MsgType::kStreamChunk:
-        case MsgType::kStreamEnd:
-          reply = handle_stream(upstreams, std::move(frame), relay);
-          break;
-        default:
-          reply = error_reply(
-              ErrorCode::kBadRequest,
-              "unknown message type " +
-                  std::to_string(static_cast<std::uint32_t>(frame.type)));
-          break;
-      }
-      serve::write_frame(sock, reply.type, reply.payload, reply.ext);
-    }
-  } catch (const std::exception&) {
-    // Client vanished mid-write: drop this connection only.
+    case MsgType::kTraceDump:
+      return trace_dump_fanout();
+    case MsgType::kShutdown:
+      // Shut the router down; the backends are someone else's lifecycle
+      // (an operator draining the tier does not want the fleet dead).
+      host_.request_stop();
+      return {MsgType::kShutdownOk, serve::encode_string_payload("ok")};
+    case MsgType::kListModels:
+      // Models are replicated fleet-wide: any live shard's list is the
+      // tier's list. Routed like a predict (with failover) so a dead
+      // backend never blanks the answer.
+    case MsgType::kPredict:
+      return route_predict(upstreams, std::move(frame));
+    case MsgType::kLoadModel:
+    case MsgType::kUnloadModel:
+      return admin_fanout(frame);
+    case MsgType::kStreamBegin:
+    case MsgType::kStreamChunk:
+    case MsgType::kStreamEnd:
+      return handle_stream(upstreams, std::move(frame), relay);
+    default:
+      return error_reply(
+          ErrorCode::kBadRequest,
+          "unknown message type " +
+              std::to_string(static_cast<std::uint32_t>(frame.type)));
   }
-  sock.shutdown_both();
-  conn->done.store(true);
 }
 
 util::Socket* Router::upstream(UpstreamMap& upstreams, const std::string& id) {

@@ -1,6 +1,6 @@
 // atlas_router: a sharding front tier speaking the same ATSP protocol as
 // atlas_serve, so every existing client (atlas_client, serve::Client,
-// bench_serve) points at a router unchanged.
+// servebench) points at a router unchanged.
 //
 // Request handling splits three ways:
 //
@@ -53,40 +53,32 @@
 // timeline as sibling attempts. The client's payload bytes are forwarded
 // unchanged on every path.
 //
-// Threading mirrors serve::Server: one accept thread per listener, one
-// thread per client connection. Each connection thread owns its upstream
-// sockets (one per backend, lazily connected, reused across requests), so
-// the data path shares no mutable state across connections — only the
-// BackendPool (internally locked) and the obs metrics registry (atomics).
+// Threading is serve::Server's, through the same serve::ConnectionHost: one
+// accept thread per listener, one thread per client connection. Each
+// connection thread owns its upstream sockets (one per backend, lazily
+// connected, reused across requests), so the data path shares no mutable
+// state across connections — only the BackendPool (internally locked) and
+// the obs metrics registry (atomics).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
 #include "router/backend_pool.h"
+#include "serve/connection_host.h"
 #include "serve/protocol.h"
 #include "util/socket.h"
 
 namespace atlas::router {
 
-struct RouterConfig {
-  /// TCP endpoint; port 0 binds an ephemeral port (see Router::port()),
-  /// port < 0 disables TCP.
-  std::string host = "127.0.0.1";
-  int port = 0;
-  /// Unix-domain socket path; empty disables.
-  std::string unix_path;
-
-  std::size_t max_frame_bytes = serve::kDefaultMaxFrameBytes;
+/// Endpoints (host, port, unix_path, max_frame_bytes) come from
+/// serve::ListenConfig.
+struct RouterConfig : serve::ListenConfig {
   /// Bound on the per-stream replay buffer (and thus on what StreamBegin
   /// may declare). Should not exceed the backends' own max_stream_bytes —
   /// they would reject the upload anyway.
@@ -119,16 +111,20 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Probe the fleet once (so the ring is populated), start the prober,
-  /// bind listeners, launch accept threads.
+  /// Bind listeners (throws util::SocketError before any thread starts),
+  /// probe the fleet once (so the ring is populated), start the prober,
+  /// launch accept threads.
   void start();
+  /// Stop accepting, close client connections, then stop the prober.
   void stop();
 
   /// Resolved TCP port after an ephemeral bind; -1 when TCP is disabled.
-  int port() const { return resolved_port_; }
+  int port() const { return host_.port(); }
 
-  bool stop_requested() const { return stop_requested_.load(); }
-  void wait_for_stop_request(const std::function<bool()>& poll = {});
+  bool stop_requested() const { return host_.stop_requested(); }
+  void wait_for_stop_request(const std::function<bool()>& poll = {}) {
+    host_.wait_for_stop_request(poll);
+  }
 
   /// Membership/liveness state (tests assert on it directly).
   BackendPool& pool() { return *pool_; }
@@ -140,11 +136,6 @@ class Router {
   std::string stats_json() const;
 
  private:
-  struct Connection {
-    util::Socket sock;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
   /// Lazily-connected upstream sockets, one per backend id, owned by a
   /// single connection thread.
   using UpstreamMap = std::map<std::string, util::Socket>;
@@ -173,9 +164,10 @@ class Router {
     }
   };
 
-  void accept_loop(util::Listener* listener);
-  void connection_loop(Connection* conn);
-  void reap_finished_connections();
+  /// Answer one client frame (the ConnectionHost handler): control plane
+  /// locally, data path routed over this connection's `upstreams`.
+  serve::Frame handle_frame(serve::Frame frame, UpstreamMap& upstreams,
+                            StreamRelay& relay);
 
   /// Borrow (connecting if needed) the upstream socket for `id`; nullptr
   /// when the backend is unknown or unreachable.
@@ -229,20 +221,9 @@ class Router {
   RouterConfig config_;
   std::unique_ptr<BackendPool> pool_;
 
-  util::Listener tcp_listener_;
-  util::Listener unix_listener_;
-  int resolved_port_ = -1;
-
-  std::vector<std::thread> accept_threads_;
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool started_ = false;
-  bool stopped_ = false;
+  /// Declared last so its connection threads are joined before the pool
+  /// they route through is destroyed.
+  serve::ConnectionHost host_;
 };
 
 }  // namespace atlas::router

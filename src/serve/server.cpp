@@ -27,13 +27,6 @@ std::uint64_t elapsed_us(Clock::time_point since) {
           .count());
 }
 
-Frame error_reply(ErrorCode code, const std::string& message) {
-  ErrorResponse err;
-  err.code = code;
-  err.message = message;
-  return {MsgType::kError, err.encode()};
-}
-
 /// Largest cycle count a single request may ask the server to simulate.
 constexpr std::int32_t kMaxRequestCycles = 1 << 20;
 
@@ -66,46 +59,25 @@ Server::Server(ServerConfig config, std::shared_ptr<ModelRegistry> registry)
     : config_(std::move(config)),
       registry_(std::move(registry)),
       cache_(config_.cache_designs, config_.cache_embeddings_per_design,
-             config_.cache_max_bytes) {}
+             config_.cache_max_bytes),
+      host_("serve", config_, config_.verbose) {}
 
 Server::~Server() { stop(); }
 
 void Server::start() {
-  if (started_) throw std::logic_error("Server::start called twice");
-  if (config_.port < 0 && config_.unix_path.empty()) {
-    throw util::SocketError("server has no endpoint (TCP and UDS disabled)");
-  }
-  if (config_.port >= 0) {
-    int port = config_.port;
-    tcp_listener_ = util::Listener::tcp(config_.host, port);
-    resolved_port_ = port;
-  }
-  if (!config_.unix_path.empty()) {
-    unix_listener_ = util::Listener::unix_domain(config_.unix_path);
-  }
-  started_ = true;
+  host_.bind();
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  if (tcp_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  }
-  if (unix_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-  }
-  if (config_.verbose) {
-    obs::LogLine line(obs::LogLevel::kInfo, "serve");
-    line.kv("event", "listening");
-    // In UDS-only mode there is no TCP endpoint: resolved_port_ stays at
-    // its -1 sentinel, so the host/port kvs would only mislead an operator
-    // grepping the log for the listen address.
-    if (resolved_port_ >= 0) {
-      line.kv("host", config_.host).kv("port", resolved_port_);
-    }
-    if (!config_.unix_path.empty()) line.kv("uds", config_.unix_path);
-  }
+  host_.start([this]() -> ConnectionHost::FrameHandler {
+    // Per-connection: an abandoned stream dies with its connection.
+    auto stream = std::make_shared<StreamState>();
+    return [this, stream](Frame& frame) {
+      return handle_frame(frame, *stream);
+    };
+  });
 }
 
 void Server::stop() {
-  if (!started_ || stopped_) return;
+  if (!host_.running()) return;
   {
     // stopping_ is flipped under the queue mutex so the dispatcher cannot
     // exit between a connection's stopping_ check and its enqueue — every
@@ -114,47 +86,10 @@ void Server::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
+  host_.stop_accepting();
   if (dispatcher_.joinable()) dispatcher_.join();
   // All queued work is answered; unblock idle connection readers.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  for (;;) {
-    std::unique_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conns_.empty()) break;
-      conn = std::move(conns_.back());
-      conns_.pop_back();
-    }
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  tcp_listener_.close();
-  unix_listener_.close();
-  stopped_ = true;
-  if (config_.verbose) {
-    obs::LogLine(obs::LogLevel::kInfo, "serve").kv("event", "stopped");
-  }
-}
-
-void Server::wait_for_stop_request(const std::function<bool()>& poll) {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  for (;;) {
-    if (stop_requested_.load()) return;
-    if (poll && poll()) return;
-    if (poll) {
-      // An async-signal handler cannot notify a condition variable, so the
-      // poll hook still needs a periodic check — but a client Shutdown
-      // request notifies stop_cv_ and is observed immediately, not after
-      // the poll period.
-      stop_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    } else {
-      stop_cv_.wait(lock);
-    }
-  }
+  host_.close_connections();
 }
 
 std::string Server::stats_text() const {
@@ -174,7 +109,7 @@ HealthResponse Server::health_snapshot() const {
   h.cache_total_bytes = cache_.total_bytes();
   h.cache_embedding_bytes = cache_.embedding_bytes();
   h.queue_depth = queue_depth();
-  h.draining = stopping_.load() || stop_requested_.load();
+  h.draining = stopping_.load() || host_.stop_requested();
   return h;
 }
 
@@ -182,204 +117,123 @@ std::string Server::metrics_text() {
   return obs::Registry::global().render_prometheus();
 }
 
-void Server::accept_loop(util::Listener* listener) {
-  while (!stopping_.load()) {
-    std::optional<util::Socket> sock;
-    try {
-      sock = listener->accept(/*timeout_ms=*/100);
-    } catch (const util::SocketError&) {
-      // Listener failure (fd limit, ...): back off rather than spin.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
+Frame Server::handle_frame(const Frame& frame, StreamState& stream) {
+  const Clock::time_point received_at = Clock::now();
+  // Control-plane replies are accounted here under `endpoint`; predicts
+  // that reach the dispatcher are accounted when their job completes.
+  const char* endpoint = nullptr;
+  Frame reply;
+  switch (frame.type) {
+    case MsgType::kPing:
+      reply = {MsgType::kPong, encode_string_payload("pong")};
+      endpoint = "ping";
+      break;
+    case MsgType::kListModels: {
+      ModelListResponse resp;
+      for (const ModelSummary& m : registry_->list()) {
+        resp.models.push_back({m.name, m.encoder_dim, m.library,
+                               m.generation, m.library_hash});
+      }
+      reply = {MsgType::kModelList, resp.encode()};
+      endpoint = "models";
+      break;
     }
-    reap_finished_connections();
-    if (!sock) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(*sock);
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    raw->thread = std::thread([this, raw] { connection_loop(raw); });
-  }
-}
-
-void Server::reap_finished_connections() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = std::partition(conns_.begin(), conns_.end(),
-                             [](const auto& c) { return !c->done.load(); });
-    for (auto move_it = it; move_it != conns_.end(); ++move_it) {
-      finished.push_back(std::move(*move_it));
-    }
-    conns_.erase(it, conns_.end());
-  }
-  for (auto& c : finished) {
-    if (c->thread.joinable()) c->thread.join();
-  }
-}
-
-void Server::connection_loop(Connection* conn) {
-  util::Socket& sock = conn->sock;
-  StreamState stream;  // per-connection: dies with this loop if abandoned
-  try {
-    for (;;) {
-      Frame frame;
+    case MsgType::kHealth:
+      reply = {MsgType::kHealthReport, health_snapshot().encode()};
+      endpoint = "health";
+      break;
+    case MsgType::kStats:
+    case MsgType::kMetrics: {
+      const bool is_stats = frame.type == MsgType::kStats;
+      endpoint = is_stats ? "stats" : "metrics";
       try {
-        if (!read_frame(sock, frame, config_.max_frame_bytes)) break;
+        const std::string mode = optional_string_payload(frame.payload);
+        reply = is_stats ? Frame{MsgType::kStatsText,
+                                 encode_string_payload(
+                                     mode == "json"
+                                         ? stats_.render_json(cache_.stats())
+                                         : stats_text())}
+                         : Frame{MsgType::kMetricsText,
+                                 encode_string_payload(metrics_text())};
       } catch (const ProtocolError& e) {
-        // Bad magic / hostile length / truncation: the byte stream cannot
-        // be resynchronized, so answer best-effort and drop the peer.
-        const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
-        try {
-          write_frame(sock, reply.type, reply.payload);
-        } catch (const util::SocketError&) {
-        }
+        reply = error_reply(ErrorCode::kBadRequest, e.what());
+      }
+      break;
+    }
+    case MsgType::kShutdown:
+      // Flag before replying: once the client sees the ack, a
+      // stop_requested() poll must already observe it.
+      host_.request_stop();
+      reply = {MsgType::kShutdownOk, encode_string_payload("ok")};
+      endpoint = "shutdown";
+      break;
+    case MsgType::kLoadModel:
+      reply = handle_load_model(frame.payload);
+      endpoint = "admin";
+      break;
+    case MsgType::kUnloadModel:
+      reply = handle_unload_model(frame.payload);
+      endpoint = "admin";
+      break;
+    case MsgType::kTraceDump:
+      // Draining the ring is destructive and its contents describe
+      // server internals, so it rides the same operator gate as the
+      // registry mutations.
+      reply = config_.allow_admin
+                  ? Frame{MsgType::kTraceJson,
+                          encode_string_payload(
+                              obs::Trace::drain_chrome_json())}
+                  : error_reply(ErrorCode::kAdminDisabled,
+                                "trace_dump is disabled (start the server "
+                                "with --allow-admin)");
+      endpoint = "admin";
+      break;
+    case MsgType::kPredict: {
+      auto job = std::make_shared<PendingJob>();
+      try {
+        job->request = PredictRequest::decode(frame.payload);
+      } catch (const ProtocolError& e) {
+        reply = error_reply(ErrorCode::kBadRequest, e.what());
+        endpoint = "predict";
         break;
       }
-
-      const Clock::time_point received_at = Clock::now();
-      switch (frame.type) {
-        case MsgType::kPing:
-          write_frame(sock, MsgType::kPong, encode_string_payload("pong"));
-          stats_.record("ping", elapsed_us(received_at), false);
-          break;
-        case MsgType::kListModels: {
-          ModelListResponse resp;
-          for (const ModelSummary& m : registry_->list()) {
-            resp.models.push_back({m.name, m.encoder_dim, m.library,
-                                   m.generation, m.library_hash});
-          }
-          write_frame(sock, MsgType::kModelList, resp.encode());
-          stats_.record("models", elapsed_us(received_at), false);
-          break;
-        }
-        case MsgType::kHealth:
-          write_frame(sock, MsgType::kHealthReport,
-                      health_snapshot().encode());
-          stats_.record("health", elapsed_us(received_at), false);
-          break;
-        case MsgType::kStats:
-        case MsgType::kMetrics: {
-          const bool is_stats = frame.type == MsgType::kStats;
-          Frame reply;
-          try {
-            const std::string mode = optional_string_payload(frame.payload);
-            reply = is_stats ? Frame{MsgType::kStatsText,
-                                     encode_string_payload(
-                                         mode == "json"
-                                             ? stats_.render_json(cache_.stats())
-                                             : stats_text())}
-                             : Frame{MsgType::kMetricsText,
-                                     encode_string_payload(metrics_text())};
-          } catch (const ProtocolError& e) {
-            reply = error_reply(ErrorCode::kBadRequest, e.what());
-          }
-          write_frame(sock, reply.type, reply.payload);
-          stats_.record(is_stats ? "stats" : "metrics", elapsed_us(received_at),
-                        reply.type == MsgType::kError);
-          break;
-        }
-        case MsgType::kShutdown:
-          // Flag before replying: once the client sees the ack, a
-          // stop_requested() poll must already observe it. The flag is set
-          // under stop_mu_ so a wait_for_stop_request between the store and
-          // the notify cannot sleep through the wakeup.
-          {
-            std::lock_guard<std::mutex> stop_lock(stop_mu_);
-            stop_requested_.store(true);
-          }
-          stop_cv_.notify_all();
-          write_frame(sock, MsgType::kShutdownOk, encode_string_payload("ok"));
-          stats_.record("shutdown", elapsed_us(received_at), false);
-          break;
-        case MsgType::kLoadModel:
-        case MsgType::kUnloadModel: {
-          const Frame reply = frame.type == MsgType::kLoadModel
-                                  ? handle_load_model(frame.payload)
-                                  : handle_unload_model(frame.payload);
-          write_frame(sock, reply.type, reply.payload);
-          stats_.record("admin", elapsed_us(received_at),
-                        reply.type == MsgType::kError);
-          break;
-        }
-        case MsgType::kTraceDump: {
-          // Draining the ring is destructive and its contents describe
-          // server internals, so it rides the same operator gate as the
-          // registry mutations.
-          if (!config_.allow_admin) {
-            const Frame reply = error_reply(
-                ErrorCode::kAdminDisabled,
-                "trace_dump is disabled (start the server with "
-                "--allow-admin)");
-            write_frame(sock, reply.type, reply.payload);
-            stats_.record("admin", elapsed_us(received_at), true);
-          } else {
-            write_frame(sock, MsgType::kTraceJson,
-                        encode_string_payload(obs::Trace::drain_chrome_json()));
-            stats_.record("admin", elapsed_us(received_at), false);
-          }
-          break;
-        }
-        case MsgType::kPredict: {
-          auto job = std::make_shared<PendingJob>();
-          try {
-            job->request = PredictRequest::decode(frame.payload);
-          } catch (const ProtocolError& e) {
-            const Frame reply = error_reply(ErrorCode::kBadRequest, e.what());
-            write_frame(sock, reply.type, reply.payload);
-            stats_.record("predict", elapsed_us(received_at), true);
-            break;
-          }
-          job->request.ext = frame.ext;
-          job->enqueued_at = received_at;
-          if (job->request.netlist_verilog.empty()) {
-            const Frame reply = error_reply(ErrorCode::kBadRequest,
-                                            "predict carries no netlist text");
-            write_frame(sock, reply.type, reply.payload);
-            stats_.record("predict", elapsed_us(received_at), true);
-            break;
-          }
-          admit_netlist(*job, /*client_hash=*/0);
-          // Admission control runs before the queue: a shed request costs
-          // one cache peek, not a dispatcher slot (see maybe_shed_predict).
-          if (auto shed = maybe_shed_predict(*job)) {
-            write_frame(sock, shed->type, shed->payload, shed->ext);
-            stats_.record("predict", elapsed_us(received_at), true);
-            break;
-          }
-          Frame reply = submit_and_wait(job);
-          maybe_attach_load(job->request.ext, reply, &job->timing);
-          write_frame(sock, reply.type, reply.payload, reply.ext);
-          break;
-        }
-        case MsgType::kStreamBegin:
-        case MsgType::kStreamChunk:
-        case MsgType::kStreamEnd: {
-          const Frame reply = handle_stream_frame(frame, stream);
-          write_frame(sock, reply.type, reply.payload, reply.ext);
-          break;
-        }
-        default: {
-          const Frame reply = error_reply(
-              ErrorCode::kBadRequest,
-              "unknown message type " +
-                  std::to_string(static_cast<std::uint32_t>(frame.type)));
-          write_frame(sock, reply.type, reply.payload);
-          break;
-        }
+      job->request.ext = frame.ext;
+      job->enqueued_at = received_at;
+      if (job->request.netlist_verilog.empty()) {
+        reply = error_reply(ErrorCode::kBadRequest,
+                            "predict carries no netlist text");
+        endpoint = "predict";
+        break;
       }
+      admit_netlist(*job, /*client_hash=*/0);
+      // Admission control runs before the queue: a shed request costs
+      // one cache peek, not a dispatcher slot (see maybe_shed_predict).
+      if (auto shed = maybe_shed_predict(*job)) {
+        reply = std::move(*shed);
+        endpoint = "predict";
+        break;
+      }
+      reply = submit_and_wait(job);
+      maybe_attach_load(job->request.ext, reply, &job->timing);
+      break;
     }
-  } catch (const std::exception&) {
-    // Peer vanished mid-write or similar: drop this connection only.
+    case MsgType::kStreamBegin:
+    case MsgType::kStreamChunk:
+    case MsgType::kStreamEnd:
+      reply = handle_stream_frame(frame, stream);
+      break;
+    default:
+      reply = error_reply(
+          ErrorCode::kBadRequest,
+          "unknown message type " +
+              std::to_string(static_cast<std::uint32_t>(frame.type)));
+      break;
   }
-  // Signal EOF to the peer but leave the fd to the owning Connection's
-  // destructor (after join) — closing here would race stop()'s
-  // shutdown_read() on a possibly recycled descriptor.
-  sock.shutdown_both();
-  conn->done.store(true);
+  if (endpoint != nullptr) {
+    stats_.record(endpoint, elapsed_us(received_at),
+                  reply.type == MsgType::kError);
+  }
+  return reply;
 }
 
 void Server::dispatcher_loop() {

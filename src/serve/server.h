@@ -1,10 +1,11 @@
-// The atlas_serve daemon core: accept loops, per-connection framing, and a
+// The atlas_serve daemon core: per-connection request handling and a
 // batching dispatcher that runs predict handlers on the global thread pool.
 //
 // Threading model:
 //
 //   * one accept thread per listener (TCP and/or Unix-domain), polling with
-//     a short timeout so a stop flag is observed without fd teardown races;
+//     a short timeout so a stop flag is observed without fd teardown races
+//     (serve::ConnectionHost, the front end shared with atlas_router);
 //   * one thread per live connection, reading frames and answering cheap
 //     requests (ping/models/stats, and the admin load/unload registry
 //     mutations) inline; predict requests are enqueued to
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "liberty/library.h"
+#include "serve/connection_host.h"
 #include "serve/feature_cache.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -60,15 +62,8 @@
 
 namespace atlas::serve {
 
-struct ServerConfig {
-  /// TCP endpoint; port 0 binds an ephemeral port (see Server::port()),
-  /// port < 0 disables TCP.
-  std::string host = "127.0.0.1";
-  int port = 0;
-  /// Unix-domain socket path; empty disables.
-  std::string unix_path;
-
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
+/// Endpoints (host, port, unix_path, max_frame_bytes) come from ListenConfig.
+struct ServerConfig : ListenConfig {
   std::size_t cache_designs = 16;
   std::size_t cache_embeddings_per_design = 8;
   /// Byte budget for the feature cache (designs + embeddings, approximate;
@@ -130,21 +125,18 @@ class Server {
   /// threads. Idempotent; also called by the destructor.
   void stop();
 
-  bool running() const { return started_ && !stopped_; }
-
   /// True once a client Shutdown request was accepted (the daemon's main
   /// loop turns this into stop()).
-  bool stop_requested() const { return stop_requested_.load(); }
+  bool stop_requested() const { return host_.stop_requested(); }
 
-  /// Block until stop_requested(). A client Shutdown request notifies the
-  /// internal condition variable, so wakeup latency is bounded by the
-  /// notification, not a poll period. `poll` lets the daemon also watch an
-  /// async-signal flag (which cannot notify); it is checked every ~50ms.
-  void wait_for_stop_request(const std::function<bool()>& poll = {});
+  /// Block until stop_requested(); see ConnectionHost::wait_for_stop_request.
+  void wait_for_stop_request(const std::function<bool()>& poll = {}) {
+    host_.wait_for_stop_request(poll);
+  }
 
   /// Resolved TCP port after an ephemeral bind. Sentinel -1 = TCP is
   /// disabled (UDS-only server); never a valid port value.
-  int port() const { return resolved_port_; }
+  int port() const { return host_.port(); }
 
   const ServerConfig& config() const { return config_; }
   const ModelRegistry& registry() const { return *registry_; }
@@ -195,13 +187,8 @@ class Server {
     ServerTiming timing;
     std::promise<Frame> result;
   };
-  struct Connection {
-    util::Socket sock;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  /// Per-connection streamed-upload assembly state (lives on the
-  /// connection thread's stack; an abandoned stream dies with it).
+  /// Per-connection streamed-upload assembly state (owned by the
+  /// connection's handler; an abandoned stream dies with it).
   struct StreamState {
     bool active = false;
     StreamBeginRequest begin;
@@ -245,9 +232,9 @@ class Server {
     std::optional<Frame> reply;
   };
 
-  void accept_loop(util::Listener* listener);
-  void connection_loop(Connection* conn);
-  void reap_finished_connections();
+  /// Answer one frame of a connection (the ConnectionHost handler):
+  /// control-plane requests inline, predicts through the dispatcher.
+  Frame handle_frame(const Frame& frame, StreamState& stream);
 
   void dispatcher_loop();
   /// Execution of one dispatcher batch: phase A fans per-job prework
@@ -331,15 +318,7 @@ class Server {
   /// so steady-state serving does no scratch mallocs.
   util::ArenaPool arena_pool_;
 
-  util::Listener tcp_listener_;
-  util::Listener unix_listener_;
-  int resolved_port_ = -1;
-
-  std::vector<std::thread> accept_threads_;
   std::thread dispatcher_;
-
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -351,13 +330,13 @@ class Server {
   /// CAS-guarded so concurrent slow requests emit at most ~1 line/second.
   std::atomic<std::uint64_t> last_slow_log_us_{0};
 
+  /// Set under queue_mu_ by stop(): the dispatcher drains and exits, and
+  /// submit_and_wait answers kShuttingDown from then on.
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> stop_requested_{false};
-  /// Wakes wait_for_stop_request the moment a Shutdown request lands.
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool started_ = false;
-  bool stopped_ = false;
+
+  /// Declared last so its connection threads are joined before the state
+  /// they serve is destroyed.
+  ConnectionHost host_;
 };
 
 }  // namespace atlas::serve

@@ -242,6 +242,30 @@ TEST(BackendPoolTest, UnreachableBackendNeverJoinsTheRing) {
   pool.stop();
 }
 
+TEST(RouterLifecycle, BindFailureLeavesNoProberRunning) {
+  // Occupy a loopback port so the router's bind has to fail.
+  int busy_port = 0;
+  util::Listener occupant = util::Listener::tcp("127.0.0.1", busy_port);
+  RouterConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.port = busy_port;
+  cfg.probe.interval_ms = 20;
+  cfg.probe.timeout_ms = 200;
+  // Nothing listens on port 1, so any probe that runs fails fast and counts.
+  Router router(cfg, {parse_backend("127.0.0.1:1")});
+  EXPECT_THROW(router.start(), util::SocketError);
+
+  const auto probes = [&router] {
+    const BackendStatus s = router.pool().snapshot().at(0);
+    return s.probes_ok + s.probes_failed;
+  };
+  const std::uint64_t after_start = probes();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // 10 ticks
+  // The failed start left no prober behind to keep probing the fleet.
+  EXPECT_EQ(probes(), after_start);
+  router.stop();  // nothing was started: a no-op
+}
+
 // ---- End-to-end 2-backend topologies --------------------------------------
 
 constexpr int kCycles = 20;

@@ -4,7 +4,10 @@
 // up an in-process Server on an ephemeral loopback port (or a Unix socket)
 // and talks to it through the real client library / raw sockets, so the
 // full wire path — framing, dispatch batching, feature cache, GBDT heads —
-// is exercised exactly as the daemon runs it.
+// is exercised exactly as the daemon runs it. The front-end lifecycle cases
+// (hostile frames, UDS-only endpoints, the client stop latch) also run
+// against an atlas_router in front of the server: both daemons share that
+// front end through serve::ConnectionHost.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,6 +33,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "router/router.h"
 #include "serve/client.h"
 #include "serve/feature_cache.h"
 #include "serve/server.h"
@@ -149,6 +153,47 @@ class ServeTest : public ::testing::Test {
     auto registry = std::make_shared<ModelRegistry>();
     registry->add("tiny", *model_);
     return registry;
+  }
+
+  /// A router fronting `backend`, started. `cfg` picks its endpoints.
+  static std::unique_ptr<router::Router> start_router(
+      const Server& backend, router::RouterConfig cfg = {}) {
+    cfg.probe.interval_ms = 100;
+    auto rt = std::make_unique<router::Router>(
+        cfg, router::parse_backend_list("127.0.0.1:" +
+                                        std::to_string(backend.port())));
+    rt->start();
+    return rt;
+  }
+
+  /// The stop latch: a client Shutdown is visible through stop_requested()
+  /// by the time its ack arrives, and wakes a blocked
+  /// wait_for_stop_request() through the condition variable, not a poll.
+  template <typename Daemon>
+  static void expect_shutdown_wakes_waiter_promptly(Daemon& daemon) {
+    EXPECT_FALSE(daemon.stop_requested());
+    std::atomic<bool> woke{false};
+    std::thread waiter([&] {
+      daemon.wait_for_stop_request();
+      woke.store(true);
+    });
+    // Give the waiter time to block in the condition-variable wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(woke.load());
+
+    Client client = Client::connect_tcp("127.0.0.1", daemon.port());
+    const auto t0 = std::chrono::steady_clock::now();
+    client.shutdown_server();
+    EXPECT_TRUE(daemon.stop_requested());
+    waiter.join();
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(woke.load());
+    // A 50ms poll would wake after ~25ms on average; the condition
+    // variable wakes in microseconds. Generous margin for CI.
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                  .count(),
+              25);
+    daemon.wait_for_stop_request();  // latched: returns at once
   }
 
   static PredictRequest make_request(const std::string& workload = "w1",
@@ -457,94 +502,101 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
 TEST_F(ServeTest, MalformedFramesNeverKillTheDaemon) {
   Server server(loopback_config(), make_registry());
   server.start();
+  const std::unique_ptr<router::Router> rt = start_router(server);
 
-  {
-    // Garbage bytes where a frame header belongs (bad magic).
-    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    const char junk[32] = "XXXXYYYYZZZZ0123456789abcdefghi";
-    raw.send_all(junk, sizeof(junk));
-    // Server answers with an error frame (best effort) and disconnects.
-    Frame resp;
-    try {
-      if (read_frame(raw, resp)) {
-        EXPECT_EQ(resp.type, MsgType::kError);
+  // The same hostile volley against the server and the router in front.
+  for (const int port : {server.port(), rt->port()}) {
+    SCOPED_TRACE(port == rt->port() ? "router" : "server");
+    {
+      // Garbage bytes where a frame header belongs (bad magic).
+      util::Socket raw = util::connect_tcp("127.0.0.1", port);
+      const char junk[32] = "XXXXYYYYZZZZ0123456789abcdefghi";
+      raw.send_all(junk, sizeof(junk));
+      // The daemon answers with an error frame (best effort) and
+      // disconnects.
+      Frame resp;
+      try {
+        if (read_frame(raw, resp)) {
+          EXPECT_EQ(resp.type, MsgType::kError);
+        }
+      } catch (const std::exception&) {
+        // A clean disconnect is equally acceptable.
       }
-    } catch (const std::exception&) {
-      // A clean disconnect is equally acceptable.
     }
-  }
-  {
-    // Valid magic, hostile declared length (1 EiB).
-    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    char header[20] = {};
-    std::memcpy(header, kFrameMagic, 4);
-    const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
-    const std::uint64_t len = 1ULL << 60;
-    std::memcpy(header + 4, &type, 4);
-    std::memcpy(header + 8, &len, 8);
-    raw.send_all(header, sizeof(header));
-    Frame resp;
-    try {
-      if (read_frame(raw, resp)) {
-        ASSERT_EQ(resp.type, MsgType::kError);
-        const ErrorResponse err = ErrorResponse::decode(resp.payload);
-        EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+    {
+      // Valid magic, hostile declared length (1 EiB).
+      util::Socket raw = util::connect_tcp("127.0.0.1", port);
+      char header[20] = {};
+      std::memcpy(header, kFrameMagic, 4);
+      const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
+      const std::uint64_t len = 1ULL << 60;
+      std::memcpy(header + 4, &type, 4);
+      std::memcpy(header + 8, &len, 8);
+      raw.send_all(header, sizeof(header));
+      Frame resp;
+      try {
+        if (read_frame(raw, resp)) {
+          ASSERT_EQ(resp.type, MsgType::kError);
+          const ErrorResponse err = ErrorResponse::decode(resp.payload);
+          EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+        }
+      } catch (const std::exception&) {
       }
-    } catch (const std::exception&) {
     }
-  }
-  // Hostile extension lengths: one past the fixed cap (the 1 MiB body it
-  // declares is never sent), and one longer than the declared body. Both
-  // are rejected from the header alone — the body is never awaited, let
-  // alone allocated — with a kBadRequest reply before the drop.
-  for (const auto& [body_len, ext_len] :
-       {std::pair<std::uint64_t, std::uint32_t>{1u << 20, 1000},
-        std::pair<std::uint64_t, std::uint32_t>{8, 64}}) {
-    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    raw.set_io_timeout_ms(10000);
-    char header[20];
-    std::memcpy(header, kFrameMagic, 4);
-    const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
-    std::memcpy(header + 4, &type, 4);
-    std::memcpy(header + 8, &body_len, 8);
-    std::memcpy(header + 16, &ext_len, 4);
-    raw.send_all(header, sizeof(header));
-    Frame resp;
-    ASSERT_TRUE(read_frame(raw, resp));
-    ASSERT_EQ(resp.type, MsgType::kError);
-    const ErrorResponse err = ErrorResponse::decode(resp.payload);
-    EXPECT_EQ(err.code, ErrorCode::kBadRequest);
-    EXPECT_NE(err.message.find("extension length"), std::string::npos)
-        << err.message;
-  }
-  {
-    // Truncated frame: declared 100-byte body, send 3, disconnect.
-    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    char header[20] = {};
-    std::memcpy(header, kFrameMagic, 4);
-    const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
-    const std::uint64_t len = 100;
-    std::memcpy(header + 4, &type, 4);
-    std::memcpy(header + 8, &len, 8);
-    raw.send_all(header, sizeof(header));
-    raw.send_all("abc", 3);
-    raw.close();
-  }
-  {
-    // Undecodable predict payload (declared length consistent, bytes junk).
-    util::Socket raw = util::connect_tcp("127.0.0.1", server.port());
-    write_frame(raw, MsgType::kPredict, "junk payload");
-    Frame resp;
-    ASSERT_TRUE(read_frame(raw, resp));
-    ASSERT_EQ(resp.type, MsgType::kError);
-    EXPECT_EQ(ErrorResponse::decode(resp.payload).code,
-              ErrorCode::kBadRequest);
-  }
+    // Hostile extension lengths: one past the fixed cap (the 1 MiB body it
+    // declares is never sent), and one longer than the declared body. Both
+    // are rejected from the header alone — the body is never awaited, let
+    // alone allocated — with a kBadRequest reply before the drop.
+    for (const auto& [body_len, ext_len] :
+         {std::pair<std::uint64_t, std::uint32_t>{1u << 20, 1000},
+          std::pair<std::uint64_t, std::uint32_t>{8, 64}}) {
+      util::Socket raw = util::connect_tcp("127.0.0.1", port);
+      raw.set_io_timeout_ms(10000);
+      char header[20];
+      std::memcpy(header, kFrameMagic, 4);
+      const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
+      std::memcpy(header + 4, &type, 4);
+      std::memcpy(header + 8, &body_len, 8);
+      std::memcpy(header + 16, &ext_len, 4);
+      raw.send_all(header, sizeof(header));
+      Frame resp;
+      ASSERT_TRUE(read_frame(raw, resp));
+      ASSERT_EQ(resp.type, MsgType::kError);
+      const ErrorResponse err = ErrorResponse::decode(resp.payload);
+      EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+      EXPECT_NE(err.message.find("extension length"), std::string::npos)
+          << err.message;
+    }
+    {
+      // Truncated frame: declared 100-byte body, send 3, disconnect.
+      util::Socket raw = util::connect_tcp("127.0.0.1", port);
+      char header[20] = {};
+      std::memcpy(header, kFrameMagic, 4);
+      const std::uint32_t type = static_cast<std::uint32_t>(MsgType::kPredict);
+      const std::uint64_t len = 100;
+      std::memcpy(header + 4, &type, 4);
+      std::memcpy(header + 8, &len, 8);
+      raw.send_all(header, sizeof(header));
+      raw.send_all("abc", 3);
+      raw.close();
+    }
+    {
+      // Undecodable predict payload (declared length consistent, bytes junk).
+      util::Socket raw = util::connect_tcp("127.0.0.1", port);
+      write_frame(raw, MsgType::kPredict, "junk payload");
+      Frame resp;
+      ASSERT_TRUE(read_frame(raw, resp));
+      ASSERT_EQ(resp.type, MsgType::kError);
+      EXPECT_EQ(ErrorResponse::decode(resp.payload).code,
+                ErrorCode::kBadRequest);
+    }
 
-  // After all of that, the daemon serves a fresh client flawlessly.
-  Client client = Client::connect_tcp("127.0.0.1", server.port());
-  client.ping();
-  expect_matches_direct(client.predict(make_request()), *expected_w1_);
+    // After all of that, the daemon serves a fresh client flawlessly.
+    Client client = Client::connect_tcp("127.0.0.1", port);
+    client.ping();
+    expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  }
+  rt->stop();
   server.stop();
 }
 
@@ -597,6 +649,8 @@ TEST_F(ServeTest, ClientShutdownRequestIsHonored) {
   EXPECT_TRUE(server.stop_requested());
   server.wait_for_stop_request();
   server.stop();
+  // Stopping a stopped server is a no-op.
+  server.stop();
 }
 
 TEST_F(ServeTest, UnixDomainSocketServesPredictions) {
@@ -612,6 +666,20 @@ TEST_F(ServeTest, UnixDomainSocketServesPredictions) {
   Client client = Client::connect_unix(cfg.unix_path);
   client.ping();
   expect_matches_direct(client.predict(make_request()), *expected_w1_);
+
+  // A UDS-only router in front of the UDS-only server: same sentinel, same
+  // bits.
+  const TempFile router_socket("atlas_router_test", ".sock");
+  router::RouterConfig rcfg;
+  rcfg.port = -1;
+  rcfg.unix_path = router_socket.path();
+  router::Router rt(rcfg, router::parse_backend_list("unix:" + cfg.unix_path));
+  rt.start();
+  EXPECT_EQ(rt.port(), -1);
+  Client via_router = Client::connect_unix(rcfg.unix_path);
+  via_router.ping();
+  expect_matches_direct(via_router.predict(make_request()), *expected_w1_);
+  rt.stop();
   server.stop();
 }
 
@@ -1510,27 +1578,16 @@ TEST_F(ServeTest, ProcessJobFaultStillAnswers) {
 TEST_F(ServeTest, ShutdownWakeupIsPromptNotPolled) {
   Server server(loopback_config(), make_registry());
   server.start();
-
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    server.wait_for_stop_request();
-    woke.store(true);
-  });
-  // Give the waiter time to block in the condition-variable wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(woke.load());
-
-  Client client = Client::connect_tcp("127.0.0.1", server.port());
-  const auto t0 = std::chrono::steady_clock::now();
-  client.shutdown_server();
-  waiter.join();
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_TRUE(woke.load());
-  // The old implementation polled every 50ms (mean wakeup ~25ms); the
-  // condition variable wakes in microseconds. Generous margin for CI.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            25);
+  {
+    SCOPED_TRACE("router");
+    const std::unique_ptr<router::Router> rt = start_router(server);
+    expect_shutdown_wakes_waiter_promptly(*rt);
+    // The router's own stop latch: its backends are not shut down.
+    EXPECT_FALSE(server.stop_requested());
+    rt->stop();
+  }
+  SCOPED_TRACE("server");
+  expect_shutdown_wakes_waiter_promptly(server);
   server.stop();
 }
 
