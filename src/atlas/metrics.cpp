@@ -91,20 +91,6 @@ double correlation(const std::vector<double>& a, const std::vector<double>& b) {
   return cov / std::sqrt(va * vb);
 }
 
-double nrmse(const std::vector<double>& labels, const std::vector<double>& preds) {
-  if (labels.size() != preds.size() || labels.empty()) {
-    throw std::invalid_argument("nrmse: size mismatch or empty");
-  }
-  double sq = 0, mean = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    sq += (labels[i] - preds[i]) * (labels[i] - preds[i]);
-    mean += labels[i];
-  }
-  mean /= static_cast<double>(labels.size());
-  if (mean == 0.0) throw std::invalid_argument("nrmse: zero-mean labels");
-  return 100.0 * std::sqrt(sq / static_cast<double>(labels.size())) / mean;
-}
-
 std::vector<double> prediction_series_total(const Prediction& p) {
   return prediction_series(p, power::Series::kTotalNoMemory);
 }

@@ -30,9 +30,6 @@ GroupMape evaluate_baseline(const power::PowerResult& golden,
 /// Pearson correlation between two per-cycle series (trace-shape metric).
 double correlation(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Normalized RMSE (% of label mean).
-double nrmse(const std::vector<double>& labels, const std::vector<double>& preds);
-
 /// Extract the per-cycle total-no-memory series from a prediction.
 std::vector<double> prediction_series_total(const Prediction& p);
 

@@ -73,12 +73,6 @@ DesignSpec paper_design_spec(int index, double scale) {
   return spec;
 }
 
-std::vector<DesignSpec> paper_design_specs(double scale) {
-  std::vector<DesignSpec> specs;
-  for (int i = 1; i <= 6; ++i) specs.push_back(paper_design_spec(i, scale));
-  return specs;
-}
-
 netlist::Netlist generate_design(const DesignSpec& spec,
                                  const liberty::Library& lib) {
   if (spec.target_cells < 200) {

@@ -40,9 +40,6 @@ inline constexpr std::size_t kPaperGateCells[6] = {289384, 322664, 389120,
 /// distinct (C2 mimics the paper's out-of-order CPU component mix).
 DesignSpec paper_design_spec(int index, double scale = 0.01);
 
-/// All six paper designs.
-std::vector<DesignSpec> paper_design_specs(double scale = 0.01);
-
 /// Generate a design; the result passes Netlist::check().
 netlist::Netlist generate_design(const DesignSpec& spec,
                                  const liberty::Library& lib);

@@ -14,10 +14,6 @@ using netlist::CellInstId;
 using netlist::kNoNet;
 using netlist::NetId;
 
-ml::GraphView SubmoduleGraph::view() const {
-  return view_with_features(*this, static_features);
-}
-
 ml::GraphView view_with_features(const SubmoduleGraph& g, const ml::Matrix& feats) {
   if (feats.rows() != g.num_nodes() || feats.cols() != kFeatureDim) {
     throw std::invalid_argument("view_with_features: feature shape mismatch");

@@ -48,9 +48,6 @@ struct SubmoduleGraph {
   ml::Matrix static_features;                        // N x kFeatureDim
 
   std::size_t num_nodes() const { return cells.size(); }
-
-  /// View over the static features (toggle channel zero).
-  ml::GraphView view() const;
 };
 
 /// Build the DG of one sub-module. Throws if the sub-module is empty.

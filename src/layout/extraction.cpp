@@ -2,12 +2,6 @@
 
 namespace atlas::layout {
 
-double Parasitics::total_cap_ff() const {
-  double t = 0.0;
-  for (const double c : wire_cap_ff) t += c;
-  return t;
-}
-
 Parasitics extract(const netlist::Netlist& nl, const Placement& pl,
                    const ExtractConfig& config) {
   Parasitics out;

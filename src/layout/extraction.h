@@ -25,8 +25,6 @@ struct ExtractConfig {
 struct Parasitics {
   /// Wire capacitance in fF, indexed by NetId.
   std::vector<double> wire_cap_ff;
-
-  double total_cap_ff() const;
 };
 
 /// Extract wire caps for every net under the given placement.

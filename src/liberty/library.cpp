@@ -5,12 +5,6 @@
 
 namespace atlas::liberty {
 
-int Cell::input_count() const {
-  int n = 0;
-  for (const Pin& p : pins) n += (p.dir == PinDir::kInput) ? 1 : 0;
-  return n;
-}
-
 int Cell::output_pin() const {
   for (std::size_t i = 0; i < pins.size(); ++i) {
     if (pins[i].dir == PinDir::kOutput) return static_cast<int>(i);

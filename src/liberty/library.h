@@ -66,7 +66,6 @@ struct Cell {
   double read_energy_fj = 0.0;
   double write_energy_fj = 0.0;
 
-  int input_count() const;
   int output_pin() const;  // index of the (single) output pin; -1 for none
   std::optional<int> pin_index(std::string_view pin_name) const;
 };

@@ -153,16 +153,6 @@ bool eval_comb(CellFunc f, const bool* in, int n) {
   }
 }
 
-std::string_view power_group_name(PowerGroup g) {
-  switch (g) {
-    case PowerGroup::kComb: return "combinational";
-    case PowerGroup::kRegister: return "register";
-    case PowerGroup::kClockTree: return "clock_tree";
-    case PowerGroup::kMemory: return "memory";
-  }
-  throw std::logic_error("power_group_name: unhandled group");
-}
-
 PowerGroup power_group_of(NodeType t) {
   switch (t) {
     case NodeType::kReg:

@@ -95,8 +95,6 @@ enum class PowerGroup : std::uint8_t { kComb = 0, kRegister, kClockTree, kMemory
 
 inline constexpr int kNumPowerGroups = 4;
 
-std::string_view power_group_name(PowerGroup g);
-
 /// Group a node type maps to. Clock-gating cells and clock buffers are
 /// kClockTree; REG/REGR/LATCH are kRegister; MACRO is kMemory.
 PowerGroup power_group_of(NodeType t);

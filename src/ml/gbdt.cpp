@@ -334,32 +334,6 @@ void GbdtRegressor::predict_rows(const float* rows, std::size_t n,
   }
 }
 
-std::vector<double> GbdtRegressor::predict(const Matrix& x) const {
-  if (x.cols() != num_features_ && !trees_.empty()) {
-    throw std::invalid_argument("Gbdt::predict: feature count mismatch");
-  }
-  std::vector<double> out(x.rows());
-  static obs::Counter* rows =
-      &obs::Registry::global().counter("atlas_ml_gbdt_predict_rows_total");
-  rows->inc(static_cast<std::uint64_t>(x.rows()));
-  util::parallel_for_chunks(x.rows(), kRowsPerChunk,
-                            [&](std::size_t r0, std::size_t r1) {
-                              predict_rows(x.row(r0), r1 - r0, x.cols(),
-                                           out.data() + r0);
-                            });
-  return out;
-}
-
-double GbdtRegressor::training_rmse(const Matrix& x,
-                                    const std::vector<double>& y) const {
-  const std::vector<double> p = predict(x);
-  double sq = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    sq += (p[i] - y[i]) * (p[i] - y[i]);
-  }
-  return std::sqrt(sq / static_cast<double>(y.size()));
-}
-
 void GbdtRegressor::save(std::ostream& os) const {
   util::write_header(os, "GBDT", 1);
   util::write_u64(os, num_features_);

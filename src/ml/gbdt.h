@@ -34,7 +34,6 @@ class GbdtRegressor {
   void fit(const Matrix& x, const std::vector<double>& y);
 
   double predict_row(const float* features) const;
-  std::vector<double> predict(const Matrix& x) const;
 
   /// Batched inference over `n` feature rows laid out row-major with
   /// `stride` floats between row starts; writes one double per row to `out`.
@@ -51,9 +50,6 @@ class GbdtRegressor {
   bool trained() const { return !trees_.empty() || base_ != 0.0; }
   std::size_t num_features() const { return num_features_; }
   std::size_t num_trees() const { return trees_.size(); }
-
-  /// Mean absolute deviation improvement diagnostics.
-  double training_rmse(const Matrix& x, const std::vector<double>& y) const;
 
   void save(std::ostream& os) const;
   /// Throws util::SerializeError on a truncated stream or a hostile tree: an

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace atlas::ml {
@@ -200,17 +199,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("matmul: shape mismatch");
   Matrix c(a.rows(), b.cols());
   raw::gemm_rows(a.data(), a.cols(), b.data(), b.cols(), c.data(), 0, a.rows());
-  return c;
-}
-
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, std::size_t grain) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul_parallel: shape mismatch");
-  }
-  Matrix c(a.rows(), b.cols());
-  util::parallel_for_chunks(a.rows(), grain, [&](std::size_t r0, std::size_t r1) {
-    raw::gemm_rows(a.data(), a.cols(), b.data(), b.cols(), c.data(), r0, r1);
-  });
   return c;
 }
 

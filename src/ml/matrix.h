@@ -54,7 +54,7 @@ class Matrix {
 // the training forward() and the inference path share identical loop order
 // and rounding by construction. Each output row of gemm_rows depends only
 // on the matching input row, which is what makes row-chunk parallelism
-// (matmul_parallel) bit-identical to the serial matmul.
+// bit-identical to the serial matmul.
 namespace raw {
 
 /// C rows [r0, r1) = A rows [r0, r1) * B. C rows must be pre-zeroed.
@@ -87,10 +87,6 @@ void mean_rows(const float* x, std::size_t rows, std::size_t cols, float* out);
 
 /// C = A * B. Dimension mismatches throw std::invalid_argument.
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// C = A * B with output rows computed in deterministic parallel chunks;
-/// bit-identical to matmul() at any thread count.
-Matrix matmul_parallel(const Matrix& a, const Matrix& b,
-                       std::size_t grain = 64);
 /// C = A^T * B.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/serialize.h"
-
 namespace atlas::ml {
 
 Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
@@ -11,12 +9,6 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
 
 Matrix Linear::forward(const Matrix& x) {
   cached_x_ = x;
-  Matrix y = matmul(x, w_);
-  add_row_bias(y, b_);
-  return y;
-}
-
-Matrix Linear::infer(const Matrix& x) const {
   Matrix y = matmul(x, w_);
   add_row_bias(y, b_);
   return y;
@@ -43,20 +35,6 @@ void Linear::collect_params(std::vector<ParamRef>& out) {
   out.push_back(ParamRef{b_.data(), gb_.data(), b_.size()});
 }
 
-void Linear::save(std::ostream& os) const {
-  write_matrix(os, w_);
-  write_matrix(os, b_);
-}
-
-Linear Linear::load(std::istream& is) {
-  Linear l;
-  l.w_ = read_matrix(is);
-  l.b_ = read_matrix(is);
-  l.gw_ = Matrix(l.w_.rows(), l.w_.cols());
-  l.gb_ = Matrix(1, l.b_.cols());
-  return l;
-}
-
 Mlp::Mlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
   if (dims.size() < 2) throw std::invalid_argument("Mlp: need at least in/out dims");
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -70,15 +48,6 @@ Matrix Mlp::forward(const Matrix& x) {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].forward(h);
     if (i + 1 < layers_.size()) relu_masks_.push_back(relu_inplace(h));
-  }
-  return h;
-}
-
-Matrix Mlp::infer(const Matrix& x) const {
-  Matrix h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].infer(h);
-    if (i + 1 < layers_.size()) relu_inplace(h);
   }
   return h;
 }
@@ -98,18 +67,6 @@ void Mlp::zero_grad() {
 
 void Mlp::collect_params(std::vector<ParamRef>& out) {
   for (Linear& l : layers_) l.collect_params(out);
-}
-
-void Mlp::save(std::ostream& os) const {
-  util::write_u64(os, layers_.size());
-  for (const Linear& l : layers_) l.save(os);
-}
-
-Mlp Mlp::load(std::istream& is) {
-  Mlp m;
-  const std::size_t n = util::read_u64(is);
-  for (std::size_t i = 0; i < n; ++i) m.layers_.push_back(Linear::load(is));
-  return m;
 }
 
 }  // namespace atlas::ml

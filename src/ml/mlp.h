@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/matrix.h"
@@ -29,17 +28,12 @@ class Linear {
   Matrix forward(const Matrix& x);
   /// Accumulates dW/db from the cached input; returns dx.
   Matrix backward(const Matrix& dy);
-  /// Forward without caching (inference).
-  Matrix infer(const Matrix& x) const;
 
   void zero_grad();
   void collect_params(std::vector<ParamRef>& out);
 
   std::size_t in_dim() const { return w_.rows(); }
   std::size_t out_dim() const { return w_.cols(); }
-
-  void save(std::ostream& os) const;
-  static Linear load(std::istream& is);
 
  private:
   Matrix w_, b_;    // weights (in x out), bias (1 x out)
@@ -56,13 +50,9 @@ class Mlp {
 
   Matrix forward(const Matrix& x);
   Matrix backward(const Matrix& dy);
-  Matrix infer(const Matrix& x) const;
 
   void zero_grad();
   void collect_params(std::vector<ParamRef>& out);
-
-  void save(std::ostream& os) const;
-  static Mlp load(std::istream& is);
 
  private:
   std::vector<Linear> layers_;

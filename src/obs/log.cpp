@@ -54,10 +54,6 @@ void set_log_level(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 LogLevel parse_log_level(std::string_view name) {
   if (name == "debug") return LogLevel::kDebug;
   if (name == "info") return LogLevel::kInfo;

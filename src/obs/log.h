@@ -35,7 +35,6 @@ enum class LogLevel : int {
 };
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// "debug" -> kDebug etc.; unrecognized names return kInfo.
 LogLevel parse_log_level(std::string_view name);

@@ -318,12 +318,6 @@ void Trace::set_process_name(const std::string& name) {
   r.process_name = name.empty() ? "atlas" : name;
 }
 
-std::string Trace::process_name() {
-  Ring& r = ring();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.process_name;
-}
-
 void Trace::record_complete(const char* category, const std::string& name,
                             std::uint64_t start_us, std::uint64_t dur_us,
                             const SpanIds& ids) {

@@ -155,7 +155,6 @@ class Trace {
   /// Label this process in merged traces ("atlas_serve:7433", ...). Shows
   /// up as a Chrome process_name metadata event; default "atlas".
   static void set_process_name(const std::string& name);
-  static std::string process_name();
 
   /// Record one complete event. Called by ~ObsSpan; public so tests and
   /// non-RAII call sites can record directly. No-op while disabled.

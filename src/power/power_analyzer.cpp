@@ -20,16 +20,6 @@ using netlist::NetId;
 // chunks to fill a pool on 300-cycle traces.
 constexpr std::size_t kCyclesPerChunk = 4;
 
-double GroupPower::group(PowerGroup g) const {
-  switch (g) {
-    case PowerGroup::kComb: return comb;
-    case PowerGroup::kRegister: return reg;
-    case PowerGroup::kClockTree: return clock;
-    case PowerGroup::kMemory: return memory;
-  }
-  throw std::logic_error("GroupPower::group: unhandled group");
-}
-
 void GroupPower::add(PowerGroup g, double uw) {
   switch (g) {
     case PowerGroup::kComb: comb += uw; return;

@@ -45,7 +45,6 @@ struct GroupPower {
   /// (easy) memory group (Sec. VI-B).
   double total_no_memory() const { return comb + reg + clock; }
 
-  double group(liberty::PowerGroup g) const;
   void add(liberty::PowerGroup g, double uw);
 
   GroupPower& operator+=(const GroupPower& o);

@@ -8,12 +8,6 @@
 
 namespace atlas::power {
 
-std::string summarize(const GroupPower& p) {
-  return util::format(
-      "comb=%.3f reg=%.3f clock=%.3f mem=%.3f total=%.3f (mW)", p.comb / 1e3,
-      p.reg / 1e3, p.clock / 1e3, p.memory / 1e3, p.total() / 1e3);
-}
-
 std::string group_table(const GroupPower& avg) {
   std::ostringstream os;
   const double total = avg.total();

@@ -8,9 +8,6 @@
 
 namespace atlas::power {
 
-/// One-line summary: "comb=... reg=... clock=... mem=... total=... (mW)".
-std::string summarize(const GroupPower& p);
-
 /// Multi-row group breakdown table (averages in mW with percentages).
 std::string group_table(const GroupPower& average);
 

@@ -84,13 +84,4 @@ std::vector<std::string> HashRing::preference(std::uint64_t key,
   return out;
 }
 
-std::vector<std::string> HashRing::replicas(std::uint64_t key,
-                                            std::size_t r) const {
-  return preference(key, r);
-}
-
-std::vector<std::string> HashRing::backends() const {
-  return std::vector<std::string>(members_.begin(), members_.end());
-}
-
 }  // namespace atlas::router

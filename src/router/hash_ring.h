@@ -54,20 +54,13 @@ class HashRing {
   std::string lookup(std::uint64_t key) const;
 
   /// Up to `n` distinct backends in ring order starting at the owner of
-  /// `key`: the failover preference chain.
+  /// `key`: the failover preference chain. The replica set at replication
+  /// factor r is preference(key, r), a *prefix* of the failover chain: the
+  /// containment invariant hot-key replication leans on. Promoting a key
+  /// from 1 to R replicas only adds warm shards (the owner stays first on
+  /// ties), and failover from any replica lands on another replica or on
+  /// the successor that would inherit the key's arc after a removal.
   std::vector<std::string> preference(std::uint64_t key, std::size_t n) const;
-
-  /// The replica set for `key` at replication factor `r`: by definition the
-  /// first `r` entries of the preference chain. Its own accessor to name
-  /// the containment invariant hot-key replication leans on — replicas are
-  /// a *prefix* of the failover chain, so promoting a key from 1 to R
-  /// replicas only adds warm shards (the owner stays first on ties), and
-  /// failover from any replica lands on another replica or on the
-  /// successor that would inherit the key's arc after a removal.
-  std::vector<std::string> replicas(std::uint64_t key, std::size_t r) const;
-
-  /// Sorted member ids.
-  std::vector<std::string> backends() const;
 
  private:
   std::size_t vnodes_;

@@ -35,6 +35,21 @@ void count_failover(const std::string& backend) {
   backend_counter("atlas_router_failovers_total", backend).inc();
 }
 
+/// The code of a backend Error reply; kInternal when its payload does not
+/// decode.
+ErrorCode error_code_of(const Frame& reply) {
+  try {
+    return ErrorResponse::decode(reply.payload).code;
+  } catch (const serve::ProtocolError&) {
+    return ErrorCode::kInternal;
+  }
+}
+
+util::Socket connect_to(const BackendAddress& addr, int timeout_ms) {
+  return addr.is_unix() ? util::connect_unix(addr.unix_path, timeout_ms)
+                        : util::connect_tcp(addr.host, addr.port, timeout_ms);
+}
+
 /// The trace context a routed request runs under: the client's when it sent
 /// one, a fresh sampled root when tracing is on (so context-less clients
 /// still get a fleet-linked trace), invalid otherwise (untraced path).
@@ -216,12 +231,7 @@ util::Socket* Router::upstream(UpstreamMap& upstreams, const std::string& id) {
   const std::optional<BackendAddress> addr = pool_->address(id);
   if (!addr) return nullptr;
   try {
-    util::Socket sock =
-        addr->is_unix()
-            ? util::connect_unix(addr->unix_path,
-                                 config_.backend_connect_timeout_ms)
-            : util::connect_tcp(addr->host, addr->port,
-                                config_.backend_connect_timeout_ms);
+    util::Socket sock = connect_to(*addr, config_.backend_connect_timeout_ms);
     if (config_.backend_io_timeout_ms > 0) {
       sock.set_io_timeout_ms(config_.backend_io_timeout_ms);
     }
@@ -297,6 +307,13 @@ Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
     return error_reply(ErrorCode::kInternal,
                        "no live backends (ring is empty)");
   }
+  return forward_along(upstreams, chain, request, span.has_value(), keyed);
+}
+
+Frame Router::forward_along(UpstreamMap& upstreams,
+                            const std::vector<std::string>& chain,
+                            Frame& request, bool traced, bool predict,
+                            std::size_t* served) {
   // If every candidate sheds, the client must see the overload (retryable,
   // self-describing), not a generic routing failure.
   std::optional<Frame> overloaded_reply;
@@ -307,17 +324,17 @@ Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
     // up in the merged timeline as one short failed attempt followed by a
     // sibling against the successor.
     std::optional<obs::ObsSpan> attempt;
-    if (span) {
+    if (traced) {
       attempt.emplace("router", "forward:" + id);
       request.ext.trace = attempt->context();
     }
     const bool forwarded = forward(upstreams, id, request, response);
-    if (keyed && i == 0) pool_->forward_done(id);
+    if (predict && i == 0) pool_->forward_done(id);
     if (!forwarded) {
       count_failover(id);
       continue;
     }
-    if (keyed && response.ext.load) {
+    if (predict && response.ext.load) {
       // Feed the request-fresh depth to the routing policy and clear it:
       // the client's reply must stay bit-identical to direct serving.
       pool_->note_load(id, response.ext.load->load,
@@ -325,20 +342,15 @@ Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
       response.ext.load.reset();
     }
     if (response.type == MsgType::kError) {
-      ErrorResponse err;
-      try {
-        err = ErrorResponse::decode(response.payload);
-      } catch (const serve::ProtocolError&) {
-        err.code = ErrorCode::kInternal;
-      }
-      if (err.code == ErrorCode::kShuttingDown) {
+      const ErrorCode code = error_code_of(response);
+      if (code == ErrorCode::kShuttingDown) {
         // The shard is draining, not broken: take it out of new placements
         // and let the successor serve this request.
         pool_->report_draining(id);
         count_failover(id);
         continue;
       }
-      if (err.code == ErrorCode::kOverloaded && keyed) {
+      if (code == ErrorCode::kOverloaded && predict) {
         // Authoritative about the *shard's* state, not about the request:
         // the shard is healthy but past its cold-request watermark. Rank
         // it last for future picks and try the next candidate — for a hot
@@ -353,6 +365,7 @@ Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
       // (unknown model, bad request, unknown design, ...). Relay it.
       count_error(id);
     }
+    if (served != nullptr) *served = i;
     return response;
   }
   if (overloaded_reply) return std::move(*overloaded_reply);
@@ -469,43 +482,18 @@ Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
     // want_queue_depth makes the shard piggyback its live load on the
     // StreamEnd reply (cleared below before it reaches the client).
     frame.ext.want_queue_depth = true;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      Frame response;
-      std::optional<obs::ObsSpan> attempt;
-      if (span) {
-        attempt.emplace("router", "forward:" + chain[i]);
-        frame.ext.trace = attempt->context();
-      }
-      if (!forward(upstreams, chain[i], frame, response)) {
-        count_failover(chain[i]);
-        continue;
-      }
-      if (response.type == MsgType::kError) {
-        ErrorResponse err;
-        try {
-          err = ErrorResponse::decode(response.payload);
-        } catch (const serve::ProtocolError&) {
-          err.code = ErrorCode::kInternal;
-        }
-        if (err.code == ErrorCode::kShuttingDown) {
-          pool_->report_draining(chain[i]);
-          count_failover(chain[i]);
-          continue;
-        }
-        count_error(chain[i]);
-        return response;
-      }
+    std::size_t served = 0;
+    Frame response = forward_along(upstreams, chain, frame, span.has_value(),
+                                   /*predict=*/false, &served);
+    if (response.type != MsgType::kError) {
       relay.active = true;
-      relay.backend = chain[i];
+      relay.backend = chain[served];
       relay.chain = std::move(chain);
-      relay.chain_pos = i;
+      relay.chain_pos = served;
       relay.begin = std::move(frame);
       relay.ctx = ctx;
-      return response;
     }
-    return error_reply(ErrorCode::kInternal,
-                       "all " + std::to_string(chain.size()) +
-                           " candidate backends failed");
+    return response;
   }
 
   // Chunk / End.
@@ -530,13 +518,7 @@ Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
       response.ext.load.reset();
     }
     if (response.type == MsgType::kError) {
-      ErrorResponse err;
-      try {
-        err = ErrorResponse::decode(response.payload);
-      } catch (const serve::ProtocolError&) {
-        err.code = ErrorCode::kInternal;
-      }
-      if (err.code == ErrorCode::kShuttingDown) {
+      if (error_code_of(response) == ErrorCode::kShuttingDown) {
         // Only StreamEnd's predict dispatch answers this; the upload is
         // fully buffered, so replaying it to the successor turns a drain
         // into a transparent retry.
@@ -561,6 +543,12 @@ Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
   }
 }
 
+util::Socket Router::admin_connect(const BackendAddress& addr) const {
+  util::Socket sock = connect_to(addr, config_.backend_connect_timeout_ms);
+  sock.set_io_timeout_ms(std::max(config_.probe.timeout_ms * 10, 10000));
+  return sock;
+}
+
 Frame Router::admin_fanout(const Frame& frame) {
   if (!config_.allow_admin) {
     return error_reply(ErrorCode::kAdminDisabled,
@@ -570,21 +558,10 @@ Frame Router::admin_fanout(const Frame& frame) {
   const std::vector<BackendAddress> backends = pool_->all_backends();
   std::ostringstream report;
   std::size_t ok = 0;
-  // Fresh bounded connections rather than the data-path upstreams: admin
-  // must reach *every* configured shard, including ones currently out of
-  // the ring, and a wedged shard must cost a bounded wait, not a hang.
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
   for (const BackendAddress& addr : backends) {
     report << addr.id << ": ";
     try {
-      util::Socket sock =
-          addr.is_unix()
-              ? util::connect_unix(addr.unix_path, options.connect_timeout_ms)
-              : util::connect_tcp(addr.host, addr.port,
-                                  options.connect_timeout_ms);
-      sock.set_io_timeout_ms(options.io_timeout_ms);
+      util::Socket sock = admin_connect(addr);
       serve::write_frame(sock, frame.type, frame.payload);
       Frame response;
       if (!serve::read_frame(sock, response, config_.max_frame_bytes)) {
@@ -625,17 +602,11 @@ Frame Router::trace_dump_fanout() {
                        "trace dump is disabled "
                        "(start the router with --allow-admin)");
   }
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
   std::vector<std::string> parts;
   parts.push_back(obs::Trace::drain_chrome_json());
   for (const BackendAddress& addr : pool_->all_backends()) {
     try {
-      serve::Client client =
-          addr.is_unix()
-              ? serve::Client::connect_unix(addr.unix_path, options)
-              : serve::Client::connect_tcp(addr.host, addr.port, options);
+      serve::Client client(admin_connect(addr));
       parts.push_back(client.trace_dump_text());
     } catch (const std::exception& e) {
       // Unreachable (or admin-disabled) shard: a forensic pull should
@@ -654,17 +625,11 @@ Frame Router::trace_dump_fanout() {
 }
 
 std::string Router::fleet_metrics() {
-  serve::ClientOptions options;
-  options.connect_timeout_ms = config_.backend_connect_timeout_ms;
-  options.io_timeout_ms = std::max(config_.probe.timeout_ms * 10, 10000);
   std::vector<std::pair<std::string, std::string>> shards;
   shards.emplace_back("router", obs::Registry::global().render_prometheus());
   for (const BackendAddress& addr : pool_->all_backends()) {
     try {
-      serve::Client client =
-          addr.is_unix()
-              ? serve::Client::connect_unix(addr.unix_path, options)
-              : serve::Client::connect_tcp(addr.host, addr.port, options);
+      serve::Client client(admin_connect(addr));
       shards.emplace_back(addr.id, client.metrics_text());
     } catch (const std::exception&) {
       // A dead shard contributes no series; atlas_router_backend_up{...} 0

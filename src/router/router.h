@@ -189,6 +189,21 @@ class Router {
   /// shard). Takes the request by value: its extension is rewritten per
   /// attempt while its payload is forwarded untouched.
   serve::Frame route_predict(UpstreamMap& upstreams, serve::Frame request);
+  /// The failover walk Predict, ListModels and StreamBegin share: send
+  /// `request` to each backend of `chain` in order until one answers.
+  /// Transport failure and kShuttingDown (the shard leaves the ring as
+  /// draining) move on to the next candidate; any other reply is returned,
+  /// an Error counted against its backend, and `served` (when non-null)
+  /// gets that backend's chain index. `traced` gives each attempt a
+  /// "forward:<id>" span, set as the forwarded frame's parent. `predict`
+  /// adds the keyed-Predict rules: the first candidate's open forward is
+  /// closed, load reports are noted and cleared, and kOverloaded fails over
+  /// too (relayed only if every candidate sheds). After the whole chain
+  /// fails the reply is an Error naming how many candidates were tried.
+  serve::Frame forward_along(UpstreamMap& upstreams,
+                             const std::vector<std::string>& chain,
+                             serve::Frame& request, bool traced, bool predict,
+                             std::size_t* served = nullptr);
   serve::Frame handle_stream(UpstreamMap& upstreams, serve::Frame frame,
                              StreamRelay& relay);
   /// Replay the buffered stream prefix (Begin + acked chunks) to `id`.
@@ -206,6 +221,12 @@ class Router {
   bool failover_stream(UpstreamMap& upstreams, StreamRelay& relay,
                        serve::Frame& reply);
 
+  /// A fresh connection to `addr` for the fan-out control plane, bounded
+  /// by backend_connect_timeout_ms and a generous per-IO timeout. Not the
+  /// data-path upstreams: admin must reach *every* configured shard,
+  /// including ones out of the ring, and a wedged shard must cost a
+  /// bounded wait, not a hang. Throws util::SocketError.
+  util::Socket admin_connect(const BackendAddress& addr) const;
   serve::Frame admin_fanout(const serve::Frame& frame);
   /// Admin-gated TraceDump: drain the local span ring and every reachable
   /// backend's, answer one merged Chrome trace (kTraceJson). Unreachable or

@@ -44,6 +44,8 @@ class Client {
                             const ClientOptions& options = {});
   static Client connect_unix(const std::string& path,
                              const ClientOptions& options = {});
+  /// Wrap a connected socket, keeping its timeouts.
+  explicit Client(util::Socket sock) : sock_(std::move(sock)) {}
 
   /// Re-bound (or clear, with 0) the per-recv/send timeout mid-session —
   /// e.g. a prober that connects with a tight bound but allows a longer
@@ -128,8 +130,6 @@ class Client {
   void shutdown_server();
 
  private:
-  explicit Client(util::Socket sock) : sock_(std::move(sock)) {}
-
   /// Send `type`+payload with extension `ext`, read one response frame,
   /// unwrap Error replies. `load_out`, when non-null, receives the reply's
   /// LoadReport (zeros when absent) before an Error is thrown.

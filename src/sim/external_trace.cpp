@@ -6,7 +6,6 @@
 
 #include "sim/delta_trace.h"
 #include "util/hash.h"
-#include "util/strings.h"
 
 namespace atlas::sim {
 namespace {
@@ -38,10 +37,6 @@ ExternalTrace ExternalTrace::from_delta_bytes(std::string bytes) {
   return t;
 }
 
-ExternalTrace ExternalTrace::from_vcd_file(const std::string& path) {
-  return from_vcd_text(slurp(path));
-}
-
 ExternalTrace ExternalTrace::from_file(const std::string& path) {
   std::string bytes = slurp(path);
   if (looks_like_delta(bytes)) return from_delta_bytes(std::move(bytes));
@@ -54,38 +49,6 @@ ToggleTrace ExternalTrace::resolve(const netlist::Netlist& nl,
                           ? parse_delta(bytes_, nl, max_cycles)
                           : parse_vcd(bytes_, nl, max_cycles);
   return trace_from_vcd(vcd, nl);
-}
-
-int ExternalTrace::declared_cycles(int max_cycles) const {
-  if (encoding_ == TraceEncoding::kDelta) {
-    return delta_declared_cycles(bytes_, max_cycles);
-  }
-  // The writer's convention (one timestep per cycle, trailing "#N"
-  // sentinel) makes the largest timestamp the cycle count; parse_vcd's
-  // frame filling yields exactly that many cycles.
-  std::istringstream is(bytes_);
-  std::string line;
-  long long last = 0;
-  while (std::getline(is, line)) {
-    const auto t = util::trim(line);
-    if (t.empty() || t[0] != '#') continue;
-    const std::string digits{t.substr(1)};
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::runtime_error("vcd: bad timestamp: " + std::string(t));
-    }
-    long long stamp = 0;
-    for (const char c : digits) {
-      stamp = stamp * 10 + (c - '0');
-      if (stamp > max_cycles) {
-        throw std::runtime_error("vcd: timestamp " + digits +
-                                 " exceeds cycle limit " +
-                                 std::to_string(max_cycles));
-      }
-    }
-    if (stamp > last) last = stamp;
-  }
-  return static_cast<int>(last);
 }
 
 }  // namespace atlas::sim

@@ -50,9 +50,6 @@ class ExternalTrace {
   /// the VCD constructor (use validate_delta for an eager structural check).
   static ExternalTrace from_delta_bytes(std::string bytes);
 
-  /// Read a .vcd file from disk. Throws std::runtime_error on I/O failure.
-  static ExternalTrace from_vcd_file(const std::string& path);
-
   /// Read a trace file of either encoding, sniffing the ATDT magic to pick
   /// between delta and VCD text. Throws std::runtime_error on I/O failure.
   static ExternalTrace from_file(const std::string& path);
@@ -61,9 +58,6 @@ class ExternalTrace {
   TraceEncoding encoding() const { return encoding_; }
   /// The raw trace blob (VCD text or ATDT bytes, per encoding()).
   const std::string& bytes() const { return bytes_; }
-  /// Deprecated spelling of bytes() from when VCD text was the only
-  /// encoding; kept for existing callers.
-  const std::string& text() const { return bytes_; }
   std::size_t size_bytes() const { return bytes_.size(); }
 
   /// FNV-1a of the raw trace bytes — the serve-layer embedding-cache key
@@ -80,11 +74,6 @@ class ExternalTrace {
   /// bytes, a netlist mismatch, or a trace longer than `max_cycles`.
   ToggleTrace resolve(const netlist::Netlist& nl,
                       int max_cycles = kMaxVcdCycles) const;
-
-  /// Cycle count the trace declares, without resolving against a netlist
-  /// (VCD: a cheap scan of the timestamp lines; delta: a header peek).
-  /// Throws on malformed input.
-  int declared_cycles(int max_cycles = kMaxVcdCycles) const;
 
  private:
   std::string bytes_;

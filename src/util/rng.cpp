@@ -47,13 +47,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return v % bound;
 }
 
-std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::next_int: lo > hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(span == 0 ? next_u64()
-                                                  : next_below(span));
-}
-
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
@@ -79,10 +72,6 @@ double Rng::next_gaussian() {
   return r * std::cos(theta);
 }
 
-double Rng::next_gaussian(double mean, double stddev) {
-  return mean + stddev * next_gaussian();
-}
-
 std::size_t Rng::next_weighted(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {
@@ -97,7 +86,5 @@ std::size_t Rng::next_weighted(const std::vector<double>& weights) {
   }
   return weights.size() - 1;
 }
-
-Rng Rng::fork() { return Rng(next_u64() ^ 0xA5A5A5A55A5A5A5AULL); }
 
 }  // namespace atlas::util

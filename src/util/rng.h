@@ -23,9 +23,6 @@ class Rng {
   /// Uniform integer in [0, bound). `bound` must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double next_double();
 
@@ -37,9 +34,6 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached pair).
   double next_gaussian();
-
-  /// Gaussian with given mean / stddev.
-  double next_gaussian(double mean, double stddev);
 
   /// Index drawn from a discrete distribution given non-negative weights.
   /// Requires at least one strictly positive weight.
@@ -54,9 +48,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Derive an independent child stream (for per-submodule / per-cycle use).
-  Rng fork();
 
  private:
   std::uint64_t state_[4];

@@ -42,11 +42,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
@@ -58,10 +53,6 @@ std::string format(const char* fmt, ...) {
   if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
   va_end(args2);
   return out;
-}
-
-std::string fixed(double v, int precision) {
-  return format("%.*f", precision, v);
 }
 
 std::string with_commas(long long v) {

@@ -18,13 +18,9 @@ std::vector<std::string> split(std::string_view s, char sep);
 std::vector<std::string> split_ws(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/// Render a double with fixed precision (for report tables).
-std::string fixed(double v, int precision);
 
 /// Thousands-separated integer, e.g. 289384 -> "289,384".
 std::string with_commas(long long v);

@@ -23,10 +23,4 @@ double PhaseTimers::get(const std::string& phase) const {
   return it == acc_.end() ? 0.0 : it->second;
 }
 
-double PhaseTimers::total() const {
-  double t = 0.0;
-  for (const auto& [_, v] : acc_) t += v;
-  return t;
-}
-
 }  // namespace atlas::util

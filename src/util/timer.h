@@ -41,9 +41,6 @@ class PhaseTimers {
   /// Phases in first-recorded order.
   const std::vector<std::string>& phases() const { return order_; }
 
-  /// Sum over all phases.
-  double total() const;
-
  private:
   std::unordered_map<std::string, double> acc_;
   std::vector<std::string> order_;

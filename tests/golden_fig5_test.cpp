@@ -9,8 +9,10 @@
 // and compares every deterministic column of all 300 cycles against the
 // committed files, so a perf PR that silently changes numerics fails here.
 //
-// (The atlas_* columns depend on the trained model and are covered by the
-// shape checks in bench_fig5 itself, not pinned by this test.)
+// The CSVs' atlas_* columns come from bench_fig5's trained model and are
+// not compared here; FusedBatchedPredictionBitIdenticalOnGoldenC2 pins the
+// model's predictions instead, by hash, for a small model trained in the
+// test and run on the same golden C2 inputs.
 //
 // Regenerating after an *intentional* numerics change:
 //   cmake --build build -j && (cd <repo-root> && ./build/bench/bench_fig5)

@@ -147,7 +147,7 @@ TEST_F(GraphTest, ToggleChannelKeyMatchesCycleFeatures) {
 
 TEST_F(GraphTest, ViewExposesCorrectShape) {
   const auto g = build_submodule_graph(nl_, 0);
-  const ml::GraphView v = g.view();
+  const ml::GraphView v = view_with_features(g, g.static_features);
   EXPECT_EQ(v.num_nodes, g.num_nodes());
   EXPECT_EQ(v.feat_dim, static_cast<std::size_t>(kFeatureDim));
   EXPECT_EQ(v.edges, &g.edges);

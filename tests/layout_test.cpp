@@ -62,7 +62,6 @@ TEST_F(LayoutTest, ExtractionScalesWithWirelength) {
   const Placement pl = place(gate_);
   const Parasitics par = extract(gate_, pl);
   ASSERT_EQ(par.wire_cap_ff.size(), gate_.num_nets());
-  EXPECT_GT(par.total_cap_ff(), 0.0);
   // Caps nonnegative and correlated with HPWL.
   for (NetId n = 0; n < gate_.num_nets(); ++n) {
     EXPECT_GE(par.wire_cap_ff[n], 0.0);
@@ -71,6 +70,7 @@ TEST_F(LayoutTest, ExtractionScalesWithWirelength) {
   // Pre-CTS clock net spans the die: it must be among the largest caps.
   double max_cap = 0.0;
   for (const double c : par.wire_cap_ff) max_cap = std::max(max_cap, c);
+  EXPECT_GT(max_cap, 0.0);
   EXPECT_NEAR(par.wire_cap_ff[clk], max_cap, max_cap * 0.5);
 }
 

@@ -19,7 +19,6 @@
 #include "liberty/liberty_io.h"
 #include "netlist/verilog_io.h"
 #include "power/power_analyzer.h"
-#include "power/vectorless.h"
 #include "serve/protocol.h"
 #include "sim/simulator.h"
 #include "transform/rewrite.h"
@@ -629,31 +628,6 @@ TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
   EXPECT_GT(accepted, 300);
   EXPECT_GT(rejected, 1000);
 }
-
-// ---------------------------------------------------------------------------
-// Vectorless statistics invariants across input assumptions.
-// ---------------------------------------------------------------------------
-
-class VectorlessSweepTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(VectorlessSweepTest, StatisticsStayInRange) {
-  const netlist::Netlist gate = designgen::generate_design(
-      designgen::paper_design_spec(3, 0.0015), lib());
-  power::VectorlessConfig cfg;
-  cfg.input_toggle_density = GetParam();
-  const auto stats = power::propagate_vectorless(gate, cfg);
-  for (const auto& s : stats) {
-    EXPECT_GE(s.p_high, 0.0);
-    EXPECT_LE(s.p_high, 1.0);
-    EXPECT_GE(s.toggle_density, 0.0);
-    EXPECT_LE(s.toggle_density, 2.0);
-  }
-  const power::GroupPower p = power::vectorless_average_power(gate, cfg);
-  EXPECT_GT(p.total(), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Densities, VectorlessSweepTest,
-                         ::testing::Values(0.0, 0.1, 0.3, 0.5, 1.0));
 
 // ---------------------------------------------------------------------------
 // Library physics properties.

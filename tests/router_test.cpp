@@ -1211,7 +1211,7 @@ TEST(HashRing, ReplicasAreAlwaysAPrefixOfThePreferenceChain) {
     const std::uint64_t key = util::hash_mix(0xbf58476d1ce4e5b9ull, k);
     const std::vector<std::string> chain = ring.preference(key, ids.size());
     for (std::size_t r = 0; r <= ids.size() + 1; ++r) {
-      const std::vector<std::string> reps = ring.replicas(key, r);
+      const std::vector<std::string> reps = ring.preference(key, r);
       ASSERT_EQ(reps.size(), std::min(r, chain.size()));
       for (std::size_t i = 0; i < reps.size(); ++i) {
         // The containment invariant route_load_aware leans on: promotion
@@ -1227,10 +1227,15 @@ TEST(HashRing, ReplicasAreAlwaysAPrefixOfThePreferenceChain) {
 /// Minimal ATSP speaker answering health probes with a fixed queue depth
 /// (and an empty model list). Real servers drain their dispatcher queue
 /// too fast for a test to pin a nonzero depth; this keeps the number the
-/// probe sees under test control.
+/// probe sees under test control. With `answers_draining` it also answers
+/// Predict and StreamBegin with kShuttingDown, like a shard that began
+/// draining after its last probe, then closes that connection so the next
+/// probe is served.
 class FakeBackend {
  public:
-  explicit FakeBackend(std::uint64_t queue_depth) : depth_(queue_depth) {
+  explicit FakeBackend(std::uint64_t queue_depth,
+                       bool answers_draining = false)
+      : depth_(queue_depth), answers_draining_(answers_draining) {
     listener_ = util::Listener::tcp("127.0.0.1", port_);
     thread_ = std::thread([this] { serve_loop(); });
   }
@@ -1262,6 +1267,13 @@ class FakeBackend {
           } else if (frame.type == serve::MsgType::kListModels) {
             serve::write_frame(*sock, serve::MsgType::kModelList,
                                serve::ModelListResponse{}.encode());
+          } else if (answers_draining_ &&
+                     (frame.type == serve::MsgType::kPredict ||
+                      frame.type == serve::MsgType::kStreamBegin)) {
+            const serve::Frame reply =
+                serve::error_reply(ErrorCode::kShuttingDown, "draining");
+            serve::write_frame(*sock, reply.type, reply.payload);
+            break;
           } else {
             break;
           }
@@ -1273,6 +1285,7 @@ class FakeBackend {
   }
 
   std::uint64_t depth_;
+  bool answers_draining_;
   int port_ = 0;
   util::Listener listener_;
   std::atomic<bool> stopped_{false};
@@ -1684,6 +1697,88 @@ TEST_F(RouterTest, RelaysOverloadedWhenEveryCandidateSheds) {
                  *expected_w1_);
   router.stop();
   backend->stop();
+}
+
+TEST_F(RouterTest, DrainingReplyFailsOverToTheNextCandidate) {
+  // A shard that still probes healthy but answers kShuttingDown must leave
+  // the ring, and the request must land on the next candidate of its chain
+  // with the reply a direct serve gives: for Predict and StreamBegin alike.
+  FakeBackend stub(/*queue_depth=*/0, /*answers_draining=*/true);
+  std::unique_ptr<serve::Server> real = start_backend(/*allow_admin=*/false);
+  const std::string real_id = "127.0.0.1:" + std::to_string(real->port());
+
+  RouterConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.port = 0;
+  cfg.probe.interval_ms = 3'600'000;  // membership changes only by hand
+  cfg.probe.timeout_ms = 1000;
+  Router router(cfg, parse_backend_list(stub.id() + "," + real_id));
+  router.start();
+  ASSERT_EQ(router.pool().ring_size(), 2u);
+
+  // A design whose chain starts at the stub, so the real shard is the
+  // next candidate.
+  HashRing ring(ProbeConfig{}.vnodes);
+  ring.add(stub.id());
+  ring.add(real_id);
+  std::string verilog;
+  for (int i = 700; i < 764 && verilog.empty(); ++i) {
+    const std::uint64_t key = util::hash_mix(
+        util::fnv1a64(design_variant(i)), liberty::content_hash(*lib_));
+    if (ring.lookup(key) == stub.id()) verilog = design_variant(i);
+  }
+  ASSERT_FALSE(verilog.empty());
+
+  const auto stub_status = [&] {
+    for (const BackendStatus& s : router.pool().snapshot()) {
+      if (s.address.id == stub.id()) return s;
+    }
+    return BackendStatus{};
+  };
+  const obs::Counter& stub_failovers = obs::Registry::global().counter(
+      "atlas_router_failovers_total", "backend=\"" + stub.id() + "\"");
+  const std::uint64_t failovers = stub_failovers.value();
+
+  {
+    Client client = Client::connect_tcp("127.0.0.1", router.port());
+    const std::uint64_t served = routed_requests(real_id);
+    expect_matches(client.predict(make_request(verilog)), *expected_w1_);
+    EXPECT_EQ(routed_requests(real_id), served + 1);
+  }
+  EXPECT_EQ(stub_status().state, BackendState::kDraining);
+  EXPECT_FALSE(stub_status().in_ring);
+  EXPECT_EQ(stub_failovers.value(), failovers + 1);
+  EXPECT_EQ(real->health_snapshot().cache_designs, 1u);
+
+  // The stub still probes healthy, so a probe puts it back at the head of
+  // the chain for the stream.
+  router.pool().probe_all_now();
+  ASSERT_TRUE(stub_status().in_ring);
+
+  netlist::Netlist gate = netlist::parse_verilog(verilog, *lib_);
+  sim::CycleSimulator simulator(gate);
+  sim::StimulusGenerator stimulus(gate, sim::make_w1());
+  const std::string vcd = sim::write_vcd(
+      gate, simulator.run(stimulus, kCycles), simulator.clock_net_mask());
+  const core::Prediction direct = (*model_)->predict(
+      gate, graph::build_submodule_graphs(gate),
+      sim::ExternalTrace::from_vcd_text(vcd).resolve(gate));
+  {
+    Client client = Client::connect_tcp("127.0.0.1", router.port());
+    serve::StreamBeginRequest begin;
+    begin.model = "tiny";
+    begin.netlist_verilog = verilog;
+    begin.cycles = kCycles;
+    const std::uint64_t served = routed_requests(real_id);
+    expect_matches(client.predict_stream(begin, vcd, 512), direct);
+    EXPECT_GT(routed_requests(real_id), served);
+  }
+  EXPECT_EQ(stub_status().state, BackendState::kDraining);
+  EXPECT_FALSE(stub_status().in_ring);
+  EXPECT_EQ(stub_failovers.value(), failovers + 2);
+
+  router.stop();
+  real->stop();
 }
 
 }  // namespace

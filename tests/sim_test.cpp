@@ -361,7 +361,7 @@ TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
   const ExternalTrace trace = ExternalTrace::from_vcd_text(text);
   EXPECT_FALSE(trace.empty());
   EXPECT_EQ(trace.size_bytes(), text.size());
-  EXPECT_EQ(trace.declared_cycles(), 10);
+  EXPECT_EQ(trace.resolve(nl).num_cycles(), 10);
   // Content-addressed: same bytes, same hash; different bytes, different.
   EXPECT_EQ(trace.content_hash(),
             ExternalTrace::from_vcd_text(text).content_hash());
@@ -380,15 +380,15 @@ TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
     }
   }
 
-  // from_vcd_file reads the same bytes back (hash proves it).
+  // from_file reads a .vcd back through the same bytes (hash proves it).
   const std::string path = ::testing::TempDir() + "/external_trace_test.vcd";
   {
     std::ofstream os(path, std::ios::binary);
     os << text;
   }
-  EXPECT_EQ(ExternalTrace::from_vcd_file(path).content_hash(),
+  EXPECT_EQ(ExternalTrace::from_file(path).content_hash(),
             trace.content_hash());
-  EXPECT_THROW(ExternalTrace::from_vcd_file(path + ".missing"),
+  EXPECT_THROW(ExternalTrace::from_file(path + ".missing"),
                std::exception);
 }
 
@@ -472,7 +472,7 @@ TEST_F(SimTest, DeltaRoundTripMatchesVcdResolve) {
 
   const ExternalTrace ext = ExternalTrace::from_delta_bytes(delta);
   EXPECT_EQ(ext.encoding(), TraceEncoding::kDelta);
-  EXPECT_EQ(ext.declared_cycles(), 10);
+  EXPECT_EQ(delta_declared_cycles(delta), 10);
   EXPECT_NE(ext.content_hash(),
             ExternalTrace::from_vcd_text(text).content_hash());
 
@@ -564,8 +564,7 @@ TEST_F(SimTest, DeltaAtExactlyMaxVcdCycles) {
   EXPECT_LT(delta.size(), 32u);
   const VcdData back = parse_delta(delta, nl);
   EXPECT_EQ(back.num_cycles, kMaxVcdCycles);
-  EXPECT_EQ(ExternalTrace::from_delta_bytes(delta).declared_cycles(),
-            kMaxVcdCycles);
+  EXPECT_EQ(delta_declared_cycles(delta), kMaxVcdCycles);
   validate_delta(delta);
 
   const ToggleTrace past_cap(nl.num_nets(), kMaxVcdCycles + 1);

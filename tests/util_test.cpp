@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -39,15 +38,6 @@ TEST(Rng, NextBelowRespectsBound) {
 TEST(Rng, NextBelowThrowsOnZero) {
   Rng r(7);
   EXPECT_THROW(r.next_below(0), std::invalid_argument);
-}
-
-TEST(Rng, NextIntCoversInclusiveRange) {
-  Rng r(9);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 2000; ++i) seen.insert(r.next_int(-3, 3));
-  EXPECT_EQ(seen.size(), 7u);
-  EXPECT_EQ(*seen.begin(), -3);
-  EXPECT_EQ(*seen.rbegin(), 3);
 }
 
 TEST(Rng, DoubleInUnitInterval) {
@@ -92,12 +82,6 @@ TEST(Rng, WeightedApproximatesDistribution) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / 10000.0, 0.75, 0.03);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(23);
-  Rng child = a.fork();
-  EXPECT_NE(a.next_u64(), child.next_u64());
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng r(29);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -134,8 +118,6 @@ TEST(Strings, SplitWsDropsEmpty) {
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(starts_with("hello", "he"));
   EXPECT_FALSE(starts_with("he", "hello"));
-  EXPECT_TRUE(ends_with("hello", "lo"));
-  EXPECT_FALSE(ends_with("lo", "hello"));
 }
 
 TEST(Strings, Format) {
@@ -293,7 +275,6 @@ TEST(PhaseTimersTest, AccumulatesAndOrders) {
   EXPECT_DOUBLE_EQ(t.get("a"), 1.5);
   EXPECT_DOUBLE_EQ(t.get("b"), 2.0);
   EXPECT_DOUBLE_EQ(t.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(t.total(), 3.5);
   ASSERT_EQ(t.phases().size(), 2u);
   EXPECT_EQ(t.phases()[0], "a");
 }
