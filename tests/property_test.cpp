@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <numeric>
 #include <optional>
@@ -14,7 +16,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "atlas/model.h"
 #include "designgen/design_generator.h"
+#include "graph/submodule_graph.h"
 #include "layout/layout_flow.h"
 #include "liberty/liberty_io.h"
 #include "netlist/verilog_io.h"
@@ -509,6 +513,20 @@ std::vector<WireCodec> wire_codecs() {
   return out;
 }
 
+/// A FrameExt with every field present.
+serve::FrameExt full_frame_ext() {
+  serve::FrameExt full;
+  full.trace.trace_hi = 0x0123456789abcdefull;
+  full.trace.trace_lo = 0xfedcba9876543210ull;
+  full.trace.span_id = 0xc0ffee;
+  full.trace.sampled = true;
+  full.want_timing = true;
+  full.want_queue_depth = true;
+  full.timing.emplace().total_us = 200;
+  full.load.emplace().load = 3;
+  return full;
+}
+
 /// 1-3 seeded edits: byte flips, span deletes, span duplicates and
 /// truncations. Edits land inside [lo, hi) when that range is non-empty.
 void mutate(std::string& bytes, util::Rng& rng, std::size_t lo, std::size_t hi) {
@@ -577,15 +595,7 @@ TEST(AtspMutationProperty, PayloadsDecodeOrThrowProtocolError) {
 TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
   const std::vector<WireCodec> codecs = wire_codecs();
   constexpr std::size_t kCap = 1 << 16;
-  serve::FrameExt full;
-  full.trace.trace_hi = 0x0123456789abcdefull;
-  full.trace.trace_lo = 0xfedcba9876543210ull;
-  full.trace.span_id = 0xc0ffee;
-  full.trace.sampled = true;
-  full.want_timing = true;
-  full.want_queue_depth = true;
-  full.timing.emplace().total_us = 200;
-  full.load.emplace().load = 3;
+  const serve::FrameExt full = full_frame_ext();
   util::Rng rng(0xf4a3e);
   int accepted = 0;
   int rejected = 0;
@@ -627,6 +637,74 @@ TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
   // 572 frames read and 2787 inputs rejected at this seed.
   EXPECT_GT(accepted, 300);
   EXPECT_GT(rejected, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Byte formats pinned: ATSP payloads, a framed extension and a saved model.
+// ---------------------------------------------------------------------------
+
+/// An untrained d = 16 encoder plus three small heads fitted on seeded rows
+/// of the ct/comb/reg widths: a whole artifact that costs no training.
+core::AtlasModel tiny_model() {
+  constexpr std::size_t kDim = 16;
+  ml::SgFormer::Config enc;
+  enc.in_dim = graph::kFeatureDim;
+  enc.dim = kDim;
+  enc.seed = 5;
+  ml::GbdtConfig gbdt;
+  gbdt.n_trees = 3;
+  gbdt.max_depth = 2;
+  gbdt.n_bins = 8;
+  util::Rng rng(0x7e57);
+  const auto head = [&](std::size_t width) {
+    ml::Matrix x(48, width);
+    std::vector<double> y(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < width; ++j) {
+        x.at(i, j) = static_cast<float>(rng.next_double());
+      }
+      y[i] = 2.0 * x.at(i, 0) - x.at(i, width - 1);
+    }
+    ml::GbdtRegressor h(gbdt);
+    h.fit(x, y);
+    return h;
+  };
+  core::GroupModels heads{head(core::ct_dim(kDim)), head(core::comb_dim(kDim)),
+                          head(core::reg_dim(kDim))};
+  return core::AtlasModel(ml::SgFormer(enc), std::move(heads));
+}
+
+/// The bytes AtlasModel::save writes for `model`.
+std::string saved_bytes(const core::AtlasModel& model) {
+  const std::string path = ::testing::TempDir() + "/property_tiny_model.bin";
+  model.save(path);
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Wire and artifact bytes are a compatibility surface: a peer or a saved
+// model from an older build must keep decoding. These hashes were recorded
+// before the codec was rewritten; a change to any of them is a format
+// change, not a refactor.
+TEST(FormatPin, WireAndArtifactBytesHashToRecordedValues) {
+  const std::vector<WireCodec> codecs = wire_codecs();
+  const std::vector<std::uint64_t> payload_hashes = {
+      0x9b0419e11d348e35ull, 0xbc2c41523f84f387ull, 0xa0f48759ba0f1da4ull,
+      0x5a07ca5a121b7eafull, 0xac40e5a1203aba3dull, 0x529a51dc8ff5728bull,
+      0xf7d3cc3409bcd464ull, 0x3e94eaabf3ab54f9ull, 0x785d94bc6a604cf4ull,
+      0x228de977e947dec4ull, 0xe54a854ba9e7f0d1ull};
+  ASSERT_EQ(codecs.size(), payload_hashes.size());
+  for (std::size_t i = 0; i < codecs.size(); ++i) {
+    EXPECT_EQ(util::hash_hex(util::fnv1a64(codecs[i].payload)),
+              util::hash_hex(payload_hashes[i]))
+        << "payload of message type " << static_cast<int>(codecs[i].type);
+  }
+  const std::string frame = serve::encode_frame(
+      serve::MsgType::kPredict, codecs[0].payload, full_frame_ext());
+  EXPECT_EQ(util::hash_hex(util::fnv1a64(frame)),
+            util::hash_hex(0x1fc9842dc61bd516ull));
+  EXPECT_EQ(util::hash_hex(util::fnv1a64(saved_bytes(tiny_model()))),
+            util::hash_hex(0x7d96fb8baddf12d0ull));
 }
 
 // ---------------------------------------------------------------------------
