@@ -1,7 +1,6 @@
 #include "atlas/model.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -299,37 +298,50 @@ Prediction AtlasModel::predict_from_embeddings(
   return pred;
 }
 
-void AtlasModel::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("AtlasModel::save: cannot open " + path);
-  util::write_header(os, "ATLS", 1);
-  encoder_.save(os);
-  models_.f_ct.save(os);
-  models_.f_comb.save(os);
-  models_.f_reg.save(os);
-  if (!os) throw std::runtime_error("AtlasModel::save: write failed");
+std::string AtlasModel::to_bytes() const {
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  out.header("ATLS", 1);
+  encoder_.save(out);
+  models_.f_ct.save(out);
+  models_.f_comb.save(out);
+  models_.f_reg.save(out);
+  return bytes;
 }
 
-AtlasModel AtlasModel::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("AtlasModel::load: cannot open " + path);
-  util::read_header(is, "ATLS");
-  ml::SgFormer encoder = ml::SgFormer::load(is);
-  GroupModels models{ml::GbdtRegressor::load(is), ml::GbdtRegressor::load(is),
-                     ml::GbdtRegressor::load(is)};
-  // Each head reads rows of exactly its fill_*_row width; a head trained on
-  // wider rows would index past them.
+AtlasModel AtlasModel::from_bytes(std::string_view bytes) {
+  util::ByteReader in(bytes);
+  in.header("ATLS");
+  ml::SgFormer encoder = ml::SgFormer::load(in);
+  GroupModels models{ml::GbdtRegressor::load(in), ml::GbdtRegressor::load(in),
+                     ml::GbdtRegressor::load(in)};
+  if (!in.done()) throw util::SerializeError("AtlasModel: trailing bytes");
+  // encode_batch fills kFeatureDim features per node, and each head reads
+  // rows of exactly its fill_*_row width; other widths would index past them.
+  if (encoder.in_dim() != static_cast<std::size_t>(graph::kFeatureDim)) {
+    throw util::SerializeError("AtlasModel: encoder input width " +
+                               std::to_string(encoder.in_dim()) + " != " +
+                               std::to_string(graph::kFeatureDim));
+  }
   const std::size_t d = encoder.dim();
   for (const auto& [head, width] : {std::pair{&models.f_ct, ct_dim(d)},
                                     std::pair{&models.f_comb, comb_dim(d)},
                                     std::pair{&models.f_reg, reg_dim(d)}}) {
     if (head->num_trees() > 0 && head->num_features() != width) {
-      throw util::SerializeError("AtlasModel::load: head feature width " +
+      throw util::SerializeError("AtlasModel: head feature width " +
                                  std::to_string(head->num_features()) +
                                  " != " + std::to_string(width));
     }
   }
   return AtlasModel(std::move(encoder), std::move(models));
+}
+
+void AtlasModel::save(const std::string& path) const {
+  util::write_file(path, to_bytes());
+}
+
+AtlasModel AtlasModel::load(const std::string& path) {
+  return from_bytes(util::read_file(path));
 }
 
 }  // namespace atlas::core

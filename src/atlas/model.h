@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "atlas/finetune.h"
 #include "atlas/pretrain.h"
@@ -115,7 +116,15 @@ class AtlasModel {
       const std::vector<graph::SubmoduleGraph>& graphs,
       const DesignEmbeddings& emb, util::Arena* arena = nullptr) const;
 
+  /// The artifact: encoder, then the CT, Comb and Reg heads.
+  std::string to_bytes() const;
+  /// Decodes an artifact. Throws util::SerializeError on anything but the
+  /// exact bytes of a model whose encoder reads the graph features and whose
+  /// heads read rows of their fill_*_row widths.
+  static AtlasModel from_bytes(std::string_view bytes);
+
   void save(const std::string& path) const;
+  /// from_bytes() over the file's contents.
   static AtlasModel load(const std::string& path);
 
  private:

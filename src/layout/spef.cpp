@@ -1,10 +1,10 @@
 #include "layout/spef.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace atlas::layout {
@@ -35,11 +35,10 @@ Parasitics parse_spef(std::string_view text, const netlist::Netlist& nl) {
   Parasitics out;
   out.wire_cap_ff.assign(nl.num_nets(), 0.0);
 
-  std::istringstream is{std::string(text)};
-  std::string line;
+  std::string_view line;
   bool in_name_map = false;
   std::size_t dnets = 0;
-  while (std::getline(is, line)) {
+  while (util::next_line(text, line)) {
     const auto t = util::trim(line);
     if (t.empty()) continue;
     if (util::starts_with(t, "*NAME_MAP")) {
@@ -76,18 +75,11 @@ Parasitics parse_spef(std::string_view text, const netlist::Netlist& nl) {
 
 void save_spef_file(const netlist::Netlist& nl, const Parasitics& parasitics,
                     const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  os << write_spef(nl, parasitics);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  util::write_file(path, write_spef(nl, parasitics));
 }
 
 Parasitics load_spef_file(const std::string& path, const netlist::Netlist& nl) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_spef(buf.str(), nl);
+  return parse_spef(util::read_file(path), nl);
 }
 
 }  // namespace atlas::layout

@@ -2,10 +2,10 @@
 
 #include <cctype>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "util/hash.h"
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace atlas::liberty {
@@ -354,18 +354,11 @@ Library parse_library(std::string_view text) {
 }
 
 void save_liberty_file(const Library& lib, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  os << write_liberty(lib);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  util::write_file(path, write_liberty(lib));
 }
 
 Library load_liberty_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_library(buf.str());
+  return parse_library(util::read_file(path));
 }
 
 std::uint64_t content_hash(const Library& lib) {

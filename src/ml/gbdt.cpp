@@ -334,49 +334,52 @@ void GbdtRegressor::predict_rows(const float* rows, std::size_t n,
   }
 }
 
-void GbdtRegressor::save(std::ostream& os) const {
-  util::write_header(os, "GBDT", 1);
-  util::write_u64(os, num_features_);
-  util::write_f64(os, base_);
-  util::write_u64(os, trees_.size());
+void GbdtRegressor::save(util::ByteWriter& out) const {
+  out.header("GBDT", 1);
+  out.u64(num_features_);
+  out.f64(base_);
+  out.u64(trees_.size());
   for (const Tree& t : trees_) {
-    util::write_u64(os, t.nodes.size());
+    out.u64(t.nodes.size());
     for (const Node& n : t.nodes) {
-      util::write_i64(os, n.feature);
-      util::write_f32(os, n.threshold);
-      util::write_i64(os, n.left);
-      util::write_i64(os, n.right);
-      util::write_f64(os, n.value);
+      out.i64(n.feature);
+      out.f32(n.threshold);
+      out.i64(n.left);
+      out.i64(n.right);
+      out.f64(n.value);
     }
   }
 }
 
-GbdtRegressor GbdtRegressor::load(std::istream& is) {
-  util::read_header(is, "GBDT");
+GbdtRegressor GbdtRegressor::load(util::ByteReader& in) {
+  in.header("GBDT");
   GbdtRegressor m;
-  m.num_features_ = util::read_u64(is);
-  m.base_ = util::read_f64(is);
+  m.num_features_ = in.u64();
+  m.base_ = in.f64();
   // Node fields index the feature rows and the forest arrays unchecked at
   // predict time, and the artifact may come from an admin LoadModel: check
   // every split here. Children strictly after their parent also rule out
   // cycles, so every walk reaches a leaf.
-  const auto read_int = [](std::istream& in) {
-    const std::int64_t v = util::read_i64(in);
+  const auto read_int = [](util::ByteReader& r) {
+    const std::int64_t v = r.i64();
     if (v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max()) {
       throw util::SerializeError("gbdt: node field out of range");
     }
     return static_cast<int>(v);
   };
-  m.trees_ = util::read_vector<Tree>(is, [&](std::istream& in) {
+  // Encoded sizes: a node is three i64, an f32 and an f64; a tree is its
+  // node count plus at least one node.
+  constexpr std::size_t kNodeBytes = 3 * 8 + 4 + 8;
+  m.trees_ = in.vector<Tree>(8 + kNodeBytes, [&](util::ByteReader& r) {
     Tree t;
-    t.nodes = util::read_vector<Node>(in, [&](std::istream& nin) {
+    t.nodes = r.vector<Node>(kNodeBytes, [&](util::ByteReader& nr) {
       Node n;
-      n.feature = read_int(nin);
-      n.threshold = util::read_f32(nin);
-      n.left = read_int(nin);
-      n.right = read_int(nin);
-      n.value = util::read_f64(nin);
+      n.feature = read_int(nr);
+      n.threshold = nr.f32();
+      n.left = read_int(nr);
+      n.right = read_int(nr);
+      n.value = nr.f64();
       return n;
     });
     if (t.nodes.empty()) throw util::SerializeError("gbdt: empty tree");

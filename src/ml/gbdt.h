@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -51,11 +50,11 @@ class GbdtRegressor {
   std::size_t num_features() const { return num_features_; }
   std::size_t num_trees() const { return trees_.size(); }
 
-  void save(std::ostream& os) const;
-  /// Throws util::SerializeError on a truncated stream or a hostile tree: an
+  void save(util::ByteWriter& out) const;
+  /// Throws util::SerializeError on a truncated input or a hostile tree: an
   /// empty tree, or a split whose feature is outside [0, num_features) or
   /// whose child is not a later node of the same tree.
-  static GbdtRegressor load(std::istream& is);
+  static GbdtRegressor load(util::ByteReader& in);
 
  private:
   struct Node {

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/serialize.h"
-
 namespace atlas::ml {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float init)
@@ -272,17 +270,25 @@ std::vector<float> l2_normalize_rows(Matrix& x, float eps) {
   return norms;
 }
 
-void write_matrix(std::ostream& os, const Matrix& m) {
-  util::write_u64(os, m.rows());
-  util::write_u64(os, m.cols());
-  util::write_f32_span(os, m.data(), m.size());
+void write_matrix(util::ByteWriter& out, const Matrix& m) {
+  out.u64(m.rows());
+  out.u64(m.cols());
+  out.f32_span(m.data(), m.size());
 }
 
-Matrix read_matrix(std::istream& is) {
-  const std::size_t rows = util::read_u64(is);
-  const std::size_t cols = util::read_u64(is);
-  Matrix m(rows, cols);
-  util::read_f32_span(is, m.data(), m.size());
+Matrix read_matrix(util::ByteReader& in) {
+  const std::uint64_t rows = in.u64();
+  const std::uint64_t cols = in.u64();
+  // The product must fit the floats left, checked without forming it (it
+  // could wrap) and before the matrix is allocated.
+  const std::uint64_t fit = in.remaining() / sizeof(float);
+  if (rows > fit || cols > fit || (cols != 0 && rows > fit / cols)) {
+    throw util::SerializeError("matrix " + std::to_string(rows) + "x" +
+                               std::to_string(cols) + " exceeds the " +
+                               std::to_string(in.remaining()) + " bytes left");
+  }
+  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+  in.f32_span(m.data(), m.size());
   return m;
 }
 

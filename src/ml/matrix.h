@@ -6,11 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace atlas::ml {
 
@@ -106,7 +106,9 @@ Matrix mean_rows(const Matrix& x);
 /// L2-normalize each row in place; returns the original norms (for backward).
 std::vector<float> l2_normalize_rows(Matrix& x, float eps = 1e-8f);
 
-void write_matrix(std::ostream& os, const Matrix& m);
-Matrix read_matrix(std::istream& is);
+void write_matrix(util::ByteWriter& out, const Matrix& m);
+/// Throws util::SerializeError when the declared shape needs more floats
+/// than the input has left (checked before allocating) or is truncated.
+Matrix read_matrix(util::ByteReader& in);
 
 }  // namespace atlas::ml

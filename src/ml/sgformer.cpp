@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -325,29 +326,42 @@ void SgFormer::collect_params(std::vector<ParamRef>& out) {
   add(b_out_, gb_out_);
 }
 
-void SgFormer::save(std::ostream& os) const {
-  util::write_header(os, "SGFM", 1);
-  util::write_u64(os, config_.in_dim);
-  util::write_u64(os, config_.dim);
-  util::write_f64(os, config_.alpha);
-  util::write_u64(os, config_.seed);
+void SgFormer::save(util::ByteWriter& out) const {
+  out.header("SGFM", 1);
+  out.u64(config_.in_dim);
+  out.u64(config_.dim);
+  out.f64(config_.alpha);
+  out.u64(config_.seed);
   for (const Matrix* m : {&w_in_, &b_in_, &wq_, &wk_, &wv_, &wg_, &w_out_, &b_out_}) {
-    write_matrix(os, *m);
+    write_matrix(out, *m);
   }
 }
 
-SgFormer SgFormer::load(std::istream& is) {
-  util::read_header(is, "SGFM");
+SgFormer SgFormer::load(util::ByteReader& in) {
+  in.header("SGFM");
   Config cfg;
-  cfg.in_dim = util::read_u64(is);
-  cfg.dim = util::read_u64(is);
-  cfg.alpha = static_cast<float>(util::read_f64(is));
-  cfg.seed = util::read_u64(is);
-  SgFormer m(cfg);
-  for (Matrix* w : {&m.w_in_, &m.b_in_, &m.wq_, &m.wk_, &m.wv_, &m.wg_,
-                    &m.w_out_, &m.b_out_}) {
-    *w = read_matrix(is);
+  cfg.in_dim = in.u64();
+  cfg.dim = in.u64();
+  cfg.alpha = static_cast<float>(in.f64());
+  cfg.seed = in.u64();
+  if (cfg.in_dim == 0 || cfg.dim == 0) {
+    throw util::SerializeError("sgformer: zero dimension");
   }
+  const std::size_t d = cfg.dim;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {cfg.in_dim, d}, {1, d}, {d, d}, {d, d}, {d, d}, {d, d}, {d, d}, {1, d}};
+  Matrix w[std::size(shapes)];
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    w[i] = read_matrix(in);
+    if (w[i].rows() != shapes[i].first || w[i].cols() != shapes[i].second) {
+      throw util::SerializeError("sgformer: weight " + std::to_string(i) +
+                                 " does not have the config's shape");
+    }
+  }
+  SgFormer m(cfg);
+  Matrix* dst[] = {&m.w_in_, &m.b_in_, &m.wq_, &m.wk_, &m.wv_, &m.wg_,
+                   &m.w_out_, &m.b_out_};
+  for (std::size_t i = 0; i < std::size(shapes); ++i) *dst[i] = std::move(w[i]);
   return m;
 }
 

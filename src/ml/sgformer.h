@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/mlp.h"
@@ -101,8 +100,12 @@ class SgFormer {
   std::size_t dim() const { return config_.dim; }
   std::size_t in_dim() const { return config_.in_dim; }
 
-  void save(std::ostream& os) const;
-  static SgFormer load(std::istream& is);
+  void save(util::ByteWriter& out) const;
+  /// Throws util::SerializeError on a truncated input, a zero dimension, or
+  /// a weight whose shape is not the one the stored config implies. Every
+  /// weight is read and checked before the encoder is built, so a forged
+  /// config cannot size an allocation past the input.
+  static SgFormer load(util::ByteReader& in);
 
  private:
   Config config_;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace atlas::netlist {
@@ -436,18 +436,11 @@ Netlist parse_verilog(std::string_view text, const liberty::Library& lib) {
 }
 
 void save_verilog_file(const Netlist& nl, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  os << write_verilog(nl);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  util::write_file(path, write_verilog(nl));
 }
 
 Netlist load_verilog_file(const std::string& path, const liberty::Library& lib) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_verilog(buf.str(), lib);
+  return parse_verilog(util::read_file(path), lib);
 }
 
 }  // namespace atlas::netlist

@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <cstring>
-#include <sstream>
 #include <string_view>
 
 #include "util/serialize.h"
@@ -9,58 +8,49 @@
 namespace atlas::serve {
 namespace {
 
-using util::read_f64;
-using util::read_string;
-using util::read_u32;
-using util::read_u64;
-using util::write_f64;
-using util::write_string;
-using util::write_u32;
-using util::write_u64;
+using util::ByteReader;
+using util::ByteWriter;
 
-void write_group_power_rows(std::ostream& os,
+void write_group_power_rows(ByteWriter& out,
                             const std::vector<power::GroupPower>& rows) {
-  write_u64(os, rows.size());
+  out.u64(rows.size());
   for (const power::GroupPower& g : rows) {
-    write_f64(os, g.comb);
-    write_f64(os, g.reg);
-    write_f64(os, g.clock);
-    write_f64(os, g.memory);
+    out.f64(g.comb);
+    out.f64(g.reg);
+    out.f64(g.clock);
+    out.f64(g.memory);
   }
 }
 
-std::vector<power::GroupPower> read_group_power_rows(std::istream& is) {
-  return util::read_vector<power::GroupPower>(is, [](std::istream& s) {
+std::vector<power::GroupPower> read_group_power_rows(ByteReader& in) {
+  return in.vector<power::GroupPower>(4 * 8, [](ByteReader& r) {
     power::GroupPower g;
-    g.comb = read_f64(s);
-    g.reg = read_f64(s);
-    g.clock = read_f64(s);
-    g.memory = read_f64(s);
+    g.comb = r.f64();
+    g.reg = r.f64();
+    g.clock = r.f64();
+    g.memory = r.f64();
     return g;
   });
 }
 
 template <typename Fn>
 std::string encode_payload(Fn&& fn) {
-  std::ostringstream os(std::ios::binary);
-  fn(os);
-  return std::move(os).str();
+  std::string out;
+  ByteWriter w(out);
+  fn(w);
+  return out;
 }
 
 template <typename T, typename Fn>
-T decode_payload(const std::string& payload, Fn&& fn) {
-  std::istringstream is(payload, std::ios::binary);
-  try {
-    T value = fn(is);
-    // Payloads carry exactly their own fields; metadata rides the frame
-    // extension, so trailing bytes can only be corruption.
-    if (is.peek() != std::istream::traits_type::eof()) {
-      throw ProtocolError("trailing bytes after payload fields");
-    }
-    return value;
-  } catch (const util::SerializeError& e) {
-    throw ProtocolError(std::string("bad payload: ") + e.what());
-  }
+T decode_payload(const std::string& payload, Fn&& fn) try {
+  ByteReader in(payload);
+  T value = fn(in);
+  // Payloads carry exactly their own fields; metadata rides the frame
+  // extension, so trailing bytes can only be corruption.
+  if (!in.done()) throw ProtocolError("trailing bytes after payload fields");
+  return value;
+} catch (const util::SerializeError& e) {
+  throw ProtocolError(std::string("bad payload: ") + e.what());
 }
 
 // FrameExt presence bits. A field follows the mask only when its bit is
@@ -75,15 +65,8 @@ constexpr std::uint32_t kExtKnownBits = (1u << 6) - 1;
 static_assert(4 + 3 * 8 + 7 * 8 + 2 * 8 <= kMaxFrameExtBytes,
               "the fullest extension block must fit the reader's cap");
 
-template <typename T>
-void append_pod(std::string& out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
 /// Appends the encoded block for `ext` (nothing when every field is absent).
-void append_frame_ext(std::string& out, const FrameExt& ext) {
+void append_frame_ext(std::string& bytes, const FrameExt& ext) {
   std::uint32_t mask = 0;
   if (ext.trace.valid()) {
     mask |= kExtTrace;
@@ -94,60 +77,39 @@ void append_frame_ext(std::string& out, const FrameExt& ext) {
   if (ext.timing) mask |= kExtTiming;
   if (ext.load) mask |= kExtLoad;
   if (mask == 0) return;
-  append_pod(out, mask);
+  ByteWriter out(bytes);
+  out.u32(mask);
   if (mask & kExtTrace) {
-    append_pod(out, ext.trace.trace_hi);
-    append_pod(out, ext.trace.trace_lo);
-    append_pod(out, ext.trace.span_id);
+    out.u64(ext.trace.trace_hi);
+    out.u64(ext.trace.trace_lo);
+    out.u64(ext.trace.span_id);
   }
   if (const auto& t = ext.timing) {
     for (const std::uint64_t v : {t->batch_wait_us, t->queue_us, t->cache_us,
                                   t->encode_us, t->predict_us, t->serialize_us,
                                   t->total_us}) {
-      append_pod(out, v);
+      out.u64(v);
     }
   }
   if (ext.load) {
-    append_pod(out, ext.load->load);
-    append_pod(out, ext.load->flags);
+    out.u64(ext.load->load);
+    out.u64(ext.load->flags);
   }
 }
 
-/// Bounds-checked reads over the extension bytes, in the same byte order
-/// append_pod writes.
-class ExtReader {
- public:
-  explicit ExtReader(std::string_view bytes) : rest_(bytes) {}
-
-  template <typename T>
-  T read() {
-    if (rest_.size() < sizeof(T)) {
-      throw ProtocolError("frame extension shorter than its presence mask");
-    }
-    T v;
-    std::memcpy(&v, rest_.data(), sizeof(T));
-    rest_.remove_prefix(sizeof(T));
-    return v;
-  }
-  bool done() const { return rest_.empty(); }
-
- private:
-  std::string_view rest_;
-};
-
-FrameExt decode_frame_ext(std::string_view bytes) {
+FrameExt decode_frame_ext(std::string_view bytes) try {
   FrameExt ext;
   if (bytes.empty()) return ext;
-  ExtReader in(bytes);
-  const std::uint32_t mask = in.read<std::uint32_t>();
+  ByteReader in(bytes);
+  const std::uint32_t mask = in.u32();
   if (mask == 0 || (mask & ~kExtKnownBits) != 0) {
     throw ProtocolError("bad frame extension presence mask " +
                         std::to_string(mask));
   }
   if (mask & kExtTrace) {
-    ext.trace.trace_hi = in.read<std::uint64_t>();
-    ext.trace.trace_lo = in.read<std::uint64_t>();
-    ext.trace.span_id = in.read<std::uint64_t>();
+    ext.trace.trace_hi = in.u64();
+    ext.trace.trace_lo = in.u64();
+    ext.trace.span_id = in.u64();
     ext.trace.sampled = (mask & kExtSampled) != 0;
   }
   ext.want_timing = (mask & kExtWantTiming) != 0;
@@ -157,18 +119,22 @@ FrameExt decode_frame_ext(std::string_view bytes) {
     for (std::uint64_t* v : {&t.batch_wait_us, &t.queue_us, &t.cache_us,
                              &t.encode_us, &t.predict_us, &t.serialize_us,
                              &t.total_us}) {
-      *v = in.read<std::uint64_t>();
+      *v = in.u64();
     }
   }
   if (mask & kExtLoad) {
     LoadReport& r = ext.load.emplace();
-    r.load = in.read<std::uint64_t>();
-    r.flags = in.read<std::uint64_t>();
+    r.load = in.u64();
+    r.flags = in.u64();
   }
   if (!in.done()) {
     throw ProtocolError("frame extension longer than its presence mask");
   }
   return ext;
+} catch (const util::SerializeError& e) {
+  throw ProtocolError(
+      std::string("frame extension shorter than its presence mask: ") +
+      e.what());
 }
 
 }  // namespace
@@ -191,19 +157,16 @@ const char* error_code_name(ErrorCode code) {
 
 std::string encode_frame(MsgType type, const std::string& payload,
                          const FrameExt& ext) {
+  std::string ext_bytes;
+  append_frame_ext(ext_bytes, ext);
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size() + kMaxFrameExtBytes);
-  out.resize(kFrameHeaderBytes);
+  out.reserve(kFrameHeaderBytes + payload.size() + ext_bytes.size());
+  ByteWriter header(out);
+  header.header(kFrameMagic, static_cast<std::uint32_t>(type));
+  header.u64(payload.size() + ext_bytes.size());
+  header.u32(static_cast<std::uint32_t>(ext_bytes.size()));
   out += payload;
-  append_frame_ext(out, ext);
-  const std::uint32_t t = static_cast<std::uint32_t>(type);
-  const std::uint64_t body = out.size() - kFrameHeaderBytes;
-  const std::uint32_t ext_len =
-      static_cast<std::uint32_t>(body - payload.size());
-  std::memcpy(out.data(), kFrameMagic, 4);
-  std::memcpy(out.data() + 4, &t, 4);
-  std::memcpy(out.data() + 8, &body, 8);
-  std::memcpy(out.data() + 16, &ext_len, 4);
+  out += ext_bytes;
   return out;
 }
 
@@ -221,12 +184,10 @@ bool read_frame(util::Socket& sock, Frame& out, std::size_t max_frame_bytes) {
   if (std::memcmp(header, kFrameMagic, 4) != 0) {
     throw ProtocolError("bad frame magic");
   }
-  std::uint32_t type = 0;
-  std::uint64_t len = 0;
-  std::uint32_t ext_len = 0;
-  std::memcpy(&type, header + 4, 4);
-  std::memcpy(&len, header + 8, 8);
-  std::memcpy(&ext_len, header + 16, 4);
+  ByteReader fields(std::string_view(header + 4, sizeof(header) - 4));
+  const std::uint32_t type = fields.u32();
+  const std::uint64_t len = fields.u64();
+  const std::uint32_t ext_len = fields.u32();
   if (len > max_frame_bytes) {
     throw ProtocolError("declared frame length " + std::to_string(len) +
                         " exceeds limit " + std::to_string(max_frame_bytes));
@@ -252,243 +213,244 @@ bool read_frame(util::Socket& sock, Frame& out, std::size_t max_frame_bytes) {
 }
 
 std::string PredictRequest::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_string(os, model);
-    write_string(os, netlist_verilog);
-    write_string(os, workload);
-    write_u32(os, static_cast<std::uint32_t>(cycles));
-    write_u32(os, deadline_ms);
-    write_u32(os, want_submodules ? 1u : 0u);
+  return encode_payload([this](ByteWriter& out) {
+    out.string(model);
+    out.string(netlist_verilog);
+    out.string(workload);
+    out.u32(static_cast<std::uint32_t>(cycles));
+    out.u32(deadline_ms);
+    out.u32(want_submodules ? 1u : 0u);
   });
 }
 
 PredictRequest PredictRequest::decode(const std::string& payload) {
-  return decode_payload<PredictRequest>(payload, [](std::istream& is) {
+  return decode_payload<PredictRequest>(payload, [](ByteReader& in) {
     PredictRequest r;
-    r.model = read_string(is);
-    r.netlist_verilog = read_string(is);
-    r.workload = read_string(is);
-    r.cycles = static_cast<std::int32_t>(read_u32(is));
-    r.deadline_ms = read_u32(is);
-    r.want_submodules = read_u32(is) != 0;
+    r.model = in.string();
+    r.netlist_verilog = in.string();
+    r.workload = in.string();
+    r.cycles = static_cast<std::int32_t>(in.u32());
+    r.deadline_ms = in.u32();
+    r.want_submodules = in.u32() != 0;
     return r;
   });
 }
 
 std::string StreamBeginRequest::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_string(os, model);
-    write_string(os, netlist_verilog);
-    write_u32(os, static_cast<std::uint32_t>(format));
-    write_u32(os, static_cast<std::uint32_t>(cycles));
-    write_u32(os, deadline_ms);
-    write_u32(os, want_submodules ? 1u : 0u);
-    write_u64(os, trace_bytes);
-    write_u64(os, design_hash);
+  return encode_payload([this](ByteWriter& out) {
+    out.string(model);
+    out.string(netlist_verilog);
+    out.u32(static_cast<std::uint32_t>(format));
+    out.u32(static_cast<std::uint32_t>(cycles));
+    out.u32(deadline_ms);
+    out.u32(want_submodules ? 1u : 0u);
+    out.u64(trace_bytes);
+    out.u64(design_hash);
   });
 }
 
 StreamBeginRequest StreamBeginRequest::decode(const std::string& payload) {
-  return decode_payload<StreamBeginRequest>(payload, [](std::istream& is) {
+  return decode_payload<StreamBeginRequest>(payload, [](ByteReader& in) {
     StreamBeginRequest r;
-    r.model = read_string(is);
-    r.netlist_verilog = read_string(is);
-    const std::uint32_t fmt = read_u32(is);
+    r.model = in.string();
+    r.netlist_verilog = in.string();
+    const std::uint32_t fmt = in.u32();
     if (fmt != static_cast<std::uint32_t>(TraceFormat::kVcdText) &&
         fmt != static_cast<std::uint32_t>(TraceFormat::kToggleDelta)) {
       throw ProtocolError("unknown trace format " + std::to_string(fmt));
     }
     r.format = static_cast<TraceFormat>(fmt);
-    r.cycles = static_cast<std::int32_t>(read_u32(is));
-    r.deadline_ms = read_u32(is);
-    r.want_submodules = read_u32(is) != 0;
-    r.trace_bytes = read_u64(is);
-    r.design_hash = read_u64(is);
+    r.cycles = static_cast<std::int32_t>(in.u32());
+    r.deadline_ms = in.u32();
+    r.want_submodules = in.u32() != 0;
+    r.trace_bytes = in.u64();
+    r.design_hash = in.u64();
     return r;
   });
 }
 
 std::string StreamChunk::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u64(os, seq);
-    write_string(os, data);
+  return encode_payload([this](ByteWriter& out) {
+    out.u64(seq);
+    out.string(data);
   });
 }
 
 StreamChunk StreamChunk::decode(const std::string& payload) {
-  return decode_payload<StreamChunk>(payload, [](std::istream& is) {
+  return decode_payload<StreamChunk>(payload, [](ByteReader& in) {
     StreamChunk c;
-    c.seq = read_u64(is);
-    c.data = read_string(is);
+    c.seq = in.u64();
+    c.data = in.string();
     return c;
   });
 }
 
 std::string StreamEndRequest::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u64(os, total_chunks);
-    write_u64(os, total_bytes);
+  return encode_payload([this](ByteWriter& out) {
+    out.u64(total_chunks);
+    out.u64(total_bytes);
   });
 }
 
 StreamEndRequest StreamEndRequest::decode(const std::string& payload) {
-  return decode_payload<StreamEndRequest>(payload, [](std::istream& is) {
+  return decode_payload<StreamEndRequest>(payload, [](ByteReader& in) {
     StreamEndRequest r;
-    r.total_chunks = read_u64(is);
-    r.total_bytes = read_u64(is);
+    r.total_chunks = in.u64();
+    r.total_bytes = in.u64();
     return r;
   });
 }
 
 std::string LoadModelRequest::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_string(os, name);
-    write_string(os, path);
-    write_string(os, library_path);
+  return encode_payload([this](ByteWriter& out) {
+    out.string(name);
+    out.string(path);
+    out.string(library_path);
   });
 }
 
 LoadModelRequest LoadModelRequest::decode(const std::string& payload) {
-  return decode_payload<LoadModelRequest>(payload, [](std::istream& is) {
+  return decode_payload<LoadModelRequest>(payload, [](ByteReader& in) {
     LoadModelRequest r;
-    r.name = read_string(is);
-    r.path = read_string(is);
-    r.library_path = read_string(is);
+    r.name = in.string();
+    r.path = in.string();
+    r.library_path = in.string();
     return r;
   });
 }
 
 std::string UnloadModelRequest::encode() const {
   return encode_payload(
-      [this](std::ostream& os) { write_string(os, name); });
+      [this](ByteWriter& out) { out.string(name); });
 }
 
 UnloadModelRequest UnloadModelRequest::decode(const std::string& payload) {
-  return decode_payload<UnloadModelRequest>(payload, [](std::istream& is) {
+  return decode_payload<UnloadModelRequest>(payload, [](ByteReader& in) {
     UnloadModelRequest r;
-    r.name = read_string(is);
+    r.name = in.string();
     return r;
   });
 }
 
 std::string StreamAck::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u64(os, seq);
-    write_u64(os, received_bytes);
+  return encode_payload([this](ByteWriter& out) {
+    out.u64(seq);
+    out.u64(received_bytes);
   });
 }
 
 StreamAck StreamAck::decode(const std::string& payload) {
-  return decode_payload<StreamAck>(payload, [](std::istream& is) {
+  return decode_payload<StreamAck>(payload, [](ByteReader& in) {
     StreamAck a;
-    a.seq = read_u64(is);
-    a.received_bytes = read_u64(is);
+    a.seq = in.u64();
+    a.received_bytes = in.u64();
     return a;
   });
 }
 
 std::string PredictResponse::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u32(os, cache_flags);
-    write_f64(os, server_seconds);
-    write_u32(os, static_cast<std::uint32_t>(num_cycles));
-    write_u64(os, num_submodules);
-    write_group_power_rows(os, design);
-    write_group_power_rows(os, submodule);
+  return encode_payload([this](ByteWriter& out) {
+    out.u32(cache_flags);
+    out.f64(server_seconds);
+    out.u32(static_cast<std::uint32_t>(num_cycles));
+    out.u64(num_submodules);
+    write_group_power_rows(out, design);
+    write_group_power_rows(out, submodule);
   });
 }
 
 PredictResponse PredictResponse::decode(const std::string& payload) {
-  return decode_payload<PredictResponse>(payload, [](std::istream& is) {
+  return decode_payload<PredictResponse>(payload, [](ByteReader& in) {
     PredictResponse r;
-    r.cache_flags = read_u32(is);
-    r.server_seconds = read_f64(is);
-    r.num_cycles = static_cast<std::int32_t>(read_u32(is));
-    r.num_submodules = read_u64(is);
-    r.design = read_group_power_rows(is);
-    r.submodule = read_group_power_rows(is);
+    r.cache_flags = in.u32();
+    r.server_seconds = in.f64();
+    r.num_cycles = static_cast<std::int32_t>(in.u32());
+    r.num_submodules = in.u64();
+    r.design = read_group_power_rows(in);
+    r.submodule = read_group_power_rows(in);
     return r;
   });
 }
 
 std::string ModelListResponse::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u64(os, models.size());
+  return encode_payload([this](ByteWriter& out) {
+    out.u64(models.size());
     for (const ModelInfo& m : models) {
-      write_string(os, m.name);
-      write_u64(os, m.encoder_dim);
-      write_string(os, m.library);
-      write_u64(os, m.generation);
-      write_u64(os, m.library_hash);
+      out.string(m.name);
+      out.u64(m.encoder_dim);
+      out.string(m.library);
+      out.u64(m.generation);
+      out.u64(m.library_hash);
     }
   });
 }
 
 ModelListResponse ModelListResponse::decode(const std::string& payload) {
-  return decode_payload<ModelListResponse>(payload, [](std::istream& is) {
-    ModelListResponse r;
-    r.models = util::read_vector<ModelInfo>(is, [](std::istream& s) {
+  return decode_payload<ModelListResponse>(payload, [](ByteReader& in) {
+    ModelListResponse list;
+    // Two length-prefixed strings and three u64 per model.
+    list.models = in.vector<ModelInfo>(5 * 8, [](ByteReader& r) {
       ModelInfo m;
-      m.name = read_string(s);
-      m.encoder_dim = read_u64(s);
-      m.library = read_string(s);
-      m.generation = read_u64(s);
-      m.library_hash = read_u64(s);
+      m.name = r.string();
+      m.encoder_dim = r.u64();
+      m.library = r.string();
+      m.generation = r.u64();
+      m.library_hash = r.u64();
       return m;
     });
-    return r;
+    return list;
   });
 }
 
 std::string HealthResponse::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u64(os, registry_generation);
-    write_u64(os, num_models);
-    write_u64(os, cache_designs);
-    write_u64(os, cache_total_bytes);
-    write_u64(os, cache_embedding_bytes);
-    write_u64(os, queue_depth);
-    write_u32(os, draining ? 1u : 0u);
+  return encode_payload([this](ByteWriter& out) {
+    out.u64(registry_generation);
+    out.u64(num_models);
+    out.u64(cache_designs);
+    out.u64(cache_total_bytes);
+    out.u64(cache_embedding_bytes);
+    out.u64(queue_depth);
+    out.u32(draining ? 1u : 0u);
   });
 }
 
 HealthResponse HealthResponse::decode(const std::string& payload) {
-  return decode_payload<HealthResponse>(payload, [](std::istream& is) {
+  return decode_payload<HealthResponse>(payload, [](ByteReader& in) {
     HealthResponse h;
-    h.registry_generation = read_u64(is);
-    h.num_models = read_u64(is);
-    h.cache_designs = read_u64(is);
-    h.cache_total_bytes = read_u64(is);
-    h.cache_embedding_bytes = read_u64(is);
-    h.queue_depth = read_u64(is);
-    h.draining = read_u32(is) != 0;
+    h.registry_generation = in.u64();
+    h.num_models = in.u64();
+    h.cache_designs = in.u64();
+    h.cache_total_bytes = in.u64();
+    h.cache_embedding_bytes = in.u64();
+    h.queue_depth = in.u64();
+    h.draining = in.u32() != 0;
     return h;
   });
 }
 
 std::string ErrorResponse::encode() const {
-  return encode_payload([this](std::ostream& os) {
-    write_u32(os, static_cast<std::uint32_t>(code));
-    write_string(os, message);
+  return encode_payload([this](ByteWriter& out) {
+    out.u32(static_cast<std::uint32_t>(code));
+    out.string(message);
   });
 }
 
 ErrorResponse ErrorResponse::decode(const std::string& payload) {
-  return decode_payload<ErrorResponse>(payload, [](std::istream& is) {
+  return decode_payload<ErrorResponse>(payload, [](ByteReader& in) {
     ErrorResponse r;
-    r.code = static_cast<ErrorCode>(read_u32(is));
-    r.message = read_string(is);
+    r.code = static_cast<ErrorCode>(in.u32());
+    r.message = in.string();
     return r;
   });
 }
 
 std::string encode_string_payload(const std::string& s) {
-  return encode_payload([&s](std::ostream& os) { write_string(os, s); });
+  return encode_payload([&s](ByteWriter& out) { out.string(s); });
 }
 
 std::string decode_string_payload(const std::string& payload) {
   return decode_payload<std::string>(
-      payload, [](std::istream& is) { return read_string(is); });
+      payload, [](ByteReader& in) { return in.string(); });
 }
 
 std::string optional_string_payload(const std::string& payload) {

@@ -7,14 +7,15 @@
 //   4       4     message type (u32, little-endian like all payloads)
 //   8       8     body length in bytes (u64): payload + extension
 //   16      4     extension length in bytes (u32), <= body length
-//   20      ...   payload (type-specific, encoded with util/serialize)
+//   20      ...   payload (type-specific, util::ByteWriter fields)
 //   ...     ...   extension block (FrameExt), the last bytes of the body
 //
 // The header is fixed-size so a reader can validate the magic and both
 // declared lengths *before* allocating: bodies above `max_frame_bytes` and
 // extensions above kMaxFrameExtBytes (or longer than the body) are
-// rejected without reading further, and payload decoding reuses the
-// hardened util/serialize codecs, so truncated or hostile frames surface
+// rejected without reading further, and payloads and the extension are
+// decoded with util::ByteReader, which checks every declared length against
+// the bytes left before allocating, so truncated or hostile frames surface
 // as ProtocolError — never as an allocation bomb or a crash.
 //
 // Requests: Ping, Predict, ListModels, Stats, Shutdown, Metrics,

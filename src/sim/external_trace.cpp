@@ -1,26 +1,11 @@
 #include "sim/external_trace.h"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "sim/delta_trace.h"
 #include "util/hash.h"
+#include "util/serialize.h"
 
 namespace atlas::sim {
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("read failed: " + path);
-  return std::move(text).str();
-}
-
-}  // namespace
-
 ExternalTrace ExternalTrace::from_vcd_text(std::string text) {
   ExternalTrace t;
   t.hash_ = util::fnv1a64(text);
@@ -38,7 +23,7 @@ ExternalTrace ExternalTrace::from_delta_bytes(std::string bytes) {
 }
 
 ExternalTrace ExternalTrace::from_file(const std::string& path) {
-  std::string bytes = slurp(path);
+  std::string bytes = util::read_file(path);
   if (looks_like_delta(bytes)) return from_delta_bytes(std::move(bytes));
   return from_vcd_text(std::move(bytes));
 }

@@ -1,10 +1,10 @@
 #include "sim/vcd.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace atlas::sim {
@@ -59,8 +59,7 @@ VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
   }
 
   std::unordered_map<std::string, netlist::NetId> id_to_net;
-  std::istringstream is{std::string(text)};
-  std::string line;
+  std::string_view line;
   bool in_defs = true;
   int last_stamp = -1;
   std::vector<std::uint8_t> current(nl.num_nets(), 0);
@@ -73,7 +72,7 @@ VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
     }
   };
 
-  while (std::getline(is, line)) {
+  while (util::next_line(text, line)) {
     const auto t = util::trim(line);
     if (t.empty()) continue;
     if (in_defs) {
@@ -181,10 +180,7 @@ ToggleTrace trace_from_vcd(const VcdData& vcd, const netlist::Netlist& nl) {
 void save_vcd_file(const netlist::Netlist& nl, const ToggleTrace& trace,
                    const std::vector<bool>& clock_net_mask,
                    const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  os << write_vcd(nl, trace, clock_net_mask);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  util::write_file(path, write_vcd(nl, trace, clock_net_mask));
 }
 
 }  // namespace atlas::sim

@@ -1,97 +1,63 @@
 #include "util/serialize.h"
 
-#include <cstring>
+#include <algorithm>
+#include <fstream>
 
 namespace atlas::util {
-namespace {
 
-template <typename T>
-void write_raw(std::ostream& os, T v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  if (!os) throw SerializeError("write failed");
-}
-
-template <typename T>
-T read_raw(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw SerializeError("read failed (truncated stream)");
-  return v;
-}
-
-}  // namespace
-
-void write_u32(std::ostream& os, std::uint32_t v) { write_raw(os, v); }
-void write_u64(std::ostream& os, std::uint64_t v) { write_raw(os, v); }
-void write_i64(std::ostream& os, std::int64_t v) { write_raw(os, v); }
-void write_f64(std::ostream& os, double v) { write_raw(os, v); }
-void write_f32(std::ostream& os, float v) { write_raw(os, v); }
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-  if (!os) throw SerializeError("write failed");
-}
-
-std::uint32_t read_u32(std::istream& is) { return read_raw<std::uint32_t>(is); }
-std::uint64_t read_u64(std::istream& is) { return read_raw<std::uint64_t>(is); }
-std::int64_t read_i64(std::istream& is) { return read_raw<std::int64_t>(is); }
-double read_f64(std::istream& is) { return read_raw<double>(is); }
-float read_f32(std::istream& is) { return read_raw<float>(is); }
-
-std::string read_string(std::istream& is) {
-  const std::uint64_t n = read_u64(is);
-  if (n > kMaxSerializedStringBytes) {
-    throw SerializeError("string length implausible");
+std::string_view ByteReader::take(std::uint64_t n) {
+  if (n > rest_.size()) {
+    throw SerializeError("truncated input: field of " + std::to_string(n) +
+                         " bytes, " + std::to_string(rest_.size()) + " left");
   }
-  // Fill incrementally past the eager-reserve cap so a hostile length
-  // prefix on a short stream fails after a bounded allocation.
-  std::string s;
-  std::uint64_t remaining = n;
-  char buf[4096];
-  s.reserve(static_cast<std::size_t>(n < kMaxEagerReserve ? n : kMaxEagerReserve));
-  while (remaining > 0) {
-    const std::size_t chunk = static_cast<std::size_t>(
-        remaining < sizeof(buf) ? remaining : sizeof(buf));
-    is.read(buf, static_cast<std::streamsize>(chunk));
-    if (!is) throw SerializeError("read failed (truncated string)");
-    s.append(buf, chunk);
-    remaining -= chunk;
+  const std::string_view out = rest_.substr(0, static_cast<std::size_t>(n));
+  rest_.remove_prefix(static_cast<std::size_t>(n));
+  return out;
+}
+
+std::string ByteReader::string() { return std::string(take(u64())); }
+
+std::size_t ByteReader::count(std::size_t min_elem_bytes) {
+  const std::uint64_t n = u64();
+  if (n > rest_.size() / std::max<std::size_t>(min_elem_bytes, 1)) {
+    throw SerializeError("declared count " + std::to_string(n) +
+                         " does not fit the " + std::to_string(rest_.size()) +
+                         " bytes left");
   }
-  return s;
+  return static_cast<std::size_t>(n);
 }
 
-void write_f32_span(std::ostream& os, const float* data, std::size_t n) {
-  write_u64(os, n);
-  os.write(reinterpret_cast<const char*>(data),
-           static_cast<std::streamsize>(n * sizeof(float)));
-  if (!os) throw SerializeError("write failed");
+void ByteReader::f32_span(float* data, std::size_t n) {
+  if (u64() != n) throw SerializeError("f32 span size mismatch");
+  // `data` holds n floats, so n * sizeof(float) cannot wrap.
+  const std::string_view bytes = take(n * sizeof(float));
+  if (n > 0) std::memcpy(data, bytes.data(), bytes.size());
 }
 
-void read_f32_span(std::istream& is, float* data, std::size_t n) {
-  const std::uint64_t stored = read_u64(is);
-  if (stored > kMaxSerializedElems) {
-    throw SerializeError("f32 span length implausible");
+std::uint32_t ByteReader::header(const char magic[4]) {
+  if (take(4) != std::string_view(magic, 4)) {
+    throw SerializeError("bad magic, expected " + std::string(magic, 4));
   }
-  if (stored != n) throw SerializeError("f32 span size mismatch");
-  is.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is) throw SerializeError("read failed (truncated span)");
+  return u32();
 }
 
-void write_header(std::ostream& os, const char magic[4], std::uint32_t version) {
-  os.write(magic, 4);
-  write_u32(os, version);
-  if (!os) throw SerializeError("write failed");
-}
-
-std::uint32_t read_header(std::istream& is, const char magic[4]) {
-  char got[4];
-  is.read(got, 4);
-  if (!is || std::memcmp(got, magic, 4) != 0) {
-    throw SerializeError("bad magic in serialized stream");
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open for read: " + path);
+  std::string bytes;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    bytes.append(buf, static_cast<std::size_t>(in.gcount()));
   }
-  return read_u32(is);
+  if (in.bad()) throw std::runtime_error("read failed: " + path);
+  return bytes;
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open for write: " + path);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace atlas::util

@@ -1,15 +1,19 @@
-// Binary serialization helpers for model / dataset caching.
+// The one byte codec of the ATSP wire (serve/protocol) and the model
+// artifacts (Matrix, SgFormer, GbdtRegressor, AtlasModel): ByteWriter
+// appends fixed-width host-order fields to a std::string, ByteReader reads
+// them back through a bounds-checked cursor over a std::string_view.
 //
-// The experiment benches (Tables III/IV, Figs 5/6) share one trained ATLAS
-// model via an on-disk cache; these helpers give a small, versioned,
-// endian-naive binary format (the cache is machine-local by design).
+// The reader checks every declared length or element count against the
+// bytes left before anything is allocated for it, so a length prefix can
+// never claim more memory than the input it arrived in; a truncated or
+// hostile input throws SerializeError at the first field that does not fit.
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace atlas::util {
@@ -19,56 +23,90 @@ class SerializeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Hard ceilings on declared lengths. These codecs originally parsed only
-/// trusted on-disk caches, but the serve layer now runs them over bytes
-/// read off a socket: a hostile or corrupt length prefix must fail with
-/// SerializeError *before* any allocation proportional to it (no
-/// bad_alloc / OOM-kill allocation bombs).
-inline constexpr std::uint64_t kMaxSerializedElems = 1ULL << 32;
-inline constexpr std::uint64_t kMaxSerializedStringBytes = 1ULL << 32;
+/// Appends encoded fields to a caller-owned string.
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::string& out) : out_(out) {}
 
-/// Largest up-front reserve honored for a declared element count; larger
-/// (still legal) vectors grow incrementally, so a truncated stream throws
-/// after a bounded allocation instead of reserving the declared size.
-inline constexpr std::uint64_t kMaxEagerReserve = 1ULL << 16;
-
-void write_u32(std::ostream& os, std::uint32_t v);
-void write_u64(std::ostream& os, std::uint64_t v);
-void write_i64(std::ostream& os, std::int64_t v);
-void write_f64(std::ostream& os, double v);
-void write_f32(std::ostream& os, float v);
-void write_string(std::ostream& os, const std::string& s);
-
-std::uint32_t read_u32(std::istream& is);
-std::uint64_t read_u64(std::istream& is);
-std::int64_t read_i64(std::istream& is);
-double read_f64(std::istream& is);
-float read_f32(std::istream& is);
-std::string read_string(std::istream& is);
-
-template <typename T, typename WriteFn>
-void write_vector(std::ostream& os, const std::vector<T>& v, WriteFn fn) {
-  write_u64(os, v.size());
-  for (const T& x : v) fn(os, x);
-}
-
-template <typename T, typename ReadFn>
-std::vector<T> read_vector(std::istream& is, ReadFn fn) {
-  const std::uint64_t n = read_u64(is);
-  if (n > kMaxSerializedElems) {
-    throw SerializeError("vector length implausible: " + std::to_string(n));
+  void u32(std::uint32_t v) { pod(v); }
+  void u64(std::uint64_t v) { pod(v); }
+  void i64(std::int64_t v) { pod(v); }
+  void f32(float v) { pod(v); }
+  void f64(double v) { pod(v); }
+  /// u64 byte length, then the bytes.
+  void string(std::string_view s) {
+    u64(s.size());
+    out_.append(s);
   }
-  std::vector<T> v;
-  v.reserve(static_cast<std::size_t>(n < kMaxEagerReserve ? n : kMaxEagerReserve));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(fn(is));
-  return v;
-}
+  /// u64 element count, then the floats.
+  void f32_span(const float* data, std::size_t n) {
+    u64(n);
+    out_.append(reinterpret_cast<const char*>(data), n * sizeof(float));
+  }
+  /// 4-byte magic, then a u32 version.
+  void header(const char magic[4], std::uint32_t version) {
+    out_.append(magic, 4);
+    u32(version);
+  }
 
-void write_f32_span(std::ostream& os, const float* data, std::size_t n);
-void read_f32_span(std::istream& is, float* data, std::size_t n);
+ private:
+  template <typename T>
+  void pod(T v) {
+    out_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+  }
 
-/// Write/check a 4-byte magic + version header.
-void write_header(std::ostream& os, const char magic[4], std::uint32_t version);
-std::uint32_t read_header(std::istream& is, const char magic[4]);
+  std::string& out_;
+};
+
+/// Reads over `bytes` (which must outlive the reader) in write order.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) : rest_(bytes) {}
+
+  std::uint32_t u32() { return pod<std::uint32_t>(); }
+  std::uint64_t u64() { return pod<std::uint64_t>(); }
+  std::int64_t i64() { return pod<std::int64_t>(); }
+  float f32() { return pod<float>(); }
+  double f64() { return pod<double>(); }
+  std::string string();
+  /// A u64 element count, checked against `min_elem_bytes` per element.
+  std::size_t count(std::size_t min_elem_bytes);
+  /// count(), then that many elements read by `fn(*this)`.
+  template <typename T, typename Fn>
+  std::vector<T> vector(std::size_t min_elem_bytes, Fn&& fn) {
+    const std::size_t n = count(min_elem_bytes);
+    std::vector<T> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back(fn(*this));
+    return v;
+  }
+  /// Reads a ByteWriter::f32_span whose stored count must be `n`.
+  void f32_span(float* data, std::size_t n);
+  /// Checks the 4-byte magic and returns the version.
+  std::uint32_t header(const char magic[4]);
+
+  std::size_t remaining() const { return rest_.size(); }
+  bool done() const { return rest_.empty(); }
+
+ private:
+  /// The next `n` bytes; throws SerializeError when fewer are left.
+  std::string_view take(std::uint64_t n);
+
+  template <typename T>
+  T pod() {
+    T v;
+    std::memcpy(&v, take(sizeof(T)).data(), sizeof(T));
+    return v;
+  }
+
+  std::string_view rest_;
+};
+
+/// The whole contents of the file at `path`; throws std::runtime_error when
+/// it cannot be opened or read.
+std::string read_file(const std::string& path);
+/// Replaces the file at `path` with `bytes`; throws std::runtime_error when
+/// it cannot be opened or written.
+void write_file(const std::string& path, std::string_view bytes);
 
 }  // namespace atlas::util

@@ -38,6 +38,14 @@ std::vector<std::string> split_ws(std::string_view s) {
   return out;
 }
 
+bool next_line(std::string_view& rest, std::string_view& line) {
+  if (rest.empty()) return false;
+  const std::size_t end = rest.find('\n');
+  line = rest.substr(0, end);
+  rest.remove_prefix(end == std::string_view::npos ? rest.size() : end + 1);
+  return true;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

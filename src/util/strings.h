@@ -19,6 +19,11 @@ std::vector<std::string> split_ws(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/// Pops the next line off the front of `rest` into `line`, without its
+/// '\n'; false once `rest` is empty. As with std::getline, a last line
+/// with no '\n' is still returned and a final '\n' starts no empty line.
+bool next_line(std::string_view& rest, std::string_view& line);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

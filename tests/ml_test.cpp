@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "ml/adam.h"
 #include "ml/gbdt.h"
@@ -255,9 +254,12 @@ TEST(MatrixTest, MeanRowsAndNormalize) {
 TEST(MatrixTest, SerializationRoundTrip) {
   util::Rng rng(5);
   const Matrix m = Matrix::randn(3, 7, rng, 2.0f);
-  std::stringstream ss;
-  write_matrix(ss, m);
-  const Matrix back = read_matrix(ss);
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  write_matrix(out, m);
+  util::ByteReader in(bytes);
+  const Matrix back = read_matrix(in);
+  EXPECT_TRUE(in.done());
   ASSERT_EQ(back.rows(), m.rows());
   ASSERT_EQ(back.cols(), m.cols());
   for (std::size_t i = 0; i < m.size(); ++i) {
@@ -530,13 +532,56 @@ TEST_F(SgFormerTest, GradientNumericNodeLoss) {
 TEST_F(SgFormerTest, SerializationRoundTrip) {
   SgFormer enc(cfg_);
   const auto before = enc.forward(view());
-  std::stringstream ss;
-  enc.save(ss);
-  SgFormer back = SgFormer::load(ss);
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  enc.save(out);
+  util::ByteReader in(bytes);
+  SgFormer back = SgFormer::load(in);
+  EXPECT_TRUE(in.done());
   const auto after = back.forward(view());
   for (std::size_t i = 0; i < before.node_emb.size(); ++i) {
     EXPECT_FLOAT_EQ(after.node_emb.data()[i], before.node_emb.data()[i]);
   }
+}
+
+// An encoder artifact's weights must have the shapes its config implies,
+// and no declared shape may need more floats than the input holds: the
+// forward passes index every weight by the config's dims unchecked.
+TEST(SgFormerArtifactTest, HostileShapesGetSerializeError) {
+  const auto header = [](std::string& bytes, std::uint64_t in_dim,
+                         std::uint64_t dim) {
+    util::ByteWriter out(bytes);
+    out.header("SGFM", 1);
+    out.u64(in_dim);
+    out.u64(dim);
+    out.f64(0.5);
+    out.u64(1);
+  };
+  const auto load = [](const std::string& bytes) {
+    util::ByteReader in(bytes);
+    return SgFormer::load(in);
+  };
+
+  // Eight 1x1 weights under a 19 -> 16 config.
+  std::string small;
+  header(small, 19, 16);
+  util::ByteWriter small_out(small);
+  for (int i = 0; i < 8; ++i) write_matrix(small_out, Matrix(1, 1, 0.5f));
+  EXPECT_THROW(load(small), util::SerializeError);
+
+  // 2^33 x 2^31 floats: the element count wraps to zero in 64 bits.
+  std::string wrap;
+  util::ByteWriter wrap_out(wrap);
+  wrap_out.u64(1ull << 33);
+  wrap_out.u64(1ull << 31);
+  wrap_out.u64(0);
+  util::ByteReader wrap_in(wrap);
+  EXPECT_THROW(read_matrix(wrap_in), util::SerializeError);
+
+  // A config whose encoder would take terabytes, over no weights at all.
+  std::string huge;
+  header(huge, 19, 1ull << 36);
+  EXPECT_THROW(load(huge), util::SerializeError);
 }
 
 TEST_F(SgFormerTest, SegmentForwardBitIdenticalToForward) {
@@ -885,9 +930,12 @@ TEST(GbdtTest, SerializationRoundTrip) {
   cfg.n_trees = 40;
   GbdtRegressor model(cfg);
   model.fit(x, y);
-  std::stringstream ss;
-  model.save(ss);
-  const GbdtRegressor back = GbdtRegressor::load(ss);
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  model.save(out);
+  util::ByteReader in(bytes);
+  const GbdtRegressor back = GbdtRegressor::load(in);
+  EXPECT_TRUE(in.done());
   for (std::size_t i = 0; i < 200; i += 17) {
     EXPECT_DOUBLE_EQ(back.predict_row(x.row(i)), model.predict_row(x.row(i)));
   }
@@ -903,25 +951,26 @@ struct RawNode {
 /// A one-tree GBDT artifact over `num_features` features.
 std::string gbdt_artifact(std::uint64_t num_features,
                           const std::vector<RawNode>& nodes) {
-  std::stringstream ss;
-  util::write_header(ss, "GBDT", 1);
-  util::write_u64(ss, num_features);
-  util::write_f64(ss, 0.0);
-  util::write_u64(ss, 1);
-  util::write_u64(ss, nodes.size());
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  out.header("GBDT", 1);
+  out.u64(num_features);
+  out.f64(0.0);
+  out.u64(1);
+  out.u64(nodes.size());
   for (const RawNode& n : nodes) {
-    util::write_i64(ss, n.feature);
-    util::write_f32(ss, n.threshold);
-    util::write_i64(ss, n.left);
-    util::write_i64(ss, n.right);
-    util::write_f64(ss, n.value);
+    out.i64(n.feature);
+    out.f32(n.threshold);
+    out.i64(n.left);
+    out.i64(n.right);
+    out.f64(n.value);
   }
-  return ss.str();
+  return bytes;
 }
 
 GbdtRegressor load_gbdt(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return GbdtRegressor::load(is);
+  util::ByteReader in(bytes);
+  return GbdtRegressor::load(in);
 }
 
 TEST(GbdtTest, HandWrittenTreeLoadsAndPredicts) {
@@ -960,12 +1009,13 @@ TEST(GbdtTest, HostileArtifactsGetSerializeError) {
   }
 
   // A tree count no stream could hold fails before allocating for it.
-  std::stringstream ss;
-  util::write_header(ss, "GBDT", 1);
-  util::write_u64(ss, 2);
-  util::write_f64(ss, 0.0);
-  util::write_u64(ss, 1ull << 60);
-  EXPECT_THROW(load_gbdt(ss.str()), util::SerializeError);
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  out.header("GBDT", 1);
+  out.u64(2);
+  out.f64(0.0);
+  out.u64(1ull << 60);
+  EXPECT_THROW(load_gbdt(bytes), util::SerializeError);
 }
 
 TEST(GbdtTest, InvalidInputsThrow) {

@@ -28,6 +28,7 @@
 #include "transform/rewrite.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/socket.h"
 
 // Allocation tracking for the ATSP mutation property: while an AllocTracker
@@ -548,15 +549,15 @@ void mutate(std::string& bytes, util::Rng& rng, std::size_t lo, std::size_t hi) 
 }
 
 /// Runs `fn` and reports whether it was accepted (true) or rejected with
-/// ProtocolError (false). Any other exception fails the test; the largest
-/// single allocation made meanwhile must stay within `alloc_cap`.
-template <typename Fn>
+/// `Error` (false). Any other exception fails the test; the largest single
+/// allocation made meanwhile must stay within `alloc_cap`.
+template <typename Error = serve::ProtocolError, typename Fn>
 bool decodes_or_rejects(Fn&& fn, std::size_t alloc_cap, const std::string& input) {
   bool accepted = true;
   AllocTracker tracker;
   try {
     fn();
-  } catch (const serve::ProtocolError&) {
+  } catch (const Error&) {
     accepted = false;
   } catch (const std::exception& e) {
     ADD_FAILURE() << "unexpected exception " << e.what() << " on "
@@ -705,6 +706,49 @@ TEST(FormatPin, WireAndArtifactBytesHashToRecordedValues) {
             util::hash_hex(0x1fc9842dc61bd516ull));
   EXPECT_EQ(util::hash_hex(util::fnv1a64(saved_bytes(tiny_model()))),
             util::hash_hex(0x7d96fb8baddf12d0ull));
+}
+
+// Model artifacts under seeded mutation, through the decode AtlasModel::load
+// runs on a file's bytes: each input decodes or throws SerializeError, and
+// no single allocation is larger than the seed artifact (a declared size can
+// only claim bytes that are there). Edits aim at the encoder's config, at the
+// GBDT heads, or anywhere; the heads of an accepted model are evaluated on
+// a row of their width, which ASan checks for reads out of bounds.
+TEST(ArtifactMutationProperty, ModelsDecodeOrThrowSerializeError) {
+  const core::AtlasModel seed = tiny_model();
+  const std::string artifact = seed.to_bytes();
+  std::string encoder;
+  util::ByteWriter encoder_out(encoder);
+  seed.encoder().save(encoder_out);
+  constexpr std::size_t kHeader = 8;                // "ATLS" + version
+  constexpr std::size_t kEncoderConfig = 8 + 4 * 8;  // "SGFM" + version + config
+  const std::size_t heads_at = kHeader + encoder.size();
+  util::Rng rng(0xa271f);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string bytes = artifact;
+    switch (rng.next_below(3)) {
+      case 0: mutate(bytes, rng, kHeader, kHeader + kEncoderConfig); break;
+      case 1: mutate(bytes, rng, heads_at, bytes.size()); break;
+      default: mutate(bytes, rng, 0, 0); break;
+    }
+    std::optional<core::AtlasModel> model;
+    const bool ok = decodes_or_rejects<util::SerializeError>(
+        [&] { model.emplace(core::AtlasModel::from_bytes(bytes)); },
+        artifact.size(), bytes);
+    (ok ? accepted : rejected) += 1;
+    if (!ok || !model) continue;
+    const std::vector<float> row(core::comb_dim(model->encoder().dim()), 0.5f);
+    for (const ml::GbdtRegressor* head :
+         {&model->models().f_ct, &model->models().f_comb, &model->models().f_reg}) {
+      double out = 0.0;
+      head->predict_rows(row.data(), 1, row.size(), &out);
+    }
+  }
+  // Both outcomes stay well exercised (176 and 2824 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
 }
 
 // ---------------------------------------------------------------------------

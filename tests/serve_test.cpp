@@ -1439,25 +1439,27 @@ TEST_F(ServeTest, AdminLoadRejectsHostileGbdtHeadsAndKeepsServing) {
                                   std::uint64_t num_features,
                                   std::int64_t feature, std::int64_t left,
                                   std::int64_t right) {
-    std::ofstream os(path, std::ios::binary);
-    util::write_header(os, "ATLS", 1);
-    model.encoder().save(os);
-    util::write_header(os, "GBDT", 1);
-    util::write_u64(os, num_features);
-    util::write_f64(os, 0.0);
-    util::write_u64(os, 1);  // trees
-    util::write_u64(os, 3);  // nodes
+    std::string bytes;
+    util::ByteWriter out(bytes);
+    out.header("ATLS", 1);
+    model.encoder().save(out);
+    out.header("GBDT", 1);
+    out.u64(num_features);
+    out.f64(0.0);
+    out.u64(1);  // trees
+    out.u64(3);  // nodes
     const std::int64_t nodes[3][3] = {
         {feature, left, right}, {-1, -1, -1}, {-1, -1, -1}};
     for (const auto& n : nodes) {
-      util::write_i64(os, n[0]);
-      util::write_f32(os, 0.5f);
-      util::write_i64(os, n[1]);
-      util::write_i64(os, n[2]);
-      util::write_f64(os, 1.0);
+      out.i64(n[0]);
+      out.f32(0.5f);
+      out.i64(n[1]);
+      out.i64(n[2]);
+      out.f64(1.0);
     }
-    model.models().f_comb.save(os);
-    model.models().f_reg.save(os);
+    model.models().f_comb.save(out);
+    model.models().f_reg.save(out);
+    std::ofstream(path, std::ios::binary) << bytes;
   };
 
   ServerConfig cfg = loopback_config();

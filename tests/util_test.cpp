@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -120,6 +120,19 @@ TEST(Strings, StartsEndsWith) {
   EXPECT_FALSE(starts_with("he", "hello"));
 }
 
+TEST(Strings, NextLineSplitsLikeGetline) {
+  const auto lines = [](std::string_view text) {
+    std::vector<std::string> out;
+    std::string_view line;
+    while (next_line(text, line)) out.emplace_back(line);
+    return out;
+  };
+  EXPECT_TRUE(lines("").empty());
+  EXPECT_EQ(lines("a\nb"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(lines("a\nb\n"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(lines("\n\nx\r\n"), (std::vector<std::string>{"", "", "x\r"}));
+}
+
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 3.14159), "3.14");
@@ -168,85 +181,128 @@ TEST(Cli, MissingValueThrows) {
 }
 
 TEST(Serialize, RoundTripScalars) {
-  std::stringstream ss;
-  write_u32(ss, 42);
-  write_u64(ss, 1ULL << 60);
-  write_i64(ss, -7);
-  write_f64(ss, 2.5);
-  write_string(ss, "hello world");
-  EXPECT_EQ(read_u32(ss), 42u);
-  EXPECT_EQ(read_u64(ss), 1ULL << 60);
-  EXPECT_EQ(read_i64(ss), -7);
-  EXPECT_DOUBLE_EQ(read_f64(ss), 2.5);
-  EXPECT_EQ(read_string(ss), "hello world");
+  std::string bytes;
+  ByteWriter out(bytes);
+  out.u32(42);
+  out.u64(1ULL << 60);
+  out.i64(-7);
+  out.f32(0.75f);
+  out.f64(2.5);
+  out.string("hello world");
+  ByteReader in(bytes);
+  EXPECT_EQ(in.u32(), 42u);
+  EXPECT_EQ(in.u64(), 1ULL << 60);
+  EXPECT_EQ(in.i64(), -7);
+  EXPECT_EQ(in.f32(), 0.75f);
+  EXPECT_DOUBLE_EQ(in.f64(), 2.5);
+  EXPECT_EQ(in.string(), "hello world");
+  EXPECT_TRUE(in.done());
 }
 
 TEST(Serialize, TruncatedReadThrows) {
-  std::stringstream ss;
-  write_u32(ss, 1);
-  EXPECT_EQ(read_u32(ss), 1u);
-  EXPECT_THROW(read_u64(ss), SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).u32(1);
+  ByteReader in(bytes);
+  EXPECT_EQ(in.u32(), 1u);
+  EXPECT_THROW(in.u64(), SerializeError);
 }
 
 TEST(Serialize, HeaderMismatchThrows) {
-  std::stringstream ss;
-  write_header(ss, "ATLS", 3);
-  EXPECT_THROW(read_header(ss, "XXXX"), SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).header("ATLS", 3);
+  ByteReader in(bytes);
+  EXPECT_THROW(in.header("XXXX"), SerializeError);
 }
 
 TEST(Serialize, HeaderRoundTrip) {
-  std::stringstream ss;
-  write_header(ss, "ATLS", 3);
-  EXPECT_EQ(read_header(ss, "ATLS"), 3u);
+  std::string bytes;
+  ByteWriter(bytes).header("ATLS", 3);
+  ByteReader in(bytes);
+  EXPECT_EQ(in.header("ATLS"), 3u);
+  EXPECT_TRUE(in.done());
 }
 
 TEST(Serialize, VectorRoundTrip) {
-  std::stringstream ss;
-  std::vector<double> v{1.0, 2.5, -3.0};
-  write_vector(ss, v, [](std::ostream& os, double d) { write_f64(os, d); });
-  const auto back = read_vector<double>(ss, [](std::istream& is) { return read_f64(is); });
-  EXPECT_EQ(back, v);
+  const std::vector<double> v{1.0, 2.5, -3.0};
+  std::string bytes;
+  ByteWriter out(bytes);
+  out.u64(v.size());
+  for (const double d : v) out.f64(d);
+  ByteReader in(bytes);
+  EXPECT_EQ(in.vector<double>(8, [](ByteReader& r) { return r.f64(); }), v);
+  EXPECT_TRUE(in.done());
 }
 
-// Hostile streams must fail with SerializeError after bounded work — a
-// declared length is not trusted until that many elements actually parse,
-// so a corrupt/truncated header can't become a multi-GiB allocation
-// (std::bad_alloc / OOM kill) before the truncation is noticed.
+// Hostile inputs must fail with SerializeError before anything is
+// allocated for them: a declared length or count is checked against the
+// bytes left, so a corrupt or truncated prefix can't become a multi-GiB
+// allocation (std::bad_alloc / OOM kill).
 TEST(Serialize, ImplausibleVectorLengthThrows) {
-  std::stringstream ss;
-  write_u64(ss, kMaxSerializedElems + 1);  // length word only, no payload
-  EXPECT_THROW(
-      read_vector<double>(ss, [](std::istream& is) { return read_f64(is); }),
-      SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).u64(~0ULL);  // length word only, no payload
+  ByteReader in(bytes);
+  EXPECT_THROW(in.vector<double>(8, [](ByteReader& r) { return r.f64(); }),
+               SerializeError);
 }
 
 TEST(Serialize, HugeDeclaredVectorOnShortStreamThrows) {
-  std::stringstream ss;
-  write_u64(ss, 1ULL << 30);  // plausible count, absent payload
-  write_f64(ss, 1.0);         // ... one element instead of a billion
-  EXPECT_THROW(
-      read_vector<double>(ss, [](std::istream& is) { return read_f64(is); }),
-      SerializeError);
+  std::string bytes;
+  ByteWriter out(bytes);
+  out.u64(1ULL << 30);  // plausible count, absent payload
+  out.f64(1.0);         // ... one element instead of a billion
+  ByteReader in(bytes);
+  EXPECT_THROW(in.vector<double>(8, [](ByteReader& r) { return r.f64(); }),
+               SerializeError);
+}
+
+TEST(Serialize, CountChecksTheMinimumBytesPerElement) {
+  std::string bytes;
+  ByteWriter out(bytes);
+  out.u64(3);
+  out.f64(0.0);
+  out.f64(0.0);
+  out.f64(0.0);
+  EXPECT_EQ(ByteReader(bytes).count(8), 3u);
+  // Three elements of at least 9 bytes cannot fit in 24.
+  EXPECT_THROW(ByteReader(bytes).count(9), SerializeError);
 }
 
 TEST(Serialize, ImplausibleStringLengthThrows) {
-  std::stringstream ss;
-  write_u64(ss, kMaxSerializedStringBytes + 1);
-  EXPECT_THROW(read_string(ss), SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).u64(~0ULL);
+  ByteReader in(bytes);
+  EXPECT_THROW(in.string(), SerializeError);
 }
 
 TEST(Serialize, HugeDeclaredStringOnShortStreamThrows) {
-  std::stringstream ss;
-  write_u64(ss, 1ULL << 30);
-  ss << "short";
-  EXPECT_THROW(read_string(ss), SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).u64(1ULL << 30);
+  bytes += "short";
+  ByteReader in(bytes);
+  EXPECT_THROW(in.string(), SerializeError);
 }
 
 TEST(Serialize, F32SpanLengthMismatchThrows) {
-  std::stringstream ss;
-  write_u64(ss, kMaxSerializedElems + 1);
   float buf[4] = {};
-  EXPECT_THROW(read_f32_span(ss, buf, 4), SerializeError);
+  std::string bytes;
+  ByteWriter(bytes).u64(~0ULL);
+  EXPECT_THROW(ByteReader(bytes).f32_span(buf, 4), SerializeError);
+  // The right count over too few floats is a truncation.
+  bytes.clear();
+  ByteWriter out(bytes);
+  out.u64(4);
+  out.f32(1.0f);
+  EXPECT_THROW(ByteReader(bytes).f32_span(buf, 4), SerializeError);
+}
+
+TEST(ReadFile, ReturnsTheBytesAndThrowsOnAMissingFile) {
+  const std::string path = ::testing::TempDir() + "/util_read_file.bin";
+  const std::string bytes("a\0b\nlast", 8);
+  {
+    std::ofstream(path, std::ios::binary) << bytes;
+  }
+  EXPECT_EQ(read_file(path), bytes);
+  EXPECT_THROW(read_file(path + ".missing"), std::runtime_error);
 }
 
 TEST(Hash, Fnv1a64KnownValuesAndStability) {

@@ -27,7 +27,6 @@
 // server answers kUnknownDesign).
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,13 +38,13 @@
 #include "sim/vcd.h"
 #include "util/cli.h"
 #include "util/hash.h"
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace {
 
 using namespace atlas;
-
-std::string read_file(const std::string& path);
+using util::read_file;
 
 util::Cli& add_endpoint_flags(util::Cli& cli) {
   return cli.flag("host", "127.0.0.1", "server TCP address")
@@ -260,14 +259,6 @@ void write_prediction_csv(const serve::PredictResponse& resp,
               resp.design_cache_hit() ? "design-hit" : "design-miss",
               resp.embedding_cache_hit() ? "emb-hit" : "emb-miss",
               csv_path.c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return std::move(text).str();
 }
 
 int cmd_stream(int argc, const char* const* argv) {
