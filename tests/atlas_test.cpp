@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "util/arena.h"
 #include "util/parallel.h"
+#include "util/serialize.h"
 
 namespace atlas::core {
 namespace {
@@ -342,6 +343,25 @@ TEST_F(AtlasCoreTest, ModelSerializationRoundTrip) {
     EXPECT_EQ(a.submodule[i].reg, b.submodule[i].reg);
   }
   std::filesystem::remove(path);
+}
+
+// encode_batch fills graph::kFeatureDim features per node and the encoder
+// multiplies them by its in_dim x d input weight, so an artifact whose
+// encoder reads another width must not load.
+TEST(AtlasModelArtifact, EncoderInputWidthMustBeTheGraphFeatureWidth) {
+  const auto artifact = [](std::size_t in_dim) {
+    ml::SgFormer::Config cfg;
+    cfg.in_dim = in_dim;
+    cfg.dim = 16;
+    GroupModels untrained;
+    return AtlasModel(ml::SgFormer(cfg), std::move(untrained)).to_bytes();
+  };
+  EXPECT_EQ(AtlasModel::from_bytes(artifact(graph::kFeatureDim)).encoder().in_dim(),
+            static_cast<std::size_t>(graph::kFeatureDim));
+  EXPECT_THROW(AtlasModel::from_bytes(artifact(19)), util::SerializeError);
+  // Trailing bytes after the last head are corruption too.
+  EXPECT_THROW(AtlasModel::from_bytes(artifact(graph::kFeatureDim) + "x"),
+               util::SerializeError);
 }
 
 TEST_F(AtlasCoreTest, TrainedArtifactByteIdenticalAcrossThreadCounts) {
