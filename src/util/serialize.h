@@ -4,9 +4,9 @@
 // them back through a bounds-checked cursor over a std::string_view.
 //
 // The reader checks every declared length or element count against the
-// bytes left before anything is allocated for it, so a length prefix can
-// never claim more memory than the input it arrived in; a truncated or
-// hostile input throws SerializeError at the first field that does not fit.
+// bytes left before anything is allocated for it, so what it allocates is
+// bounded by the input a length arrived in, never by the length; a truncated
+// or hostile input throws SerializeError at the first field that does not fit.
 #pragma once
 
 #include <cstdint>
