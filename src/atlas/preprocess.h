@@ -64,7 +64,8 @@ DesignData prepare_design(const designgen::DesignSpec& spec,
 /// without sub-module attributes (paper's splitter works from functional
 /// roles; this clusters cells around register groups via BFS). Tags every
 /// untagged cell; resulting sub-modules have roughly `target_cells` cells.
-/// Returns the number of sub-modules created.
+/// Returns the number of sub-modules created: 0 when every cell is already
+/// tagged, in which case the netlist is left unchanged.
 int assign_submodules_by_structure(netlist::Netlist& nl, int target_cells = 150);
 
 }  // namespace atlas::core

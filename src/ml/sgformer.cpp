@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -47,6 +46,18 @@ SgFormer::SgFormer(const Config& config) : config_(config) {
   wg_ = Matrix::xavier(d, d, rng);
   w_out_ = Matrix::xavier(d, d, rng);
   b_out_ = Matrix(1, d);
+  ensure_grads();
+}
+
+SgFormer::SgFormer(const Config& config, Matrix (&weights)[kNumParams])
+    : config_(config) {
+  Matrix* dst[] = {&w_in_, &b_in_, &wq_, &wk_, &wv_, &wg_, &w_out_, &b_out_};
+  for (std::size_t i = 0; i < kNumParams; ++i) *dst[i] = std::move(weights[i]);
+}
+
+void SgFormer::ensure_grads() {
+  if (!gw_in_.empty()) return;
+  const std::size_t d = config_.dim;
   gw_in_ = Matrix(config_.in_dim, d);
   gb_in_ = Matrix(1, d);
   gwq_ = Matrix(d, d);
@@ -220,6 +231,7 @@ void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
 void SgFormer::backward(const Cache& c, const Matrix& d_node,
                         const Matrix& d_graph) {
   backward_counter().inc();
+  ensure_grads();
   const std::size_t n = c.n;
   const std::size_t d = config_.dim;
   Matrix de(n, d);
@@ -302,6 +314,7 @@ void SgFormer::backward(const Cache& c, const Matrix& d_node,
 }
 
 void SgFormer::zero_grad() {
+  ensure_grads();
   gw_in_.fill(0.0f);
   gb_in_.fill(0.0f);
   gwq_.fill(0.0f);
@@ -313,6 +326,7 @@ void SgFormer::zero_grad() {
 }
 
 void SgFormer::collect_params(std::vector<ParamRef>& out) {
+  ensure_grads();
   auto add = [&](Matrix& w, Matrix& g) {
     out.push_back(ParamRef{w.data(), g.data(), w.size()});
   };
@@ -348,21 +362,17 @@ SgFormer SgFormer::load(util::ByteReader& in) {
     throw util::SerializeError("sgformer: zero dimension");
   }
   const std::size_t d = cfg.dim;
-  const std::pair<std::size_t, std::size_t> shapes[] = {
+  const std::pair<std::size_t, std::size_t> shapes[kNumParams] = {
       {cfg.in_dim, d}, {1, d}, {d, d}, {d, d}, {d, d}, {d, d}, {d, d}, {1, d}};
-  Matrix w[std::size(shapes)];
-  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+  Matrix w[kNumParams];
+  for (std::size_t i = 0; i < kNumParams; ++i) {
     w[i] = read_matrix(in);
     if (w[i].rows() != shapes[i].first || w[i].cols() != shapes[i].second) {
       throw util::SerializeError("sgformer: weight " + std::to_string(i) +
                                  " does not have the config's shape");
     }
   }
-  SgFormer m(cfg);
-  Matrix* dst[] = {&m.w_in_, &m.b_in_, &m.wq_, &m.wk_, &m.wv_, &m.wg_,
-                   &m.w_out_, &m.b_out_};
-  for (std::size_t i = 0; i < std::size(shapes); ++i) *dst[i] = std::move(w[i]);
-  return m;
+  return SgFormer(cfg, w);
 }
 
 }  // namespace atlas::ml

@@ -41,6 +41,8 @@ class SgFormer {
     std::uint64_t seed = 1;
   };
 
+  /// Training constructor: Xavier-initialized weights drawn from
+  /// `config.seed`, plus gradient storage.
   explicit SgFormer(const Config& config);
 
   /// Forward intermediates for one graph, kept for backward.
@@ -94,6 +96,9 @@ class SgFormer {
   /// (zero); `d_graph` may be empty (zero).
   void backward(const Cache& cache, const Matrix& d_node, const Matrix& d_graph);
 
+  /// The training entry points. The first of these (or backward) on a
+  /// loaded encoder sizes its gradient storage; it is never reallocated
+  /// after that, so the ParamRefs an optimizer holds stay valid.
   void zero_grad();
   void collect_params(std::vector<ParamRef>& out);
 
@@ -104,10 +109,16 @@ class SgFormer {
   /// Throws util::SerializeError on a truncated input, a zero dimension, or
   /// a weight whose shape is not the one the stored config implies. Every
   /// weight is read and checked before the encoder is built, so a forged
-  /// config cannot size an allocation past the input.
+  /// config cannot size an allocation past the input. The encoder holds the
+  /// weights read and nothing else: no initializer draw, no gradients.
   static SgFormer load(util::ByteReader& in);
 
  private:
+  static constexpr std::size_t kNumParams = 8;
+  /// Adopts `weights` (w_in, b_in, wq, wk, wv, wg, w_out, b_out).
+  SgFormer(const Config& config, Matrix (&weights)[kNumParams]);
+  void ensure_grads();
+
   Config config_;
   Matrix w_in_, b_in_, wq_, wk_, wv_, wg_, w_out_, b_out_;
   Matrix gw_in_, gb_in_, gwq_, gwk_, gwv_, gwg_, gw_out_, gb_out_;

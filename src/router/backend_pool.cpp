@@ -12,6 +12,9 @@
 namespace atlas::router {
 namespace {
 
+/// Probe backoff ceiling while a backend stays dead.
+constexpr int kMaxProbeBackoffMs = 5000;
+
 std::string quoted_backend_label(const std::string& id) {
   return "backend=\"" + id + "\"";
 }
@@ -450,10 +453,10 @@ void BackendPool::apply_probe_result(Entry& e, const ProbeResult& result) {
     e.consecutive_failures = 0;
     e.backoff_ms = 0;
     e.health = result.health;
-    // A probe is a weaker load signal than the data-path piggyback (it
-    // sees the dispatcher queue, not in-flight jobs) but it is *current*:
-    // refresh the depth, and clear any overload mark — a shard that just
-    // answered a probe promptly gets to be a candidate again.
+    // A probe reports the same queued + in-flight count as the data-path
+    // piggyback, and it is *current*: refresh the depth, and clear any
+    // overload mark — a shard that just answered a probe promptly gets to
+    // be a candidate again.
     e.load = result.health.queue_depth;
     e.load_fresh = true;
     e.overloaded = false;
@@ -486,7 +489,7 @@ void BackendPool::apply_probe_result(Entry& e, const ProbeResult& result) {
   e.load_fresh = false;
   e.backoff_ms = e.backoff_ms == 0
                      ? config_.interval_ms
-                     : std::min(e.backoff_ms * 2, config_.max_backoff_ms);
+                     : std::min(e.backoff_ms * 2, kMaxProbeBackoffMs);
   e.next_probe_at = now + std::chrono::milliseconds(e.backoff_ms);
   if (e.consecutive_failures >= config_.fail_threshold) {
     e.state = BackendState::kDown;

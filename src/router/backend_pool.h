@@ -5,10 +5,10 @@
 //
 //   * a **background prober** that round-trips the rich `health` request
 //     (bounded by connect/IO timeouts) on a per-backend schedule —
-//     `interval_ms` while healthy, exponential backoff up to
-//     `max_backoff_ms` while failing. `fail_threshold` consecutive probe
-//     failures take a backend out of the ring; the next successful probe
-//     puts it back (re-join is instant, not thresholded — a freshly
+//     `interval_ms` while healthy, exponential backoff up to 5 s while
+//     failing. `fail_threshold` consecutive probe failures take a
+//     backend out of the ring; the next successful probe puts it back
+//     (re-join is instant, not thresholded — a freshly
 //     restarted backend should start taking its arcs again immediately). A
 //     backend whose health report says `draining` leaves the ring too but
 //     keeps its state distinct from dead, so operators can tell a rolling
@@ -71,8 +71,6 @@ struct ProbeConfig {
   /// Consecutive probe failures before a backend leaves the ring (data-path
   /// failures bypass this and evict immediately).
   int fail_threshold = 2;
-  /// Probe backoff ceiling while a backend stays dead.
-  int max_backoff_ms = 5000;
   /// Virtual nodes per backend on the ring.
   std::size_t vnodes = 64;
 };
@@ -242,9 +240,9 @@ class BackendPool {
     int backoff_ms = 0;
     std::chrono::steady_clock::time_point next_probe_at;
     /// Freshest queued + in-flight depth and its trust bit (see
-    /// BackendStatus). Distinct from health.queue_depth, which is the
-    /// dispatcher queue alone as of the last *successful probe* — this is
-    /// refreshed by every data-path reply too.
+    /// BackendStatus). Same count as health.queue_depth, but that holds
+    /// the last *successful probe*'s value — this is refreshed by every
+    /// data-path reply too.
     std::uint64_t load = 0;
     bool load_fresh = false;
     bool overloaded = false;

@@ -1,7 +1,9 @@
 #include "router/fleet_obs.h"
 
 #include <map>
-#include <sstream>
+#include <string_view>
+
+#include "util/strings.h"
 
 namespace atlas::router {
 namespace {
@@ -10,29 +12,36 @@ namespace {
 /// `name value`). Uses the last '}' as the label-set close so label values
 /// containing '{' cannot fool it; a line with neither braces nor a value
 /// separator is passed through untouched.
-std::string inject_shard(const std::string& line, const std::string& shard) {
+std::string inject_shard(std::string_view line, const std::string& shard) {
   const std::string label = "shard=\"" + shard + "\"";
   const std::size_t open = line.find('{');
   const std::size_t space = line.find(' ');
-  if (open != std::string::npos &&
-      (space == std::string::npos || open < space)) {
+  if (open != std::string_view::npos &&
+      (space == std::string_view::npos || open < space)) {
     const std::size_t close = line.rfind('}');
-    if (close == std::string::npos || close < open) return line;
-    std::string out = line.substr(0, close);
+    if (close == std::string_view::npos || close < open) {
+      return std::string(line);
+    }
+    std::string out(line.substr(0, close));
     if (close > open + 1) out += ',';
     out += label;
     out += line.substr(close);
     return out;
   }
-  if (space == std::string::npos) return line;
-  return line.substr(0, space) + "{" + label + "}" + line.substr(space);
+  if (space == std::string_view::npos) return std::string(line);
+  std::string out(line.substr(0, space));
+  out += '{';
+  out += label;
+  out += '}';
+  out += line.substr(space);
+  return out;
 }
 
 /// True when `sample` belongs to histogram family `family`: the exact name
 /// or one of the _bucket/_sum/_count sub-series.
-bool in_family(const std::string& sample, const std::string& family) {
-  if (sample.compare(0, family.size(), family) != 0) return false;
-  const std::string rest = sample.substr(family.size());
+bool in_family(std::string_view sample, const std::string& family) {
+  if (!util::starts_with(sample, family)) return false;
+  const std::string_view rest = sample.substr(family.size());
   return rest.empty() || rest == "_bucket" || rest == "_sum" ||
          rest == "_count";
 }
@@ -59,28 +68,27 @@ std::string merge_prometheus(
     // precedes its samples, so the current family tracks sub-series
     // (histogram _bucket/_sum/_count) without a suffix-stripping heuristic.
     std::string current;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::string_view rest = text;
+    std::string_view line;
+    while (util::next_line(rest, line)) {
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (line.empty()) continue;
-      if (line.rfind("# TYPE ", 0) == 0) {
-        std::istringstream header(line.substr(7));
-        std::string name;
-        header >> name;
-        if (name.empty()) continue;
-        current = name;
-        Family& fam = families[name];
-        if (fam.type_line.empty()) fam.type_line = line;
+      if (util::starts_with(line, "# TYPE ")) {
+        const std::string_view header = util::trim(line.substr(7));
+        if (header.empty()) continue;
+        current.assign(header.substr(0, header.find_first_of(" \t")));
+        Family& fam = families[current];
+        if (fam.type_line.empty()) fam.type_line.assign(line);
         continue;
       }
       if (line[0] == '#') continue;  // HELP and other comments: dropped
       const std::size_t name_end = line.find_first_of("{ ");
-      if (name_end == std::string::npos) continue;
-      const std::string name = line.substr(0, name_end);
-      const std::string family =
-          !current.empty() && in_family(name, current) ? current : name;
-      families[family].samples.push_back(inject_shard(line, shard));
+      if (name_end == std::string_view::npos) continue;
+      const std::string_view name = line.substr(0, name_end);
+      Family& fam = !current.empty() && in_family(name, current)
+                        ? families[current]
+                        : families[std::string(name)];
+      fam.samples.push_back(inject_shard(line, shard));
     }
   }
   // When a histogram family lives on only a subset of shards, another shard

@@ -231,11 +231,8 @@ util::Socket* Router::upstream(UpstreamMap& upstreams, const std::string& id) {
   const std::optional<BackendAddress> addr = pool_->address(id);
   if (!addr) return nullptr;
   try {
-    util::Socket sock = connect_to(*addr, config_.backend_connect_timeout_ms);
-    if (config_.backend_io_timeout_ms > 0) {
-      sock.set_io_timeout_ms(config_.backend_io_timeout_ms);
-    }
-    auto [pos, inserted] = upstreams.insert_or_assign(id, std::move(sock));
+    auto [pos, inserted] = upstreams.insert_or_assign(
+        id, connect_to(*addr, config_.backend_connect_timeout_ms));
     return &pos->second;
   } catch (const util::SocketError&) {
     return nullptr;
@@ -251,7 +248,7 @@ bool Router::forward(UpstreamMap& upstreams, const std::string& id,
   }
   try {
     serve::write_frame(*sock, request.type, request.payload, request.ext);
-    if (!serve::read_frame(*sock, response, config_.max_frame_bytes)) {
+    if (!serve::read_frame(*sock, response)) {
       throw serve::ProtocolError("backend closed the connection");
     }
   } catch (const std::exception&) {
@@ -455,13 +452,12 @@ Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
       return error_reply(ErrorCode::kBadRequest, e.what());
     }
     if (begin.trace_bytes == 0 ||
-        begin.trace_bytes > config_.max_stream_bytes) {
+        begin.trace_bytes > serve::kMaxStreamBytes) {
       // Enforced here because the declared size bounds the replay buffer.
       return error_reply(
           ErrorCode::kStreamProtocol,
           "declared trace size " + std::to_string(begin.trace_bytes) +
-              " outside (0, " + std::to_string(config_.max_stream_bytes) +
-              "]");
+              " outside (0, " + std::to_string(serve::kMaxStreamBytes) + "]");
     }
     const std::uint64_t netlist_hash = begin.design_hash != 0
                                            ? begin.design_hash
@@ -564,7 +560,7 @@ Frame Router::admin_fanout(const Frame& frame) {
       util::Socket sock = admin_connect(addr);
       serve::write_frame(sock, frame.type, frame.payload);
       Frame response;
-      if (!serve::read_frame(sock, response, config_.max_frame_bytes)) {
+      if (!serve::read_frame(sock, response)) {
         throw serve::ProtocolError("backend closed the connection");
       }
       if (response.type == MsgType::kAdminOk) {

@@ -29,7 +29,7 @@
 //   * **Streamed uploads** are pinned: the whole Begin/Chunk*/End exchange
 //     goes to one shard over one upstream connection (backend stream state
 //     is per-connection). The router buffers the acked frames — bounded by
-//     the declared trace size, which is validated against max_stream_bytes
+//     the declared trace size, which is validated against kMaxStreamBytes
 //     at Begin — so a backend dying mid-upload is survivable: the buffered
 //     prefix is replayed to the successor and the stream continues.
 //   * **Local + fan-out control plane**: Ping, Health (aggregated over
@@ -76,25 +76,20 @@
 
 namespace atlas::router {
 
-/// Endpoints (host, port, unix_path, max_frame_bytes) come from
-/// serve::ListenConfig.
+/// Endpoints (host, port, unix_path) come from serve::ListenConfig. The
+/// per-stream replay buffer (and thus what StreamBegin may declare) is
+/// bounded by serve::kMaxStreamBytes, the backends' own cap.
 struct RouterConfig : serve::ListenConfig {
-  /// Bound on the per-stream replay buffer (and thus on what StreamBegin
-  /// may declare). Should not exceed the backends' own max_stream_bytes —
-  /// they would reject the upload anyway.
-  std::size_t max_stream_bytes = 256ull << 20;  // 256 MiB
-
   ProbeConfig probe;
   /// Hot-key replication and overload-avoidance policy (see RoutingConfig);
   /// defaults keep replication off (replicas = 1).
   RoutingConfig routing;
 
   /// Data-path upstream connect bound. IO on an established upstream is
-  /// deliberately unbounded by default: a predict may legitimately compute
-  /// for a long time, and a dead backend surfaces as a socket error, not
-  /// a silent stall (the kernel detects the close).
+  /// deliberately unbounded: a predict may legitimately compute for a long
+  /// time, and a dead backend surfaces as a socket error, not a silent
+  /// stall (the kernel detects the close).
   int backend_connect_timeout_ms = 2000;
-  int backend_io_timeout_ms = 0;
 
   /// Honor LoadModel/UnloadModel fan-out. Off by default, mirroring
   /// atlas_serve: admin is an operator capability. The backends enforce

@@ -140,7 +140,7 @@ void ConnectionHost::connection_loop(Connection* conn) {
     for (;;) {
       Frame frame;
       try {
-        if (!read_frame(sock, frame, listen_.max_frame_bytes)) break;
+        if (!read_frame(sock, frame)) break;
       } catch (const ProtocolError& e) {
         // Bad magic / hostile length / truncation: answer best-effort and
         // drop the peer.

@@ -30,7 +30,6 @@ struct ListenConfig {
   int port = 0;
   /// Unix-domain socket path; empty disables.
   std::string unix_path;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 class ConnectionHost {

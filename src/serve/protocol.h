@@ -11,7 +11,8 @@
 //   ...     ...   extension block (FrameExt), the last bytes of the body
 //
 // The header is fixed-size so a reader can validate the magic and both
-// declared lengths *before* allocating: bodies above `max_frame_bytes` and
+// declared lengths *before* allocating: bodies above the reader's cap
+// (kDefaultMaxFrameBytes unless the caller passes a smaller one) and
 // extensions above kMaxFrameExtBytes (or longer than the body) are
 // rejected without reading further, and payloads and the extension are
 // decoded with util::ByteReader, which checks every declared length against
@@ -37,7 +38,7 @@
 //
 // Health is the readiness probe a routing tier keys decisions off: unlike
 // ping (which only proves the accept loop is alive) it reports registry
-// generation, feature-cache occupancy, dispatcher queue depth and drain
+// generation, feature-cache occupancy, admitted-job depth and drain
 // state, so a prober can tell "up", "up but draining" and "up but
 // overloaded" apart without scraping the full metrics text.
 //
@@ -80,6 +81,10 @@ class ProtocolError : public std::runtime_error {
 inline constexpr char kFrameMagic[4] = {'A', 'T', 'S', 'P'};
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64ull << 20;  // 64 MiB
+/// Largest streamed trace one request may declare: atlas_serve rejects a
+/// bigger StreamBegin before any chunk is read, and atlas_router, whose
+/// replay buffer it bounds, applies the same cap.
+inline constexpr std::size_t kMaxStreamBytes = 256ull << 20;  // 256 MiB
 /// Largest extension block a reader accepts (the fullest block is 100
 /// bytes); checked before the frame body is allocated.
 inline constexpr std::size_t kMaxFrameExtBytes = 128;
@@ -169,8 +174,9 @@ struct ServerTiming {
 ///
 /// `load` counts jobs admitted but not yet answered (queued + in flight),
 /// which is the signal a replica-routing policy needs: the dispatcher
-/// drains its queue into a forming batch immediately, so the health
-/// `queue_depth` alone reads ~0 even on a saturated shard.
+/// drains its queue into a forming batch immediately, so its queue alone
+/// reads ~0 even on a saturated shard. HealthResponse::queue_depth carries
+/// the same count.
 struct LoadReport {
   std::uint64_t load = 0;
   std::uint64_t flags = 0;
@@ -271,7 +277,7 @@ struct StreamBeginRequest {
   std::uint32_t deadline_ms = 0;  // 0 = none; runs from StreamBegin receipt
   bool want_submodules = false;
   /// Declared total trace size; chunks may not exceed it and StreamEnd
-  /// checks the sum matches. Capped server-side (max_stream_bytes).
+  /// checks the sum matches. Capped at kMaxStreamBytes.
   std::uint64_t trace_bytes = 0;
   /// Design-by-hash: nonzero = reference an already-cached design by the
   /// FNV-1a hash of its Verilog text instead of re-sending it (leave
@@ -396,7 +402,9 @@ struct HealthResponse {
   std::uint64_t cache_designs = 0;
   std::uint64_t cache_total_bytes = 0;
   std::uint64_t cache_embedding_bytes = 0;
-  /// Predict jobs waiting for the dispatcher (not yet running).
+  /// Predict jobs admitted but not yet answered (queued + in flight): the
+  /// same count as LoadReport::load, so a probe refreshes a shard's load
+  /// with the figure its data-path replies report.
   std::uint64_t queue_depth = 0;
   /// True once the server started draining (stop requested or stopping):
   /// answer what's in flight, send no new work here.

@@ -60,9 +60,9 @@ std::shared_ptr<const ModelEntry> ModelRegistry::get(
   return it == models_.end() ? nullptr : it->second;
 }
 
-std::vector<ModelSummary> ModelRegistry::list() const {
+std::vector<ModelInfo> ModelRegistry::list() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ModelSummary> out;
+  std::vector<ModelInfo> out;
   out.reserve(models_.size());
   for (const auto& [name, entry] : models_) {
     out.push_back({name, entry->model->encoder().dim(),

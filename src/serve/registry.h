@@ -28,6 +28,7 @@
 
 #include "atlas/model.h"
 #include "liberty/library.h"
+#include "serve/protocol.h"
 
 namespace atlas::serve {
 
@@ -41,17 +42,6 @@ struct ModelEntry {
   /// Registry-unique stamp, bumped on every load/add; invalidates cached
   /// embeddings across a reload under the same name.
   std::uint64_t generation = 0;
-};
-
-/// Name + metadata row for ListModels.
-struct ModelSummary {
-  std::string name;
-  std::size_t encoder_dim = 0;
-  std::string library;
-  std::uint64_t generation = 0;
-  /// Content hash of the bound library (ModelEntry::library_hash) — lets a
-  /// routing tier compute this server's design-cache keys remotely.
-  std::uint64_t library_hash = 0;
 };
 
 class ModelRegistry {
@@ -75,8 +65,8 @@ class ModelRegistry {
   /// Pin the entry for a request; nullptr when the name is unknown.
   std::shared_ptr<const ModelEntry> get(const std::string& name) const;
 
-  /// One row per registered model, name-sorted.
-  std::vector<ModelSummary> list() const;
+  /// One ListModels row per registered model, name-sorted.
+  std::vector<ModelInfo> list() const;
 
   std::size_t size() const;
 

@@ -12,6 +12,7 @@
 #include "sim/delta_trace.h"
 #include "sim/simulator.h"
 #include "sim/stimulus.h"
+#include "util/arena.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 
@@ -30,8 +31,12 @@ std::uint64_t elapsed_us(Clock::time_point since) {
 /// Largest cycle count a single request may ask the server to simulate.
 constexpr std::int32_t kMaxRequestCycles = 1 << 20;
 
-/// Live dispatcher queue depth, exported so the fleet view and a future
-/// queue-depth router read the same signal the health probe reports.
+/// Byte budget for the feature cache (designs + embeddings, approximate).
+/// Eviction weighs entries by size, so one huge design cannot pin memory
+/// many cheap hot designs would use better.
+constexpr std::size_t kCacheMaxBytes = 512ull << 20;  // 512 MiB
+
+/// Live dispatcher queue depth: jobs admitted but not yet in a batch.
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("atlas_serve_queue_depth");
@@ -53,13 +58,24 @@ obs::Counter& shed_counter() {
   return c;
 }
 
+/// Scratch for the batched encode (dispatcher thread) and the GBDT heads
+/// (whichever thread runs finish_predict). Each thread keeps its own arena
+/// and its blocks, so steady-state batches allocate nothing; the two uses
+/// never overlap on one thread (nested pool work runs inline). Reset on
+/// every hand-out, so a use that threw midway leaves nothing behind.
+util::Arena& thread_scratch() {
+  thread_local util::Arena arena;
+  arena.reset();
+  return arena;
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config, std::shared_ptr<ModelRegistry> registry)
     : config_(std::move(config)),
       registry_(std::move(registry)),
       cache_(config_.cache_designs, config_.cache_embeddings_per_design,
-             config_.cache_max_bytes),
+             kCacheMaxBytes),
       host_("serve", config_, config_.verbose) {}
 
 Server::~Server() { stop(); }
@@ -96,11 +112,6 @@ std::string Server::stats_text() const {
   return stats_.render_text(cache_.stats());
 }
 
-std::size_t Server::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
-}
-
 HealthResponse Server::health_snapshot() const {
   HealthResponse h;
   h.registry_generation = registry_->generation();
@@ -108,7 +119,7 @@ HealthResponse Server::health_snapshot() const {
   h.cache_designs = cache_.num_designs();
   h.cache_total_bytes = cache_.total_bytes();
   h.cache_embedding_bytes = cache_.embedding_bytes();
-  h.queue_depth = queue_depth();
+  h.queue_depth = inflight_jobs();
   h.draining = stopping_.load() || host_.stop_requested();
   return h;
 }
@@ -129,12 +140,8 @@ Frame Server::handle_frame(const Frame& frame, StreamState& stream) {
       endpoint = "ping";
       break;
     case MsgType::kListModels: {
-      ModelListResponse resp;
-      for (const ModelSummary& m : registry_->list()) {
-        resp.models.push_back({m.name, m.encoder_dim, m.library,
-                               m.generation, m.library_hash});
-      }
-      reply = {MsgType::kModelList, resp.encode()};
+      reply = {MsgType::kModelList,
+               ModelListResponse{registry_->list()}.encode()};
       endpoint = "models";
       break;
     }
@@ -331,8 +338,7 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
             &preps[i].toggles, out.get()});
         outs.push_back(std::move(out));
       }
-      util::ArenaHandle arena = arena_pool_.acquire();
-      model->encode_batch(items.data(), items.size(), *arena);
+      model->encode_batch(items.data(), items.size(), thread_scratch());
       const std::uint64_t encode_us = elapsed_us(t0);
       for (std::size_t k = 0; k < group.size(); ++k) {
         PredictPrep& prep = preps[group[k]];
@@ -573,11 +579,11 @@ Frame Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
         }
       }
       if (begin.trace_bytes == 0 ||
-          begin.trace_bytes > config_.max_stream_bytes) {
+          begin.trace_bytes > kMaxStreamBytes) {
         return fail(ErrorCode::kStreamProtocol,
                     "declared trace size " + std::to_string(begin.trace_bytes) +
-                        " outside (0, " +
-                        std::to_string(config_.max_stream_bytes) + "]");
+                        " outside (0, " + std::to_string(kMaxStreamBytes) +
+                        "]");
       }
       if (begin.cycles < 0 || begin.cycles > kMaxRequestCycles) {
         return fail(ErrorCode::kBadRequest,
@@ -907,14 +913,7 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
                                std::string("invalid netlist: ") + e.what());
       return;
     }
-    bool untagged = false;
-    for (netlist::CellInstId id = 0; id < parsed->num_cells(); ++id) {
-      untagged = untagged || parsed->cell(id).submodule == netlist::kNoSubmodule;
-    }
-    int structural = 0;
-    if (untagged) {
-      structural = core::assign_submodules_by_structure(*parsed);
-    }
+    const int structural = core::assign_submodules_by_structure(*parsed);
     auto graphs = graph::build_submodule_graphs(*parsed);
     // A netlist without cells (or whose cells form no sub-module graph)
     // has nothing to encode; answering it would cache an empty design and
@@ -991,11 +990,10 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
 Frame Server::finish_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
   Clock::time_point phase_start = Clock::now();
-  // Head scratch (feature-row blocks, per-row outputs) comes from a
-  // recycled arena: zero steady-state mallocs, returned on scope exit.
-  util::ArenaHandle arena = arena_pool_.acquire();
+  // Head scratch (feature-row blocks, per-row outputs) comes from this
+  // thread's recycled arena: zero steady-state mallocs.
   const core::Prediction pred = prep.entry->model->predict_from_embeddings(
-      prep.design->gate, prep.design->graphs, *prep.emb, arena.get());
+      prep.design->gate, prep.design->graphs, *prep.emb, &thread_scratch());
   job.timing.predict_us = elapsed_us(phase_start);
 
   PredictResponse resp;

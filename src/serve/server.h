@@ -24,8 +24,9 @@
 //     whole batch's distinct (sub-module, cycle) segments, one segment per
 //     task, instead of one request each — then per-job heads +
 //     serialization fan out on the pool again. Scratch for the batched
-//     encode and heads comes from a recycled util::ArenaPool, so
-//     steady-state batches allocate nothing. Each reply is bit-identical to
+//     encode and the heads comes from one thread_local util::Arena per
+//     thread, reset at each use, so steady-state batches allocate nothing.
+//     Each reply is bit-identical to
 //     a direct AtlasModel::predict at any batch size and thread count —
 //     the determinism contract tests pin this.
 //
@@ -57,22 +58,16 @@
 #include "serve/stats.h"
 #include "sim/external_trace.h"
 #include "sim/simulator.h"
-#include "util/arena.h"
 #include "util/socket.h"
 
 namespace atlas::serve {
 
-/// Endpoints (host, port, unix_path, max_frame_bytes) come from ListenConfig.
+/// Endpoints (host, port, unix_path) come from ListenConfig. The feature
+/// cache's byte budget (512 MiB) and the streamed-trace cap
+/// (kMaxStreamBytes) are fixed.
 struct ServerConfig : ListenConfig {
   std::size_t cache_designs = 16;
   std::size_t cache_embeddings_per_design = 8;
-  /// Byte budget for the feature cache (designs + embeddings, approximate;
-  /// 0 = unlimited). Eviction weighs entries by size, so one huge design
-  /// cannot pin memory many cheap hot designs would use better.
-  std::size_t cache_max_bytes = 512ull << 20;  // 512 MiB
-  /// Largest assembled streamed trace accepted per request; StreamBegin
-  /// frames declaring more are rejected before any chunk is read.
-  std::size_t max_stream_bytes = 256ull << 20;  // 256 MiB
   /// Max predict requests dispatched as one thread-pool batch.
   std::size_t batch_max = 8;
   /// Test hook: sleep before dispatching each batch so deadline expiry can
@@ -141,12 +136,10 @@ class Server {
   const ServerConfig& config() const { return config_; }
   const ModelRegistry& registry() const { return *registry_; }
   FeatureCacheStats cache_stats() const { return cache_.stats(); }
-  /// Predict jobs waiting for the dispatcher right now.
-  std::size_t queue_depth() const;
   /// Predict jobs admitted but not yet answered (queued + in flight). The
   /// dispatcher drains its queue into a forming batch immediately, so this
-  /// — not queue_depth() — is the load signal the shed watermark and the
-  /// router's LoadReport piggyback use.
+  /// — not the queue's length — is the load signal the shed watermark, the
+  /// router's LoadReport piggyback and the health report use.
   std::size_t inflight_jobs() const {
     return inflight_.load(std::memory_order_relaxed);
   }
@@ -243,7 +236,7 @@ class Server {
   /// that missed the embedding cache (dispatcher thread; the pool threads
   /// split its (sub-module, cycle) segments), phase C fans per-job heads +
   /// serialization + promise fulfillment back out on the pool. Scratch for
-  /// the batched encode is borrowed from arena_pool_.
+  /// the batched encode is the dispatcher thread's arena.
   void run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch);
   /// Phase C worker: finish one prepared job and fulfill its promise.
   /// Never throws and never leaves the promise unfulfilled: the connection
@@ -295,8 +288,8 @@ class Server {
   /// per-request "handle_predict" span (the caller must have installed the
   /// job's trace scope). Fills job.timing phases up to the encoder.
   void prepare_predict(PendingJob& job, PredictPrep& prep);
-  /// Second half: GBDT heads over the embeddings (arena-backed scratch
-  /// from arena_pool_), response assembly, serialization and the timing
+  /// Second half: GBDT heads over the embeddings (scratch from the calling
+  /// thread's arena), response assembly, serialization and the timing
   /// extension. Requires prep.emb to be populated.
   Frame finish_predict(PendingJob& job, PredictPrep& prep);
 
@@ -313,10 +306,6 @@ class Server {
   std::shared_ptr<ModelRegistry> registry_;
   FeatureCache cache_;
   ServerStats stats_;
-  /// Recycled bump-allocator scratch for the batched encode and the GBDT
-  /// heads: one arena borrowed per fused batch / per finish_predict call,
-  /// so steady-state serving does no scratch mallocs.
-  util::ArenaPool arena_pool_;
 
   std::thread dispatcher_;
 

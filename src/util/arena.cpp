@@ -51,42 +51,4 @@ void Arena::reset() {
   bytes_allocated_ = 0;
 }
 
-ArenaHandle& ArenaHandle::operator=(ArenaHandle&& other) noexcept {
-  if (this != &other) {
-    if (pool_ && arena_) pool_->release(std::move(arena_));
-    pool_ = other.pool_;
-    arena_ = std::move(other.arena_);
-    other.pool_ = nullptr;
-  }
-  return *this;
-}
-
-ArenaHandle::~ArenaHandle() {
-  if (pool_ && arena_) pool_->release(std::move(arena_));
-}
-
-ArenaHandle ArenaPool::acquire() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      std::unique_ptr<Arena> a = std::move(free_.back());
-      free_.pop_back();
-      return ArenaHandle(this, std::move(a));
-    }
-  }
-  created_.fetch_add(1);
-  return ArenaHandle(this, std::make_unique<Arena>(block_bytes_));
-}
-
-std::size_t ArenaPool::idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return free_.size();
-}
-
-void ArenaPool::release(std::unique_ptr<Arena> arena) {
-  arena->reset();
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(arena));
-}
-
 }  // namespace atlas::util

@@ -11,21 +11,15 @@
 // Contract: only trivially-destructible payloads (the hot path stores raw
 // float/double/int arrays). `reset()` invalidates every pointer handed out
 // since the last reset but keeps the blocks, so a recycled arena serves its
-// second request with zero mallocs. Arena itself is single-threaded; share
-// across threads only via ArenaPool, which hands each borrower an exclusive
-// arena.
-//
-// ArenaPool is the recycling tier: `acquire()` pops a free arena (or makes
-// one) and returns an RAII handle that resets and returns it on destruction.
-// The dispatcher holds one pool and borrows an arena per formed batch, so
-// steady-state batch execution performs no scratch mallocs at all.
+// second request with zero mallocs. Arena itself is single-threaded: the
+// server keeps one `thread_local` arena per thread and resets it at the
+// start of each use, so steady-state batch execution performs no scratch
+// mallocs at all.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 #include <vector>
 
@@ -91,60 +85,6 @@ class Arena {
   std::size_t offset_ = 0;    // bump offset within blocks_[current_]
   std::size_t bytes_allocated_ = 0;
   std::size_t bytes_reserved_ = 0;
-};
-
-class ArenaPool;
-
-/// RAII loan of an arena from a pool. Movable, not copyable; returns the
-/// arena (reset) to the pool on destruction.
-class ArenaHandle {
- public:
-  ArenaHandle() = default;
-  ArenaHandle(ArenaHandle&& other) noexcept
-      : pool_(other.pool_), arena_(std::move(other.arena_)) {
-    other.pool_ = nullptr;
-  }
-  ArenaHandle& operator=(ArenaHandle&& other) noexcept;
-  ~ArenaHandle();
-
-  Arena& operator*() const { return *arena_; }
-  Arena* operator->() const { return arena_.get(); }
-  Arena* get() const { return arena_.get(); }
-  explicit operator bool() const { return arena_ != nullptr; }
-
- private:
-  friend class ArenaPool;
-  ArenaHandle(ArenaPool* pool, std::unique_ptr<Arena> arena)
-      : pool_(pool), arena_(std::move(arena)) {}
-
-  ArenaPool* pool_ = nullptr;
-  std::unique_ptr<Arena> arena_;
-};
-
-/// Thread-safe free list of arenas. Outliving every handle it issued is the
-/// caller's job (the server owns the pool for its whole lifetime).
-class ArenaPool {
- public:
-  explicit ArenaPool(std::size_t block_bytes = Arena::kDefaultBlockBytes)
-      : block_bytes_(block_bytes) {}
-
-  /// Pop a recycled arena, or construct a fresh one if the pool is empty.
-  ArenaHandle acquire();
-
-  /// Number of arenas currently parked in the pool (test visibility).
-  std::size_t idle() const;
-  /// Total arenas ever constructed by this pool (test visibility: steady
-  /// state should stop growing once recycling kicks in).
-  std::size_t created() const { return created_.load(); }
-
- private:
-  friend class ArenaHandle;
-  void release(std::unique_ptr<Arena> arena);
-
-  std::size_t block_bytes_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Arena>> free_;
-  std::atomic<std::size_t> created_{0};
 };
 
 }  // namespace atlas::util

@@ -544,6 +544,36 @@ TEST_F(SgFormerTest, SerializationRoundTrip) {
   }
 }
 
+// A loaded encoder carries no gradient storage until a training entry
+// point needs it; backward on one must then accumulate exactly what the
+// encoder it was saved from does.
+TEST_F(SgFormerTest, LoadedEncoderSizesGradientsOnFirstTrainingUse) {
+  SgFormer enc(cfg_);
+  std::string bytes;
+  util::ByteWriter out(bytes);
+  enc.save(out);
+  util::ByteReader in(bytes);
+  SgFormer back = SgFormer::load(in);
+
+  const Matrix d_graph(1, 8, 1.0f);
+  for (SgFormer* e : {&enc, &back}) {
+    SgFormer::Cache cache;
+    e->forward(view(), &cache);
+    e->backward(cache, Matrix(), d_graph);
+  }
+  std::vector<ParamRef> want, got;
+  enc.collect_params(want);
+  back.collect_params(got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size, want[i].size) << "param " << i;
+    EXPECT_EQ(std::memcmp(got[i].grad, want[i].grad,
+                          want[i].size * sizeof(float)),
+              0)
+        << "param " << i;
+  }
+}
+
 // An encoder artifact's weights must have the shapes its config implies,
 // and no declared shape may need more floats than the input holds: the
 // forward passes index every weight by the config's dims unchecked.

@@ -305,6 +305,33 @@ TEST_F(ServeTest, HealthReportsRegistryCacheQueueAndDrainState) {
   server.stop();
 }
 
+TEST_F(ServeTest, HealthQueueDepthCountsJobsInFlight) {
+  // The dispatcher takes a job out of its queue the moment it forms a
+  // batch, so the queue's length reads 0 on a busy shard. The health report
+  // carries the admitted-but-unanswered count instead: the figure a
+  // router's prober stores as the shard's load.
+  ServerConfig cfg = loopback_config();
+  cfg.dispatch_delay_for_test_ms = 500;  // hold the formed batch
+  Server server(cfg, make_registry());
+  server.start();
+  std::thread requester([&] {
+    Client client = Client::connect_tcp("127.0.0.1", server.port());
+    expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  });
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.inflight_jobs() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Long past the dispatcher's wake-up, well inside the held batch.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Client prober = Client::connect_tcp("127.0.0.1", server.port());
+  EXPECT_GE(prober.health().queue_depth, 1u);
+  requester.join();
+  EXPECT_EQ(prober.health().queue_depth, 0u);
+  server.stop();
+}
+
 TEST_F(ServeTest, ModelListCarriesTheLibraryContentHash) {
   // The library content hash is the second component of the design-cache
   // key; a routing tier mixes it into placement, so it must travel on the
@@ -2226,28 +2253,6 @@ TEST_F(ServeTest, FusedBatchingBitIdenticalAcrossBatchSizesAndThreads) {
     }
     server.stop();
   }
-}
-
-TEST_F(ServeTest, ArenaPoolRecyclesAcrossBatches) {
-  // Steady-state serving must stop constructing arenas once the pool has
-  // warmed up: a second identical volley reuses the arenas the first one
-  // created (the pool grows only under *new* peak concurrency).
-  Server server(loopback_config(), make_registry());
-  server.start();
-  const auto volley = [&] {
-    std::vector<std::thread> senders;
-    for (int i = 0; i < 4; ++i) {
-      senders.emplace_back([&] {
-        Client c = Client::connect_tcp("127.0.0.1", server.port());
-        c.predict(make_request());
-      });
-    }
-    for (std::thread& t : senders) t.join();
-  };
-  volley();
-  volley();  // warm cache: heads-only, arenas recycled
-  server.stop();
-  SUCCEED();  // recycling itself is pinned by the ArenaPool unit tests
 }
 
 TEST_F(ServeTest, SlowRequestLogEmitsBreakdownAndCountsEveryRequest) {

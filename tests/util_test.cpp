@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 #include "util/arena.h"
@@ -340,7 +339,7 @@ TEST(TimerTest, MeasuresNonNegative) {
   EXPECT_GE(t.seconds(), 0.0);
 }
 
-// ---- Arena / ArenaPool -----------------------------------------------------
+// ---- Arena -----------------------------------------------------------------
 
 TEST(Arena, BumpAllocationIsAlignedAndDisjoint) {
   Arena arena(/*block_bytes=*/256);
@@ -413,56 +412,6 @@ TEST(Arena, MarkRewindReusesScratchWithoutTouchingEarlierAllocations) {
   for (std::uint32_t i = 0; i < 16; ++i) {
     EXPECT_EQ(persistent[i], 0xFEEDF00Du + i);
   }
-}
-
-TEST(ArenaPool, RecyclesArenasAcrossAcquisitions) {
-  ArenaPool pool;
-  {
-    ArenaHandle h = pool.acquire();
-    h->alloc_array<float>(100);
-    EXPECT_EQ(pool.created(), 1u);
-    EXPECT_EQ(pool.idle(), 0u);
-  }
-  // Returned (and reset) on handle destruction.
-  EXPECT_EQ(pool.idle(), 1u);
-  {
-    ArenaHandle h = pool.acquire();
-    EXPECT_EQ(h->bytes_allocated(), 0u);
-    EXPECT_GT(h->bytes_reserved(), 0u);  // recycled blocks, not a new arena
-    EXPECT_EQ(pool.created(), 1u);
-  }
-  // Two concurrent borrowers force a second arena; steady state stays at 2.
-  {
-    ArenaHandle a = pool.acquire();
-    ArenaHandle b = pool.acquire();
-    EXPECT_EQ(pool.created(), 2u);
-  }
-  EXPECT_EQ(pool.idle(), 2u);
-  {
-    ArenaHandle a = pool.acquire();
-    ArenaHandle b = pool.acquire();
-    EXPECT_EQ(pool.created(), 2u);
-  }
-}
-
-TEST(ArenaPool, ThreadSafeUnderConcurrentBorrowers) {
-  ArenaPool pool;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&pool] {
-      for (int i = 0; i < 200; ++i) {
-        ArenaHandle h = pool.acquire();
-        auto* p = h->alloc_array<std::uint64_t>(64);
-        p[0] = static_cast<std::uint64_t>(i);
-        p[63] = p[0] + 1;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  // Every arena came home, and the pool never built more than one per
-  // concurrent borrower.
-  EXPECT_EQ(pool.idle(), pool.created());
-  EXPECT_LE(pool.created(), 8u);
 }
 
 }  // namespace

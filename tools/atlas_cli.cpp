@@ -248,12 +248,8 @@ int cmd_predict(int argc, const char* const* argv) {
   const liberty::Library lib = load_lib(cli);
   netlist::Netlist gate = netlist::load_verilog_file(cli.str("in"), lib);
   // Third-party netlists may arrive without sub-module attributes.
-  bool untagged = false;
-  for (netlist::CellInstId id = 0; id < gate.num_cells(); ++id) {
-    untagged = untagged || gate.cell(id).submodule == netlist::kNoSubmodule;
-  }
-  if (untagged) {
-    const int created = core::assign_submodules_by_structure(gate);
+  const int created = core::assign_submodules_by_structure(gate);
+  if (created > 0) {
     std::printf("no sub-module attributes found: structural splitter created "
                 "%d sub-modules\n", created);
   }
