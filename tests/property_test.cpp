@@ -24,6 +24,7 @@
 #include "netlist/verilog_io.h"
 #include "power/power_analyzer.h"
 #include "serve/protocol.h"
+#include "sim/delta_trace.h"
 #include "sim/simulator.h"
 #include "transform/rewrite.h"
 #include "util/hash.h"
@@ -641,7 +642,8 @@ TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte formats pinned: ATSP payloads, a framed extension and a saved model.
+// Byte formats pinned: ATSP payloads, a framed extension, a saved model and
+// an ATDT toggle-delta trace.
 // ---------------------------------------------------------------------------
 
 /// An untrained d = 16 encoder plus three small heads fitted on seeded rows
@@ -683,10 +685,10 @@ std::string saved_bytes(const core::AtlasModel& model) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-// Wire and artifact bytes are a compatibility surface: a peer or a saved
-// model from an older build must keep decoding. These hashes were recorded
-// before the codec was rewritten; a change to any of them is a format
-// change, not a refactor.
+// Wire, trace and artifact bytes are a compatibility surface: a peer, a
+// saved model or a recorded trace from an older build must keep decoding.
+// These hashes were recorded before the codec and the trace decoders were
+// rewritten; a change to any of them is a format change, not a refactor.
 TEST(FormatPin, WireAndArtifactBytesHashToRecordedValues) {
   const std::vector<WireCodec> codecs = wire_codecs();
   const std::vector<std::uint64_t> payload_hashes = {
@@ -706,6 +708,14 @@ TEST(FormatPin, WireAndArtifactBytesHashToRecordedValues) {
             util::hash_hex(0x1fc9842dc61bd516ull));
   EXPECT_EQ(util::hash_hex(util::fnv1a64(saved_bytes(tiny_model()))),
             util::hash_hex(0x7d96fb8baddf12d0ull));
+  const netlist::Netlist gate = designgen::generate_design(
+      designgen::paper_design_spec(1, 0.002), lib());
+  sim::CycleSimulator sim(gate);
+  sim::StimulusGenerator stim(gate, sim::make_w1());
+  const std::string atdt =
+      sim::write_delta(gate, sim.run(stim, 24), sim.clock_net_mask());
+  EXPECT_EQ(util::hash_hex(util::fnv1a64(atdt)),
+            util::hash_hex(0xfd6b495767d22d77ull));
 }
 
 // Model artifacts under seeded mutation, through the decode AtlasModel::load

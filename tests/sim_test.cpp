@@ -392,6 +392,43 @@ TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
                std::exception);
 }
 
+// A replayed trace is the simulation it was dumped from: every net's value
+// and transition count agree from cycle 1 on, through both encodings.
+// (Cycle 0 differs by design: the dump has no pre-trace levels, so replay
+// ignores ICG enables and records no data transitions there.)
+class ReplayEqualsSimulationTest : public SimTest,
+                                   public ::testing::WithParamInterface<int> {};
+
+TEST_P(ReplayEqualsSimulationTest, FromCycleOneOnThroughBothEncodings) {
+  const Netlist nl =
+      designgen::generate_design(designgen::paper_design_spec(GetParam(), 0.0025), lib_);
+  CycleSimulator sim(nl);
+  const std::vector<bool>& mask = sim.clock_net_mask();
+  for (const WorkloadSpec& workload : {make_w1(), make_w2()}) {
+    StimulusGenerator stim(nl, workload);
+    const ToggleTrace simulated = sim.run(stim, 40);
+    for (const ExternalTrace& ext :
+         {ExternalTrace::from_vcd_text(write_vcd(nl, simulated, mask)),
+          ExternalTrace::from_delta_bytes(write_delta(nl, simulated, mask))}) {
+      SCOPED_TRACE(workload.name + (ext.encoding() == TraceEncoding::kDelta
+                                        ? " delta" : " vcd"));
+      const ToggleTrace replayed = ext.resolve(nl);
+      ASSERT_EQ(replayed.num_cycles(), simulated.num_cycles());
+      ASSERT_EQ(replayed.num_nets(), simulated.num_nets());
+      for (int c = 1; c < replayed.num_cycles(); ++c) {
+        for (NetId n = 0; n < nl.num_nets(); ++n) {
+          ASSERT_EQ(replayed.value(c, n), simulated.value(c, n))
+              << "net " << nl.net(n).name << " cycle " << c;
+          ASSERT_EQ(replayed.transitions(c, n), simulated.transitions(c, n))
+              << "net " << nl.net(n).name << " cycle " << c;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(C1toC6, ReplayEqualsSimulationTest, ::testing::Range(1, 7));
+
 // ---- ATDT delta codec (sim/delta_trace.h) ----------------------------------
 
 namespace {
