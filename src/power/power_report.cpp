@@ -35,6 +35,29 @@ std::string trace_csv(const PowerResult& result) {
   return os.str();
 }
 
+std::string prediction_csv(const std::vector<GroupPower>& per_cycle) {
+  std::ostringstream os;
+  os << "cycle,comb_uw,clock_uw,reg_uw,total_uw\n";
+  for (std::size_t c = 0; c < per_cycle.size(); ++c) {
+    const GroupPower& g = per_cycle[c];
+    os << util::format("%zu,%.4f,%.4f,%.4f,%.4f\n", c, g.comb, g.clock, g.reg,
+                       g.total_no_memory());
+  }
+  return os.str();
+}
+
+std::string prediction_summary(const std::vector<GroupPower>& per_cycle) {
+  GroupPower avg;
+  for (const GroupPower& g : per_cycle) avg += g;
+  const double inv =
+      per_cycle.empty() ? 0.0 : 1.0 / static_cast<double>(per_cycle.size());
+  return util::format(
+      "predicted post-layout power (avg over %zu cycles): comb=%.3f "
+      "clock=%.3f reg=%.3f total=%.3f mW\n",
+      per_cycle.size(), avg.comb * inv / 1e3, avg.clock * inv / 1e3,
+      avg.reg * inv / 1e3, avg.total_no_memory() * inv / 1e3);
+}
+
 double mape(const std::vector<double>& labels, const std::vector<double>& preds) {
   if (labels.size() != preds.size()) {
     throw std::invalid_argument("mape: series size mismatch");

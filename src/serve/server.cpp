@@ -674,15 +674,14 @@ Frame Server::handle_stream_frame(const Frame& frame, StreamState& stream) {
         // ordering violations above — and never reaches the dispatcher.
         // (Netlist-dependent mismatches still surface at predict time.)
         try {
-          sim::validate_delta(stream.data);
-          const int declared = sim::delta_declared_cycles(stream.data);
+          const int declared = sim::validate_delta(stream.data);
           if (stream.begin.cycles > 0 && declared != stream.begin.cycles) {
             return fail(ErrorCode::kStreamProtocol,
                         "delta trace declares " + std::to_string(declared) +
                             " cycles, stream_begin declared " +
                             std::to_string(stream.begin.cycles));
           }
-        } catch (const sim::DeltaError& e) {
+        } catch (const sim::TraceError& e) {
           return fail(ErrorCode::kStreamProtocol,
                       std::string("malformed delta trace: ") + e.what());
         }

@@ -39,19 +39,20 @@
 // sparse cycles cost a few varints and dense cycles are capped at one bit
 // per net. All varints are LEB128, at most 10 bytes. Every structural
 // violation — truncation, oversized varints, out-of-range net indices,
-// records past num_cycles, empty records — throws DeltaError before any
-// allocation proportional to the hostile declaration (the same contract as
-// the hardened VCD parser). Versioning: the u8 after the magic gates the
-// layout; decoders reject versions they do not know, so a future v2 (e.g.
-// per-record checksums or multi-bit nets) is a clean break, not a misparse.
+// records past num_cycles, empty records — throws TraceError, the VCD
+// parser's error. A decode allocates at most max_cycles rows of the
+// netlist's net count, and only once the header and initial bitmap match
+// the netlist; validation allocates nothing proportional to the declared
+// sizes. Versioning: the u8 after the magic gates the layout; decoders
+// reject versions they do not know, so a future v2 (e.g. per-record
+// checksums or multi-bit nets) is a clean break, not a misparse.
 //
-// Decoding produces the same VcdData that parse_vcd yields for the
-// equivalent VCD text, so both formats flow through the one
-// trace_from_vcd/resolve() path and stay bit-identical by construction.
+// Decoding replays the per-cycle levels through ToggleTrace::replay, as
+// parse_vcd does for the equivalent VCD text, so both formats yield
+// bit-identical ToggleTraces by construction.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -60,13 +61,6 @@
 #include "sim/vcd.h"
 
 namespace atlas::sim {
-
-/// Malformed or mismatched delta-trace bytes (the typed lib-side error the
-/// serve layer maps to kStreamProtocol / kBadRequest).
-class DeltaError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 inline constexpr char kDeltaMagic[4] = {'A', 'T', 'D', 'T'};
 inline constexpr std::uint8_t kDeltaVersion = 1;
@@ -84,27 +78,19 @@ std::uint64_t net_order_hash(const netlist::Netlist& nl);
 std::string write_delta(const netlist::Netlist& nl, const ToggleTrace& trace,
                         const std::vector<bool>& clock_net_mask);
 
-/// Transcode already-parsed VCD values. Produces bytes identical to the
-/// ToggleTrace overload for the same underlying trace.
-std::string write_delta(const netlist::Netlist& nl, const VcdData& vcd);
-
-/// Decode delta bytes against `nl` into the per-cycle levels parse_vcd
-/// would yield for the equivalent VCD text. Throws DeltaError on malformed
-/// bytes, a num_nets/net-order mismatch with `nl`, or a declared cycle
-/// count past `max_cycles` (checked before frames are allocated).
-VcdData parse_delta(std::string_view bytes, const netlist::Netlist& nl,
-                    int max_cycles = kMaxVcdCycles);
+/// Decode delta bytes against `nl` and replay them into the ToggleTrace
+/// parse_vcd yields for the equivalent VCD text. Throws TraceError on
+/// malformed bytes, a num_nets/net-order mismatch with `nl`, or a declared
+/// cycle count past `max_cycles` (checked before any row is allocated).
+ToggleTrace parse_delta(std::string_view bytes, const netlist::Netlist& nl,
+                        int max_cycles = kMaxVcdCycles);
 
 /// Structural validation without a netlist: header, varint and record
 /// framing, run/bitmap bounds against the declared num_nets, cycle bounds
 /// against num_cycles and `max_cycles`. Never allocates proportionally to
 /// declared sizes — the serve layer runs this on the connection thread
-/// before dispatching a streamed delta upload. Throws DeltaError.
-void validate_delta(std::string_view bytes, int max_cycles = kMaxVcdCycles);
-
-/// Cycle count declared in the header (cheap peek, no body walk). Throws
-/// DeltaError on a malformed header or a count past `max_cycles`.
-int delta_declared_cycles(std::string_view bytes,
-                          int max_cycles = kMaxVcdCycles);
+/// before dispatching a streamed delta upload. Returns the declared cycle
+/// count; throws TraceError.
+int validate_delta(std::string_view bytes, int max_cycles = kMaxVcdCycles);
 
 }  // namespace atlas::sim

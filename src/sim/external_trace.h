@@ -10,9 +10,9 @@
 // Two encodings are carried behind the one resolve() path: the VCD text
 // subset write_vcd emits, and the binary ATDT toggle-delta format
 // (sim/delta_trace.h) that the streamed-predict wire path uses to avoid
-// multi-megabyte VCD uploads. Both decode to the same VcdData and flow
-// through trace_from_vcd, so offline `atlas_cli --vcd` and both wire
-// formats stay bit-identical on the same underlying trace.
+// multi-megabyte VCD uploads. Both decoders replay their levels through
+// ToggleTrace::replay, so offline `atlas_cli --vcd` and both wire formats
+// stay bit-identical on the same underlying trace.
 //
 // The blob is kept verbatim (not pre-parsed) on purpose:
 //   * the serve layer caches embeddings keyed by content_hash(), so a warm
@@ -54,28 +54,28 @@ class ExternalTrace {
   /// between delta and VCD text. Throws std::runtime_error on I/O failure.
   static ExternalTrace from_file(const std::string& path);
 
-  bool empty() const { return bytes_.empty(); }
   TraceEncoding encoding() const { return encoding_; }
   /// The raw trace blob (VCD text or ATDT bytes, per encoding()).
   const std::string& bytes() const { return bytes_; }
-  std::size_t size_bytes() const { return bytes_.size(); }
 
   /// FNV-1a of the raw trace bytes — the serve-layer embedding-cache key
   /// component, stable across processes and transports. (The same trace in
   /// the two encodings hashes differently; the cache just warms per form.)
   std::uint64_t content_hash() const { return hash_; }
 
-  /// Parse against `nl` and rebuild per-net per-cycle values + transitions
-  /// (clock-network activity reconstructed as trace_from_vcd documents).
+  /// Decode against `nl` into per-net per-cycle values + transitions
+  /// (clock-network activity replayed as ToggleTrace::replay documents).
   /// Cycle 0 carries no data-net transitions: both encodings store levels,
-  /// so switching relative to the pre-trace state is unknowable — replayed
-  /// power matches a live simulation exactly from cycle 1 on.
-  /// Throws std::runtime_error (DeltaError for delta blobs) on malformed
-  /// bytes, a netlist mismatch, or a trace longer than `max_cycles`.
+  /// so switching relative to the pre-trace state is unknowable — a replay
+  /// matches a live simulation exactly from cycle 1 on.
+  /// Throws TraceError on malformed bytes, a netlist mismatch, or a trace
+  /// longer than `max_cycles`.
   ToggleTrace resolve(const netlist::Netlist& nl,
                       int max_cycles = kMaxVcdCycles) const;
 
  private:
+  ExternalTrace(std::string bytes, TraceEncoding encoding);
+
   std::string bytes_;
   std::uint64_t hash_ = 0;
   TraceEncoding encoding_ = TraceEncoding::kVcdText;

@@ -11,6 +11,7 @@ namespace atlas::sim {
 
 using liberty::CellFunc;
 using netlist::CellInstId;
+using netlist::kNoCell;
 using netlist::kNoNet;
 using netlist::NetId;
 
@@ -44,31 +45,87 @@ long long ToggleTrace::total_transitions(NetId net) const {
       [](long long a, long long b) { return a + b; });
 }
 
-CycleSimulator::CycleSimulator(const netlist::Netlist& nl) : nl_(nl) {
-  is_clock_net_.assign(nl.num_nets(), false);
-  if (nl.clock_net() != kNoNet) is_clock_net_[nl.clock_net()] = true;
+ToggleTrace ToggleTrace::replay(const netlist::Netlist& nl, int num_cycles,
+                                std::vector<std::uint8_t> levels) {
+  const ClockNetwork clocks(nl, nl.comb_topo_order());
+  const std::size_t n_nets = nl.num_nets();
+  ToggleTrace trace(n_nets, 0);
+  trace.num_cycles_ = num_cycles;
+  trace.data_ = std::move(levels);
+  std::vector<std::uint8_t> active(n_nets, 0);
+  // Rows are rewritten last to first, so row c - 1 still holds the decoded
+  // levels that row c's data transitions and ICG enables read.
+  for (int c = num_cycles - 1; c >= 0; --c) {
+    std::uint8_t* row =
+        trace.data_.data() + static_cast<std::size_t>(c) * n_nets;
+    const std::uint8_t* prev = c > 0 ? row - n_nets : nullptr;
+    clocks.activity(prev, active);
+    clocks.record(trace, c, row, prev, active);
+  }
+  return trace;
+}
 
-  const std::vector<CellInstId> topo = nl.comb_topo_order();
+ClockNetwork::ClockNetwork(const netlist::Netlist& nl,
+                           const std::vector<CellInstId>& topo)
+    : root_(nl.clock_net()), is_clock_net_(nl.num_nets(), false) {
+  if (root_ != kNoNet) is_clock_net_[root_] = true;
   // Clock cells appear in topo order, so a single pass classifies the whole
   // clock network (each CK cell's input is produced before it).
   for (const CellInstId id : topo) {
     const liberty::Cell& lc = nl.lib_cell(id);
-    if (liberty::is_clock_cell(lc.func)) {
-      ClockCellStep step;
-      step.cell = id;
-      step.in = nl.cell(id).pin_nets[0];
-      step.en = lc.func == CellFunc::kCkGate ? nl.cell(id).pin_nets[1] : kNoNet;
-      step.out = nl.output_net(id);
-      if (!is_clock_net_[step.in]) {
-        throw std::runtime_error("simulator: clock cell " + nl.cell(id).name +
-                                 " fed by non-clock net " + nl.net(step.in).name);
-      }
-      is_clock_net_[step.out] = true;
-      clock_steps_.push_back(step);
-    } else {
-      comb_order_.push_back(id);
-    }
+    if (!liberty::is_clock_cell(lc.func)) continue;
+    const auto& pins = nl.cell(id).pin_nets;
+    const Step step{pins[0], lc.func == CellFunc::kCkGate ? pins[1] : kNoNet,
+                    nl.output_net(id)};
+    if (!is_clock_net_[step.in] && misfed_cell_ == kNoCell) misfed_cell_ = id;
+    is_clock_net_[step.out] = true;
+    steps_.push_back(step);
   }
+}
+
+void ClockNetwork::activity(const std::uint8_t* prev_levels,
+                            std::vector<std::uint8_t>& active) const {
+  if (root_ != kNoNet) active[root_] = 1;
+  for (const Step& step : steps_) {
+    std::uint8_t act = active[step.in];
+    if (step.en != kNoNet && prev_levels != nullptr) {
+      act = act && prev_levels[step.en];
+    }
+    active[step.out] = act;
+  }
+}
+
+void ClockNetwork::record(ToggleTrace& trace, int cycle, std::uint8_t* levels,
+                          const std::uint8_t* prev_levels,
+                          const std::vector<std::uint8_t>& active) const {
+  // Nets are independent (each writes its own trace byte and level), so the
+  // record parallelizes bit-identically to the serial loop.
+  util::parallel_for_chunks(is_clock_net_.size(), std::size_t{8192},
+                            [&](std::size_t begin, std::size_t end) {
+    for (NetId n = static_cast<NetId>(begin); n < static_cast<NetId>(end);
+         ++n) {
+      if (is_clock_net_[n]) {
+        levels[n] = active[n];
+        trace.set(cycle, n, active[n] != 0, active[n] ? 2 : 0);
+      } else {
+        const bool changed =
+            prev_levels != nullptr && levels[n] != prev_levels[n];
+        trace.set(cycle, n, levels[n] != 0, changed ? 1 : 0);
+      }
+    }
+  });
+}
+
+CycleSimulator::CycleSimulator(const netlist::Netlist& nl)
+    : nl_(nl), comb_order_(nl.comb_topo_order()), clock_(nl, comb_order_) {
+  if (const CellInstId bad = clock_.misfed_cell(); bad != kNoCell) {
+    throw std::runtime_error("simulator: clock cell " + nl.cell(bad).name +
+                             " fed by non-clock net " +
+                             nl.net(nl.cell(bad).pin_nets[0]).name);
+  }
+  std::erase_if(comb_order_, [&nl](CellInstId id) {
+    return liberty::is_clock_cell(nl.lib_cell(id).func);
+  });
 
   for (CellInstId id = 0; id < nl.num_cells(); ++id) {
     const liberty::Cell& lc = nl.lib_cell(id);
@@ -150,17 +207,12 @@ ToggleTrace CycleSimulator::run(StimulusGenerator& stim, int num_cycles) {
     cur = prev;
 
     // 1. Clock activity for this cycle (ICG enables sampled from prev cycle).
-    if (nl_.clock_net() != kNoNet) clock_active[nl_.clock_net()] = 1;
-    for (const ClockCellStep& step : clock_steps_) {
-      std::uint8_t act = clock_active[step.in];
-      if (step.en != kNoNet) act = act && prev[step.en];
-      clock_active[step.out] = act;
-    }
+    clock_.activity(prev.data(), clock_active);
 
     // 2. Sequential elements capture previous-cycle D on active edges.
     for (const SeqCell& s : seq_cells_) {
       const bool clocked =
-          is_clock_net_[s.ck] ? clock_active[s.ck] != 0 : prev[s.ck] != 0;
+          clock_net_mask()[s.ck] ? clock_active[s.ck] != 0 : prev[s.ck] != 0;
       if (!clocked) continue;
       std::uint8_t q = prev[s.d];
       if (s.resettable && prev[s.rn] == 0) q = 0;
@@ -170,7 +222,7 @@ ToggleTrace CycleSimulator::run(StimulusGenerator& stim, int num_cycles) {
     // 3. Macros: synchronous 1RW port.
     for (MacroCell& m : macros_) {
       const bool clocked =
-          is_clock_net_[m.clk] ? clock_active[m.clk] != 0 : prev[m.clk] != 0;
+          clock_net_mask()[m.clk] ? clock_active[m.clk] != 0 : prev[m.clk] != 0;
       if (!clocked || prev[m.csb] != 0) continue;  // CSB active low
       std::size_t addr = 0;
       for (std::size_t i = 0; i < m.addr.size(); ++i) {
@@ -196,23 +248,8 @@ ToggleTrace CycleSimulator::run(StimulusGenerator& stim, int num_cycles) {
     // 5. Combinational propagation.
     for (const CellInstId id : comb_order_) eval_cell(id, cur);
 
-    // 6. Record values and transition counts. Nets are independent (each
-    // writes its own trace byte and cur slot), so the per-cycle toggle
-    // count parallelizes bit-identically to the serial loop.
-    util::parallel_for_chunks(n_nets, std::size_t{8192},
-                              [&](std::size_t begin, std::size_t end) {
-      for (NetId net = static_cast<NetId>(begin);
-           net < static_cast<NetId>(end); ++net) {
-        if (is_clock_net_[net]) {
-          const bool act = clock_active[net] != 0;
-          trace.set(cycle, net, act, act ? 2 : 0);
-          cur[net] = act ? 1 : 0;
-        } else {
-          const int transitions = (cur[net] != prev[net]) ? 1 : 0;
-          trace.set(cycle, net, cur[net] != 0, transitions);
-        }
-      }
-    });
+    // 6. Record values and transition counts.
+    clock_.record(trace, cycle, cur.data(), prev.data(), clock_active);
     prev.swap(cur);
   }
   return trace;

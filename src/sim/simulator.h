@@ -50,6 +50,14 @@ class ToggleTrace {
   /// Total transitions on a net across all cycles.
   long long total_transitions(netlist::NetId net) const;
 
+  /// Rebuild a trace from decoded VCD/ATDT levels: `levels` (num_cycles
+  /// rows of num_nets 0/1 bytes) becomes the trace's storage, and the clock
+  /// nets, which neither encoding stores, replay through ClockNetwork.
+  /// Cycle 0 has no previous levels, so it carries no data transitions and
+  /// ignores ICG enables; from cycle 1 on a replay equals the simulation.
+  static ToggleTrace replay(const netlist::Netlist& nl, int num_cycles,
+                            std::vector<std::uint8_t> levels);
+
  private:
   std::uint8_t at(int cycle, netlist::NetId net) const {
     return data_[static_cast<std::size_t>(cycle) * num_nets_ + net];
@@ -60,10 +68,45 @@ class ToggleTrace {
   std::vector<std::uint8_t> data_;  // bit0 value, bits1.. transition count
 };
 
+/// The clock root and every net reached through CK cells, classified in one
+/// pass over the topological order (`topo`); simulation and replay share it.
+class ClockNetwork {
+ public:
+  ClockNetwork(const netlist::Netlist& nl,
+               const std::vector<netlist::CellInstId>& topo);
+
+  const std::vector<bool>& mask() const { return is_clock_net_; }
+  /// First clock cell whose input is not a clock net, or kNoCell.
+  netlist::CellInstId misfed_cell() const { return misfed_cell_; }
+
+  /// Writes this cycle's activity into `active[net]` for every clock net.
+  /// ICGs gate on their enable in `prev_levels` (the previous cycle's
+  /// levels); with nullptr every ICG passes the clock.
+  void activity(const std::uint8_t* prev_levels,
+                std::vector<std::uint8_t>& active) const;
+
+  /// Records `cycle` of `trace`: clock nets from `active` (two transitions
+  /// when active), which also sets their `levels`; data nets at `levels`,
+  /// with a transition where `prev_levels` (none when nullptr) differs.
+  void record(ToggleTrace& trace, int cycle, std::uint8_t* levels,
+              const std::uint8_t* prev_levels,
+              const std::vector<std::uint8_t>& active) const;
+
+ private:
+  struct Step {
+    netlist::NetId in, en, out;  // en == kNoNet for buffers/inverters
+  };
+  netlist::NetId root_;
+  std::vector<Step> steps_;  // clock cells, topo order
+  std::vector<bool> is_clock_net_;
+  netlist::CellInstId misfed_cell_ = netlist::kNoCell;
+};
+
 class CycleSimulator {
  public:
   /// Precomputes topological order and clock-network structure.
-  /// Throws if the netlist fails structural checks relevant to simulation.
+  /// Throws if the netlist fails structural checks relevant to simulation
+  /// (a clock cell fed by a non-clock net, a macro wider than 16 bits).
   explicit CycleSimulator(const netlist::Netlist& nl);
 
   /// Simulate `num_cycles` cycles driven by `stim`. Each run starts from
@@ -72,7 +115,7 @@ class CycleSimulator {
   ToggleTrace run(StimulusGenerator& stim, int num_cycles);
 
   /// Nets classified as part of the clock network (incl. the clock root).
-  const std::vector<bool>& clock_net_mask() const { return is_clock_net_; }
+  const std::vector<bool>& clock_net_mask() const { return clock_.mask(); }
 
  private:
   struct SeqCell {
@@ -87,17 +130,12 @@ class CycleSimulator {
     std::vector<netlist::NetId> addr, din, dout;
     std::vector<std::uint16_t> mem;  // 2^addr_bits words of data_bits<=16
   };
-  struct ClockCellStep {
-    netlist::CellInstId cell;
-    netlist::NetId in, en, out;  // en == kNoNet for buffers/inverters
-  };
 
   const netlist::Netlist& nl_;
-  std::vector<netlist::CellInstId> comb_order_;   // data cells, topo order
-  std::vector<ClockCellStep> clock_steps_;        // clock cells, topo order
+  std::vector<netlist::CellInstId> comb_order_;  // data cells, topo order
+  ClockNetwork clock_;                           // built from comb_order_
   std::vector<SeqCell> seq_cells_;
   std::vector<MacroCell> macros_;
-  std::vector<bool> is_clock_net_;
 };
 
 }  // namespace atlas::sim

@@ -1,5 +1,6 @@
 #include "sim/vcd.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -18,6 +19,15 @@ std::string vcd_id(std::size_t index) {
     index /= 94;
   } while (index > 0);
   return id;
+}
+
+/// Pops the next whitespace-separated word off `rest` ("" when none is left).
+std::string_view next_word(std::string_view& rest) {
+  rest = util::trim(rest);
+  const std::string_view word =
+      rest.substr(0, rest.find_first_of(" \t\n\v\f\r"));
+  rest.remove_prefix(word.size());
+  return word;
 }
 
 }  // namespace
@@ -51,24 +61,33 @@ std::string write_vcd(const netlist::Netlist& nl, const ToggleTrace& trace,
   return os.str();
 }
 
-VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
-                  int max_cycles) {
-  std::unordered_map<std::string, netlist::NetId> net_by_name;
+ToggleTrace parse_vcd(std::string_view text, const netlist::Netlist& nl,
+                      int max_cycles) {
+  // Keys view the netlist's names and the text itself: no string copies.
+  std::unordered_map<std::string_view, netlist::NetId> net_by_name;
   for (netlist::NetId id = 0; id < nl.num_nets(); ++id) {
     net_by_name.emplace(nl.net(id).name, id);
   }
 
-  std::unordered_map<std::string, netlist::NetId> id_to_net;
+  std::unordered_map<std::string_view, netlist::NetId> id_to_net;
   std::string_view line;
   bool in_defs = true;
   int last_stamp = -1;
-  std::vector<std::uint8_t> current(nl.num_nets(), 0);
-  std::vector<std::vector<std::uint8_t>> frames;
+  const std::size_t num_nets = nl.num_nets();
+  std::vector<std::uint8_t> current(num_nets, 0);
+  std::vector<std::uint8_t> levels;  // one row of num_nets levels per cycle
+  int cycles = 0;
 
   auto flush_until = [&](int stamp) {
-    // Fill cycles (last_stamp, stamp) with the running values.
-    for (int c = static_cast<int>(frames.size()); c < stamp; ++c) {
-      frames.push_back(current);
+    // Fill cycles [cycles, stamp) with the running values. The buffer grows
+    // geometrically, capped at max_cycles rows (stamp <= max_cycles).
+    const std::size_t need = static_cast<std::size_t>(stamp) * num_nets;
+    if (need > levels.capacity()) {
+      levels.reserve(std::min(std::max(need, 2 * levels.capacity()),
+                              static_cast<std::size_t>(max_cycles) * num_nets));
+    }
+    for (; cycles < stamp; ++cycles) {
+      levels.insert(levels.end(), current.begin(), current.end());
     }
   };
 
@@ -77,14 +96,16 @@ VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
     if (t.empty()) continue;
     if (in_defs) {
       if (util::starts_with(t, "$var")) {
-        const auto parts = util::split_ws(t);
         // $var wire 1 <id> <name> $end
-        if (parts.size() < 6) throw std::runtime_error("vcd: malformed $var");
-        const auto it = net_by_name.find(parts[4]);
+        std::string_view words[6];
+        std::string_view rest = t;
+        for (std::string_view& w : words) w = next_word(rest);
+        if (words[5].empty()) throw TraceError("vcd: malformed $var");
+        const auto it = net_by_name.find(words[4]);
         if (it == net_by_name.end()) {
-          throw std::runtime_error("vcd: unknown net " + parts[4]);
+          throw TraceError("vcd: unknown net " + std::string(words[4]));
         }
-        id_to_net.emplace(parts[3], it->second);
+        id_to_net.emplace(words[3], it->second);
       } else if (util::starts_with(t, "$enddefinitions")) {
         in_defs = false;
       }
@@ -93,19 +114,19 @@ VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
     if (t[0] == '#') {
       // Manual digit parse: std::stoi would accept signs/whitespace and
       // throw logic_error subclasses; timestamps must be plain decimal and
-      // stay under the cycle cap *before* any frame is allocated.
+      // stay under the cycle cap *before* any row is allocated.
       const std::string digits{t.substr(1)};
       if (digits.empty() ||
           digits.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::runtime_error("vcd: bad timestamp: " + std::string(t));
+        throw TraceError("vcd: bad timestamp: " + std::string(t));
       }
       long long stamp = 0;
       for (const char c : digits) {
         stamp = stamp * 10 + (c - '0');
         if (stamp > max_cycles) {
-          throw std::runtime_error("vcd: timestamp " + digits +
-                                   " exceeds cycle limit " +
-                                   std::to_string(max_cycles));
+          throw TraceError("vcd: timestamp " + digits +
+                           " exceeds cycle limit " +
+                           std::to_string(max_cycles));
         }
       }
       if (last_stamp >= 0) flush_until(static_cast<int>(stamp));
@@ -113,68 +134,17 @@ VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
       continue;
     }
     if (t[0] == '0' || t[0] == '1') {
-      const std::string sig{t.substr(1)};
-      const auto it = id_to_net.find(sig);
-      if (it == id_to_net.end()) throw std::runtime_error("vcd: unknown id " + sig);
+      const auto it = id_to_net.find(t.substr(1));
+      if (it == id_to_net.end()) {
+        throw TraceError("vcd: unknown id " + std::string(t.substr(1)));
+      }
       current[it->second] = t[0] == '1' ? 1 : 0;
       continue;
     }
-    throw std::runtime_error("vcd: unexpected line: " + std::string(t));
+    throw TraceError("vcd: unexpected line: " + std::string(t));
   }
 
-  VcdData out;
-  out.num_nets = nl.num_nets();
-  out.num_cycles = static_cast<int>(frames.size());
-  out.values.reserve(frames.size() * nl.num_nets());
-  for (const auto& f : frames) {
-    out.values.insert(out.values.end(), f.begin(), f.end());
-  }
-  return out;
-}
-
-ToggleTrace trace_from_vcd(const VcdData& vcd, const netlist::Netlist& nl) {
-  if (vcd.num_nets != nl.num_nets()) {
-    throw std::runtime_error("trace_from_vcd: net count mismatch");
-  }
-  // Clock-network classification mirrors CycleSimulator's constructor.
-  std::vector<bool> is_clock(nl.num_nets(), false);
-  if (nl.clock_net() != netlist::kNoNet) is_clock[nl.clock_net()] = true;
-  struct ClockStep {
-    netlist::NetId in, en, out;
-  };
-  std::vector<ClockStep> steps;
-  for (const netlist::CellInstId id : nl.comb_topo_order()) {
-    const liberty::Cell& lc = nl.lib_cell(id);
-    if (!liberty::is_clock_cell(lc.func)) continue;
-    ClockStep s;
-    s.in = nl.cell(id).pin_nets[0];
-    s.en = lc.func == liberty::CellFunc::kCkGate ? nl.cell(id).pin_nets[1]
-                                                 : netlist::kNoNet;
-    s.out = nl.output_net(id);
-    is_clock[s.out] = true;
-    steps.push_back(s);
-  }
-
-  ToggleTrace trace(nl.num_nets(), vcd.num_cycles);
-  std::vector<std::uint8_t> active(nl.num_nets(), 0);
-  for (int c = 0; c < vcd.num_cycles; ++c) {
-    if (nl.clock_net() != netlist::kNoNet) active[nl.clock_net()] = 1;
-    for (const ClockStep& s : steps) {
-      std::uint8_t a = active[s.in];
-      if (s.en != netlist::kNoNet && c > 0) a = a && vcd.value(c - 1, s.en);
-      active[s.out] = a;
-    }
-    for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-      if (is_clock[n]) {
-        trace.set(c, n, active[n] != 0, active[n] ? 2 : 0);
-      } else {
-        const bool v = vcd.value(c, n);
-        const bool changed = c > 0 && v != vcd.value(c - 1, n);
-        trace.set(c, n, v, changed ? 1 : 0);
-      }
-    }
-  }
-  return trace;
+  return ToggleTrace::replay(nl, cycles, std::move(levels));
 }
 
 void save_vcd_file(const netlist::Netlist& nl, const ToggleTrace& trace,

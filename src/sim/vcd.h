@@ -3,12 +3,14 @@
 // The paper's workloads arrive as .fsdb/.vcd activity files; this module
 // provides the same interchange for our traces so workloads can be dumped
 // from the simulator, inspected with standard tools, and read back into a
-// ToggleTrace-equivalent form.
+// ToggleTrace.
 //
 // One VCD timestep = one clock cycle (clock-network nets are omitted from
-// the dump; their activity is reconstructed from the netlist when reading).
+// the dump; reading replays their activity from the netlist through
+// ToggleTrace::replay).
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,43 +24,30 @@ namespace atlas::sim {
 std::string write_vcd(const netlist::Netlist& nl, const ToggleTrace& trace,
                       const std::vector<bool>& clock_net_mask);
 
-/// Values parsed back from a VCD: per-net per-cycle levels for the nets that
-/// were dumped (absent nets keep value 0).
-struct VcdData {
-  int num_cycles = 0;
-  /// Indexed [cycle * num_nets + net]; 0/1 levels.
-  std::vector<std::uint8_t> values;
-  std::size_t num_nets = 0;
-
-  bool value(int cycle, netlist::NetId net) const {
-    return values[static_cast<std::size_t>(cycle) * num_nets + net] != 0;
-  }
+/// Malformed or mismatched trace input, VCD text or ATDT bytes (the typed
+/// error the serve layer maps to kStreamProtocol / kBadRequest).
+class TraceError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
-/// Hard ceiling on the cycle count a parsed VCD may declare. The parser
-/// materializes one frame per timestep, so a hostile `#<huge>` timestamp
-/// would otherwise be an allocation bomb; anything past the cap throws
-/// before the frames are allocated. Matches the serve layer's per-request
-/// cycle limit.
+/// Hard ceiling on the cycle count a parsed trace may declare. The parser
+/// materializes one row of levels per timestep, so a hostile `#<huge>`
+/// timestamp would otherwise be an allocation bomb; anything past the cap
+/// throws before the rows are allocated. Matches the serve layer's
+/// per-request cycle limit.
 inline constexpr int kMaxVcdCycles = 1 << 20;
 
-/// Parse VCD text produced by write_vcd, resolving signal names against `nl`.
-/// Throws std::runtime_error on malformed input, unknown net names, or a
-/// trace longer than `max_cycles` — never crashes or over-allocates on
-/// hostile input (see the malformed-VCD corpus in sim_test).
-VcdData parse_vcd(std::string_view text, const netlist::Netlist& nl,
-                  int max_cycles = kMaxVcdCycles);
+/// Parse VCD text produced by write_vcd, resolving signal names against `nl`,
+/// and replay it into a ToggleTrace (see ToggleTrace::replay; nets absent
+/// from the dump stay 0). Throws TraceError on malformed input, unknown net
+/// names or ids, or a trace longer than `max_cycles` — never crashes or
+/// over-allocates on hostile input (see TraceMutationProperty).
+ToggleTrace parse_vcd(std::string_view text, const netlist::Netlist& nl,
+                      int max_cycles = kMaxVcdCycles);
 
 void save_vcd_file(const netlist::Netlist& nl, const ToggleTrace& trace,
                    const std::vector<bool>& clock_net_mask,
                    const std::string& path);
-
-/// Rebuild a ToggleTrace from parsed VCD values: data-net transitions are
-/// derived from value changes; clock-network activity (not stored in the
-/// dump) is reconstructed from the netlist structure, assuming ungated
-/// clocks run every cycle and ICG enables follow their (previous-cycle) data
-/// values — the same convention the simulator uses. This closes the loop for
-/// externally supplied workloads: VCD in, power analysis out.
-ToggleTrace trace_from_vcd(const VcdData& vcd, const netlist::Netlist& nl);
 
 }  // namespace atlas::sim

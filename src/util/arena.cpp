@@ -31,7 +31,9 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   const std::size_t want = bytes + align;
   const std::size_t size = want > block_bytes_ ? want : block_bytes_;
   Block b;
-  b.data = std::make_unique<std::uint8_t[]>(size);
+  // Uninitialized (alloc_array promises no more), so pages stay unbacked
+  // until something is written to them.
+  b.data = std::make_unique_for_overwrite<std::uint8_t[]>(size);
   b.size = size;
   bytes_reserved_ += size;
   blocks_.push_back(std::move(b));

@@ -217,8 +217,7 @@ TEST_F(PowerShapeTest, VcdRoundTripPowerMatches) {
   const sim::ToggleTrace trace = sim.run(stim, 20);
   const std::string text = sim::write_vcd(layout_.netlist, trace,
                                           sim.clock_net_mask());
-  const sim::VcdData vcd = sim::parse_vcd(text, layout_.netlist);
-  const sim::ToggleTrace rebuilt = sim::trace_from_vcd(vcd, layout_.netlist);
+  const sim::ToggleTrace rebuilt = sim::parse_vcd(text, layout_.netlist);
   const PowerResult direct = analyze_power(layout_.netlist, trace);
   const PowerResult via_vcd = analyze_power(layout_.netlist, rebuilt);
   // Cycle 0 differs (VCD has no pre-cycle reference value); compare later

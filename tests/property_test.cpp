@@ -26,6 +26,7 @@
 #include "serve/protocol.h"
 #include "sim/delta_trace.h"
 #include "sim/simulator.h"
+#include "sim/vcd.h"
 #include "transform/rewrite.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -638,6 +639,114 @@ TEST(AtspMutationProperty, FramesDecodeOrThrowProtocolError) {
   }
   // 572 frames read and 2787 inputs rejected at this seed.
   EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Trace decoders under seeded mutation.
+// ---------------------------------------------------------------------------
+
+constexpr int kTraceCycles = 8;
+constexpr int kMaxTraceCycles = 12;
+
+/// A design plus the VCD text and ATDT bytes of an 8-cycle simulated trace.
+struct TraceSample {
+  netlist::Netlist nl;
+  std::string vcd;
+  std::string atdt;
+};
+
+std::vector<TraceSample> trace_samples() {
+  designgen::DesignSpec spec;
+  spec.name = "trace_mut";
+  spec.seed = 23;
+  spec.target_cells = 300;
+  spec.num_memories = 1;
+  std::vector<TraceSample> out;
+  out.push_back({small_tagged_design(), {}, {}});
+  out.push_back({designgen::generate_design(spec, lib()), {}, {}});
+  for (TraceSample& sample : out) {
+    sim::CycleSimulator sim(sample.nl);
+    sim::StimulusGenerator stim(sample.nl, sim::make_w1());
+    const sim::ToggleTrace t = sim.run(stim, kTraceCycles);
+    sample.vcd = sim::write_vcd(sample.nl, t, sim.clock_net_mask());
+    sample.atdt = sim::write_delta(sample.nl, t, sim.clock_net_mask());
+  }
+  return out;
+}
+
+/// The oracle's allocation cap: max_cycles + 1 rows of levels, or the
+/// input itself, whichever is larger.
+std::size_t trace_alloc_cap(const netlist::Netlist& nl,
+                            const std::string& input) {
+  return std::max((kMaxTraceCycles + 1) * nl.num_nets(), input.size());
+}
+
+// Mutated write_vcd text, with edits aimed at the value changes or anywhere:
+// each input replays within the cycle cap or throws TraceError.
+TEST(TraceMutationProperty, VcdDecodesOrThrowsTraceError) {
+  const std::vector<TraceSample> samples = trace_samples();
+  util::Rng rng(0x7ace);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const TraceSample& sample = samples[static_cast<std::size_t>(i) % 2];
+    std::string text = sample.vcd;
+    if (rng.next_bool()) {
+      mutate(text, rng, text.find("$enddefinitions"), text.size());
+    } else {
+      mutate(text, rng, 0, 0);
+    }
+    std::optional<sim::ToggleTrace> trace;
+    const bool ok = decodes_or_rejects<sim::TraceError>(
+        [&] { trace.emplace(sim::parse_vcd(text, sample.nl, kMaxTraceCycles)); },
+        trace_alloc_cap(sample.nl, text), text);
+    (ok ? accepted : rejected) += 1;
+    if (!ok || !trace) continue;
+    EXPECT_EQ(trace->num_nets(), sample.nl.num_nets());
+    EXPECT_LE(trace->num_cycles(), kMaxTraceCycles);
+  }
+  // Both outcomes stay well exercised (1174 and 1826 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
+}
+
+// Mutated write_delta bytes, with edits aimed at the header, the records or
+// anywhere: each input decodes or throws TraceError, and every input
+// parse_delta accepts, validate_delta accepts with the same cycle count.
+TEST(TraceMutationProperty, DeltaDecodesOrThrowsTraceError) {
+  const std::vector<TraceSample> samples = trace_samples();
+  util::Rng rng(0xde17a);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const TraceSample& sample = samples[static_cast<std::size_t>(i) % 2];
+    std::string bytes = sample.atdt;
+    // Magic, version, num_nets (one or two varint bytes), num_cycles, hash.
+    const std::size_t header = 4 + 1 + (sample.nl.num_nets() < 128 ? 1 : 2) + 1 + 8;
+    switch (rng.next_below(3)) {
+      case 0: mutate(bytes, rng, 0, header); break;
+      case 1: mutate(bytes, rng, header, bytes.size()); break;
+      default: mutate(bytes, rng, 0, 0); break;
+    }
+    const std::size_t cap = trace_alloc_cap(sample.nl, bytes);
+    std::optional<sim::ToggleTrace> trace;
+    const bool ok = decodes_or_rejects<sim::TraceError>(
+        [&] { trace.emplace(sim::parse_delta(bytes, sample.nl, kMaxTraceCycles)); },
+        cap, bytes);
+    (ok ? accepted : rejected) += 1;
+    int validated = -1;
+    const bool valid = decodes_or_rejects<sim::TraceError>(
+        [&] { validated = sim::validate_delta(bytes, kMaxTraceCycles); }, cap,
+        bytes);
+    if (!ok || !trace) continue;
+    EXPECT_TRUE(valid) << util::hash_hex(util::fnv1a64(bytes));
+    EXPECT_EQ(validated, trace->num_cycles());
+    EXPECT_EQ(trace->num_nets(), sample.nl.num_nets());
+  }
+  // Most edits break the strict framing; both outcomes stay exercised (171
+  // and 5829 at this seed).
+  EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 1000);
 }
 

@@ -297,8 +297,8 @@ TEST_F(SimTest, VcdRoundTrip) {
   StimulusGenerator stim(nl, make_w1());
   const ToggleTrace t = sim.run(stim, 10);
   const std::string text = write_vcd(nl, t, sim.clock_net_mask());
-  const VcdData back = parse_vcd(text, nl);
-  ASSERT_EQ(back.num_cycles, 10);
+  const ToggleTrace back = parse_vcd(text, nl);
+  ASSERT_EQ(back.num_cycles(), 10);
   int checked = 0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     if (sim.clock_net_mask()[n]) continue;
@@ -322,32 +322,32 @@ TEST_F(SimTest, MalformedVcdThrowsInsteadOfCrashing) {
   const std::string good = write_vcd(nl, sim.run(stim, 4), sim.clock_net_mask());
 
   // Truncated $var declaration.
-  EXPECT_THROW(parse_vcd("$var wire 1 ! $end\n", nl), std::exception);
+  EXPECT_THROW(parse_vcd("$var wire 1 ! $end\n", nl), TraceError);
   // Net name that does not exist in the netlist.
   EXPECT_THROW(
       parse_vcd("$var wire 1 ! no_such_net $end\n$enddefinitions $end\n#0\n",
                 nl),
-      std::exception);
+      TraceError);
   // Value change for an identifier never declared.
   EXPECT_THROW(parse_vcd("$enddefinitions $end\n#0\n1@@@\n", nl),
-               std::exception);
+               TraceError);
   // Garbage line in the value-change section.
   EXPECT_THROW(parse_vcd("$enddefinitions $end\n#0\nhello world\n", nl),
-               std::exception);
+               TraceError);
   // Non-decimal, signed, and empty timestamps.
-  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#12x\n", nl), std::exception);
-  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#-3\n", nl), std::exception);
-  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#\n", nl), std::exception);
-  // A timestamp past the cycle cap throws before frames are materialized —
+  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#12x\n", nl), TraceError);
+  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#-3\n", nl), TraceError);
+  EXPECT_THROW(parse_vcd("$enddefinitions $end\n#\n", nl), TraceError);
+  // A timestamp past the cycle cap throws before rows are materialized —
   // the allocation-bomb guard (this declares ~10^18 cycles).
   EXPECT_THROW(parse_vcd("$enddefinitions $end\n#999999999999999999\n", nl),
-               std::exception);
+               TraceError);
   EXPECT_THROW(parse_vcd("$enddefinitions $end\n#0\n#10\n", nl,
                          /*max_cycles=*/5),
-               std::exception);
+               TraceError);
 
   // The well-formed dump still parses after all that.
-  EXPECT_EQ(parse_vcd(good, nl).num_cycles, 4);
+  EXPECT_EQ(parse_vcd(good, nl).num_cycles(), 4);
 }
 
 TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
@@ -359,8 +359,7 @@ TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
   const std::string text = write_vcd(nl, original, sim.clock_net_mask());
 
   const ExternalTrace trace = ExternalTrace::from_vcd_text(text);
-  EXPECT_FALSE(trace.empty());
-  EXPECT_EQ(trace.size_bytes(), text.size());
+  EXPECT_EQ(trace.bytes(), text);
   EXPECT_EQ(trace.resolve(nl).num_cycles(), 10);
   // Content-addressed: same bytes, same hash; different bytes, different.
   EXPECT_EQ(trace.content_hash(),
@@ -369,9 +368,9 @@ TEST_F(SimTest, ExternalTraceResolvesIdenticallyToParseVcd) {
             ExternalTrace::from_vcd_text(text + "\n#11\n").content_hash());
 
   // resolve() is the one shared decode path (disk or wire): it must equal
-  // the explicit parse + reconstruct pipeline transition-for-transition.
+  // parse_vcd transition-for-transition.
   const ToggleTrace resolved = trace.resolve(nl);
-  const ToggleTrace expected = trace_from_vcd(parse_vcd(text, nl), nl);
+  const ToggleTrace expected = parse_vcd(text, nl);
   ASSERT_EQ(resolved.num_cycles(), expected.num_cycles());
   for (int c = 0; c < resolved.num_cycles(); ++c) {
     for (NetId n = 0; n < nl.num_nets(); ++n) {
@@ -433,13 +432,6 @@ INSTANTIATE_TEST_SUITE_P(C1toC6, ReplayEqualsSimulationTest, ::testing::Range(1,
 
 namespace {
 
-/// Assert two parsed traces carry identical per-cycle levels for every net.
-void expect_same_vcd_data(const VcdData& a, const VcdData& b) {
-  ASSERT_EQ(a.num_cycles, b.num_cycles);
-  ASSERT_EQ(a.num_nets, b.num_nets);
-  ASSERT_EQ(a.values, b.values);
-}
-
 /// Assert two resolved traces are bit-identical (values AND transitions).
 void expect_same_toggle_trace(const ToggleTrace& a, const ToggleTrace& b) {
   ASSERT_EQ(a.num_cycles(), b.num_cycles());
@@ -490,26 +482,26 @@ TEST_F(SimTest, DeltaRoundTripMatchesVcdResolve) {
   const std::string text = write_vcd(nl, original, sim.clock_net_mask());
   const std::string delta = write_delta(nl, original, sim.clock_net_mask());
 
-  // The VcdData transcode overload emits the same bytes as encoding the
-  // ToggleTrace directly — the offline converter and the simulator dump
-  // agree byte-for-byte.
-  EXPECT_EQ(write_delta(nl, parse_vcd(text, nl)), delta);
+  // Transcoding the parsed VCD emits the same bytes as encoding the
+  // simulated trace directly — the offline converter (encode-trace) and the
+  // simulator dump agree byte-for-byte.
+  EXPECT_EQ(write_delta(nl, parse_vcd(text, nl), sim.clock_net_mask()), delta);
 
   EXPECT_TRUE(looks_like_delta(delta));
   EXPECT_FALSE(looks_like_delta(text));
   EXPECT_LT(delta.size(), text.size());
 
-  // Decoded levels equal the VCD parse exactly; the resolved traces (the
-  // single path the server and atlas_cli --vcd both take) are bit-identical
-  // including the reconstructed clock activity.
-  expect_same_vcd_data(parse_delta(delta, nl), parse_vcd(text, nl));
+  // Both decoders yield bit-identical traces, including the replayed clock
+  // activity, directly and through resolve() (the single path the server
+  // and atlas_cli --vcd both take).
+  expect_same_toggle_trace(parse_delta(delta, nl), parse_vcd(text, nl));
   expect_same_toggle_trace(
       ExternalTrace::from_delta_bytes(delta).resolve(nl),
       ExternalTrace::from_vcd_text(text).resolve(nl));
 
   const ExternalTrace ext = ExternalTrace::from_delta_bytes(delta);
   EXPECT_EQ(ext.encoding(), TraceEncoding::kDelta);
-  EXPECT_EQ(delta_declared_cycles(delta), 10);
+  EXPECT_EQ(validate_delta(delta), 10);
   EXPECT_NE(ext.content_hash(),
             ExternalTrace::from_vcd_text(text).content_hash());
 
@@ -530,7 +522,7 @@ TEST_F(SimTest, DeltaRoundTripMatchesVcdResolve) {
 
 TEST_F(SimTest, DeltaPropertyRandomizedRoundTrip) {
   // Property: for ANY per-cycle level assignment, VCD text and delta bytes
-  // decode to identical VcdData. Sweep toggle densities from all-quiet to
+  // decode to identical ToggleTraces. Sweep toggle densities from all-quiet to
   // every-net-toggles-every-cycle across several seeds.
   const auto spec = designgen::paper_design_spec(3, 0.002);
   const Netlist nl = designgen::generate_design(spec, lib_);
@@ -554,8 +546,9 @@ TEST_F(SimTest, DeltaPropertyRandomizedRoundTrip) {
       }
       const std::string text = write_vcd(nl, t, mask);
       const std::string delta = write_delta(nl, t, mask);
-      expect_same_vcd_data(parse_delta(delta, nl), parse_vcd(text, nl));
-      validate_delta(delta);  // every encoder output passes the server check
+      expect_same_toggle_trace(parse_delta(delta, nl), parse_vcd(text, nl));
+      // Every encoder output passes the server check.
+      EXPECT_EQ(validate_delta(delta), cycles);
       if (density == 0.0) {
         // All-quiet: header + initial bitmap only, no cycle records.
         const std::size_t header = 4 + 1 + varint(nl.num_nets()).size() +
@@ -579,7 +572,7 @@ TEST_F(SimTest, DeltaSingleNetDesign) {
   const ToggleTrace t = sim.run(stim, 5);
   const std::string text = write_vcd(nl, t, sim.clock_net_mask());
   const std::string delta = write_delta(nl, t, sim.clock_net_mask());
-  expect_same_vcd_data(parse_delta(delta, nl), parse_vcd(text, nl));
+  expect_same_toggle_trace(parse_delta(delta, nl), parse_vcd(text, nl));
   expect_same_toggle_trace(ExternalTrace::from_delta_bytes(delta).resolve(nl),
                            ExternalTrace::from_vcd_text(text).resolve(nl));
 }
@@ -599,20 +592,18 @@ TEST_F(SimTest, DeltaAtExactlyMaxVcdCycles) {
   const ToggleTrace at_cap(nl.num_nets(), kMaxVcdCycles);
   const std::string delta = write_delta(nl, at_cap, mask);
   EXPECT_LT(delta.size(), 32u);
-  const VcdData back = parse_delta(delta, nl);
-  EXPECT_EQ(back.num_cycles, kMaxVcdCycles);
-  EXPECT_EQ(delta_declared_cycles(delta), kMaxVcdCycles);
-  validate_delta(delta);
+  EXPECT_EQ(parse_delta(delta, nl).num_cycles(), kMaxVcdCycles);
+  EXPECT_EQ(validate_delta(delta), kMaxVcdCycles);
 
   const ToggleTrace past_cap(nl.num_nets(), kMaxVcdCycles + 1);
   const std::string too_long = write_delta(nl, past_cap, mask);
-  EXPECT_THROW(parse_delta(too_long, nl), DeltaError);
-  EXPECT_THROW(validate_delta(too_long), DeltaError);
-  EXPECT_THROW(parse_delta(delta, nl, /*max_cycles=*/16), DeltaError);
+  EXPECT_THROW(parse_delta(too_long, nl), TraceError);
+  EXPECT_THROW(validate_delta(too_long), TraceError);
+  EXPECT_THROW(parse_delta(delta, nl, /*max_cycles=*/16), TraceError);
 }
 
 TEST_F(SimTest, MalformedDeltaThrowsInsteadOfCrashing) {
-  // The wire-facing corpus: every hostile shape throws DeltaError from both
+  // The wire-facing corpus: every hostile shape throws TraceError from both
   // parse_delta (netlist-bound) and validate_delta (the server's nl-free
   // pre-dispatch walk) — never a crash or an allocation bomb.
   const auto spec = designgen::paper_design_spec(1, 0.002);
@@ -626,8 +617,8 @@ TEST_F(SimTest, MalformedDeltaThrowsInsteadOfCrashing) {
   int case_index = 0;
   const auto throws_everywhere = [&](const std::string& bytes) {
     SCOPED_TRACE("corpus case " + std::to_string(case_index++));
-    EXPECT_THROW(parse_delta(bytes, nl), DeltaError);
-    EXPECT_THROW(validate_delta(bytes), DeltaError);
+    EXPECT_THROW(parse_delta(bytes, nl), TraceError);
+    EXPECT_THROW(validate_delta(bytes), TraceError);
   };
 
   // Framing: empty, wrong magic, unknown version, truncated header.
@@ -680,16 +671,16 @@ TEST_F(SimTest, MalformedDeltaThrowsInsteadOfCrashing) {
   // where the netlist is known).
   const std::string wrong_count =
       delta_header(nl.num_nets() + 1, 0, order);
-  EXPECT_THROW(parse_delta(wrong_count, nl), DeltaError);
+  EXPECT_THROW(parse_delta(wrong_count, nl), TraceError);
   validate_delta(wrong_count);
   std::string wrong_order = good;
   wrong_order[5 + varint(nl.num_nets()).size() + varint(4).size()] ^= 0x5a;
-  EXPECT_THROW(parse_delta(wrong_order, nl), DeltaError);
+  EXPECT_THROW(parse_delta(wrong_order, nl), TraceError);
   validate_delta(wrong_order);
 
   // The well-formed encoding still decodes after all that.
-  EXPECT_EQ(parse_delta(good, nl).num_cycles, 4);
-  validate_delta(good);
+  EXPECT_EQ(parse_delta(good, nl).num_cycles(), 4);
+  EXPECT_EQ(validate_delta(good), 4);
 }
 
 }  // namespace

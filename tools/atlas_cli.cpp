@@ -13,7 +13,6 @@
 // the structural fallback partitioner before prediction.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "atlas/flow.h"
@@ -28,6 +27,7 @@
 #include "sim/vcd.h"
 #include "util/cli.h"
 #include "util/parallel.h"
+#include "util/serialize.h"
 #include "util/strings.h"
 
 namespace {
@@ -198,8 +198,7 @@ int cmd_power(int argc, const char* const* argv) {
   }
   const sim::ToggleTrace trace = workload_or_vcd_trace(cli, nl);
   const power::PowerResult result = power::analyze_power(nl, trace);
-  std::ofstream csv(cli.str("csv"));
-  csv << power::trace_csv(result);
+  util::write_file(cli.str("csv"), power::trace_csv(result));
   std::printf("%s", power::group_table(result.average_design()).c_str());
   std::printf("wrote %s\n", cli.str("csv").c_str());
   return 0;
@@ -259,20 +258,8 @@ int cmd_predict(int argc, const char* const* argv) {
   const core::AtlasModel model = core::AtlasModel::load(cli.str("model"));
   const core::Prediction pred = model.predict(gate, graphs, trace);
 
-  std::ofstream csv(cli.str("csv"));
-  csv << "cycle,comb_uw,clock_uw,reg_uw,total_uw\n";
-  power::GroupPower avg;
-  for (int c = 0; c < pred.num_cycles; ++c) {
-    const power::GroupPower& g = pred.at(c);
-    csv << util::format("%d,%.4f,%.4f,%.4f,%.4f\n", c, g.comb, g.clock, g.reg,
-                        g.total_no_memory());
-    avg += g;
-  }
-  const double inv = pred.num_cycles > 0 ? 1.0 / pred.num_cycles : 0.0;
-  std::printf("predicted post-layout power (avg over %d cycles): comb=%.3f "
-              "clock=%.3f reg=%.3f total=%.3f mW\n",
-              pred.num_cycles, avg.comb * inv / 1e3, avg.clock * inv / 1e3,
-              avg.reg * inv / 1e3, avg.total_no_memory() * inv / 1e3);
+  util::write_file(cli.str("csv"), power::prediction_csv(pred.design));
+  std::printf("%s", power::prediction_summary(pred.design).c_str());
   std::printf("wrote %s\n", cli.str("csv").c_str());
   return 0;
 }

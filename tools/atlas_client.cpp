@@ -26,13 +26,13 @@
 // of re-uploading the Verilog (falling back to a full upload when the
 // server answers kUnknownDesign).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "liberty/liberty_io.h"
 #include "netlist/verilog_io.h"
 #include "obs/trace.h"
+#include "power/power_report.h"
 #include "serve/client.h"
 #include "sim/delta_trace.h"
 #include "sim/vcd.h"
@@ -218,11 +218,7 @@ int cmd_trace(int argc, const char* const* argv) {
     if (path.empty()) continue;
     parts.push_back(read_file(path));
   }
-  const std::string merged = obs::merge_chrome_json(parts);
-  std::ofstream out(cli.str("out"), std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + cli.str("out"));
-  out << merged;
-  if (!out) throw std::runtime_error("write failed: " + cli.str("out"));
+  util::write_file(cli.str("out"), obs::merge_chrome_json(parts));
   std::printf("wrote %s (%zu source dumps)\n", cli.str("out").c_str(),
               parts.size());
   return 0;
@@ -240,20 +236,8 @@ int cmd_shutdown(int argc, const char* const* argv) {
 
 void write_prediction_csv(const serve::PredictResponse& resp,
                           const std::string& csv_path) {
-  std::ofstream csv(csv_path);
-  csv << "cycle,comb_uw,clock_uw,reg_uw,total_uw\n";
-  power::GroupPower avg;
-  for (std::int32_t c = 0; c < resp.num_cycles; ++c) {
-    const power::GroupPower& g = resp.design[static_cast<std::size_t>(c)];
-    csv << util::format("%d,%.4f,%.4f,%.4f,%.4f\n", c, g.comb, g.clock, g.reg,
-                        g.total_no_memory());
-    avg += g;
-  }
-  const double inv = resp.num_cycles > 0 ? 1.0 / resp.num_cycles : 0.0;
-  std::printf("predicted post-layout power (avg over %d cycles): comb=%.3f "
-              "clock=%.3f reg=%.3f total=%.3f mW\n",
-              resp.num_cycles, avg.comb * inv / 1e3, avg.clock * inv / 1e3,
-              avg.reg * inv / 1e3, avg.total_no_memory() * inv / 1e3);
+  util::write_file(csv_path, power::prediction_csv(resp.design));
+  std::printf("%s", power::prediction_summary(resp.design).c_str());
   std::printf("server: %.1f ms, cache %s/%s; wrote %s\n",
               resp.server_seconds * 1e3,
               resp.design_cache_hit() ? "design-hit" : "design-miss",
@@ -339,15 +323,12 @@ int cmd_encode_trace(int argc, const char* const* argv) {
                              : liberty::load_liberty_file(cli.str("lib"));
   const netlist::Netlist nl = netlist::load_verilog_file(cli.str("in"), lib);
   const std::string vcd_text = read_file(cli.str("vcd"));
-  const sim::VcdData vcd = sim::parse_vcd(vcd_text, nl);
-  const std::string delta = sim::write_delta(nl, vcd);
-
-  std::ofstream out(cli.str("out"), std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + cli.str("out"));
-  out.write(delta.data(), static_cast<std::streamsize>(delta.size()));
-  if (!out) throw std::runtime_error("write failed: " + cli.str("out"));
+  const sim::ToggleTrace trace = sim::parse_vcd(vcd_text, nl);
+  const std::string delta = sim::write_delta(
+      nl, trace, sim::CycleSimulator(nl).clock_net_mask());
+  util::write_file(cli.str("out"), delta);
   std::printf("wrote %s: %d cycles, %zu nets; %zu -> %zu bytes (%.1fx)\n",
-              cli.str("out").c_str(), vcd.num_cycles, vcd.num_nets,
+              cli.str("out").c_str(), trace.num_cycles(), trace.num_nets(),
               vcd_text.size(), delta.size(),
               delta.empty() ? 0.0
                             : static_cast<double>(vcd_text.size()) /
