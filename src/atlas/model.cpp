@@ -94,16 +94,6 @@ std::vector<power::GroupPower> Prediction::component_average(
   return avg;
 }
 
-std::size_t DesignEmbeddings::approx_bytes() const {
-  std::size_t total = sizeof(*this);
-  for (const PerGraph& g : graphs) {
-    total += sizeof(PerGraph) + g.emb.size() * sizeof(float) +
-             g.extras.size() * sizeof(CycleExtras) +
-             (g.st.internal_fj.size() + g.st.cap_ff.size()) * sizeof(float);
-  }
-  return total;
-}
-
 Prediction AtlasModel::predict(const netlist::Netlist& gate,
                                const std::vector<SubmoduleGraph>& graphs,
                                const sim::ToggleTrace& gate_trace) const {

@@ -44,8 +44,7 @@ struct Prediction {
 /// per-sub-module static context plus, per cycle, the encoder's graph
 /// embedding and the paper's extra toggle-weighted features. Computing this
 /// is the expensive part of prediction (the encoder over every sub-module
-/// cycle); the serve-layer feature cache stores it so repeat queries on the
-/// same (design, workload) skip straight to the GBDT heads.
+/// cycle).
 struct DesignEmbeddings {
   struct PerGraph {
     SubmoduleStatic st;
@@ -54,8 +53,6 @@ struct DesignEmbeddings {
   };
   int num_cycles = 0;
   std::vector<PerGraph> graphs;  // aligned with the SubmoduleGraph vector
-
-  std::size_t approx_bytes() const;
 };
 
 class AtlasModel {

@@ -27,7 +27,7 @@ CellInstId Netlist::add_cell(std::string name, liberty::CellId lib_cell,
   const liberty::Cell& lc = lib_->cell(lib_cell);
   if (pin_nets.size() != lc.pins.size()) {
     throw std::invalid_argument(util::format(
-        "add_cell(%s): %zu nets for %zu pins of %s", name.c_str(),
+        "add_cell(%s): %zu nets for %zu pins of %s", util::excerpt(name).c_str(),
         pin_nets.size(), lc.pins.size(), lc.name.c_str()));
   }
   const CellInstId id = static_cast<CellInstId>(cells_.size());
@@ -35,7 +35,8 @@ CellInstId Netlist::add_cell(std::string name, liberty::CellId lib_cell,
     Net& net = nets_.at(pin_nets[p]);
     if (lc.pins[p].dir == PinDir::kOutput) {
       if (net.has_driver() || net.is_primary_input) {
-        throw std::invalid_argument("add_cell(" + name + "): net " + net.name +
+        throw std::invalid_argument("add_cell(" + util::excerpt(name) + "): net " +
+                                    util::excerpt(net.name) +
                                     " already driven");
       }
       net.driver = PinRef{id, static_cast<int>(p)};
@@ -67,7 +68,8 @@ int Netlist::add_component(std::string name) {
 void Netlist::mark_primary_input(NetId net) {
   Net& n = nets_.at(net);
   if (n.has_driver()) {
-    throw std::invalid_argument("primary input net already cell-driven: " + n.name);
+    throw std::invalid_argument("primary input net already cell-driven: " +
+                                util::excerpt(n.name));
   }
   n.is_primary_input = true;
 }

@@ -123,7 +123,7 @@ std::string describe(const Token& t) {
     case Token::kAttrOpen: return "'(*'";
     case Token::kAttrClose: return "'*)'";
     case Token::kEnd: return "end of input";
-    default: return "'" + std::string(t.text) + "'";
+    default: return "'" + util::excerpt(t.text) + "'";
   }
 }
 
@@ -256,7 +256,7 @@ class Parser {
       const auto it = nets_.find(*clock_net);
       if (it == nets_.end()) {
         throw VerilogParseError(
-            "clock_net names unknown net " + std::string(*clock_net), 0);
+            "clock_net names unknown net " + util::excerpt(*clock_net), 0);
       }
       nl.set_clock_net(it->second);
     }
@@ -350,7 +350,7 @@ class Parser {
     const std::string_view cell_name = take_ident("cell type");
     const auto lib_id = lib_.find(cell_name);
     if (!lib_id) {
-      throw VerilogParseError("unknown library cell '" + std::string(cell_name) + "'",
+      throw VerilogParseError("unknown library cell '" + util::excerpt(cell_name) + "'",
                               cur_.line);
     }
     const liberty::Cell& lc = lib_.cell(*lib_id);
@@ -366,11 +366,11 @@ class Parser {
       const auto pin = lc.pin_index(pin_name);
       if (!pin) {
         throw VerilogParseError(
-            "cell " + lc.name + " has no pin " + std::string(pin_name), cur_.line);
+            "cell " + lc.name + " has no pin " + util::excerpt(pin_name), cur_.line);
       }
       NetId& slot = pin_nets[static_cast<std::size_t>(*pin)];
       if (slot != kNoNet) {
-        throw VerilogParseError("pin " + std::string(pin_name) + " connected twice",
+        throw VerilogParseError("pin " + util::excerpt(pin_name) + " connected twice",
                                 cur_.line);
       }
       slot = intern_net(nl, net_name);
@@ -386,7 +386,7 @@ class Parser {
     }
     for (std::size_t p = 0; p < pin_nets.size(); ++p) {
       if (pin_nets[p] == kNoNet) {
-        throw VerilogParseError("instance " + std::string(inst_name) + " leaves pin " +
+        throw VerilogParseError("instance " + util::excerpt(inst_name) + " leaves pin " +
                                     lc.pins[p].name + " unconnected",
                                 cur_.line);
       }

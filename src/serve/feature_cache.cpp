@@ -38,9 +38,8 @@ CacheGauges& cache_gauges() {
   return *g;
 }
 
-std::size_t bytes_of(
-    const std::shared_ptr<const core::DesignEmbeddings>& emb) {
-  return emb ? emb->approx_bytes() : 0;
+std::size_t bytes_of(const std::shared_ptr<const core::Prediction>& p) {
+  return p ? approx_prediction_bytes(*p) : 0;
 }
 
 }  // namespace
@@ -64,6 +63,11 @@ std::size_t approx_design_bytes(const DesignArtifacts& d) {
     b += g.static_features.size() * sizeof(float);
   }
   return b;
+}
+
+std::size_t approx_prediction_bytes(const core::Prediction& p) {
+  return sizeof(core::Prediction) +
+         (p.design.size() + p.submodule.size()) * sizeof(power::GroupPower);
 }
 
 FeatureCache::FeatureCache(std::size_t max_designs,
@@ -95,7 +99,7 @@ void FeatureCache::touch(std::uint64_t key, Entry& e) {
 
 void FeatureCache::evict_if_needed() {
   // Count bound: strict, down to max_designs_. Byte bound: weigh each
-  // entry's design footprint plus its embeddings, but never evict the MRU
+  // entry's design footprint plus its predictions, but never evict the MRU
   // entry — a single over-budget design must still be servable.
   while (entries_.size() > max_designs_ ||
          (max_bytes_ > 0 && design_bytes_ + embedding_bytes_ > max_bytes_ &&
@@ -103,8 +107,8 @@ void FeatureCache::evict_if_needed() {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     const auto it = entries_.find(victim);
-    for (const auto& [k, emb] : it->second.embeddings) {
-      embedding_bytes_ -= bytes_of(emb);
+    for (const auto& [k, pred] : it->second.predictions) {
+      embedding_bytes_ -= bytes_of(pred);
     }
     design_bytes_ -= it->second.design_bytes;
     entries_.erase(it);
@@ -165,8 +169,8 @@ std::shared_ptr<const DesignArtifacts> FeatureCache::put_design(
   return winner;
 }
 
-std::shared_ptr<const core::DesignEmbeddings> FeatureCache::find_embeddings(
-    std::uint64_t design_key, const EmbeddingKey& emb_key) {
+std::shared_ptr<const core::Prediction> FeatureCache::find_prediction(
+    std::uint64_t design_key, const EmbeddingKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
   if (it == entries_.end()) {
@@ -174,8 +178,8 @@ std::shared_ptr<const core::DesignEmbeddings> FeatureCache::find_embeddings(
     publish_gauges();
     return nullptr;
   }
-  const auto eit = it->second.embeddings.find(emb_key);
-  if (eit == it->second.embeddings.end()) {
+  const auto pit = it->second.predictions.find(key);
+  if (pit == it->second.predictions.end()) {
     ++stats_.embedding_misses;
     publish_gauges();
     return nullptr;
@@ -183,46 +187,46 @@ std::shared_ptr<const core::DesignEmbeddings> FeatureCache::find_embeddings(
   ++stats_.embedding_hits;
   touch(design_key, it->second);
   publish_gauges();
-  return eit->second;
+  return pit->second;
 }
 
-std::shared_ptr<const core::DesignEmbeddings> FeatureCache::put_embeddings(
-    std::uint64_t design_key, const EmbeddingKey& emb_key,
-    std::shared_ptr<const core::DesignEmbeddings> emb) {
+std::shared_ptr<const core::Prediction> FeatureCache::put_prediction(
+    std::uint64_t design_key, const EmbeddingKey& key,
+    std::shared_ptr<const core::Prediction> pred) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
   // The design entry may have been evicted between the handler's lookup and
-  // this insert; the embeddings would be unreachable without their design,
-  // so they cannot be cached — but the lost encoder work is counted, never
-  // silent (cache effectiveness must stay observable), and the caller's
-  // freshly computed embeddings are handed straight back so the losing
-  // request still serves them.
+  // this insert; the prediction would be unreachable without its design,
+  // so it cannot be cached — but the lost work is counted, never silent
+  // (cache effectiveness must stay observable), and the caller's freshly
+  // computed prediction is handed straight back so the losing request
+  // still serves it.
   if (it == entries_.end()) {
     ++stats_.embedding_drops;
     publish_gauges();
-    return emb;
+    return pred;
   }
   Entry& e = it->second;
-  // Inserting embeddings is a use: make the design MRU so the byte-budget
+  // Inserting a result is a use: make the design MRU so the byte-budget
   // eviction below can never evict the entry that was just extended.
   touch(design_key, e);
-  const auto eit = e.embeddings.find(emb_key);
-  if (eit != e.embeddings.end()) {
+  const auto pit = e.predictions.find(key);
+  if (pit != e.predictions.end()) {
     // A racing request inserted the same key first. First insert wins: keep
     // the existing entry (byte accounting untouched) and return it so both
     // racers serve the pointer the cache holds.
     publish_gauges();
-    return eit->second;
+    return pit->second;
   }
-  embedding_bytes_ += bytes_of(emb);
-  std::shared_ptr<const core::DesignEmbeddings> winner = emb;
-  e.embeddings.emplace(emb_key, std::move(emb));
-  e.embedding_order.push_back(emb_key);
-  while (e.embeddings.size() > max_embeddings_per_design_) {
-    const auto victim = e.embeddings.find(e.embedding_order.front());
+  embedding_bytes_ += bytes_of(pred);
+  std::shared_ptr<const core::Prediction> winner = pred;
+  e.predictions.emplace(key, std::move(pred));
+  e.prediction_order.push_back(key);
+  while (e.predictions.size() > max_embeddings_per_design_) {
+    const auto victim = e.predictions.find(e.prediction_order.front());
     embedding_bytes_ -= bytes_of(victim->second);
-    e.embeddings.erase(victim);
-    e.embedding_order.pop_front();
+    e.predictions.erase(victim);
+    e.prediction_order.pop_front();
   }
   evict_if_needed();
   publish_gauges();
@@ -235,12 +239,12 @@ bool FeatureCache::peek_design(std::uint64_t key) const {
   return it != entries_.end() && it->second.design != nullptr;
 }
 
-bool FeatureCache::peek_embeddings(std::uint64_t design_key,
-                                   const EmbeddingKey& emb_key) const {
+bool FeatureCache::peek_prediction(std::uint64_t design_key,
+                                   const EmbeddingKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
   if (it == entries_.end()) return false;
-  return it->second.embeddings.count(emb_key) != 0;
+  return it->second.predictions.count(key) != 0;
 }
 
 FeatureCacheStats FeatureCache::stats() const {

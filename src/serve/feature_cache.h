@@ -1,4 +1,4 @@
-// LRU cache for the expensive per-design prediction artifacts.
+// LRU cache for per-design prediction artifacts and finished predictions.
 //
 // Two layers, keyed off the FNV-1a hash of the request's Verilog text mixed
 // with the content hash of the Liberty library it was parsed against (see
@@ -10,33 +10,38 @@
 //   design layer      (netlist hash, library hash) -> parsed netlist +
 //                     sub-module graphs (the per-design preprocessing every
 //                     request would otherwise repeat);
-//   embedding layer   (model, generation, workload, cycles, trace hash) ->
-//                     DesignEmbeddings (per-cycle encoder forwards + cycle
-//                     extras), nested under the design entry so evicting a
-//                     design drops its embeddings too. For streamed
-//                     workloads the trace hash pins the *content* of the
-//                     client-supplied toggle trace — two different traces
-//                     under the same workload name can never alias. The
-//                     registry generation invalidates embeddings across a
-//                     model reload under the same name.
+//   result layer      (model, generation, workload, cycles, trace hash) ->
+//                     the core::Prediction the GBDT heads produced, nested
+//                     under the design entry so evicting a design drops its
+//                     results too. For streamed workloads the trace hash
+//                     pins the *content* of the client-supplied toggle
+//                     trace — two different traces under the same workload
+//                     name can never alias. The registry generation
+//                     invalidates results across a model reload under the
+//                     same name. The layer keeps its older "embedding" name
+//                     in FeatureCacheStats, the atlas_serve_cache_embedding_*
+//                     gauges and the kCacheHitEmbeddings wire flag.
 //
-// A warm embedding hit skips netlist parsing, graph building, workload
-// simulation AND the encoder — the request goes straight to the GBDT
-// heads, which is the serving fast path the PR exists for. Entries are
-// immutable once inserted (shared_ptr<const>), so handlers running on
-// pool threads read them without further locking; the cache mutex only
-// guards the index. Concurrent misses on the same key may both compute
-// and insert — the first insert wins (results are identical by
+// A prediction depends on nothing but its key (the §4b determinism
+// contract makes it bit-identical every time), so a warm hit skips netlist
+// parsing, graph building, workload simulation, the encoder AND the GBDT
+// heads: the request only serializes the cached rows. The cached
+// prediction always holds the per-sub-module rows, whatever the request
+// that computed it asked for; each reply picks what its own request wants.
+// Entries are immutable once inserted (shared_ptr<const>), so handlers
+// running on pool threads read them without further locking; the cache
+// mutex only guards the index. Concurrent misses on the same key may both
+// compute and insert — the first insert wins (results are identical by
 // determinism), and put_* returns the winning entry so every racer serves
 // exactly what the cache retained.
 //
 // Eviction is cost-aware, not just count-based: every entry is weighed by
-// its design footprint plus DesignEmbeddings::approx_bytes(), and the LRU
-// tail is evicted while either the design count exceeds `max_designs` or
-// the total weight exceeds `max_bytes` — so one huge design cannot pin
-// memory that many cheap hot designs would use better. The most recently
-// used entry is never evicted by the byte budget (a single over-budget
-// design must still be servable).
+// its design footprint plus the byte size of its cached predictions, and
+// the LRU tail is evicted while either the design count exceeds
+// `max_designs` or the total weight exceeds `max_bytes` — so one huge
+// design cannot pin memory that many cheap hot designs would use better.
+// The most recently used entry is never evicted by the byte budget (a
+// single over-budget design must still be servable).
 #pragma once
 
 #include <cstdint>
@@ -76,8 +81,13 @@ std::uint64_t design_cache_key(std::uint64_t netlist_hash,
                                std::uint64_t library_hash);
 
 /// Approximate resident size of a design entry (netlist + graphs), used to
-/// weigh eviction victims alongside their embeddings' approx_bytes().
+/// weigh eviction victims alongside their cached predictions.
 std::size_t approx_design_bytes(const DesignArtifacts& d);
+
+/// Approximate resident size of a cached prediction: the object plus its
+/// per-cycle design and per-sub-module rows. The result layer's eviction
+/// weight.
+std::size_t approx_prediction_bytes(const core::Prediction& p);
 
 struct EmbeddingKey {
   std::string model;
@@ -86,8 +96,8 @@ struct EmbeddingKey {
   /// Content hash of an externally supplied toggle trace; 0 for the
   /// built-in synthetic workloads (whose name + cycles pin the stimulus).
   std::uint64_t trace_hash = 0;
-  /// ModelEntry::generation of the artifact that computed the embeddings.
-  /// A reload under the same name bumps it, so stale embeddings from the
+  /// ModelEntry::generation of the artifact that computed the prediction.
+  /// A reload under the same name bumps it, so stale results from the
   /// replaced artifact can never satisfy a lookup for the new one.
   std::uint64_t generation = 0;
 
@@ -103,9 +113,9 @@ struct FeatureCacheStats {
   std::uint64_t embedding_hits = 0;
   std::uint64_t embedding_misses = 0;
   std::uint64_t design_evictions = 0;
-  /// Freshly computed embeddings that could not be cached because their
+  /// Freshly computed predictions that could not be cached because their
   /// design entry was evicted between the handler's lookup and the insert.
-  /// The inserting request still serves them (put_embeddings returns the
+  /// The inserting request still serves them (put_prediction returns the
   /// caller's pointer), but future requests must recompute — nonzero values
   /// mean encoder work is being repeated; size the cache up.
   std::uint64_t embedding_drops = 0;
@@ -114,9 +124,9 @@ struct FeatureCacheStats {
 class FeatureCache {
  public:
   /// `max_designs` bounds the design layer (LRU); `max_embeddings_per_design`
-  /// bounds each entry's embedding map (oldest-inserted evicted first);
+  /// bounds each entry's result map (oldest-inserted evicted first);
   /// `max_bytes` bounds the summed approximate weight of designs +
-  /// embeddings (0 = unlimited).
+  /// predictions (0 = unlimited).
   explicit FeatureCache(std::size_t max_designs = 16,
                         std::size_t max_embeddings_per_design = 8,
                         std::size_t max_bytes = 0);
@@ -131,33 +141,33 @@ class FeatureCache {
   std::shared_ptr<const DesignArtifacts> put_design(
       std::uint64_t key, std::shared_ptr<const DesignArtifacts> d);
 
-  std::shared_ptr<const core::DesignEmbeddings> find_embeddings(
-      std::uint64_t design_key, const EmbeddingKey& emb_key);
-  /// Insert freshly computed embeddings, returning the winning entry. Three
-  /// cases: (a) normal insert — returns `emb`; (b) a racing request
+  std::shared_ptr<const core::Prediction> find_prediction(
+      std::uint64_t design_key, const EmbeddingKey& key);
+  /// Insert a freshly computed prediction, returning the winning entry.
+  /// Three cases: (a) normal insert — returns `pred`; (b) a racing request
   /// inserted the same key first — first insert wins, returns the cached
-  /// pointer and `emb` is discarded; (c) the design entry was evicted
-  /// between the handler's lookup and this insert — the embeddings cannot
-  /// be cached (counted in embedding_drops), but `emb` itself is returned
-  /// so the losing request still serves the encoder output it just paid
-  /// for instead of failing or recomputing.
-  std::shared_ptr<const core::DesignEmbeddings> put_embeddings(
-      std::uint64_t design_key, const EmbeddingKey& emb_key,
-      std::shared_ptr<const core::DesignEmbeddings> emb);
+  /// pointer and `pred` is discarded; (c) the design entry was evicted
+  /// between the handler's lookup and this insert — the prediction cannot
+  /// be cached (counted in embedding_drops), but `pred` itself is returned
+  /// so the losing request still serves the result it just paid for
+  /// instead of failing or recomputing.
+  std::shared_ptr<const core::Prediction> put_prediction(
+      std::uint64_t design_key, const EmbeddingKey& key,
+      std::shared_ptr<const core::Prediction> pred);
 
   /// Non-mutating presence probes for admission control (the overload shed
   /// path classifies a request warm/cold *before* deciding whether to queue
   /// it): no LRU touch, no hit/miss accounting — a shed decision must not
   /// perturb eviction order or the cache's observability.
   bool peek_design(std::uint64_t key) const;
-  bool peek_embeddings(std::uint64_t design_key,
-                       const EmbeddingKey& emb_key) const;
+  bool peek_prediction(std::uint64_t design_key,
+                       const EmbeddingKey& key) const;
 
   FeatureCacheStats stats() const;
   std::size_t num_designs() const;
-  /// Approximate bytes held by cached embeddings (all designs).
+  /// Bytes held by cached predictions (all designs).
   std::size_t embedding_bytes() const;
-  /// Approximate bytes held by the whole cache (designs + embeddings) —
+  /// Approximate bytes held by the whole cache (designs + predictions) —
   /// the quantity the `max_bytes` budget bounds.
   std::size_t total_bytes() const;
 
@@ -166,9 +176,9 @@ class FeatureCache {
     std::shared_ptr<const DesignArtifacts> design;
     std::size_t design_bytes = 0;
     // Insertion-ordered for simple FIFO eviction within one design.
-    std::map<EmbeddingKey, std::shared_ptr<const core::DesignEmbeddings>>
-        embeddings;
-    std::list<EmbeddingKey> embedding_order;
+    std::map<EmbeddingKey, std::shared_ptr<const core::Prediction>>
+        predictions;
+    std::list<EmbeddingKey> prediction_order;
     std::list<std::uint64_t>::iterator lru_pos;
   };
 
@@ -190,7 +200,7 @@ class FeatureCache {
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::list<std::uint64_t> lru_;  // front = most recently used
   FeatureCacheStats stats_;
-  std::size_t embedding_bytes_ = 0;  // approx bytes across all entries
+  std::size_t embedding_bytes_ = 0;  // prediction bytes across all entries
   std::size_t design_bytes_ = 0;     // approx bytes of design artifacts
 };
 

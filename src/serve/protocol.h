@@ -133,7 +133,7 @@ enum class ErrorCode : std::uint32_t {
   kAdminDisabled = 8,    // load/unload without --allow-admin
   kUnknownDesign = 9,    // design_hash not in the cache; re-send the netlist
   /// Admission control: the server is past its cold-request depth watermark
-  /// and this request would need encode-heavy work (design or embeddings not
+  /// and this request would need encode-heavy work (design or prediction not
   /// cached). The request was not queued; retry elsewhere or later. Warm
   /// requests are never shed — answering from the cache is cheaper than the
   /// round trip it would take the client to go anywhere else.
@@ -162,7 +162,7 @@ struct ServerTiming {
   std::uint64_t queue_us = 0;       // batch formed -> handler entry
   std::uint64_t cache_us = 0;       // feature-cache lookups
   std::uint64_t encode_us = 0;      // parse/sim/feature/encoder work
-  std::uint64_t predict_us = 0;     // GBDT head evaluation
+  std::uint64_t predict_us = 0;     // GBDT heads; 0 on a result-cache hit
   std::uint64_t serialize_us = 0;   // response payload encode
   std::uint64_t total_us = 0;       // enqueue -> response encoded
 };
@@ -344,7 +344,9 @@ struct StreamAck {
 
 /// Cache-path flags reported back to the client (and asserted by tests).
 inline constexpr std::uint32_t kCacheHitDesign = 1u << 0;      // graphs reused
-inline constexpr std::uint32_t kCacheHitEmbeddings = 1u << 1;  // encoder skipped
+// Result-cache hit: encoder and GBDT heads skipped (the name predates the
+// layer caching the prediction instead of the embeddings).
+inline constexpr std::uint32_t kCacheHitEmbeddings = 1u << 1;
 
 struct PredictResponse {
   std::uint32_t cache_flags = 0;

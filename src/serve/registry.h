@@ -15,7 +15,7 @@
 // artifact is destroyed when the last pinned reference drains. Every
 // (re)load under a name is stamped with a fresh generation from a
 // registry-wide counter; the serve feature cache folds the generation into
-// its embedding keys, so embeddings computed by a previous artifact under
+// its result keys, so predictions computed by a previous artifact under
 // the same name can never be served after a reload.
 #pragma once
 
@@ -40,7 +40,7 @@ struct ModelEntry {
   /// substrates never share parsed netlists.
   std::uint64_t library_hash = 0;
   /// Registry-unique stamp, bumped on every load/add; invalidates cached
-  /// embeddings across a reload under the same name.
+  /// predictions across a reload under the same name.
   std::uint64_t generation = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "util/arena.h"
 #include "util/hash.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 
 namespace atlas::serve {
 namespace {
@@ -31,7 +32,7 @@ std::uint64_t elapsed_us(Clock::time_point since) {
 /// Largest cycle count a single request may ask the server to simulate.
 constexpr std::int32_t kMaxRequestCycles = 1 << 20;
 
-/// Byte budget for the feature cache (designs + embeddings, approximate).
+/// Byte budget for the feature cache (designs + predictions, approximate).
 /// Eviction weighs entries by size, so one huge design cannot pin memory
 /// many cheap hot designs would use better.
 constexpr std::size_t kCacheMaxBytes = 512ull << 20;  // 512 MiB
@@ -277,8 +278,8 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
   // Phase A: per-job prework in parallel — trace scope, deadline
   // pre-check, registry pin, cache probes, parse/stimulus on misses.
   // Failures land in prep.reply; nothing here may escape (phase C owns the
-  // promise, so a job with neither reply nor emb would produce a bogus
-  // success — the catch-alls route every failure into prep.reply).
+  // promise and treats a job without a reply as a success — the catch-alls
+  // route every failure into prep.reply).
   util::ThreadPool::global().run(n, [&](std::size_t i) {
     PendingJob& job = *batch[i];
     PredictPrep& prep = preps[i];
@@ -306,7 +307,7 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
   });
 
   // Phase B: one encode_batch per distinct model over every job that
-  // missed the embedding cache, on the dispatcher thread — the pool's
+  // missed the result cache, on the dispatcher thread — the pool's
   // threads split the batch's (sub-module, cycle) segments, which beats
   // one-request-per-thread for the matmul-bound encoder. Jobs on the same
   // model share one call even across different designs. The encoder spans
@@ -326,34 +327,19 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
     pending = std::move(rest);
 
     const Clock::time_point t0 = Clock::now();
-    std::vector<std::shared_ptr<core::DesignEmbeddings>> outs;
     std::vector<core::AtlasModel::EncodeItem> items;
-    outs.reserve(group.size());
     items.reserve(group.size());
     try {
       for (const std::size_t i : group) {
-        auto out = std::make_shared<core::DesignEmbeddings>();
         items.push_back(core::AtlasModel::EncodeItem{
             &preps[i].design->gate, &preps[i].design->graphs,
-            &preps[i].toggles, out.get()});
-        outs.push_back(std::move(out));
+            &preps[i].toggles, &preps[i].emb});
       }
       model->encode_batch(items.data(), items.size(), thread_scratch());
+      // Every job in the group waited for the whole fused call; the shared
+      // wall time is each one's encode phase.
       const std::uint64_t encode_us = elapsed_us(t0);
-      for (std::size_t k = 0; k < group.size(); ++k) {
-        PredictPrep& prep = preps[group[k]];
-        // The insert returns the winning entry (a racing request may have
-        // populated the key first, or the design may have been evicted —
-        // see FeatureCache::put_embeddings), so the job always serves
-        // exactly what future lookups will see.
-        prep.emb = cache_.put_embeddings(
-            prep.design_key, prep.emb_key,
-            std::shared_ptr<const core::DesignEmbeddings>(
-                std::move(outs[k])));
-        // Every job in the group waited for the whole fused call; the
-        // shared wall time is each one's encode phase.
-        batch[group[k]]->timing.encode_us += encode_us;
-      }
+      for (const std::size_t i : group) batch[i]->timing.encode_us += encode_us;
     } catch (const std::exception& e) {
       for (const std::size_t i : group) {
         if (!preps[i].reply) {
@@ -371,7 +357,8 @@ void Server::run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch) {
     }
   }
 
-  // Phase C: heads, serialization and promise fulfillment fan back out.
+  // Phase C: heads (misses only), serialization and promise fulfillment
+  // fan back out.
   util::ThreadPool::global().run(n, [&](std::size_t i) {
     complete_fused_job(*batch[i], preps[i]);
   });
@@ -479,9 +466,9 @@ bool Server::predict_is_warm(const PendingJob& job) const {
   const std::uint64_t design_key =
       design_cache_key(job.netlist_hash, entry->library_hash);
   if (!cache_.peek_design(design_key)) return false;
-  const EmbeddingKey emb_key{req.model, req.workload, req.cycles,
-                             /*trace_hash=*/0, entry->generation};
-  return cache_.peek_embeddings(design_key, emb_key);
+  const EmbeddingKey key{req.model, req.workload, req.cycles,
+                         /*trace_hash=*/0, entry->generation};
+  return cache_.peek_prediction(design_key, key);
 }
 
 std::optional<Frame> Server::maybe_shed_predict(const PendingJob& job) {
@@ -842,7 +829,8 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   const std::shared_ptr<const ModelEntry>& entry = prep.entry;
   if (!entry) {
     prep.reply =
-        error_reply(ErrorCode::kUnknownModel, "unknown model: " + req.model);
+        error_reply(ErrorCode::kUnknownModel,
+                    "unknown model: " + util::excerpt(req.model));
     return;
   }
   const bool external = trace != nullptr;
@@ -864,7 +852,7 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
     } else {
       prep.reply = error_reply(
           ErrorCode::kUnknownWorkload,
-          "unknown workload: " + req.workload + " (use w1|w2)");
+          "unknown workload: " + util::excerpt(req.workload) + " (use w1|w2)");
       return;
     }
     if (req.cycles <= 0 || req.cycles > kMaxRequestCycles) {
@@ -940,20 +928,20 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   // For streamed traces the key carries the trace's content hash, so two
   // different uploads can never alias — and a warm hit skips even the VCD
   // parse (the hash alone identifies the stimulus). The registry generation
-  // makes a reload under the same name a guaranteed miss: embeddings from
-  // the replaced artifact are stale (different encoder weights), never
-  // merely cold.
-  prep.emb_key = EmbeddingKey{req.model, req.workload, req.cycles,
-                              external ? trace->content_hash() : 0,
-                              entry->generation};
+  // makes a reload under the same name a guaranteed miss: a prediction
+  // from the replaced artifact is stale (different weights), never merely
+  // cold.
+  prep.pred_key = EmbeddingKey{req.model, req.workload, req.cycles,
+                               external ? trace->content_hash() : 0,
+                               entry->generation};
   phase_start = Clock::now();
-  prep.emb = cache_.find_embeddings(design_key, prep.emb_key);
+  prep.pred = cache_.find_prediction(design_key, prep.pred_key);
   job.timing.cache_us += elapsed_us(phase_start);
-  if (prep.emb) {
+  if (prep.pred) {
     prep.cache_flags |= kCacheHitEmbeddings;
     return;
   }
-  // Embedding miss: resolve the stimulus here (still per-job parallel work)
+  // Result miss: resolve the stimulus here (still per-job parallel work)
   // and leave the encoder itself to the caller: one fused encode_batch per
   // model over the whole dispatcher batch.
   phase_start = Clock::now();
@@ -988,12 +976,26 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
 
 Frame Server::finish_predict(PendingJob& job, PredictPrep& prep) {
   const PredictRequest& req = job.request;
-  Clock::time_point phase_start = Clock::now();
-  // Head scratch (feature-row blocks, per-row outputs) comes from this
-  // thread's recycled arena: zero steady-state mallocs.
-  const core::Prediction pred = prep.entry->model->predict_from_embeddings(
-      prep.design->gate, prep.design->graphs, *prep.emb, &thread_scratch());
-  job.timing.predict_us = elapsed_us(phase_start);
+  Clock::time_point phase_start;
+  if (!prep.pred) {
+    phase_start = Clock::now();
+    // Head scratch (feature-row blocks, per-row outputs) comes from this
+    // thread's recycled arena: zero steady-state mallocs.
+    auto computed = std::make_shared<const core::Prediction>(
+        prep.entry->model->predict_from_embeddings(
+            prep.design->gate, prep.design->graphs, prep.emb,
+            &thread_scratch()));
+    job.timing.predict_us = elapsed_us(phase_start);
+    // The insert returns the winning entry (a racing request may have
+    // populated the key first, or the design may have been evicted — see
+    // FeatureCache::put_prediction), so the job serves exactly what future
+    // lookups will see.
+    phase_start = Clock::now();
+    prep.pred = cache_.put_prediction(prep.design_key, prep.pred_key,
+                                      std::move(computed));
+    job.timing.cache_us += elapsed_us(phase_start);
+  }
+  const core::Prediction& pred = *prep.pred;
 
   PredictResponse resp;
   resp.cache_flags = prep.cache_flags;

@@ -19,16 +19,17 @@
 //     (whatever is queued when it wakes, capped at `batch_max`). Every
 //     batch executes in three phases: per-job prework fans out on
 //     util::ThreadPool::global() (parse, cache probes, stimulus), then all
-//     jobs that need the encoder run as ONE AtlasModel::encode_batch call
-//     per model on the dispatcher thread — so the pool's threads split the
-//     whole batch's distinct (sub-module, cycle) segments, one segment per
-//     task, instead of one request each — then per-job heads +
-//     serialization fan out on the pool again. Scratch for the batched
-//     encode and the heads comes from one thread_local util::Arena per
-//     thread, reset at each use, so steady-state batches allocate nothing.
-//     Each reply is bit-identical to
-//     a direct AtlasModel::predict at any batch size and thread count —
-//     the determinism contract tests pin this.
+//     jobs that missed the result cache run as ONE
+//     AtlasModel::encode_batch call per model on the dispatcher thread —
+//     so the pool's threads split the whole batch's distinct (sub-module,
+//     cycle) segments, one segment per task, instead of one request each —
+//     then per-job work fans out on the pool again: a miss runs the GBDT
+//     heads over its batch-local embeddings and caches the prediction, a
+//     hit only serializes the cached one. Scratch for the batched encode
+//     and the heads comes from one thread_local util::Arena per thread,
+//     reset at each use, so steady-state batches allocate nothing. Each
+//     reply is bit-identical to a direct AtlasModel::predict at any batch
+//     size and thread count — the determinism contract tests pin this.
 //
 // Failure containment: any malformed frame, undecodable payload, unknown
 // model/workload, or handler exception turns into an Error response (or at
@@ -89,7 +90,7 @@ struct ServerConfig : ListenConfig {
   bool allow_admin = false;
   /// Overload shedding watermark: when the number of admitted-but-unanswered
   /// predict jobs (queued + in flight) is at or past this, *cold* predict
-  /// requests — design or embeddings not cached, i.e. the encode-heavy ones
+  /// requests — design or prediction not cached, i.e. the encode-heavy ones
   /// — are answered kOverloaded immediately instead of queuing toward a
   /// deadline timeout. Warm requests are always admitted: a cache hit costs
   /// less than the client's retry would. 0 disables shedding.
@@ -200,20 +201,24 @@ class Server {
 
   /// Everything a predict job computes before (and carries past) the
   /// encoder: the pinned registry entry, resolved cache keys and lookups,
-  /// and — on an embedding miss — the toggle trace the encoder will
-  /// consume. Produced per job by prepare_predict (phase A of a fused
-  /// batch), consumed by the grouped encode (phase B) and finish_predict
-  /// (phase C).
+  /// and — on a result-cache miss — the toggle trace the encoder will
+  /// consume and the embeddings it fills. Produced per job by
+  /// prepare_predict (phase A of a fused batch), consumed by the grouped
+  /// encode (phase B) and finish_predict (phase C); it lives only as long
+  /// as its batch.
   struct PredictPrep {
     std::shared_ptr<const ModelEntry> entry;
     std::shared_ptr<const DesignArtifacts> design;
-    std::shared_ptr<const core::DesignEmbeddings> emb;
-    EmbeddingKey emb_key;
+    /// The cached prediction on a hit; set by finish_predict on a miss.
+    std::shared_ptr<const core::Prediction> pred;
+    EmbeddingKey pred_key;
     std::uint64_t design_key = 0;
     std::uint32_t cache_flags = 0;
     /// Stimulus for the encoder; only populated when needs_encode.
     sim::ToggleTrace toggles;
-    /// Embedding-cache miss: the job joins phase B's encode_batch.
+    /// Filled by phase B's encode_batch; only used when needs_encode.
+    core::DesignEmbeddings emb;
+    /// Result-cache miss: the job joins phase B's encode_batch.
     bool needs_encode = false;
     std::chrono::steady_clock::time_point handler_start{};
     /// The request's trace context (minted root if the client sent none
@@ -233,10 +238,10 @@ class Server {
   /// Execution of one dispatcher batch: phase A fans per-job prework
   /// out on the pool (prepare_predict under the job's trace scope), phase
   /// B runs ONE AtlasModel::encode_batch per distinct model over all jobs
-  /// that missed the embedding cache (dispatcher thread; the pool threads
-  /// split its (sub-module, cycle) segments), phase C fans per-job heads +
-  /// serialization + promise fulfillment back out on the pool. Scratch for
-  /// the batched encode is the dispatcher thread's arena.
+  /// that missed the result cache (dispatcher thread; the pool threads
+  /// split its (sub-module, cycle) segments), phase C fans per-job heads
+  /// (misses only) + serialization + promise fulfillment back out on the
+  /// pool. Scratch for the batched encode is the dispatcher thread's arena.
   void run_batch_fused(std::vector<std::shared_ptr<PendingJob>>& batch);
   /// Phase C worker: finish one prepared job and fulfill its promise.
   /// Never throws and never leaves the promise unfulfilled: the connection
@@ -257,7 +262,7 @@ class Server {
   /// netlist text. The hashing time is charged to job.timing.cache_us.
   static void admit_netlist(PendingJob& job, std::uint64_t client_hash);
   /// Admission check for the shed watermark: true when the request would be
-  /// answered from the caches (design AND embeddings present — const peeks,
+  /// answered from the caches (design AND prediction present — const peeks,
   /// no LRU perturbation). Unknown models return true so the normal path
   /// answers kUnknownModel instead of a misleading kOverloaded.
   bool predict_is_warm(const PendingJob& job) const;
@@ -277,20 +282,22 @@ class Server {
   /// timing phases, pins the registry entry (model + library) for the whole
   /// request, so a concurrent unload/replace never invalidates running
   /// work, validates the workload, resolves the design (cache or parse) and
-  /// probes the embedding cache. job.trace is the assembled client-supplied
+  /// probes the result cache. job.trace is the assembled client-supplied
   /// toggle trace for streamed requests, null for the synthetic w1/w2
   /// workloads. job.netlist_hash is the design-cache key component; a miss
   /// for a request without netlist text (a design-by-hash stream) answers
   /// kUnknownDesign (the StreamBegin-time check can race eviction, so it is
-  /// re-checked here) instead of parsing. On an embedding miss it
+  /// re-checked here) instead of parsing. On a result miss it
   /// resolves/simulates the toggle trace into prep.toggles and sets
   /// prep.needs_encode; any terminal failure lands in prep.reply. Emits the
   /// per-request "handle_predict" span (the caller must have installed the
   /// job's trace scope). Fills job.timing phases up to the encoder.
   void prepare_predict(PendingJob& job, PredictPrep& prep);
-  /// Second half: GBDT heads over the embeddings (scratch from the calling
-  /// thread's arena), response assembly, serialization and the timing
-  /// extension. Requires prep.emb to be populated.
+  /// Second half. On a miss: GBDT heads over prep.emb (scratch from the
+  /// calling thread's arena) and the first-insert-wins cache insert, after
+  /// which the job serves the entry the cache returned. On a hit
+  /// (prep.pred already set) no heads run and timing.predict_us stays 0.
+  /// Then response assembly, serialization and the timing extension.
   Frame finish_predict(PendingJob& job, PredictPrep& prep);
 
   /// Emit the slow-request log line / counter for a finished job if it

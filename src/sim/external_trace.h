@@ -15,7 +15,7 @@
 // stay bit-identical on the same underlying trace.
 //
 // The blob is kept verbatim (not pre-parsed) on purpose:
-//   * the serve layer caches embeddings keyed by content_hash(), so a warm
+//   * the serve layer caches predictions keyed by content_hash(), so a warm
 //     request never parses the trace at all;
 //   * resolution needs the target netlist for name/index binding, which
 //     arrives separately (offline: a Verilog file; online: the request's

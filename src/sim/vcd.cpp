@@ -103,7 +103,7 @@ ToggleTrace parse_vcd(std::string_view text, const netlist::Netlist& nl,
         if (words[5].empty()) throw TraceError("vcd: malformed $var");
         const auto it = net_by_name.find(words[4]);
         if (it == net_by_name.end()) {
-          throw TraceError("vcd: unknown net " + std::string(words[4]));
+          throw TraceError("vcd: unknown net " + util::excerpt(words[4]));
         }
         id_to_net.emplace(words[3], it->second);
       } else if (util::starts_with(t, "$enddefinitions")) {
@@ -118,13 +118,13 @@ ToggleTrace parse_vcd(std::string_view text, const netlist::Netlist& nl,
       const std::string digits{t.substr(1)};
       if (digits.empty() ||
           digits.find_first_not_of("0123456789") != std::string::npos) {
-        throw TraceError("vcd: bad timestamp: " + std::string(t));
+        throw TraceError("vcd: bad timestamp: " + util::excerpt(t));
       }
       long long stamp = 0;
       for (const char c : digits) {
         stamp = stamp * 10 + (c - '0');
         if (stamp > max_cycles) {
-          throw TraceError("vcd: timestamp " + digits +
+          throw TraceError("vcd: timestamp " + util::excerpt(digits) +
                            " exceeds cycle limit " +
                            std::to_string(max_cycles));
         }
@@ -136,12 +136,12 @@ ToggleTrace parse_vcd(std::string_view text, const netlist::Netlist& nl,
     if (t[0] == '0' || t[0] == '1') {
       const auto it = id_to_net.find(t.substr(1));
       if (it == id_to_net.end()) {
-        throw TraceError("vcd: unknown id " + std::string(t.substr(1)));
+        throw TraceError("vcd: unknown id " + util::excerpt(t.substr(1)));
       }
       current[it->second] = t[0] == '1' ? 1 : 0;
       continue;
     }
-    throw TraceError("vcd: unexpected line: " + std::string(t));
+    throw TraceError("vcd: unexpected line: " + util::excerpt(t));
   }
 
   return ToggleTrace::replay(nl, cycles, std::move(levels));

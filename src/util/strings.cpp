@@ -14,6 +14,13 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+std::string excerpt(std::string_view s) {
+  constexpr std::size_t kMaxBytes = 64;
+  if (s.size() <= kMaxBytes) return std::string(s);
+  return std::string(s.substr(0, kMaxBytes)) + "... (" +
+         std::to_string(s.size()) + " bytes)";
+}
+
 std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;

@@ -24,6 +24,12 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// with no '\n' is still returned and a final '\n' starts no empty line.
 bool next_line(std::string_view& rest, std::string_view& line);
 
+/// `s` as an error message may quote it: unchanged up to 64 bytes, else
+/// its first 64 bytes, "..." and its full length. Parsers use it for every
+/// input word they echo, so a hostile upload cannot make the error a server
+/// sends back as large as the upload itself.
+std::string excerpt(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

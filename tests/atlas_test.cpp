@@ -427,7 +427,6 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
       "encode vs reference");
   EXPECT_EQ(emb.num_cycles, direct.num_cycles);
   EXPECT_EQ(emb.graphs.size(), test_->gate_graphs.size());
-  EXPECT_GT(emb.approx_bytes(), 0u);
   for (int round = 0; round < 2; ++round) {
     const Prediction split =
         model.predict_from_embeddings(test_->gate, test_->gate_graphs, emb);

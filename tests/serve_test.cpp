@@ -455,6 +455,94 @@ TEST_F(ServeTest, ConcurrentClientsAllBitIdentical) {
   server.stop();
 }
 
+TEST_F(ServeTest, WarmHitServesSubmoduleRowsWhateverThePrimingRequestAsked) {
+  // The result cache holds the whole prediction; want_submodules only picks
+  // what one reply carries. A key primed without sub-module rows must still
+  // answer a later request that wants them, and the reverse.
+  Server server(loopback_config(), make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+
+  PredictRequest lean = make_request();
+  lean.want_submodules = false;
+  const PredictResponse primed = client.predict(lean);
+  EXPECT_FALSE(primed.embedding_cache_hit());
+  EXPECT_TRUE(primed.submodule.empty());
+  EXPECT_TRUE(same_bits(primed.design, expected_w1_->design));
+  const PredictResponse full = client.predict(make_request());
+  EXPECT_TRUE(full.embedding_cache_hit());
+  expect_matches_direct(full, *expected_w1_);
+
+  const core::Prediction expected_w2 = direct_predict("w2");
+  const PredictResponse primed_full = client.predict(make_request("w2"));
+  EXPECT_FALSE(primed_full.embedding_cache_hit());
+  expect_matches_direct(primed_full, expected_w2);
+  PredictRequest lean_w2 = make_request("w2");
+  lean_w2.want_submodules = false;
+  const PredictResponse lean_hit = client.predict(lean_w2);
+  EXPECT_TRUE(lean_hit.embedding_cache_hit());
+  EXPECT_TRUE(lean_hit.submodule.empty());
+  EXPECT_EQ(lean_hit.num_submodules, expected_w2.num_submodules);
+  EXPECT_TRUE(same_bits(lean_hit.design, expected_w2.design));
+  server.stop();
+}
+
+TEST_F(ServeTest, IdenticalColdRequestsInOneBatchCacheOnePrediction) {
+  // Two identical cold requests in one dispatcher batch both run the
+  // encoder and the heads, and both insert: the first insert wins, both
+  // replies are the same bits, and the cache keeps a single entry.
+  ServerConfig cfg = loopback_config();
+  cfg.batch_max = 4;
+  cfg.dispatch_delay_for_test_ms = 300;
+  Server server(cfg, make_registry());
+  server.start();
+
+  // A blocker parks the dispatcher in its batch's delay so both cold
+  // requests queue up behind it. Its unknown model touches no cache entry.
+  std::thread blocker([&] {
+    Client client = Client::connect_tcp("127.0.0.1", server.port());
+    try {
+      client.predict(make_request("w1", "no_such_model"));
+      ADD_FAILURE() << "expected kUnknownModel";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnknownModel);
+    }
+  });
+  while (server.inflight_jobs() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  PredictResponse replies[2];
+  std::vector<std::thread> racers;
+  for (PredictResponse& reply : replies) {
+    racers.emplace_back([&] {
+      Client client = Client::connect_tcp("127.0.0.1", server.port());
+      reply = client.predict(make_request());
+    });
+  }
+  for (std::thread& t : racers) t.join();
+  blocker.join();
+
+  // Both missed (so they shared a batch: a later batch would have hit).
+  for (const PredictResponse& reply : replies) {
+    EXPECT_FALSE(reply.embedding_cache_hit());
+    expect_matches_direct(reply, *expected_w1_);
+  }
+  EXPECT_TRUE(same_bits(replies[0].design, replies[1].design));
+  EXPECT_TRUE(same_bits(replies[0].submodule, replies[1].submodule));
+  const HealthResponse health = server.health_snapshot();
+  EXPECT_EQ(health.cache_designs, 1u);
+  EXPECT_EQ(health.cache_embedding_bytes,
+            approx_prediction_bytes(*expected_w1_));
+  EXPECT_EQ(server.cache_stats().embedding_misses, 2u);
+  EXPECT_EQ(server.cache_stats().embedding_drops, 0u);
+
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+  const PredictResponse warm = client.predict(make_request());
+  EXPECT_TRUE(warm.embedding_cache_hit());
+  expect_matches_direct(warm, *expected_w1_);
+  server.stop();
+}
+
 TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
   Server server(loopback_config(), make_registry());
   server.start();
@@ -522,6 +610,64 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
   // The same connection still works after every rejection...
   client.ping();
   // ...and so does real work.
+  expect_matches_direct(client.predict(make_request()), *expected_w1_);
+  server.stop();
+}
+
+TEST_F(ServeTest, ErrorRepliesQuoteOnlyAPrefixOfHugeInputWords) {
+  // Parser errors name the offending word; a hostile upload must not get
+  // its own megabyte echoed back in the reply.
+  Server server(loopback_config(), make_registry());
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.port());
+  const std::string huge(1u << 20, 'x');
+  constexpr std::size_t kShort = 512;
+
+  StreamBeginRequest begin;
+  begin.model = "tiny";
+  begin.netlist_verilog = *verilog_;
+  begin.format = TraceFormat::kVcdText;
+  for (const std::string& vcd :
+       {"$var wire 1 ! " + huge + " $end",
+        "$enddefinitions $end\n#" + huge,
+        "$enddefinitions $end\n#" + std::string(1u << 20, '9'),
+        "$enddefinitions $end\n#0\n1" + huge,
+        "$enddefinitions $end\n" + huge}) {
+    try {
+      client.predict_stream(begin, vcd);
+      ADD_FAILURE() << "expected ServeError";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+      EXPECT_LT(std::strlen(e.what()), kShort) << std::string(e.what(), 80);
+    }
+  }
+
+  const std::string head = "module m (a, y);\n  input a;\n  output y;\n";
+  for (const std::string& text :
+       {head + "  " + huge + " u0 (.A(a), .Y(y));\nendmodule\n",
+        head + "  INV_X1 " + huge + " (.A(a));\nendmodule\n",
+        head + "  INV_X1 u0 (." + huge + "(a), .Y(y));\nendmodule\n",
+        head + "  INV_X1 u0 (.A(a), .Y(" + huge + "));\n  INV_X1 u1 (.A(a), .Y(" +
+            huge + "));\nendmodule\n",
+        head + "  INV_X1 u0 (.A(a) " + huge + ");\nendmodule\n"}) {
+    PredictRequest req = make_request();
+    req.netlist_verilog = text;
+    try {
+      client.predict(req);
+      ADD_FAILURE() << "expected ServeError";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+      EXPECT_LT(std::strlen(e.what()), kShort) << std::string(e.what(), 80);
+    }
+  }
+  PredictRequest huge_model = make_request("w1", huge);
+  try {
+    client.predict(huge_model);
+    ADD_FAILURE() << "expected ServeError";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnknownModel);
+    EXPECT_LT(std::strlen(e.what()), kShort);
+  }
   expect_matches_direct(client.predict(make_request()), *expected_w1_);
   server.stop();
 }
@@ -1724,30 +1870,28 @@ TEST_F(ServeTest, FeatureCacheLruEvictsOldestDesign) {
   EXPECT_EQ(cache.stats().design_evictions, 1u);
 }
 
+/// A Prediction whose size is dominated by `rows` sub-module rows — lets a
+/// test dial entry weights apart (32 rows ~ 1 KiB).
+std::shared_ptr<const core::Prediction> prediction_of_rows(std::size_t rows) {
+  core::Prediction p;
+  p.submodule.resize(rows);
+  return std::make_shared<const core::Prediction>(std::move(p));
+}
+
 TEST_F(ServeTest, FeatureCacheEmbeddingLayerBoundsAndEviction) {
   FeatureCache cache(2, 2);
   auto d = dummy_design(*lib_);
   cache.put_design(1, d);
-  auto emb = std::make_shared<const core::DesignEmbeddings>();
-  cache.put_embeddings(1, {"m", "w1", 10}, emb);
-  cache.put_embeddings(1, {"m", "w2", 10}, emb);
-  cache.put_embeddings(1, {"m", "w1", 20}, emb);  // evicts {m,w1,10}
-  EXPECT_EQ(cache.find_embeddings(1, {"m", "w1", 10}), nullptr);
-  EXPECT_NE(cache.find_embeddings(1, {"m", "w2", 10}), nullptr);
-  EXPECT_NE(cache.find_embeddings(1, {"m", "w1", 20}), nullptr);
-  // Embeddings for an unknown design are dropped, not crashed on.
-  cache.put_embeddings(99, {"m", "w1", 10}, emb);
-  EXPECT_EQ(cache.find_embeddings(99, {"m", "w1", 10}), nullptr);
-}
-
-/// DesignEmbeddings whose approx_bytes() is dominated by one matrix of
-/// `rows` x 16 floats — lets a test dial entry weights apart.
-std::shared_ptr<const core::DesignEmbeddings> embeddings_of_rows(
-    std::size_t rows) {
-  core::DesignEmbeddings emb;
-  emb.graphs.emplace_back();
-  emb.graphs.back().emb = ml::Matrix(rows, 16);
-  return std::make_shared<const core::DesignEmbeddings>(std::move(emb));
+  auto pred = prediction_of_rows(0);
+  cache.put_prediction(1, {"m", "w1", 10}, pred);
+  cache.put_prediction(1, {"m", "w2", 10}, pred);
+  cache.put_prediction(1, {"m", "w1", 20}, pred);  // evicts {m,w1,10}
+  EXPECT_EQ(cache.find_prediction(1, {"m", "w1", 10}), nullptr);
+  EXPECT_NE(cache.find_prediction(1, {"m", "w2", 10}), nullptr);
+  EXPECT_NE(cache.find_prediction(1, {"m", "w1", 20}), nullptr);
+  // Predictions for an unknown design are dropped, not crashed on.
+  cache.put_prediction(99, {"m", "w1", 10}, pred);
+  EXPECT_EQ(cache.find_prediction(99, {"m", "w1", 10}), nullptr);
 }
 
 TEST_F(ServeTest, FeatureCacheByteBudgetEvictsBySize) {
@@ -1755,7 +1899,7 @@ TEST_F(ServeTest, FeatureCacheByteBudgetEvictsBySize) {
   const std::size_t design_cost = approx_design_bytes(*d);
   ASSERT_GT(design_cost, 0u);
   // Count-wise all three designs fit; byte-wise the budget has headroom for
-  // the designs plus a small embedding set, but not a huge one.
+  // the designs plus a small prediction, but not a huge one.
   FeatureCache cache(/*max_designs=*/8, /*max_embeddings_per_design=*/8,
                      /*max_bytes=*/3 * design_cost + (2u << 20));
   cache.put_design(1, d);
@@ -1763,30 +1907,30 @@ TEST_F(ServeTest, FeatureCacheByteBudgetEvictsBySize) {
   cache.put_design(3, d);
   EXPECT_EQ(cache.num_designs(), 3u);
 
-  // ~1 KiB embedding on design 3: still under budget, nothing evicted.
-  cache.put_embeddings(3, {"m", "w1", 10}, embeddings_of_rows(16));
+  // ~1 KiB prediction on design 3: still under budget, nothing evicted.
+  cache.put_prediction(3, {"m", "w1", 10}, prediction_of_rows(32));
   EXPECT_EQ(cache.num_designs(), 3u);
   EXPECT_EQ(cache.stats().design_evictions, 0u);
 
-  // ~4 MiB embedding on design 2 blows the budget: cold entries go by LRU
+  // ~4 MiB prediction on design 2 blows the budget: cold entries go by LRU
   // order (1 first, then 3), the freshly used design 2 survives even though
   // it alone is over budget — a single huge design must stay servable.
-  cache.put_embeddings(2, {"m", "w1", 10}, embeddings_of_rows(1u << 16));
+  cache.put_prediction(2, {"m", "w1", 10}, prediction_of_rows(1u << 17));
   EXPECT_EQ(cache.num_designs(), 1u);
   EXPECT_EQ(cache.stats().design_evictions, 2u);
   EXPECT_EQ(cache.find_design(1), nullptr);
   EXPECT_EQ(cache.find_design(3), nullptr);
   EXPECT_NE(cache.find_design(2), nullptr);
-  EXPECT_NE(cache.find_embeddings(2, {"m", "w1", 10}), nullptr);
-  // Evicting design 3 dropped its embeddings with it.
-  EXPECT_EQ(cache.find_embeddings(3, {"m", "w1", 10}), nullptr);
+  EXPECT_NE(cache.find_prediction(2, {"m", "w1", 10}), nullptr);
+  // Evicting design 3 dropped its prediction with it.
+  EXPECT_EQ(cache.find_prediction(3, {"m", "w1", 10}), nullptr);
   // The budget still accounts the surviving over-budget entry honestly.
   EXPECT_GT(cache.total_bytes(), 3 * design_cost + (2u << 20));
 }
 
 TEST_F(ServeTest, FeatureCacheCountsDroppedEmbeddings) {
   // The eviction race a busy server hits with a tiny cache: a handler looks
-  // up design 1, computes embeddings for it, but by insert time the design
+  // up design 1, computes its prediction, but by insert time the design
   // entry is gone. The work is discarded — and must be counted, because a
   // climbing drop counter is the signal to size the cache up.
   FeatureCache cache(/*max_designs=*/1, /*max_embeddings_per_design=*/8);
@@ -1794,9 +1938,9 @@ TEST_F(ServeTest, FeatureCacheCountsDroppedEmbeddings) {
   cache.put_design(1, d);
   cache.put_design(2, d);  // evicts design 1
   EXPECT_EQ(cache.stats().embedding_drops, 0u);
-  cache.put_embeddings(1, {"m", "w1", 10}, embeddings_of_rows(16));
+  cache.put_prediction(1, {"m", "w1", 10}, prediction_of_rows(32));
   EXPECT_EQ(cache.stats().embedding_drops, 1u);
-  EXPECT_EQ(cache.find_embeddings(1, {"m", "w1", 10}), nullptr);
+  EXPECT_EQ(cache.find_prediction(1, {"m", "w1", 10}), nullptr);
 
   // The drop surfaces in both the gauge and the stats text.
   EXPECT_NE(obs::Registry::global().render_prometheus().find(
@@ -1811,7 +1955,7 @@ TEST_F(ServeTest, FeatureCacheInsertReturnsWinningEntry) {
   // Two requests race on the same cold key: both compute, both insert. The
   // first insert wins; the loser must get the winner's pointer back (so it
   // serves exactly what the cache retained), and on the eviction race the
-  // caller must get its own computed embeddings back instead of nothing.
+  // caller must get its own computed prediction back instead of nothing.
   FeatureCache cache(/*max_designs=*/2, /*max_embeddings_per_design=*/8);
   auto d1 = dummy_design(*lib_);
   auto d2 = dummy_design(*lib_);
@@ -1819,23 +1963,24 @@ TEST_F(ServeTest, FeatureCacheInsertReturnsWinningEntry) {
   EXPECT_EQ(cache.put_design(1, d2), d1);  // racer loses: winner returned
   EXPECT_EQ(cache.find_design(1), d1);
 
-  auto e1 = embeddings_of_rows(16);
-  auto e2 = embeddings_of_rows(16);
-  EXPECT_EQ(cache.put_embeddings(1, {"m", "w1", 10}, e1), e1);
+  auto p1 = prediction_of_rows(32);
+  auto p2 = prediction_of_rows(32);
+  EXPECT_EQ(cache.put_prediction(1, {"m", "w1", 10}, p1), p1);
   const std::size_t bytes_after_first = cache.embedding_bytes();
+  EXPECT_EQ(bytes_after_first, approx_prediction_bytes(*p1));
   // Losing racer: existing entry returned, byte accounting unchanged (the
   // duplicate is discarded, not double-counted).
-  EXPECT_EQ(cache.put_embeddings(1, {"m", "w1", 10}, e2), e1);
+  EXPECT_EQ(cache.put_prediction(1, {"m", "w1", 10}, p2), p1);
   EXPECT_EQ(cache.embedding_bytes(), bytes_after_first);
-  EXPECT_EQ(cache.find_embeddings(1, {"m", "w1", 10}), e1);
+  EXPECT_EQ(cache.find_prediction(1, {"m", "w1", 10}), p1);
 
   // Eviction race: the design entry is gone by insert time. The drop is
-  // counted, but the caller still gets its computed embeddings to serve.
+  // counted, but the caller still gets its computed prediction to serve.
   cache.put_design(2, d2);
   cache.put_design(3, d1);  // evicts design 1 (capacity 2)
   ASSERT_EQ(cache.find_design(1), nullptr);
-  auto e3 = embeddings_of_rows(16);
-  EXPECT_EQ(cache.put_embeddings(1, {"m", "w1", 10}, e3), e3);
+  auto p3 = prediction_of_rows(32);
+  EXPECT_EQ(cache.put_prediction(1, {"m", "w1", 10}, p3), p3);
   EXPECT_EQ(cache.stats().embedding_drops, 1u);
 }
 
@@ -2097,6 +2242,13 @@ TEST_F(ServeTest, WantTimingReturnsPerPhaseBreakdown) {
                 resp.timing.cache_us + resp.timing.encode_us +
                 resp.timing.predict_us + resp.timing.serialize_us,
             resp.timing.total_us);
+
+  // A warm hit serves the cached prediction: no heads run.
+  const PredictResponse warm = client.predict(req);
+  ASSERT_TRUE(warm.has_timing);
+  EXPECT_TRUE(warm.embedding_cache_hit());
+  EXPECT_EQ(warm.timing.predict_us, 0u);
+  EXPECT_EQ(warm.timing.encode_us, 0u);
 
   // Without the flag the tail is absent.
   EXPECT_FALSE(client.predict(make_request()).has_timing);

@@ -4,7 +4,7 @@
 // router exactly as they would at a single daemon. Predict and streamed-
 // workload requests are consistent-hashed on (netlist content hash, model
 // Liberty content hash) — the backends' design-cache key — onto the
-// configured shards, so each design's parsed graphs and embeddings warm
+// configured shards, so each design's parsed graphs and predictions warm
 // exactly one backend — except the hottest designs, which --replicas
 // spreads over the first R shards of their failover chain, routed by the
 // freshest-known queue depth (piggybacked on data-path replies).

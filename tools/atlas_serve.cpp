@@ -4,8 +4,8 @@
 // startup, then serves predict/stats/models/ping requests over TCP and/or
 // a Unix-domain socket (see src/serve/protocol.h for the wire format).
 // Repeat queries are amortized by the feature cache: the per-design graph
-// build and, per (model, workload, cycles), the encoder embeddings are
-// computed once and reused, so warm requests go straight to the GBDT heads.
+// build and, per (model, workload, cycles), the finished prediction are
+// computed once and reused, so a warm request only serializes its answer.
 //
 // Each model may carry its own Liberty library (`name=model.bin@cells.lib`)
 // so artifacts fine-tuned on different standard-cell substrates coexist in
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       .flag("port", "7433", "TCP port (0 = ephemeral, -1 = disable TCP)")
       .flag("unix", "", "Unix-domain socket path (empty = disabled)")
       .flag("cache-designs", "16", "feature-cache capacity (designs)")
-      .flag("cache-embeddings", "8", "cached embedding sets per design")
+      .flag("cache-embeddings", "8", "cached predictions per design")
       .flag("batch-max", "8", "max predict requests per dispatch batch")
       .flag("shed-depth", "0",
             "answer kOverloaded to COLD (uncached) predicts once this many "
@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
             "worker threads (0 = hardware concurrency, 1 = serial)")
       .flag("slow-ms", "0",
             "log a structured per-phase breakdown for requests slower than "
-            "this (~1 line/sec; 0 = disabled)")
+            "this (~1 line/sec; 0 = disabled; predict_us is 0 on a "
+            "result-cache hit)")
       .flag("trace-out", "",
             "write a Chrome trace JSON at shutdown (also env ATLAS_TRACE)");
   try {
