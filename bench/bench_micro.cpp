@@ -17,6 +17,7 @@
 #include "power/power_analyzer.h"
 #include "sim/simulator.h"
 #include "transform/rewrite.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace {
@@ -223,16 +224,39 @@ void BM_SubmoduleGraphBuild(benchmark::State& state) {
 BENCHMARK(BM_SubmoduleGraphBuild);
 
 // A servebench new-designs sized netlist text (C2 @ 0.0025, ~120 KB, 879
-// cells): the parse every never-seen design pays before graph build.
-void BM_ParseVerilog(benchmark::State& state) {
+// cells).
+const std::string& c2_text() {
   static const std::string text = netlist::write_verilog(
       designgen::generate_design(designgen::paper_design_spec(2, 0.0025), lib()));
+  return text;
+}
+
+// The parse every never-seen design pays before graph build.
+void BM_ParseVerilog(benchmark::State& state) {
+  const std::string& text = c2_text();
   for (auto _ : state) {
     benchmark::DoNotOptimize(netlist::parse_verilog(text, lib()));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<long>(text.size()));
 }
 BENCHMARK(BM_ParseVerilog);
+
+// The admission hash of a text Predict: FNV-1a (arg 0, the design key, paid
+// on a text's first sight) against keyed SipHash-1-3 (arg 1, the memo
+// lookup every repeat pays instead).
+void BM_AdmissionHash(benchmark::State& state) {
+  const std::string& text = c2_text();
+  const bool sip = state.range(0) == 1;
+  state.SetLabel(sip ? "siphash13" : "fnv1a64");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sip ? util::siphash13(text.data(), text.size(), 0x0123456789abcdefULL,
+                              0xfedcba9876543210ULL)
+            : util::fnv1a64(text));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<long>(text.size()));
+}
+BENCHMARK(BM_AdmissionHash)->Arg(0)->Arg(1);
 
 // --- Observability overhead (src/obs/) -----------------------------------
 //

@@ -287,7 +287,8 @@ Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {
       return error_reply(ErrorCode::kBadRequest, e.what());
     }
     chain = pool_->route_load_aware(
-        placement_key(util::fnv1a64(req.netlist_verilog), req.model),
+        placement_key(netlist_hashes_.fnv1a64(req.netlist_verilog),
+                      req.model),
         /*open_forward=*/true);
     request.ext.want_queue_depth = true;
     const obs::TraceContext ctx = adopt_context(request.ext.trace);
@@ -461,7 +462,8 @@ Frame Router::handle_stream(UpstreamMap& upstreams, Frame frame,
     }
     const std::uint64_t netlist_hash = begin.design_hash != 0
                                            ? begin.design_hash
-                                           : util::fnv1a64(begin.netlist_verilog);
+                                           : netlist_hashes_.fnv1a64(
+                                                 begin.netlist_verilog);
     std::vector<std::string> chain =
         pool_->route_load_aware(placement_key(netlist_hash, begin.model));
     if (chain.empty()) {

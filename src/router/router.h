@@ -72,6 +72,7 @@
 #include "router/backend_pool.h"
 #include "serve/connection_host.h"
 #include "serve/protocol.h"
+#include "util/hash.h"
 #include "util/socket.h"
 
 namespace atlas::router {
@@ -236,6 +237,11 @@ class Router {
 
   RouterConfig config_;
   std::unique_ptr<BackendPool> pool_;
+  /// text -> FNV-1a for placement: a text routed recently costs one
+  /// SipHash-1-3 pass, not a full FNV-1a. The key keeps the FNV-1a bits,
+  /// so a text Predict and a by-hash stream of one design still land on
+  /// the same shard.
+  util::NetlistHashMemo netlist_hashes_;
 
   /// Declared last so its connection threads are joined before the pool
   /// they route through is destroyed.

@@ -5,7 +5,9 @@
 // design_cache_key) — parsed netlists and graph features depend on the
 // library's cell ids, capacitances and energy LUTs, so two models bound to
 // different substrates must never share a design entry even for identical
-// Verilog text:
+// Verilog text. A by-hash stream brings that FNV-1a from the client; for a
+// text upload the server takes it from a util::NetlistHashMemo, which
+// computes it once per distinct text, so both name the same entry:
 //
 //   design layer      (netlist hash, library hash) -> parsed netlist +
 //                     sub-module graphs (the per-design preprocessing every

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cstring>
+#include <span>
 #include <string_view>
 
 #include "util/serialize.h"
@@ -12,7 +13,7 @@ using util::ByteReader;
 using util::ByteWriter;
 
 void write_group_power_rows(ByteWriter& out,
-                            const std::vector<power::GroupPower>& rows) {
+                            std::span<const power::GroupPower> rows) {
   out.u64(rows.size());
   for (const power::GroupPower& g : rows) {
     out.f64(g.comb);
@@ -349,13 +350,19 @@ StreamAck StreamAck::decode(const std::string& payload) {
 }
 
 std::string PredictResponse::encode() const {
-  return encode_payload([this](ByteWriter& out) {
+  return encode_with_rows(design, submodule);
+}
+
+std::string PredictResponse::encode_with_rows(
+    std::span<const power::GroupPower> design_rows,
+    std::span<const power::GroupPower> submodule_rows) const {
+  return encode_payload([&](ByteWriter& out) {
     out.u32(cache_flags);
     out.f64(server_seconds);
     out.u32(static_cast<std::uint32_t>(num_cycles));
     out.u64(num_submodules);
-    write_group_power_rows(out, design);
-    write_group_power_rows(out, submodule);
+    write_group_power_rows(out, design_rows);
+    write_group_power_rows(out, submodule_rows);
   });
 }
 

@@ -62,6 +62,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -368,6 +369,13 @@ struct PredictResponse {
   bool embedding_cache_hit() const { return cache_flags & kCacheHitEmbeddings; }
 
   std::string encode() const;
+  /// encode()'s bytes with `design_rows` and `submodule_rows` in place of
+  /// this reply's own vectors, so a server writes the rows of a cached
+  /// prediction straight into the payload instead of copying them into a
+  /// PredictResponse first.
+  std::string encode_with_rows(
+      std::span<const power::GroupPower> design_rows,
+      std::span<const power::GroupPower> submodule_rows) const;
   static PredictResponse decode(const std::string& payload);
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "atlas/preprocess.h"
 #include "graph/submodule_graph.h"
@@ -449,7 +450,7 @@ void Server::admit_netlist(PendingJob& job, std::uint64_t client_hash) {
     return;
   }
   const Clock::time_point start = Clock::now();
-  job.netlist_hash = util::fnv1a64(job.request.netlist_verilog);
+  job.netlist_hash = netlist_hashes_.fnv1a64(job.request.netlist_verilog);
   job.timing.cache_us = elapsed_us(start);
 }
 
@@ -997,16 +998,19 @@ Frame Server::finish_predict(PendingJob& job, PredictPrep& prep) {
   }
   const core::Prediction& pred = *prep.pred;
 
+  // Only the header goes into `resp`; the rows are written straight from
+  // the cached prediction.
   PredictResponse resp;
   resp.cache_flags = prep.cache_flags;
   resp.num_cycles = pred.num_cycles;
   resp.num_submodules = pred.num_submodules;
-  resp.design = pred.design;
-  if (req.want_submodules) resp.submodule = pred.submodule;
   resp.server_seconds =
       static_cast<double>(elapsed_us(prep.handler_start)) / 1e6;
+  std::span<const power::GroupPower> submodule_rows;
+  if (req.want_submodules) submodule_rows = pred.submodule;
   phase_start = Clock::now();
-  Frame reply{MsgType::kPredictOk, resp.encode()};
+  Frame reply{MsgType::kPredictOk,
+              resp.encode_with_rows(pred.design, submodule_rows)};
   job.timing.serialize_us = elapsed_us(phase_start);
   job.timing.total_us = elapsed_us(job.enqueued_at);
   if (req.ext.want_timing) reply.ext.timing = job.timing;

@@ -59,6 +59,7 @@
 #include "serve/stats.h"
 #include "sim/external_trace.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 #include "util/socket.h"
 
 namespace atlas::serve {
@@ -162,8 +163,10 @@ class Server {
     const char* endpoint = "predict";
     /// FNV-1a hash of the netlist text, the design-cache key component:
     /// the client's hash for design-by-hash streams (no text travels),
-    /// otherwise computed once on the connection thread at admission (see
-    /// admit_netlist) so the dispatcher never rehashes.
+    /// otherwise stamped on the connection thread at admission (see
+    /// admit_netlist) so the dispatcher never rehashes. A text the server
+    /// has seen before is found in netlist_hashes_ by its SipHash, so FNV-1a
+    /// runs over each distinct text once.
     std::uint64_t netlist_hash = 0;
     /// Predict: frame receipt. Stream: StreamBegin receipt, so the deadline
     /// spans assembly + queue wait + compute.
@@ -258,9 +261,11 @@ class Server {
   Frame handle_stream_frame(const Frame& frame, StreamState& stream);
 
   /// Stamp job.netlist_hash on the connection thread: `client_hash` when
-  /// nonzero (a design-by-hash stream), otherwise FNV-1a over the request's
-  /// netlist text. The hashing time is charged to job.timing.cache_us.
-  static void admit_netlist(PendingJob& job, std::uint64_t client_hash);
+  /// nonzero (a design-by-hash stream), otherwise the FNV-1a of the
+  /// request's netlist text from netlist_hashes_ (a keyed SipHash-1-3 pass
+  /// when the text was seen recently, FNV-1a itself on first sight). The
+  /// hashing time is charged to job.timing.cache_us.
+  void admit_netlist(PendingJob& job, std::uint64_t client_hash);
   /// Admission check for the shed watermark: true when the request would be
   /// answered from the caches (design AND prediction present — const peeks,
   /// no LRU perturbation). Unknown models return true so the normal path
@@ -312,6 +317,9 @@ class Server {
   ServerConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
   FeatureCache cache_;
+  /// text -> FNV-1a for admit_netlist; holds no text, so no memory past its
+  /// fixed entry count.
+  util::NetlistHashMemo netlist_hashes_;
   ServerStats stats_;
 
   std::thread dispatcher_;

@@ -536,6 +536,51 @@ TEST_F(RouterTest, FailsOverWhenABackendDiesMidWorkloadAndRebalancesOnJoin) {
   reborn.stop();
 }
 
+TEST_F(RouterTest, TextPredictAndByHashStreamOfOneDesignLandOnOneShard) {
+  // The router places a text upload by the FNV-1a it memoizes and a
+  // by-hash stream by the client's FNV-1a: both keys must pick the shard
+  // that holds the design, or the by-hash stream answers kUnknownDesign.
+  netlist::Netlist gate = netlist::parse_verilog(*verilog_, *lib_);
+  sim::CycleSimulator simulator(gate);
+  sim::StimulusGenerator stimulus(gate, sim::make_w1());
+  const std::string vcd = sim::write_vcd(gate, simulator.run(stimulus, kCycles),
+                                         simulator.clock_net_mask());
+  const core::Prediction direct = (*model_)->predict(
+      gate, graph::build_submodule_graphs(gate),
+      sim::ExternalTrace::from_vcd_text(vcd).resolve(gate));
+
+  Fleet fleet = start_fleet();
+  Client client = connect(fleet);
+  constexpr int kDesigns = 6;
+  std::map<std::string, std::uint64_t> expected_per_shard;
+  for (int i = 0; i < kDesigns; ++i) {
+    const std::string verilog = design_variant(300 + i);
+    expected_per_shard[expected_owner(fleet, verilog)]++;
+    const PredictResponse text = client.predict(make_request(verilog));
+    EXPECT_FALSE(text.design_cache_hit()) << "design " << i;
+    expect_matches(text, *expected_w1_);
+
+    serve::StreamBeginRequest by_hash;
+    by_hash.model = "tiny";
+    by_hash.design_hash = util::fnv1a64(verilog);
+    by_hash.cycles = kCycles;
+    by_hash.want_submodules = true;
+    const PredictResponse streamed = client.predict_stream(by_hash, vcd, 512);
+    EXPECT_TRUE(streamed.design_cache_hit()) << "design " << i;
+    expect_matches(streamed, direct);
+
+    // The repeat is placed through the router's memo: the same shard, warm.
+    const PredictResponse again = client.predict(make_request(verilog));
+    EXPECT_TRUE(again.embedding_cache_hit()) << "design " << i;
+    expect_matches(again, *expected_w1_);
+  }
+  // Each design is held once, by its ring owner.
+  EXPECT_EQ(fleet.a->health_snapshot().cache_designs,
+            expected_per_shard[fleet.id_a]);
+  EXPECT_EQ(fleet.b->health_snapshot().cache_designs,
+            expected_per_shard[fleet.id_b]);
+}
+
 TEST_F(RouterTest, StreamsArePinnedAndSurviveMidStreamBackendDeath) {
   // Record the query design's w1 trace as VCD text and compute the direct
   // streamed reference (same path serve_test pins).

@@ -1432,6 +1432,125 @@ TEST_F(ServeTest, ByHashStreamHitsADesignUploadedByPredictUntilEvicted) {
   server.stop();
 }
 
+TEST_F(ServeTest, TextAndByHashUploadsShareOneDesignEntry) {
+  // Text uploads are keyed through the server's hash memo, by-hash streams
+  // by the client's FNV-1a; both must name the same design entry, in
+  // either order.
+  const DeltaFixture f = make_delta_fixture(*verilog_, *lib_, **model_);
+  {
+    SCOPED_TRACE("text stream, then text predict");
+    Server server(loopback_config(), make_registry());
+    server.start();
+    Client client = Client::connect_tcp("127.0.0.1", server.port());
+    const PredictResponse streamed = client.predict_stream(
+        make_stream_begin(*verilog_, TraceFormat::kToggleDelta), f.delta);
+    EXPECT_FALSE(streamed.design_cache_hit());
+    expect_matches_direct(streamed, f.direct);
+    const PredictResponse predicted = client.predict(make_request());
+    EXPECT_TRUE(predicted.design_cache_hit());
+    EXPECT_FALSE(predicted.embedding_cache_hit());
+    expect_matches_direct(predicted, *expected_w1_);
+    EXPECT_EQ(server.health_snapshot().cache_designs, 1u);
+    server.stop();
+  }
+  {
+    SCOPED_TRACE("text predict, then by-hash stream");
+    Server server(loopback_config(), make_registry());
+    server.start();
+    Client client = Client::connect_tcp("127.0.0.1", server.port());
+    const PredictResponse predicted = client.predict(make_request());
+    EXPECT_FALSE(predicted.design_cache_hit());
+    expect_matches_direct(predicted, *expected_w1_);
+    StreamBeginRequest by_hash =
+        make_stream_begin(*verilog_, TraceFormat::kToggleDelta);
+    by_hash.netlist_verilog.clear();
+    by_hash.design_hash = util::fnv1a64(*verilog_);
+    const PredictResponse streamed = client.predict_stream(by_hash, f.delta);
+    EXPECT_TRUE(streamed.design_cache_hit());
+    EXPECT_FALSE(streamed.embedding_cache_hit());
+    expect_matches_direct(streamed, f.direct);
+    EXPECT_EQ(server.health_snapshot().cache_designs, 1u);
+    server.stop();
+  }
+}
+
+TEST_F(ServeTest, ConcurrentTextPredictsOfMoreDesignsThanTheHashMemoHolds) {
+  // Four connections upload more distinct netlist texts than the admission
+  // hash memo keeps, then upload them all again: by then the oldest texts
+  // have left the memo, so their FNV-1a is computed afresh, and every
+  // repeat must still find its own design entry.
+  const std::string tiny =
+      "module t (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+      "  wire n1;\n  NAND2_X1 u0 (.A(a), .B(b), .Y(n1));\n"
+      "  INV_X1 u1 (.A(n1), .Y(y));\nendmodule\n";
+  // Comments do not reach the parsed design: every variant is a distinct
+  // design entry with the same prediction.
+  const auto variant = [&tiny](std::size_t i) {
+    return tiny + "// variant " + std::to_string(i) + "\n";
+  };
+  // The server's own steps: a netlist without sub-module annotations is
+  // partitioned by structure.
+  netlist::Netlist gate = netlist::parse_verilog(tiny, *lib_);
+  core::assign_submodules_by_structure(gate);
+  sim::CycleSimulator simulator(gate);
+  sim::StimulusGenerator stimulus(gate, sim::make_w1());
+  const core::Prediction expected = (*model_)->predict(
+      gate, graph::build_submodule_graphs(gate),
+      simulator.run(stimulus, kCycles));
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kDesigns = util::NetlistHashMemo::kCapacity + 100;
+  ServerConfig cfg = loopback_config();
+  cfg.cache_designs = kDesigns;  // no design eviction: every repeat hits
+  cfg.batch_max = 4;
+  Server server(cfg, make_registry());
+  server.start();
+
+  std::atomic<std::size_t> first_pass_done{0};
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(kClients, 0);
+  std::vector<int> hits(kClients * 2, 0);
+  for (std::size_t t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      Client client = Client::connect_tcp("127.0.0.1", server.port());
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = t; i < kDesigns; i += kClients) {
+          PredictRequest req = make_request();
+          req.netlist_verilog = variant(i);
+          const PredictResponse resp = client.predict(req);
+          hits[t * 2 + pass] += resp.design_cache_hit() ? 1 : 0;
+          if (!same_bits(resp.design, expected.design) ||
+              !same_bits(resp.submodule, expected.submodule)) {
+            ++wrong[t];
+          }
+        }
+        if (pass == 0) {
+          // Every text is admitted once before any is repeated.
+          first_pass_done.fetch_add(1);
+          while (first_pass_done.load() < kClients) std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::size_t first_hits = 0;
+  std::size_t repeat_hits = 0;
+  for (std::size_t t = 0; t < kClients; ++t) {
+    EXPECT_EQ(wrong[t], 0) << "connection " << t;
+    first_hits += static_cast<std::size_t>(hits[t * 2]);
+    repeat_hits += static_cast<std::size_t>(hits[t * 2 + 1]);
+  }
+  EXPECT_EQ(first_hits, 0u);
+  EXPECT_EQ(repeat_hits, kDesigns);
+  const FeatureCacheStats stats = server.cache_stats();
+  EXPECT_EQ(stats.design_misses, kDesigns);
+  EXPECT_EQ(stats.design_hits, kDesigns);
+  EXPECT_EQ(stats.design_evictions, 0u);
+  EXPECT_EQ(server.health_snapshot().cache_designs, kDesigns);
+  server.stop();
+}
+
 TEST_F(ServeTest, ConcurrentDeltaStreamsAllBitIdentical) {
   // Delta-stream assembly, validation, hash fallback and cache insertion
   // racing across connections (the TSan target for this subsystem): every
@@ -2284,25 +2403,35 @@ TEST_F(ServeTest, TimingPhasesSumToTotalWithBatchWaitSplit) {
 }
 
 TEST_F(ServeTest, AdmissionHashIsChargedToCacheTimeNotBatchWait) {
-  // The server hashes a request's netlist text once, on the connection
-  // thread as the request is admitted. That time derives the design-cache
-  // key, so it is cache_us, never batch_wait_us, and the phases still fit
-  // inside total_us. A 4 MiB comment makes the hash take milliseconds; the
-  // prediction is unchanged by it.
+  // The server hashes a request's netlist text on the connection thread as
+  // the request is admitted: FNV-1a the first time it sees the text, a
+  // keyed SipHash-1-3 that finds the memoized FNV-1a after that. That time
+  // derives the design-cache key, so it is cache_us, never batch_wait_us,
+  // and the phases still fit inside total_us. A 4 MiB comment makes either
+  // hash take milliseconds; the prediction is unchanged by it.
   PredictRequest req = make_request();
   req.netlist_verilog =
       *verilog_ + "\n// " + std::string(std::size_t{4} << 20, 'x') + "\n";
   req.ext.want_timing = true;
-  std::uint64_t local_us = ~std::uint64_t{0};
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t h = util::fnv1a64(req.netlist_verilog);
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    EXPECT_NE(h, 0u);
-    local_us = std::min(local_us, static_cast<std::uint64_t>(us));
-  }
+  // Fastest of three local runs of `hash` over the text, in microseconds.
+  const auto local_us = [&req](auto hash) {
+    std::uint64_t best = ~std::uint64_t{0};
+    for (int i = 0; i < 3; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::uint64_t h = hash(req.netlist_verilog);
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      EXPECT_NE(h, 0u);
+      best = std::min(best, static_cast<std::uint64_t>(us));
+    }
+    return best;
+  };
+  const std::uint64_t fnv_us = local_us(
+      [](const std::string& text) { return util::fnv1a64(text); });
+  const std::uint64_t sip_us = local_us([](const std::string& text) {
+    return util::siphash13(text.data(), text.size(), 1, 2);
+  });
 
   Server server(loopback_config(), make_registry());
   server.start();
@@ -2312,7 +2441,8 @@ TEST_F(ServeTest, AdmissionHashIsChargedToCacheTimeNotBatchWait) {
     ASSERT_TRUE(resp.has_timing);
     EXPECT_EQ(resp.design_cache_hit(), warm);
     expect_matches_direct(resp, *expected_w1_);
-    EXPECT_GE(resp.timing.cache_us, local_us / 4) << "warm=" << warm;
+    EXPECT_GE(resp.timing.cache_us, (warm ? sip_us : fnv_us) / 4)
+        << "warm=" << warm;
     // Counted in batch wait as well, the hash would push the sum past the
     // total by about cache_us.
     EXPECT_LE(resp.timing.batch_wait_us + resp.timing.queue_us +

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -312,6 +314,79 @@ TEST(Hash, Fnv1a64KnownValuesAndStability) {
   const std::string verilog = "module top(); endmodule";
   EXPECT_EQ(fnv1a64(verilog), fnv1a64(verilog));
   EXPECT_NE(fnv1a64(verilog), fnv1a64("module top();  endmodule"));
+}
+
+TEST(Hash, Siphash13MatchesReferenceValues) {
+  // SipHash-1-3 under the zero key of bytes 0, 1, ..., n-1. The reference
+  // is CPython 3.11, whose bytes hash is SipHash-1-3 and whose key is zero
+  // under PYTHONHASHSEED=0:
+  //   PYTHONHASHSEED=0 python3 -c 'print(hex(hash(bytes(range(15))) & (2**64-1)))'
+  // CPython maps b"" to 0, so length 0 is pinned from this implementation.
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {0, 0xd1fba762150c532cULL},  {1, 0x68a914128e01e473ULL},
+      {7, 0x2f098ab0c751325aULL},  {8, 0xead411e67ebe2eeaULL},
+      {9, 0x75927f9d95124362ULL},  {15, 0xf30eb725bb91c9eaULL},
+      {16, 0x8972188433a5c5b7ULL}, {31, 0x169739443111d49bULL},
+      {32, 0x31ef8061c910629bULL}, {33, 0x7fb71d24dfa4c9f6ULL},
+      {64, 0x75e05fd5bbc870c6ULL}};
+  std::vector<unsigned char> bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i);
+  }
+  for (const auto& [n, expected] : cases) {
+    EXPECT_EQ(siphash13(bytes.data(), n, 0, 0), expected) << "length " << n;
+  }
+  // The key matters.
+  EXPECT_NE(siphash13(bytes.data(), 15, 1, 0), siphash13(bytes.data(), 15, 0, 0));
+  EXPECT_NE(siphash13(bytes.data(), 15, 0, 1), siphash13(bytes.data(), 15, 0, 0));
+}
+
+TEST(Hash, Siphash13OfAnUnalignedViewMatchesAnAlignedCopy) {
+  std::vector<unsigned char> buf(128);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{5}, std::size_t{8},
+                                std::size_t{23}, std::size_t{64},
+                                std::size_t{119}}) {
+      std::vector<std::uint64_t> aligned((n + 7) / 8 + 1);
+      std::memcpy(aligned.data(), buf.data() + offset, n);
+      EXPECT_EQ(siphash13(buf.data() + offset, n, 0x0123456789abcdefULL,
+                          0xfedcba9876543210ULL),
+                siphash13(aligned.data(), n, 0x0123456789abcdefULL,
+                          0xfedcba9876543210ULL))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Hash, NetlistHashMemoAnswersFnv1aThroughEviction) {
+  // More distinct texts than the memo holds, including texts that differ
+  // only in their last byte or only in their length; every answer, first
+  // sight, repeat or after eviction, is FNV-1a of the text.
+  std::vector<std::string> texts;
+  const std::string body = "module m (a, y);\n  input a;\n  output y;\n";
+  for (std::size_t i = 0; texts.size() < NetlistHashMemo::kCapacity + 300;
+       ++i) {
+    const std::string base = body + "// " + std::to_string(i) + "\n";
+    texts.push_back(base + "a");
+    texts.push_back(base + "b");     // last byte differs
+    texts.push_back(base);           // shorter
+    texts.push_back(base + std::string("a\0", 2));  // longer
+  }
+  texts.push_back("");
+  NetlistHashMemo memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& t : texts) {
+      EXPECT_EQ(memo.fnv1a64(t), fnv1a64(t)) << "pass " << pass;
+      EXPECT_EQ(memo.fnv1a64(t), fnv1a64(t)) << "repeat, pass " << pass;
+    }
+  }
+  // A view into a larger buffer is keyed by its own bytes only.
+  const std::string padded = "x" + texts[0] + "y";
+  EXPECT_EQ(memo.fnv1a64(std::string_view(padded).substr(1, texts[0].size())),
+            fnv1a64(texts[0]));
 }
 
 TEST(Hash, MixAndHexFormat) {
