@@ -105,28 +105,34 @@ void BM_LogicRewrite(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicRewrite);
 
-void BM_SgFormerForward(benchmark::State& state) {
-  // Synthetic chain graph of the requested size with ATLAS feature width.
+// One pre-training step of the encoder on one graph: forward_train() then
+// backward() of a graph-embedding gradient, as pretrain_encoder runs it per
+// sample, with the adjacency prebuilt and the Activations reused. Synthetic
+// chain graph of the requested size with ATLAS feature width, dim 32.
+void BM_SgFormerTrainStep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(5);
-  ml::Matrix feats = ml::Matrix::randn(n, graph::kFeatureDim, rng, 1.0f);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (std::uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  ml::GraphView view;
-  view.num_nodes = n;
-  view.feat_dim = graph::kFeatureDim;
-  view.features = feats.data();
-  view.edges = &edges;
   ml::SgFormer::Config cfg;
   cfg.in_dim = graph::kFeatureDim;
   cfg.dim = 32;
   ml::SgFormer enc(cfg);
+  const ml::SgFormer::NormAdjacency adj =
+      ml::SgFormer::build_norm_adjacency(n, &edges);
+  ml::SgFormer::Activations act;
+  act.x = ml::Matrix::randn(n, graph::kFeatureDim, rng, 1.0f);
+  const ml::Matrix d_graph(1, cfg.dim, 1.0f);
+  std::vector<float> graph_emb(cfg.dim);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.forward(view));
+    enc.forward_train(adj, act, graph_emb.data());
+    enc.backward(act, ml::Matrix(), d_graph);
+    benchmark::DoNotOptimize(graph_emb.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_SgFormerForward)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_SgFormerTrainStep)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 // The serving encoder: forward_segment() on one (sub-module, cycle)
 // segment with its prebuilt adjacency and reused scratch, as encode_batch

@@ -88,7 +88,7 @@ class AtlasModel {
   };
 
   /// Stage 1 over a whole batch: the one inference encode path (only
-  /// pre-training runs SgFormer::forward). Each distinct (sub-module,
+  /// pre-training runs SgFormer::forward_train). Each distinct (sub-module,
   /// cycle) segment runs the whole encoder (feature fill through mean pool)
   /// as one pool task in per-thread scratch sized by the largest segment,
   /// and writes its embedding row directly. Cycles of a graph whose toggle
@@ -96,9 +96,9 @@ class AtlasModel {
   /// just the hash) are encoded once and copied. Each graph's normalized
   /// adjacency is built once and shared across its cycles; the memo tables
   /// come from `arena` and are rewound before returning. Every row is
-  /// bit-identical to a per-cycle SgFormer::forward, at any thread count
-  /// and any batch composition (atlas_test pins it against a forward()
-  /// reference).
+  /// bit-identical to a per-cycle SgFormer::forward_train, at any thread
+  /// count and any batch composition (atlas_test pins it against a
+  /// forward_train reference).
   void encode_batch(const EncodeItem* items, std::size_t n,
                     util::Arena& arena) const;
 

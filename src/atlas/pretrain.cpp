@@ -17,22 +17,28 @@ namespace {
 struct Sample {
   const DesignData* design = nullptr;
   std::size_t graph_idx = 0;
+  std::size_t slot = 0;  // index of (design, graph) in the sample universe
   int workload = 0;
   int cycle = 0;
 };
 
-/// Per-sample forward state within a batch.
+/// The normalized adjacencies of one (design, graph) at the three stages,
+/// built once per training run.
+struct StageAdjacency {
+  ml::SgFormer::NormAdjacency gate, plus, post;
+};
+
+/// Per-sample forward state within a batch. Reused batch to batch, so the
+/// activation buffers keep their storage.
 struct SampleState {
-  ml::SgFormer::Cache cache_masked;  // masked gate graph (tasks #1-#3)
-  ml::SgFormer::Cache cache_gate;    // unmasked gate graph (CL anchor)
-  ml::SgFormer::Cache cache_plus;    // N_g+ graph (CL1 positive)
-  ml::SgFormer::Cache cache_post;    // N_p graph (CL2 positive)
-  Matrix emb_gate, emb_plus, emb_post;  // graph embeddings (1 x d)
+  ml::SgFormer::Activations masked;  // masked gate graph (tasks #1-#3)
+  ml::SgFormer::Activations gate;    // unmasked gate graph (CL anchor)
+  ml::SgFormer::Activations plus;    // N_g+ graph (CL1 positive)
+  ml::SgFormer::Activations post;    // N_p graph (CL2 positive)
   std::vector<std::uint32_t> toggle_nodes;  // masked node indices
   std::vector<int> toggle_labels;
   std::vector<std::uint32_t> type_nodes;
   std::vector<int> type_labels;
-  std::size_t n_nodes = 0;
 };
 
 int toggle_bit(const SubmoduleGraph& g, const sim::ToggleTrace& trace, int cycle,
@@ -82,17 +88,28 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
     }
   }
   if (universe.empty()) throw std::invalid_argument("pretrain: no sub-module graphs");
+  const auto adjacency_of = [](const SubmoduleGraph& g) {
+    return ml::SgFormer::build_norm_adjacency(g.num_nodes(), &g.edges);
+  };
+  std::vector<StageAdjacency> adjacency;
+  for (const auto& [d, g] : universe) {
+    adjacency.push_back({adjacency_of(d->gate_graphs[g]),
+                         adjacency_of(d->plus_graphs[g]),
+                         adjacency_of(d->post_graphs[g])});
+  }
 
-  Matrix feats;  // scratch
+  std::vector<SampleState> states;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Draw this epoch's samples.
     std::vector<Sample> samples;
     samples.reserve(universe.size() * static_cast<std::size_t>(config.cycles_per_graph));
-    for (const auto& [d, g] : universe) {
+    for (std::size_t u = 0; u < universe.size(); ++u) {
+      const auto& [d, g] = universe[u];
       for (int k = 0; k < config.cycles_per_graph; ++k) {
         Sample s;
         s.design = d;
         s.graph_idx = g;
+        s.slot = u;
         s.workload = static_cast<int>(rng.next_below(d->workloads.size()));
         s.cycle = static_cast<int>(
             rng.next_below(static_cast<std::uint64_t>(
@@ -117,24 +134,29 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
       type_head.zero_grad();
       size_head.zero_grad();
 
-      std::vector<SampleState> states(bsz);
-      Matrix anchors(bsz, config.dim), pos_plus(bsz, config.dim),
-          pos_post(bsz, config.dim);
+      states.resize(bsz);
+      Matrix masked_embs(bsz, config.dim), anchors(bsz, config.dim),
+          pos_plus(bsz, config.dim), pos_post(bsz, config.dim);
       std::vector<float> size_targets(bsz);
 
       // ---- Forward all graphs of the batch --------------------------------
       for (std::size_t b = 0; b < bsz; ++b) {
         const Sample& s = samples[start + b];
         SampleState& st = states[b];
+        const StageAdjacency& adj = adjacency[s.slot];
         const auto& wl = s.design->workloads[static_cast<std::size_t>(s.workload)];
         const SubmoduleGraph& gg = s.design->gate_graphs[s.graph_idx];
         const SubmoduleGraph& gp = s.design->plus_graphs[s.graph_idx];
         const SubmoduleGraph& gq = s.design->post_graphs[s.graph_idx];
-        st.n_nodes = gg.num_nodes();
 
         // Masked gate graph.
+        Matrix& feats = st.masked.x;
         graph::fill_cycle_features(gg, wl.gate_trace, s.cycle, feats);
         const std::size_t n = gg.num_nodes();
+        st.toggle_nodes.clear();
+        st.toggle_labels.clear();
+        st.type_nodes.clear();
+        st.type_labels.clear();
         const int n_mask = std::max<int>(1, static_cast<int>(
                                                 std::lround(config.mask_fraction *
                                                             static_cast<double>(n))));
@@ -154,31 +176,20 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
           }
           feats.at(node, graph::kMaskTypeFlag) = 1.0f;
         }
-        enc.forward(graph::view_with_features(gg, feats), &st.cache_masked);
+        enc.forward_train(adj.gate, st.masked, masked_embs.row(b));
 
         // Unmasked gate graph (CL anchor).
-        graph::fill_cycle_features(gg, wl.gate_trace, s.cycle, feats);
-        const auto out_g =
-            enc.forward(graph::view_with_features(gg, feats), &st.cache_gate);
-        st.emb_gate = out_g.graph_emb;
+        graph::fill_cycle_features(gg, wl.gate_trace, s.cycle, st.gate.x);
+        enc.forward_train(adj.gate, st.gate, anchors.row(b));
 
         // N_g+ positive.
-        graph::fill_cycle_features(gp, wl.plus_trace, s.cycle, feats);
-        const auto out_p =
-            enc.forward(graph::view_with_features(gp, feats), &st.cache_plus);
-        st.emb_plus = out_p.graph_emb;
+        graph::fill_cycle_features(gp, wl.plus_trace, s.cycle, st.plus.x);
+        enc.forward_train(adj.plus, st.plus, pos_plus.row(b));
 
         // N_p positive.
-        graph::fill_cycle_features(gq, wl.post_trace, s.cycle, feats);
-        const auto out_q =
-            enc.forward(graph::view_with_features(gq, feats), &st.cache_post);
-        st.emb_post = out_q.graph_emb;
+        graph::fill_cycle_features(gq, wl.post_trace, s.cycle, st.post.x);
+        enc.forward_train(adj.post, st.post, pos_post.row(b));
 
-        for (std::size_t j = 0; j < config.dim; ++j) {
-          anchors.at(b, j) = st.emb_gate.at(0, j);
-          pos_plus.at(b, j) = st.emb_plus.at(0, j);
-          pos_post.at(b, j) = st.emb_post.at(0, j);
-        }
         size_targets[b] = std::log1p(static_cast<float>(n));
       }
 
@@ -186,7 +197,7 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
       // Gather masked node embeddings across the batch.
       std::vector<Matrix> d_node_masked(bsz);
       for (std::size_t b = 0; b < bsz; ++b) {
-        d_node_masked[b] = Matrix(states[b].n_nodes, config.dim);
+        d_node_masked[b] = Matrix(states[b].masked.n, config.dim);
       }
       if (tasks.toggle) {
         std::size_t total = 0;
@@ -197,7 +208,7 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
         std::size_t row = 0;
         for (const SampleState& st : states) {
           for (std::size_t m = 0; m < st.toggle_nodes.size(); ++m) {
-            const float* src = st.cache_masked.node_emb.row(st.toggle_nodes[m]);
+            const float* src = st.masked.node_emb.row(st.toggle_nodes[m]);
             std::copy(src, src + config.dim, gathered.row(row));
             labels.push_back(st.toggle_labels[m]);
             ++row;
@@ -228,7 +239,7 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
         std::size_t row = 0;
         for (const SampleState& st : states) {
           for (std::size_t m = 0; m < st.type_nodes.size(); ++m) {
-            const float* src = st.cache_masked.node_emb.row(st.type_nodes[m]);
+            const float* src = st.masked.node_emb.row(st.type_nodes[m]);
             std::copy(src, src + config.dim, gathered.row(row));
             labels.push_back(st.type_labels[m]);
             ++row;
@@ -252,12 +263,7 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
       // ---- Task #3: sub-module size ----------------------------------------
       std::vector<Matrix> d_graph_masked(bsz);
       if (tasks.size) {
-        Matrix graph_embs(bsz, config.dim);
-        for (std::size_t b = 0; b < bsz; ++b) {
-          const Matrix pooled = ml::mean_rows(states[b].cache_masked.node_emb);
-          std::copy(pooled.row(0), pooled.row(0) + config.dim, graph_embs.row(b));
-        }
-        const Matrix pred = size_head.forward(graph_embs);
+        const Matrix pred = size_head.forward(masked_embs);
         const ml::LossGrad lg = ml::mse(pred, size_targets);
         stats.loss_size += lg.loss;
         const Matrix dg = size_head.backward(lg.grad);
@@ -288,23 +294,23 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
       for (std::size_t b = 0; b < bsz; ++b) {
         const SampleState& st = states[b];
         const bool have_node = tasks.toggle || tasks.node_type;
-        enc.backward(st.cache_masked,
+        enc.backward(st.masked,
                      have_node ? d_node_masked[b] : Matrix(),
                      tasks.size ? d_graph_masked[b] : Matrix());
         Matrix da(1, config.dim);
         std::copy(d_anchor.row(b), d_anchor.row(b) + config.dim, da.row(0));
         if (tasks.cl_gate || tasks.cl_cross) {
-          enc.backward(st.cache_gate, Matrix(), da);
+          enc.backward(st.gate, Matrix(), da);
         }
         if (tasks.cl_gate) {
           Matrix dp(1, config.dim);
           std::copy(d_plus.row(b), d_plus.row(b) + config.dim, dp.row(0));
-          enc.backward(st.cache_plus, Matrix(), dp);
+          enc.backward(st.plus, Matrix(), dp);
         }
         if (tasks.cl_cross) {
           Matrix dq(1, config.dim);
           std::copy(d_post.row(b), d_post.row(b) + config.dim, dq.row(0));
-          enc.backward(st.cache_post, Matrix(), dq);
+          enc.backward(st.post, Matrix(), dq);
         }
       }
       adam.step();

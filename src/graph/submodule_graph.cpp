@@ -14,18 +14,6 @@ using netlist::CellInstId;
 using netlist::kNoNet;
 using netlist::NetId;
 
-ml::GraphView view_with_features(const SubmoduleGraph& g, const ml::Matrix& feats) {
-  if (feats.rows() != g.num_nodes() || feats.cols() != kFeatureDim) {
-    throw std::invalid_argument("view_with_features: feature shape mismatch");
-  }
-  ml::GraphView v;
-  v.num_nodes = g.num_nodes();
-  v.feat_dim = kFeatureDim;
-  v.features = feats.data();
-  v.edges = &g.edges;
-  return v;
-}
-
 SubmoduleGraph build_submodule_graph(const netlist::Netlist& nl,
                                      netlist::SubmoduleId submodule) {
   SubmoduleGraph g;
@@ -89,17 +77,6 @@ std::vector<SubmoduleGraph> build_submodule_graphs(const netlist::Netlist& nl) {
 }
 
 void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
-                         int cycle, ml::Matrix& out) {
-  out = g.static_features;
-  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    const NetId net = g.out_net[i];
-    if (net == kNoNet) continue;
-    out.at(i, kToggleOffset) =
-        static_cast<float>(trace.transitions(cycle, net)) * 0.5f;
-  }
-}
-
-void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
                          int cycle, float* out) {
   const float* src = g.static_features.data();
   std::copy(src, src + g.num_nodes() * kFeatureDim, out);
@@ -109,6 +86,12 @@ void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
     out[i * kFeatureDim + kToggleOffset] =
         static_cast<float>(trace.transitions(cycle, net)) * 0.5f;
   }
+}
+
+void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                         int cycle, ml::Matrix& out) {
+  out.resize(g.num_nodes(), kFeatureDim);
+  fill_cycle_features(g, trace, cycle, out.data());
 }
 
 std::uint64_t toggle_channel_hash(const SubmoduleGraph& g,

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ml/matrix.h"
-#include "ml/sgformer.h"
 #include "netlist/netlist.h"
 #include "sim/simulator.h"
 
@@ -57,16 +56,14 @@ SubmoduleGraph build_submodule_graph(const netlist::Netlist& nl,
 /// Build DGs for all sub-modules of a design (skipping empty ones).
 std::vector<SubmoduleGraph> build_submodule_graphs(const netlist::Netlist& nl);
 
-/// Copy static features and fill the per-cycle toggle channel from a trace.
-/// `out` is resized as needed.
-void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
-                         int cycle, ml::Matrix& out);
-
-/// Same, into a raw row-major buffer of num_nodes x kFeatureDim floats
-/// (caller scratch in the batched encode path). Writes exactly the values
-/// of the Matrix overload.
+/// Copy static features and fill the per-cycle toggle channel from a trace
+/// into a row-major buffer of num_nodes x kFeatureDim floats.
 void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
                          int cycle, float* out);
+
+/// Same, into `out` resized to num_nodes x kFeatureDim (its storage reused).
+void fill_cycle_features(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
+                         int cycle, ml::Matrix& out);
 
 /// The toggle channel is the only feature fill_cycle_features varies by
 /// cycle, so two cycles of `g` with equal channels get identical feature
@@ -78,8 +75,5 @@ std::uint64_t toggle_channel_hash(const SubmoduleGraph& g,
 /// Exact channel equality of two cycles of `g` (confirms a hash match).
 bool same_toggle_channel(const SubmoduleGraph& g, const sim::ToggleTrace& trace,
                          int cycle_a, int cycle_b);
-
-/// A GraphView over externally prepared features for graph `g`.
-ml::GraphView view_with_features(const SubmoduleGraph& g, const ml::Matrix& feats);
 
 }  // namespace atlas::graph

@@ -53,7 +53,13 @@ Parasitics parse_spef(std::string_view text, const netlist::Netlist& nl) {
       if (it == name_map.end()) {
         throw std::runtime_error("spef: *D_NET references unmapped name " + parts[1]);
       }
-      out.wire_cap_ff[it->second] = std::stod(parts[2]);
+      const auto cap = util::parse_number<double>(parts[2]);
+      if (!cap) {
+        throw std::runtime_error("spef: *D_NET capacitance '" +
+                                 util::excerpt(parts[2]) +
+                                 "' is not a finite number");
+      }
+      out.wire_cap_ff[it->second] = *cap;
       ++dnets;
       continue;
     }

@@ -213,12 +213,20 @@ class Parser {
   Token cur_;
 };
 
-std::vector<double> parse_number_list(std::string_view s) {
+/// `text`, the value of attribute `name`, as one whole finite T.
+template <typename T = double>
+T number(std::string_view text, const char* name) {
+  if (const auto v = util::parse_number<T>(text)) return *v;
+  throw LibertyParseError(
+      "'" + util::excerpt(text) + "' is not a finite number for " + name, 0);
+}
+
+std::vector<double> parse_number_list(std::string_view s, const char* name) {
   std::vector<double> out;
   for (const std::string& tok : util::split(s, ',')) {
     const auto t = util::trim(tok);
     if (t.empty()) continue;
-    out.push_back(std::stod(std::string(t)));
+    out.push_back(number(t, name));
   }
   return out;
 }
@@ -311,8 +319,9 @@ Library library_from_group(const LibertyGroup& root) {
   if (root.kind != "library" || root.args.empty()) {
     throw LibertyParseError("top-level group must be library(name)", 0);
   }
-  const double voltage = std::stod(root.attr("nom_voltage", "0.9"));
-  const double period = std::stod(root.attr("clock_period_ns", "1.0"));
+  const double voltage = number(root.attr("nom_voltage", "0.9"), "nom_voltage");
+  const double period =
+      number(root.attr("clock_period_ns", "1.0"), "clock_period_ns");
   Library lib(root.args[0], voltage, period);
 
   for (const LibertyGroup& cg : root.children) {
@@ -323,25 +332,28 @@ Library library_from_group(const LibertyGroup& root) {
     c.func = cell_func_from_name(cg.attr("cell_function"));
     c.type = cg.has_attr("node_type") ? node_type_from_name(cg.attr("node_type"))
                                       : node_type_of(c.func);
-    c.drive = std::stoi(cg.attr("drive_strength", "1"));
-    c.area_um2 = std::stod(cg.attr("area", "0"));
-    c.leakage_uw = std::stod(cg.attr("cell_leakage_power", "0"));
-    c.clock_pin_energy_fj = std::stod(cg.attr("clock_pin_energy", "0"));
-    c.read_energy_fj = std::stod(cg.attr("read_energy", "0"));
-    c.write_energy_fj = std::stod(cg.attr("write_energy", "0"));
+    c.drive = number<int>(cg.attr("drive_strength", "1"), "drive_strength");
+    c.area_um2 = number(cg.attr("area", "0"), "area");
+    c.leakage_uw =
+        number(cg.attr("cell_leakage_power", "0"), "cell_leakage_power");
+    c.clock_pin_energy_fj =
+        number(cg.attr("clock_pin_energy", "0"), "clock_pin_energy");
+    c.read_energy_fj = number(cg.attr("read_energy", "0"), "read_energy");
+    c.write_energy_fj = number(cg.attr("write_energy", "0"), "write_energy");
     for (const LibertyGroup& sub : cg.children) {
       if (sub.kind == "pin") {
         if (sub.args.empty()) throw LibertyParseError("pin group without name", 0);
         Pin p;
         p.name = sub.args[0];
         p.dir = sub.attr("direction") == "output" ? PinDir::kOutput : PinDir::kInput;
-        p.cap_ff = std::stod(sub.attr("capacitance", "0"));
-        p.max_cap_ff = std::stod(sub.attr("max_capacitance", "0"));
+        p.cap_ff = number(sub.attr("capacitance", "0"), "capacitance");
+        p.max_cap_ff =
+            number(sub.attr("max_capacitance", "0"), "max_capacitance");
         p.is_clock = sub.attr("clock", "false") == "true";
         c.pins.push_back(std::move(p));
       } else if (sub.kind == "internal_power") {
-        c.energy_index_ff = parse_number_list(sub.attr("index_1"));
-        c.energy_fj = parse_number_list(sub.attr("values"));
+        c.energy_index_ff = parse_number_list(sub.attr("index_1"), "index_1");
+        c.energy_fj = parse_number_list(sub.attr("values"), "values");
       }
     }
     lib.add_cell(std::move(c));

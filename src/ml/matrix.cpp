@@ -26,6 +26,12 @@ void Matrix::fill(float v) {
   for (float& x : data_) x = v;
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 Matrix& Matrix::operator+=(const Matrix& o) {
   if (rows_ != o.rows_ || cols_ != o.cols_) {
     throw std::invalid_argument("Matrix+=: shape mismatch");
@@ -175,7 +181,7 @@ void add_row_bias_rows(float* x, std::size_t cols, const float* bias,
 }
 
 // A select rather than a branch: activations are ~half negative in no
-// predictable pattern. Same values as relu_inplace (NaN and -0 become +0).
+// predictable pattern. NaN and -0 become +0.
 void relu(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
@@ -230,31 +236,15 @@ void add_row_bias(Matrix& x, const Matrix& bias) {
   raw::add_row_bias_rows(x.data(), x.cols(), bias.data(), 0, x.rows());
 }
 
-std::vector<bool> relu_inplace(Matrix& x) {
-  std::vector<bool> mask(x.size());
-  float* d = x.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool on = d[i] > 0.0f;
-    mask[i] = on;
-    if (!on) d[i] = 0.0f;
+void relu_backward(Matrix& grad, const Matrix& post) {
+  if (post.size() != grad.size()) {
+    throw std::invalid_argument("relu_backward: shape mismatch");
   }
-  return mask;
-}
-
-void relu_backward_inplace(Matrix& grad, const std::vector<bool>& mask) {
-  if (mask.size() != grad.size()) {
-    throw std::invalid_argument("relu_backward: mask size mismatch");
-  }
-  float* d = grad.data();
+  float* g = grad.data();
+  const float* p = post.data();
   for (std::size_t i = 0; i < grad.size(); ++i) {
-    if (!mask[i]) d[i] = 0.0f;
+    if (!(p[i] > 0.0f)) g[i] = 0.0f;
   }
-}
-
-Matrix mean_rows(const Matrix& x) {
-  Matrix m(1, x.cols());
-  raw::mean_rows(x.data(), x.rows(), x.cols(), m.data());
-  return m;
 }
 
 std::vector<float> l2_normalize_rows(Matrix& x, float eps) {

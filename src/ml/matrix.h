@@ -38,6 +38,9 @@ class Matrix {
   const float* data() const { return data_.data(); }
 
   void fill(float v);
+  /// Reshape to rows x cols, keeping the storage when it is large enough.
+  /// The contents are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols);
 
   Matrix& operator+=(const Matrix& o);
   Matrix& operator*=(float s);
@@ -49,12 +52,12 @@ class Matrix {
 };
 
 // Raw row-major kernels. These are the single source of truth for the
-// arithmetic: the Matrix entry points below and the serving encoder's
-// single-segment forward (SgFormer::forward_segment) both delegate here, so
-// the training forward() and the inference path share identical loop order
-// and rounding by construction. Each output row of gemm_rows depends only
-// on the matching input row, which is what makes row-chunk parallelism
-// bit-identical to the serial matmul.
+// arithmetic: the Matrix entry points below and the SGFormer forward body
+// (behind both forward_segment and forward_train) delegate here, so the
+// Matrix-level backward and the forward share loop order and rounding by
+// construction. Each output row of gemm_rows depends only on the matching
+// input row, which is what makes row-chunk parallelism bit-identical to the
+// serial matmul.
 namespace raw {
 
 /// C rows [r0, r1) = A rows [r0, r1) * B. C rows must be pre-zeroed.
@@ -95,13 +98,10 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b);
 /// y = x with each row offset by bias (bias is 1 x cols).
 void add_row_bias(Matrix& x, const Matrix& bias);
 
-/// ReLU forward (in place) returning a mask usable for backward.
-std::vector<bool> relu_inplace(Matrix& x);
-/// Zero grad entries where the forward activation was clipped.
-void relu_backward_inplace(Matrix& grad, const std::vector<bool>& mask);
-
-/// Mean over rows -> 1 x cols.
-Matrix mean_rows(const Matrix& x);
+/// ReLU backward: zero grad where the forward ReLU (raw::relu) clipped, read
+/// back from its output `post`. post > 0 is exactly the forward's keep test,
+/// so a NaN or -0 input (clipped to +0) is masked too.
+void relu_backward(Matrix& grad, const Matrix& post);
 
 /// L2-normalize each row in place; returns the original norms (for backward).
 std::vector<float> l2_normalize_rows(Matrix& x, float eps = 1e-8f);

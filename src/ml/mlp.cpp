@@ -43,11 +43,10 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
 }
 
 Matrix Mlp::forward(const Matrix& x) {
-  relu_masks_.clear();
   Matrix h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].forward(h);
-    if (i + 1 < layers_.size()) relu_masks_.push_back(relu_inplace(h));
+    if (i + 1 < layers_.size()) raw::relu(h.data(), h.size());
   }
   return h;
 }
@@ -56,7 +55,8 @@ Matrix Mlp::backward(const Matrix& dy) {
   Matrix g = dy;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     g = layers_[i].backward(g);
-    if (i > 0) relu_backward_inplace(g, relu_masks_[i - 1]);
+    // Layer i's input is layer i-1's ReLU output.
+    if (i > 0) relu_backward(g, layers_[i].input());
   }
   return g;
 }

@@ -26,6 +26,8 @@ class Linear {
 
   /// y = x W + b; caches x for backward.
   Matrix forward(const Matrix& x);
+  /// The input the last forward() cached.
+  const Matrix& input() const { return cached_x_; }
   /// Accumulates dW/db from the cached input; returns dx.
   Matrix backward(const Matrix& dy);
 
@@ -56,7 +58,6 @@ class Mlp {
 
  private:
   std::vector<Linear> layers_;
-  std::vector<std::vector<bool>> relu_masks_;
 };
 
 }  // namespace atlas::ml

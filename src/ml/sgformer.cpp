@@ -22,14 +22,6 @@ obs::Counter& backward_counter() {
       &obs::Registry::global().counter("atlas_ml_sgformer_backward_total");
   return *c;
 }
-
-// A_norm x. A_norm is symmetric, so this is also the transposed product.
-Matrix propagate(const SgFormer::Cache& c, const Matrix& x) {
-  Matrix y(x.rows(), x.cols());
-  raw::propagate(c.norm_edges.data(), c.norm_weights.data(), c.norm_edges.size(),
-                 x.data(), x.cols(), y.data());
-  return y;
-}
 }  // namespace
 
 SgFormer::SgFormer(const Config& config) : config_(config) {
@@ -68,69 +60,6 @@ void SgFormer::ensure_grads() {
   gb_out_ = Matrix(1, d);
 }
 
-SgFormer::Output SgFormer::forward(const GraphView& g, Cache* cache) const {
-  forward_counter().inc();
-  if (g.num_nodes == 0) throw std::invalid_argument("SgFormer: empty graph");
-  if (g.feat_dim != config_.in_dim) {
-    throw std::invalid_argument("SgFormer: feature dim mismatch");
-  }
-  Cache local;
-  Cache& c = cache ? *cache : local;
-  c.n = g.num_nodes;
-
-  // Features into a matrix.
-  c.x = Matrix(g.num_nodes, g.feat_dim);
-  std::copy(g.features, g.features + g.num_nodes * g.feat_dim, c.x.data());
-
-  // Normalized adjacency (undirected + self loops).
-  {
-    NormAdjacency adj = build_norm_adjacency(g.num_nodes, g.edges);
-    c.norm_edges = std::move(adj.edges);
-    c.norm_weights = std::move(adj.weights);
-  }
-
-  // Input projection.
-  c.h = matmul(c.x, w_in_);
-  add_row_bias(c.h, b_in_);
-  c.mask_in = relu_inplace(c.h);
-
-  // Global linear attention.
-  c.q = matmul(c.h, wq_);
-  c.k = matmul(c.h, wk_);
-  c.v = matmul(c.h, wv_);
-  c.ktv = matmul_tn(c.k, c.v);  // d x d
-  c.att = matmul(c.q, c.ktv);
-  const float inv_n = 1.0f / static_cast<float>(c.n);
-  c.att *= 0.5f * inv_n;
-  // att = 0.5*(V + Q K^T V / N): add the skip half.
-  {
-    Matrix half_v = c.v;
-    half_v *= 0.5f;
-    c.att += half_v;
-  }
-
-  // Graph convolution branch.
-  c.ah = propagate(c, c.h);
-  Matrix gcn = matmul(c.ah, wg_);
-
-  // Combine, nonlinearity, output projection.
-  c.combined = gcn;
-  c.combined *= (1.0f - config_.alpha);
-  {
-    Matrix att_scaled = c.att;
-    att_scaled *= config_.alpha;
-    c.combined += att_scaled;
-  }
-  c.mask_mid = relu_inplace(c.combined);
-  c.node_emb = matmul(c.combined, w_out_);
-  add_row_bias(c.node_emb, b_out_);
-
-  Output out;
-  out.node_emb = c.node_emb;
-  out.graph_emb = mean_rows(c.node_emb);
-  return out;
-}
-
 SgFormer::NormAdjacency SgFormer::build_norm_adjacency(
     std::size_t num_nodes,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>* edges) {
@@ -165,18 +94,53 @@ void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
                                const float* features, float* scratch,
                                float* graph_emb) const {
   if (n == 0) throw std::invalid_argument("forward_segment: empty graph");
+  const std::size_t nd = n * config_.dim;
+  // Four n x d buffers, each reused once its value is dead, plus the d x d
+  // K^T V tile: att overwrites K (dead once K^T V is formed), A H overwrites
+  // Q (dead once att is formed), the mix overwrites V (dead once the skip
+  // half is added) and the node embeddings overwrite H (dead once A H is
+  // formed).
+  float* h = scratch;
+  float* q = h + nd;
+  float* k = q + nd;
+  float* v = k + nd;
+  float* ktv = v + nd;
+  forward_body(n, adj, features, Buffers{h, q, k, v, ktv, k, q, v, h},
+               graph_emb);
+}
+
+void SgFormer::forward_train(const NormAdjacency& adj, Activations& act,
+                             float* graph_emb) const {
+  const std::size_t n = act.x.rows();
+  if (n == 0) throw std::invalid_argument("forward_train: empty graph");
+  if (act.x.cols() != config_.in_dim) {
+    throw std::invalid_argument("forward_train: feature dim mismatch");
+  }
+  const std::size_t d = config_.dim;
+  for (Matrix* m : {&act.h, &act.q, &act.k, &act.v, &act.ah, &act.combined,
+                    &act.node_emb}) {
+    m->resize(n, d);
+  }
+  act.ktv.resize(d, d);
+  act.n = n;
+  act.adj = &adj;
+  // att lives in node_emb: the mix reads it before emb is zeroed.
+  forward_body(n, adj, act.x.data(),
+               Buffers{act.h.data(), act.q.data(), act.k.data(), act.v.data(),
+                       act.ktv.data(), act.node_emb.data(), act.ah.data(),
+                       act.combined.data(), act.node_emb.data()},
+               graph_emb);
+}
+
+void SgFormer::forward_body(std::size_t n, const NormAdjacency& adj,
+                            const float* features, const Buffers& buf,
+                            float* graph_emb) const {
   forward_counter().inc();
   const std::size_t d = config_.dim;
   const std::size_t nd = n * d;
-  // Four n x d buffers, each reused once its value is dead, plus the d x d
-  // K^T V tile. GEMM and propagate outputs accumulate, so each is zeroed
-  // right before it is written (matching the zero-init of forward()'s
-  // Matrix temporaries).
-  float* h = scratch;  // H
-  float* q = h + nd;   // Q
-  float* k = q + nd;   // K
-  float* v = k + nd;   // V
-  float* ktv = v + nd;
+  // GEMM and propagate outputs accumulate, so each is zeroed right before
+  // it is written.
+  const auto [h, q, k, v, ktv, att, ah, gcn, emb] = buf;
 
   // H = ReLU(X W_in + b_in).
   std::fill(h, h + nd, 0.0f);
@@ -185,13 +149,12 @@ void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
   raw::relu(h, nd);
 
   // Global linear attention: att = 0.5 * (V + Q (K^T V) / n).
-  std::fill(q, q + 3 * nd, 0.0f);
+  for (float* p : {q, k, v}) std::fill(p, p + nd, 0.0f);
   raw::gemm_rows(h, d, wq_.data(), d, q, 0, n);
   raw::gemm_rows(h, d, wk_.data(), d, k, 0, n);
   raw::gemm_rows(h, d, wv_.data(), d, v, 0, n);
   std::fill(ktv, ktv + d * d, 0.0f);
   raw::gemm_tn(k, d, v, d, n, ktv);
-  float* att = k;  // K is dead once K^T V is formed
   std::fill(att, att + nd, 0.0f);
   raw::gemm_rows(q, d, ktv, d, att, 0, n);
   const float inv_n = 1.0f / static_cast<float>(n);
@@ -203,11 +166,9 @@ void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
   }
 
   // Graph convolution branch: gcn = (A_norm H) W_g.
-  float* ah = q;  // Q is dead once the attention is formed
   std::fill(ah, ah + nd, 0.0f);
   raw::propagate(adj.edges.data(), adj.weights.data(), adj.edges.size(), h, d,
                  ah);
-  float* gcn = v;  // V is dead once the skip half is added
   std::fill(gcn, gcn + nd, 0.0f);
   raw::gemm_rows(ah, d, wg_.data(), d, gcn, 0, n);
 
@@ -221,18 +182,20 @@ void SgFormer::forward_segment(std::size_t n, const NormAdjacency& adj,
     gcn[i] = cv;
   }
   raw::relu(gcn, nd);
-  float* emb = h;  // H is dead once A H is formed
   std::fill(emb, emb + nd, 0.0f);
   raw::gemm_rows(gcn, d, w_out_.data(), d, emb, 0, n);
   raw::add_row_bias_rows(emb, d, b_out_.data(), 0, n);
   raw::mean_rows(emb, n, d, graph_emb);
 }
 
-void SgFormer::backward(const Cache& c, const Matrix& d_node,
+void SgFormer::backward(const Activations& act, const Matrix& d_node,
                         const Matrix& d_graph) {
   backward_counter().inc();
+  if (act.adj == nullptr) {
+    throw std::invalid_argument("SgFormer::backward: no forward_train ran");
+  }
   ensure_grads();
-  const std::size_t n = c.n;
+  const std::size_t n = act.n;
   const std::size_t d = config_.dim;
   Matrix de(n, d);
   if (!d_node.empty()) {
@@ -253,13 +216,13 @@ void SgFormer::backward(const Cache& c, const Matrix& d_node,
   }
 
   // Output projection.
-  gw_out_ += matmul_tn(c.combined, de);
+  gw_out_ += matmul_tn(act.combined, de);
   for (std::size_t i = 0; i < n; ++i) {
     const float* r = de.row(i);
     for (std::size_t j = 0; j < d; ++j) gb_out_.at(0, j) += r[j];
   }
   Matrix dc = matmul_nt(de, w_out_);
-  relu_backward_inplace(dc, c.mask_mid);
+  relu_backward(dc, act.combined);
 
   // Split into attention / gcn branches.
   Matrix datt = dc;
@@ -270,10 +233,13 @@ void SgFormer::backward(const Cache& c, const Matrix& d_node,
   Matrix dh(n, d);  // accumulates gradient w.r.t. post-ReLU H
 
   // GCN branch: gcn = (A H) Wg.
-  gwg_ += matmul_tn(c.ah, dgcn);
+  gwg_ += matmul_tn(act.ah, dgcn);
   {
     const Matrix dah = matmul_nt(dgcn, wg_);
-    dh += propagate(c, dah);  // A symmetric: A^T = A
+    Matrix adah(n, d);  // A symmetric: A^T = A
+    raw::propagate(act.adj->edges.data(), act.adj->weights.data(),
+                   act.adj->edges.size(), dah.data(), d, adah.data());
+    dh += adah;
   }
 
   // Attention branch: att = 0.5 V + 0.5/N * Q (K^T V).
@@ -283,30 +249,30 @@ void SgFormer::backward(const Cache& c, const Matrix& d_node,
     Matrix dv = datt;
     dv *= 0.5f;
     // dQ = s * datt (K^T V)^T ; dKtV = s * Q^T datt.
-    Matrix dq = matmul_nt(datt, c.ktv);
+    Matrix dq = matmul_nt(datt, act.ktv);
     dq *= half_inv_n;
-    Matrix dktv = matmul_tn(c.q, datt);
+    Matrix dktv = matmul_tn(act.q, datt);
     dktv *= half_inv_n;
     // KtV = K^T V: dK = V dKtV^T ; dV += K dKtV.
     {
       // dK = V * dktv^T  -> use matmul_nt(V, dktv).
-      const Matrix dk = matmul_nt(c.v, dktv);
-      gwk_ += matmul_tn(c.h, dk);
+      const Matrix dk = matmul_nt(act.v, dktv);
+      gwk_ += matmul_tn(act.h, dk);
       dh += matmul_nt(dk, wk_);
     }
     {
-      Matrix dv2 = matmul(c.k, dktv);
+      Matrix dv2 = matmul(act.k, dktv);
       dv += dv2;
     }
-    gwq_ += matmul_tn(c.h, dq);
+    gwq_ += matmul_tn(act.h, dq);
     dh += matmul_nt(dq, wq_);
-    gwv_ += matmul_tn(c.h, dv);
+    gwv_ += matmul_tn(act.h, dv);
     dh += matmul_nt(dv, wv_);
   }
 
   // Input projection.
-  relu_backward_inplace(dh, c.mask_in);
-  gw_in_ += matmul_tn(c.x, dh);
+  relu_backward(dh, act.h);
+  gw_in_ += matmul_tn(act.x, dh);
   for (std::size_t i = 0; i < n; ++i) {
     const float* r = dh.row(i);
     for (std::size_t j = 0; j < d; ++j) gb_in_.at(0, j) += r[j];

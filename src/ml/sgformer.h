@@ -15,6 +15,12 @@
 // accumulate in the encoder so multiple graphs can contribute to one step
 // (required by the contrastive tasks, whose loss couples whole batches of
 // graphs).
+//
+// One forward body computes all of the above. Serving runs it through
+// forward_segment(), which overlays the intermediates in a small caller
+// scratch; pre-training runs it through forward_train(), which keeps every
+// intermediate backward() reads in a caller-owned Activations. The two share
+// every kernel call and op, so their graph embeddings are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +29,6 @@
 #include "ml/mlp.h"
 
 namespace atlas::ml {
-
-/// Read-only view of one graph: node features plus directed edges.
-struct GraphView {
-  std::size_t num_nodes = 0;
-  std::size_t feat_dim = 0;
-  const float* features = nullptr;  // row-major num_nodes x feat_dim
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>* edges = nullptr;
-};
 
 class SgFormer {
  public:
@@ -45,27 +43,10 @@ class SgFormer {
   /// `config.seed`, plus gradient storage.
   explicit SgFormer(const Config& config);
 
-  /// Forward intermediates for one graph, kept for backward.
-  struct Cache {
-    Matrix x, h, q, k, v, ktv, att, ah, combined, node_emb;
-    std::vector<bool> mask_in, mask_mid;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> norm_edges;  // incl. loops
-    std::vector<float> norm_weights;
-    std::size_t n = 0;
-  };
-
-  struct Output {
-    Matrix node_emb;   // N x dim
-    Matrix graph_emb;  // 1 x dim
-  };
-
-  /// Encode one graph. Pass a Cache to enable a later backward() call.
-  Output forward(const GraphView& g, Cache* cache = nullptr) const;
-
-  /// Symmetric-normalized adjacency of one graph in edge-list form, exactly
-  /// as forward() constructs it internally. Cycle- and feature-invariant, so
-  /// one instance is reused across every cycle of a graph and across every
-  /// request touching that graph.
+  /// Symmetric-normalized adjacency of one graph in edge-list form (self
+  /// loops first, then both directions of every edge). Cycle- and
+  /// feature-invariant, so one instance is reused across every cycle of a
+  /// graph, every training epoch and every request touching that graph.
   struct NormAdjacency {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // incl. loops
     std::vector<float> weights;
@@ -82,19 +63,39 @@ class SgFormer {
   /// Inference-only forward of one graph (one (sub-module, cycle) segment):
   /// `features` holds n x in_dim rows, `adj` is the graph's prebuilt
   /// build_norm_adjacency(), and the 1 x dim graph embedding is written to
-  /// `graph_emb`. Runs the same raw:: kernels as forward() in forward()'s
-  /// exact op order, so the result is bit-identical to
-  /// forward(...).graph_emb. Every intermediate, K^T V included, lives in
-  /// `scratch` (segment_scratch_floats(n) floats, contents ignored), so a
-  /// caller that recycles its scratch encodes without heap traffic. Serial
-  /// and touching only its arguments: callers parallelize across segments.
+  /// `graph_emb`. Every intermediate, K^T V included, lives in `scratch`
+  /// (segment_scratch_floats(n) floats, contents ignored), each buffer
+  /// reused once its value is dead, so a caller that recycles its scratch
+  /// encodes without heap traffic. Bit-identical to forward_train()'s graph
+  /// embedding. Serial and touching only its arguments: callers parallelize
+  /// across segments.
   void forward_segment(std::size_t n, const NormAdjacency& adj,
                        const float* features, float* scratch,
                        float* graph_emb) const;
 
-  /// Accumulate parameter gradients for one graph. `d_node` may be empty
-  /// (zero); `d_graph` may be empty (zero).
-  void backward(const Cache& cache, const Matrix& d_node, const Matrix& d_graph);
+  /// The intermediates of one training forward, kept for backward(): the
+  /// caller sizes and fills `x` (n x in_dim features); forward_train()
+  /// sizes the rest (post-ReLU H, Q, K, V, the d x d K^T V, A_norm H, the
+  /// post-ReLU mix and E), reusing their storage, and records n and the
+  /// adjacency, which must outlive the backward() call.
+  struct Activations {
+    Matrix x, h, q, k, v, ktv, ah, combined, node_emb;
+    std::size_t n = 0;
+    const NormAdjacency* adj = nullptr;
+  };
+
+  /// Training forward of the graph whose features are `act.x` and whose
+  /// prebuilt adjacency is `adj`: fills `act` and writes the 1 x dim graph
+  /// embedding (the mean of act.node_emb) to `graph_emb`. Throws
+  /// std::invalid_argument on an empty graph or a feature width other than
+  /// in_dim.
+  void forward_train(const NormAdjacency& adj, Activations& act,
+                     float* graph_emb) const;
+
+  /// Accumulate parameter gradients for the graph `act` holds. `d_node` may
+  /// be empty (zero); `d_graph` may be empty (zero).
+  void backward(const Activations& act, const Matrix& d_node,
+                const Matrix& d_graph);
 
   /// The training entry points. The first of these (or backward) on a
   /// loaded encoder sizes its gradient storage; it is never reallocated
@@ -115,6 +116,16 @@ class SgFormer {
 
  private:
   static constexpr std::size_t kNumParams = 8;
+
+  /// Where the forward body keeps its intermediates (n x dim each, ktv
+  /// dim x dim). att and emb may alias buffers that are dead by then.
+  struct Buffers {
+    float *h, *q, *k, *v, *ktv, *att, *ah, *combined, *emb;
+  };
+  void forward_body(std::size_t n, const NormAdjacency& adj,
+                    const float* features, const Buffers& buf,
+                    float* graph_emb) const;
+
   /// Adopts `weights` (w_in, b_in, wq, wk, wv, wg, w_out, b_out).
   SgFormer(const Config& config, Matrix (&weights)[kNumParams]);
   void ensure_grads();

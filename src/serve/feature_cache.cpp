@@ -71,11 +71,11 @@ std::size_t approx_prediction_bytes(const core::Prediction& p) {
 }
 
 FeatureCache::FeatureCache(std::size_t max_designs,
-                           std::size_t max_embeddings_per_design,
+                           std::size_t max_predictions_per_design,
                            std::size_t max_bytes)
     : max_designs_(max_designs < 1 ? 1 : max_designs),
-      max_embeddings_per_design_(
-          max_embeddings_per_design < 1 ? 1 : max_embeddings_per_design),
+      max_predictions_per_design_(
+          max_predictions_per_design < 1 ? 1 : max_predictions_per_design),
       max_bytes_(max_bytes) {}
 
 void FeatureCache::publish_gauges() const {
@@ -87,8 +87,8 @@ void FeatureCache::publish_gauges() const {
   g.embedding_misses.set(static_cast<std::int64_t>(stats_.embedding_misses));
   g.embedding_drops.set(static_cast<std::int64_t>(stats_.embedding_drops));
   g.designs.set(static_cast<std::int64_t>(entries_.size()));
-  g.embedding_bytes.set(static_cast<std::int64_t>(embedding_bytes_));
-  g.total_bytes.set(static_cast<std::int64_t>(design_bytes_ + embedding_bytes_));
+  g.embedding_bytes.set(static_cast<std::int64_t>(prediction_bytes_));
+  g.total_bytes.set(static_cast<std::int64_t>(design_bytes_ + prediction_bytes_));
 }
 
 void FeatureCache::touch(std::uint64_t key, Entry& e) {
@@ -102,13 +102,13 @@ void FeatureCache::evict_if_needed() {
   // entry's design footprint plus its predictions, but never evict the MRU
   // entry — a single over-budget design must still be servable.
   while (entries_.size() > max_designs_ ||
-         (max_bytes_ > 0 && design_bytes_ + embedding_bytes_ > max_bytes_ &&
+         (max_bytes_ > 0 && design_bytes_ + prediction_bytes_ > max_bytes_ &&
           entries_.size() > 1)) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     const auto it = entries_.find(victim);
     for (const auto& [k, pred] : it->second.predictions) {
-      embedding_bytes_ -= bytes_of(pred);
+      prediction_bytes_ -= bytes_of(pred);
     }
     design_bytes_ -= it->second.design_bytes;
     entries_.erase(it);
@@ -170,7 +170,7 @@ std::shared_ptr<const DesignArtifacts> FeatureCache::put_design(
 }
 
 std::shared_ptr<const core::Prediction> FeatureCache::find_prediction(
-    std::uint64_t design_key, const EmbeddingKey& key) {
+    std::uint64_t design_key, const PredictionKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
   if (it == entries_.end()) {
@@ -191,7 +191,7 @@ std::shared_ptr<const core::Prediction> FeatureCache::find_prediction(
 }
 
 std::shared_ptr<const core::Prediction> FeatureCache::put_prediction(
-    std::uint64_t design_key, const EmbeddingKey& key,
+    std::uint64_t design_key, const PredictionKey& key,
     std::shared_ptr<const core::Prediction> pred) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
@@ -218,13 +218,13 @@ std::shared_ptr<const core::Prediction> FeatureCache::put_prediction(
     publish_gauges();
     return pit->second;
   }
-  embedding_bytes_ += bytes_of(pred);
+  prediction_bytes_ += bytes_of(pred);
   std::shared_ptr<const core::Prediction> winner = pred;
   e.predictions.emplace(key, std::move(pred));
   e.prediction_order.push_back(key);
-  while (e.predictions.size() > max_embeddings_per_design_) {
+  while (e.predictions.size() > max_predictions_per_design_) {
     const auto victim = e.predictions.find(e.prediction_order.front());
-    embedding_bytes_ -= bytes_of(victim->second);
+    prediction_bytes_ -= bytes_of(victim->second);
     e.predictions.erase(victim);
     e.prediction_order.pop_front();
   }
@@ -240,7 +240,7 @@ bool FeatureCache::peek_design(std::uint64_t key) const {
 }
 
 bool FeatureCache::peek_prediction(std::uint64_t design_key,
-                                   const EmbeddingKey& key) const {
+                                   const PredictionKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(design_key);
   if (it == entries_.end()) return false;
@@ -257,14 +257,14 @@ std::size_t FeatureCache::num_designs() const {
   return entries_.size();
 }
 
-std::size_t FeatureCache::embedding_bytes() const {
+std::size_t FeatureCache::prediction_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return embedding_bytes_;
+  return prediction_bytes_;
 }
 
 std::size_t FeatureCache::total_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return design_bytes_ + embedding_bytes_;
+  return design_bytes_ + prediction_bytes_;
 }
 
 }  // namespace atlas::serve

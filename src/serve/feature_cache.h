@@ -21,8 +21,10 @@
 //                     name can never alias. The registry generation
 //                     invalidates results across a model reload under the
 //                     same name. The layer keeps its older "embedding" name
-//                     in FeatureCacheStats, the atlas_serve_cache_embedding_*
-//                     gauges and the kCacheHitEmbeddings wire flag.
+//                     where clients and dashboards read it:
+//                     FeatureCacheStats, HealthResponse, the
+//                     atlas_serve_cache_embedding_* gauges, the
+//                     kCacheHitEmbeddings wire flag and --cache-embeddings.
 //
 // A prediction depends on nothing but its key (the §4b determinism
 // contract makes it bit-identical every time), so a warm hit skips netlist
@@ -91,7 +93,7 @@ std::size_t approx_design_bytes(const DesignArtifacts& d);
 /// weight.
 std::size_t approx_prediction_bytes(const core::Prediction& p);
 
-struct EmbeddingKey {
+struct PredictionKey {
   std::string model;
   std::string workload;
   std::int32_t cycles = 0;
@@ -103,7 +105,7 @@ struct EmbeddingKey {
   /// replaced artifact can never satisfy a lookup for the new one.
   std::uint64_t generation = 0;
 
-  bool operator<(const EmbeddingKey& o) const {
+  bool operator<(const PredictionKey& o) const {
     return std::tie(model, workload, cycles, trace_hash, generation) <
            std::tie(o.model, o.workload, o.cycles, o.trace_hash, o.generation);
   }
@@ -125,12 +127,12 @@ struct FeatureCacheStats {
 
 class FeatureCache {
  public:
-  /// `max_designs` bounds the design layer (LRU); `max_embeddings_per_design`
+  /// `max_designs` bounds the design layer (LRU); `max_predictions_per_design`
   /// bounds each entry's result map (oldest-inserted evicted first);
   /// `max_bytes` bounds the summed approximate weight of designs +
   /// predictions (0 = unlimited).
   explicit FeatureCache(std::size_t max_designs = 16,
-                        std::size_t max_embeddings_per_design = 8,
+                        std::size_t max_predictions_per_design = 8,
                         std::size_t max_bytes = 0);
 
   std::shared_ptr<const DesignArtifacts> find_design(std::uint64_t key);
@@ -144,7 +146,7 @@ class FeatureCache {
       std::uint64_t key, std::shared_ptr<const DesignArtifacts> d);
 
   std::shared_ptr<const core::Prediction> find_prediction(
-      std::uint64_t design_key, const EmbeddingKey& key);
+      std::uint64_t design_key, const PredictionKey& key);
   /// Insert a freshly computed prediction, returning the winning entry.
   /// Three cases: (a) normal insert — returns `pred`; (b) a racing request
   /// inserted the same key first — first insert wins, returns the cached
@@ -154,7 +156,7 @@ class FeatureCache {
   /// so the losing request still serves the result it just paid for
   /// instead of failing or recomputing.
   std::shared_ptr<const core::Prediction> put_prediction(
-      std::uint64_t design_key, const EmbeddingKey& key,
+      std::uint64_t design_key, const PredictionKey& key,
       std::shared_ptr<const core::Prediction> pred);
 
   /// Non-mutating presence probes for admission control (the overload shed
@@ -163,12 +165,12 @@ class FeatureCache {
   /// perturb eviction order or the cache's observability.
   bool peek_design(std::uint64_t key) const;
   bool peek_prediction(std::uint64_t design_key,
-                       const EmbeddingKey& key) const;
+                       const PredictionKey& key) const;
 
   FeatureCacheStats stats() const;
   std::size_t num_designs() const;
   /// Bytes held by cached predictions (all designs).
-  std::size_t embedding_bytes() const;
+  std::size_t prediction_bytes() const;
   /// Approximate bytes held by the whole cache (designs + predictions) —
   /// the quantity the `max_bytes` budget bounds.
   std::size_t total_bytes() const;
@@ -178,9 +180,9 @@ class FeatureCache {
     std::shared_ptr<const DesignArtifacts> design;
     std::size_t design_bytes = 0;
     // Insertion-ordered for simple FIFO eviction within one design.
-    std::map<EmbeddingKey, std::shared_ptr<const core::Prediction>>
+    std::map<PredictionKey, std::shared_ptr<const core::Prediction>>
         predictions;
-    std::list<EmbeddingKey> prediction_order;
+    std::list<PredictionKey> prediction_order;
     std::list<std::uint64_t>::iterator lru_pos;
   };
 
@@ -195,14 +197,14 @@ class FeatureCache {
   void publish_gauges() const;
 
   const std::size_t max_designs_;
-  const std::size_t max_embeddings_per_design_;
+  const std::size_t max_predictions_per_design_;
   const std::size_t max_bytes_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::list<std::uint64_t> lru_;  // front = most recently used
   FeatureCacheStats stats_;
-  std::size_t embedding_bytes_ = 0;  // prediction bytes across all entries
+  std::size_t prediction_bytes_ = 0;  // prediction bytes across all entries
   std::size_t design_bytes_ = 0;     // approx bytes of design artifacts
 };
 

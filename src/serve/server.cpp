@@ -120,7 +120,7 @@ HealthResponse Server::health_snapshot() const {
   h.num_models = registry_->size();
   h.cache_designs = cache_.num_designs();
   h.cache_total_bytes = cache_.total_bytes();
-  h.cache_embedding_bytes = cache_.embedding_bytes();
+  h.cache_embedding_bytes = cache_.prediction_bytes();
   h.queue_depth = inflight_jobs();
   h.draining = stopping_.load() || host_.stop_requested();
   return h;
@@ -467,7 +467,7 @@ bool Server::predict_is_warm(const PendingJob& job) const {
   const std::uint64_t design_key =
       design_cache_key(job.netlist_hash, entry->library_hash);
   if (!cache_.peek_design(design_key)) return false;
-  const EmbeddingKey key{req.model, req.workload, req.cycles,
+  const PredictionKey key{req.model, req.workload, req.cycles,
                          /*trace_hash=*/0, entry->generation};
   return cache_.peek_prediction(design_key, key);
 }
@@ -932,7 +932,7 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
   // makes a reload under the same name a guaranteed miss: a prediction
   // from the replaced artifact is stale (different weights), never merely
   // cold.
-  prep.pred_key = EmbeddingKey{req.model, req.workload, req.cycles,
+  prep.pred_key = PredictionKey{req.model, req.workload, req.cycles,
                                external ? trace->content_hash() : 0,
                                entry->generation};
   phase_start = Clock::now();

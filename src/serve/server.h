@@ -69,6 +69,8 @@ namespace atlas::serve {
 /// (kMaxStreamBytes) are fixed.
 struct ServerConfig : ListenConfig {
   std::size_t cache_designs = 16;
+  /// Cached predictions per design (the result layer's per-design bound;
+  /// set by --cache-embeddings).
   std::size_t cache_embeddings_per_design = 8;
   /// Max predict requests dispatched as one thread-pool batch.
   std::size_t batch_max = 8;
@@ -214,7 +216,7 @@ class Server {
     std::shared_ptr<const DesignArtifacts> design;
     /// The cached prediction on a hit; set by finish_predict on a miss.
     std::shared_ptr<const core::Prediction> pred;
-    EmbeddingKey pred_key;
+    PredictionKey pred_key;
     std::uint64_t design_key = 0;
     std::uint32_t cache_flags = 0;
     /// Stimulus for the encoder; only populated when needs_encode.

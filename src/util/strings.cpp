@@ -1,5 +1,7 @@
 #include "util/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cctype>
@@ -13,6 +15,17 @@ std::string_view trim(std::string_view s) {
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
 }
+
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  if (!std::isfinite(static_cast<double>(v))) return std::nullopt;
+  return v;
+}
+template std::optional<double> parse_number(std::string_view);
+template std::optional<int> parse_number(std::string_view);
 
 std::string excerpt(std::string_view s) {
   constexpr std::size_t kMaxBytes = 64;

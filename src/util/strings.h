@@ -2,6 +2,7 @@
 // SPEF) and report printers.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,12 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// '\n'; false once `rest` is empty. As with std::getline, a last line
 /// with no '\n' is still returned and a final '\n' starts no empty line.
 bool next_line(std::string_view& rest, std::string_view& line);
+
+/// `s` as a T (double or int) when the whole of it is one number in
+/// std::from_chars syntax (no surrounding whitespace, no leading '+'), else
+/// nullopt: trailing junk, out-of-range values, nan and inf are rejected.
+template <typename T>
+std::optional<T> parse_number(std::string_view s);
 
 /// `s` as an error message may quote it: unchanged up to 64 bytes, else
 /// its first 64 bytes, "..." and its full length. Parsers use it for every

@@ -56,7 +56,7 @@ liberty::Library* AtlasCoreTest::lib_ = nullptr;
 DesignData* AtlasCoreTest::train_ = nullptr;
 DesignData* AtlasCoreTest::test_ = nullptr;
 
-/// The oracle for the inference encoder: SgFormer::forward (the
+/// The oracle for the inference encoder: SgFormer::forward_train (the
 /// pre-training path) on every (graph, cycle) of the trace, plus the static
 /// context and the toggle-weighted extras — no memo, no segments, no pool.
 DesignEmbeddings reference_encode(
@@ -67,18 +67,18 @@ DesignEmbeddings reference_encode(
   emb.num_cycles = trace.num_cycles();
   const std::size_t d = model.encoder().dim();
   const std::size_t cycles = static_cast<std::size_t>(emb.num_cycles);
-  ml::Matrix feats;
   for (const graph::SubmoduleGraph& g : graphs) {
     DesignEmbeddings::PerGraph pg;
     pg.st = compute_submodule_static(gate, g);
     pg.emb = ml::Matrix(cycles, d);
     pg.extras.resize(cycles);
+    const ml::SgFormer::NormAdjacency adj =
+        ml::SgFormer::build_norm_adjacency(g.num_nodes(), &g.edges);
     for (int c = 0; c < emb.num_cycles; ++c) {
-      graph::fill_cycle_features(g, trace, c, feats);
-      const auto out =
-          model.encoder().forward(graph::view_with_features(g, feats));
-      std::copy(out.graph_emb.row(0), out.graph_emb.row(0) + d,
-                pg.emb.row(static_cast<std::size_t>(c)));
+      ml::SgFormer::Activations act;
+      graph::fill_cycle_features(g, trace, c, act.x);
+      model.encoder().forward_train(adj, act,
+                                    pg.emb.row(static_cast<std::size_t>(c)));
       pg.extras[static_cast<std::size_t>(c)] =
           compute_cycle_extras(g, pg.st, trace, c);
     }
@@ -417,7 +417,7 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
 
   // The split entry points the serving feature cache relies on: encode()
   // once, then reuse the embeddings for repeated head evaluation. encode()
-  // must reproduce the forward() reference byte for byte, and both head
+  // must reproduce the forward_train reference byte for byte, and both head
   // evaluations must be bit-identical to the monolithic predict().
   const DesignEmbeddings emb =
       model.encode(test_->gate, test_->gate_graphs, wl.gate_trace);
@@ -455,7 +455,7 @@ TEST_F(AtlasCoreTest, EncodeThenPredictFromEmbeddingsMatchesPredict) {
 TEST_F(AtlasCoreTest, EncodeBatchBitIdenticalToForwardReference) {
   // The serving dispatcher fuses a whole batch into one encode_batch call;
   // every (design, workload) item must come out bit-identical to the
-  // per-cycle forward() reference — at any thread count, any batch
+  // per-cycle forward_train reference — at any thread count, any batch
   // composition, and with a recycled arena. Two distinct designs and two
   // workloads per design exercise mixed-shape batches.
   PretrainConfig pcfg;
@@ -558,7 +558,7 @@ std::uint64_t expected_repeats(const std::vector<graph::SubmoduleGraph>& graphs,
 TEST_F(AtlasCoreTest, EncodeBatchMemoizesRepeatedCyclesBitIdentically) {
   // encode_batch encodes each distinct toggle channel of a sub-module once
   // and copies its embedding to the cycles that repeat it. Every row must
-  // be byte-identical to the forward() reference, and the memoized-segment
+  // be byte-identical to the forward_train reference, and the memoized-segment
   // counter must count exactly the repeats.
   ml::SgFormer::Config ecfg;
   ecfg.in_dim = graph::kFeatureDim;

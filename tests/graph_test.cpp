@@ -145,16 +145,6 @@ TEST_F(GraphTest, ToggleChannelKeyMatchesCycleFeatures) {
   EXPECT_GE(same, trace.num_cycles());
 }
 
-TEST_F(GraphTest, ViewExposesCorrectShape) {
-  const auto g = build_submodule_graph(nl_, 0);
-  const ml::GraphView v = view_with_features(g, g.static_features);
-  EXPECT_EQ(v.num_nodes, g.num_nodes());
-  EXPECT_EQ(v.feat_dim, static_cast<std::size_t>(kFeatureDim));
-  EXPECT_EQ(v.edges, &g.edges);
-  ml::Matrix wrong(g.num_nodes(), 3);
-  EXPECT_THROW(view_with_features(g, wrong), std::invalid_argument);
-}
-
 TEST_F(GraphTest, EmptySubmoduleThrows) {
   Netlist empty("e", lib_);
   empty.add_component("c");

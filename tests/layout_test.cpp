@@ -89,6 +89,14 @@ TEST_F(LayoutTest, SpefParseErrors) {
   EXPECT_THROW(parse_spef("", gate_), std::runtime_error);
   EXPECT_THROW(parse_spef("*SPEF \"x\"\n*D_NET *1 0.5\n", gate_),
                std::runtime_error);  // name map missing
+  // A *D_NET cap must be one whole finite number.
+  const std::string head = "*SPEF \"x\"\n*NAME_MAP\n*1 " + gate_.net(0).name +
+                           "\n*D_NET *1 ";
+  EXPECT_NO_THROW(parse_spef(head + "0.5\n", gate_));
+  for (const char* cap : {"0.5abc", "nan", "inf", "x", "1e999"}) {
+    EXPECT_THROW(parse_spef(head + cap + "\n", gate_), std::runtime_error)
+        << cap;
+  }
 }
 
 TEST_F(LayoutTest, FlowProducesValidNetlist) {

@@ -262,6 +262,13 @@ TEST(LibertyIo, MalformedInputThrows) {
   EXPECT_THROW(parse_liberty_text("library(x) { foo }"), LibertyParseError);
   EXPECT_THROW(parse_liberty_text("library(x) { a : ; }"), LibertyParseError);
   EXPECT_THROW(parse_library("cell(x) { }"), LibertyParseError);
+  // A numeric field must be one whole finite number.
+  for (const char* v : {"0.9abc", "nan", "x", "1e999"}) {
+    EXPECT_THROW(parse_library(std::string("library(x) { nom_voltage : \"") +
+                               v + "\"; }"),
+                 LibertyParseError)
+        << v;
+  }
 }
 
 TEST(LibertyIo, UnknownCellFunctionThrows) {

@@ -225,15 +225,26 @@ TEST(MatrixTest, ReluAndMask) {
   x.at(0, 1) = 2;
   x.at(0, 2) = -3;
   x.at(0, 3) = 4;
-  const auto mask = relu_inplace(x);
+  raw::relu(x.data(), x.size());
   EXPECT_FLOAT_EQ(x.at(0, 0), 0);
   EXPECT_FLOAT_EQ(x.at(0, 1), 2);
   Matrix g(1, 4, 1.0f);
-  relu_backward_inplace(g, mask);
+  relu_backward(g, x);
   EXPECT_FLOAT_EQ(g.at(0, 0), 0);
   EXPECT_FLOAT_EQ(g.at(0, 1), 1);
   EXPECT_FLOAT_EQ(g.at(0, 2), 0);
   EXPECT_FLOAT_EQ(g.at(0, 3), 1);
+  // NaN and -0 inputs come out +0, and the backward masks them.
+  Matrix odd(1, 2);
+  odd.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  odd.at(0, 1) = -0.0f;
+  raw::relu(odd.data(), odd.size());
+  EXPECT_FALSE(std::signbit(odd.at(0, 0)));
+  EXPECT_FALSE(std::signbit(odd.at(0, 1)));
+  Matrix odd_grad(1, 2, 1.0f);
+  relu_backward(odd_grad, odd);
+  EXPECT_EQ(odd_grad.at(0, 0), 0.0f);
+  EXPECT_EQ(odd_grad.at(0, 1), 0.0f);
 }
 
 TEST(MatrixTest, MeanRowsAndNormalize) {
@@ -242,9 +253,10 @@ TEST(MatrixTest, MeanRowsAndNormalize) {
   x.at(0, 1) = 4;
   x.at(1, 0) = 1;
   x.at(1, 1) = 0;
-  const Matrix m = mean_rows(x);
-  EXPECT_FLOAT_EQ(m.at(0, 0), 2);
-  EXPECT_FLOAT_EQ(m.at(0, 1), 2);
+  float m[2];
+  raw::mean_rows(x.data(), 2, 2, m);
+  EXPECT_FLOAT_EQ(m[0], 2);
+  EXPECT_FLOAT_EQ(m[1], 2);
   const auto norms = l2_normalize_rows(x);
   EXPECT_NEAR(norms[0], 5.0, 1e-5);
   EXPECT_NEAR(x.at(0, 0), 0.6, 1e-5);
@@ -413,42 +425,54 @@ class SgFormerTest : public ::testing::Test {
     cfg_.dim = 8;
     cfg_.seed = 31;
     edges_ = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};
+    adj_ = SgFormer::build_norm_adjacency(4, &edges_);
     util::Rng rng(37);
     feats_ = Matrix::randn(4, 6, rng, 1.0f);
   }
 
-  GraphView view() const {
-    GraphView v;
-    v.num_nodes = 4;
-    v.feat_dim = 6;
-    v.features = feats_.data();
-    v.edges = &edges_;
-    return v;
+  /// forward_train() of the fixture graph into `act`; returns the graph
+  /// embedding.
+  std::vector<float> encode(const SgFormer& enc, SgFormer::Activations& act,
+                            const SgFormer::NormAdjacency& adj) const {
+    act.x = feats_;
+    std::vector<float> graph_emb(enc.dim());
+    enc.forward_train(adj, act, graph_emb.data());
+    return graph_emb;
+  }
+  std::vector<float> encode(const SgFormer& enc,
+                            SgFormer::Activations& act) const {
+    return encode(enc, act, adj_);
   }
 
   SgFormer::Config cfg_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
+  SgFormer::NormAdjacency adj_;
   Matrix feats_;
 };
 
 TEST_F(SgFormerTest, ForwardShapes) {
   SgFormer enc(cfg_);
-  const auto out = enc.forward(view());
-  EXPECT_EQ(out.node_emb.rows(), 4u);
-  EXPECT_EQ(out.node_emb.cols(), 8u);
-  EXPECT_EQ(out.graph_emb.rows(), 1u);
-  EXPECT_EQ(out.graph_emb.cols(), 8u);
+  SgFormer::Activations act;
+  const std::vector<float> graph_emb = encode(enc, act);
+  EXPECT_EQ(act.n, 4u);
+  EXPECT_EQ(act.node_emb.rows(), 4u);
+  EXPECT_EQ(act.node_emb.cols(), 8u);
+  EXPECT_EQ(act.ktv.rows(), 8u);
+  EXPECT_EQ(act.ktv.cols(), 8u);
+  ASSERT_EQ(graph_emb.size(), 8u);
   // Graph embedding is the mean of node embeddings.
-  const Matrix m = mean_rows(out.node_emb);
   for (std::size_t j = 0; j < 8; ++j) {
-    EXPECT_NEAR(out.graph_emb.at(0, j), m.at(0, j), 1e-5);
+    float sum = 0.0f;
+    for (std::size_t i = 0; i < 4; ++i) sum += act.node_emb.at(i, j);
+    EXPECT_NEAR(graph_emb[j], sum / 4.0f, 1e-5);
   }
 }
 
 TEST_F(SgFormerTest, DeterministicForward) {
   SgFormer a(cfg_), b(cfg_);
-  const auto oa = a.forward(view());
-  const auto ob = b.forward(view());
+  SgFormer::Activations oa, ob;
+  encode(a, oa);
+  encode(b, ob);
   for (std::size_t i = 0; i < oa.node_emb.size(); ++i) {
     EXPECT_FLOAT_EQ(oa.node_emb.data()[i], ob.node_emb.data()[i]);
   }
@@ -456,11 +480,10 @@ TEST_F(SgFormerTest, DeterministicForward) {
 
 TEST_F(SgFormerTest, EdgesInfluenceEmbeddings) {
   SgFormer enc(cfg_);
-  const auto with_edges = enc.forward(view());
-  GraphView no_edges = view();
+  SgFormer::Activations with_edges, without;
+  encode(enc, with_edges);
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> empty;
-  no_edges.edges = &empty;
-  const auto without = enc.forward(no_edges);
+  encode(enc, without, SgFormer::build_norm_adjacency(4, &empty));
   double diff = 0;
   for (std::size_t i = 0; i < with_edges.node_emb.size(); ++i) {
     diff += std::abs(with_edges.node_emb.data()[i] - without.node_emb.data()[i]);
@@ -468,77 +491,95 @@ TEST_F(SgFormerTest, EdgesInfluenceEmbeddings) {
   EXPECT_GT(diff, 1e-3);
 }
 
+// The gradient checks run at d = 8 (the generic GEMM loops) and at 16 and 32,
+// the encoder dims in use, whose matmul_tn calls in backward() take the
+// width-specialized gemm_tn bodies.
 TEST_F(SgFormerTest, GradientNumericOnWeights) {
-  // Loss = sum of graph embedding; check d(loss)/d(params) numerically.
-  SgFormer enc(cfg_);
-  SgFormer::Cache cache;
-  enc.forward(view(), &cache);
-  enc.zero_grad();
-  Matrix d_graph(1, 8, 1.0f);  // dL/d(graph_emb) = 1
-  enc.backward(cache, Matrix(), d_graph);
+  for (const std::size_t dim : {8u, 16u, 32u}) {
+    // Loss = sum of graph embedding; check d(loss)/d(params) numerically.
+    SgFormer::Config cfg = cfg_;
+    cfg.dim = dim;
+    SgFormer enc(cfg);
+    SgFormer::Activations act;
+    encode(enc, act);
+    enc.zero_grad();
+    Matrix d_graph(1, dim, 1.0f);  // dL/d(graph_emb) = 1
+    enc.backward(act, Matrix(), d_graph);
 
-  std::vector<ParamRef> params;
-  enc.collect_params(params);
-  auto loss_fn = [&]() {
-    const auto out = enc.forward(view());
-    double s = 0;
-    for (std::size_t j = 0; j < 8; ++j) s += out.graph_emb.at(0, j);
-    return s;
-  };
-  const float eps = 1e-3f;
-  int checked = 0;
-  for (const ParamRef& p : params) {
-    // Spot-check a few entries per parameter to keep runtime low.
-    for (std::size_t k = 0; k < p.size; k += std::max<std::size_t>(1, p.size / 5)) {
+    std::vector<ParamRef> params;
+    enc.collect_params(params);
+    SgFormer::Activations probe;
+    auto loss_fn = [&]() {
+      double s = 0;
+      for (const float g : encode(enc, probe)) s += g;
+      return s;
+    };
+    const float eps = 1e-3f;
+    int checked = 0;
+    for (const ParamRef& p : params) {
+      // Spot-check a few entries per parameter to keep runtime low.
+      for (std::size_t k = 0; k < p.size; k += std::max<std::size_t>(1, p.size / 5)) {
+        const float orig = p.value[k];
+        p.value[k] = orig + eps;
+        const double lp = loss_fn();
+        p.value[k] = orig - eps;
+        const double lm = loss_fn();
+        p.value[k] = orig;
+        EXPECT_NEAR(p.grad[k], (lp - lm) / (2 * eps), 2e-2)
+            << "dim=" << dim << " param entry " << k;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 20) << "dim=" << dim;
+  }
+}
+
+TEST_F(SgFormerTest, GradientNumericNodeLoss) {
+  for (const std::size_t dim : {8u, 16u, 32u}) {
+    // Loss over a single node embedding entry exercises the node-grad path.
+    SgFormer::Config cfg = cfg_;
+    cfg.dim = dim;
+    SgFormer enc(cfg);
+    SgFormer::Activations act;
+    encode(enc, act);
+    enc.zero_grad();
+    Matrix d_node(4, dim);
+    d_node.at(2, 3) = 1.0f;
+    enc.backward(act, d_node, Matrix());
+
+    std::vector<ParamRef> params;
+    enc.collect_params(params);
+    SgFormer::Activations probe;
+    auto loss_fn = [&]() {
+      encode(enc, probe);
+      return static_cast<double>(probe.node_emb.at(2, 3));
+    };
+    const float eps = 1e-3f;
+    const ParamRef& p = params[0];  // w_in
+    for (std::size_t k = 0; k < p.size; k += 7) {
       const float orig = p.value[k];
       p.value[k] = orig + eps;
       const double lp = loss_fn();
       p.value[k] = orig - eps;
       const double lm = loss_fn();
       p.value[k] = orig;
-      EXPECT_NEAR(p.grad[k], (lp - lm) / (2 * eps), 2e-2) << "param entry " << k;
-      ++checked;
+      EXPECT_NEAR(p.grad[k], (lp - lm) / (2 * eps), 2e-2)
+          << "dim=" << dim << " w_in entry " << k;
     }
-  }
-  EXPECT_GT(checked, 20);
-}
-
-TEST_F(SgFormerTest, GradientNumericNodeLoss) {
-  // Loss over a single node embedding entry exercises the node-grad path.
-  SgFormer enc(cfg_);
-  SgFormer::Cache cache;
-  enc.forward(view(), &cache);
-  enc.zero_grad();
-  Matrix d_node(4, 8);
-  d_node.at(2, 3) = 1.0f;
-  enc.backward(cache, d_node, Matrix());
-
-  std::vector<ParamRef> params;
-  enc.collect_params(params);
-  auto loss_fn = [&]() { return static_cast<double>(enc.forward(view()).node_emb.at(2, 3)); };
-  const float eps = 1e-3f;
-  const ParamRef& p = params[0];  // w_in
-  for (std::size_t k = 0; k < p.size; k += 7) {
-    const float orig = p.value[k];
-    p.value[k] = orig + eps;
-    const double lp = loss_fn();
-    p.value[k] = orig - eps;
-    const double lm = loss_fn();
-    p.value[k] = orig;
-    EXPECT_NEAR(p.grad[k], (lp - lm) / (2 * eps), 2e-2);
   }
 }
 
 TEST_F(SgFormerTest, SerializationRoundTrip) {
   SgFormer enc(cfg_);
-  const auto before = enc.forward(view());
+  SgFormer::Activations before, after;
+  encode(enc, before);
   std::string bytes;
   util::ByteWriter out(bytes);
   enc.save(out);
   util::ByteReader in(bytes);
   SgFormer back = SgFormer::load(in);
   EXPECT_TRUE(in.done());
-  const auto after = back.forward(view());
+  encode(back, after);
   for (std::size_t i = 0; i < before.node_emb.size(); ++i) {
     EXPECT_FLOAT_EQ(after.node_emb.data()[i], before.node_emb.data()[i]);
   }
@@ -557,9 +598,9 @@ TEST_F(SgFormerTest, LoadedEncoderSizesGradientsOnFirstTrainingUse) {
 
   const Matrix d_graph(1, 8, 1.0f);
   for (SgFormer* e : {&enc, &back}) {
-    SgFormer::Cache cache;
-    e->forward(view(), &cache);
-    e->backward(cache, Matrix(), d_graph);
+    SgFormer::Activations act;
+    encode(*e, act);
+    e->backward(act, Matrix(), d_graph);
   }
   std::vector<ParamRef> want, got;
   enc.collect_params(want);
@@ -615,12 +656,13 @@ TEST(SgFormerArtifactTest, HostileShapesGetSerializeError) {
 }
 
 TEST_F(SgFormerTest, SegmentForwardBitIdenticalToForward) {
-  // The serving encoder: forward_segment() on each graph, with its prebuilt
-  // adjacency and caller scratch, must reproduce forward()'s graph
-  // embedding byte for byte (the serve-path determinism contract rests on
-  // this). Dims 16 and 32 run the width-specialized kernels, 8 the generic
-  // loops; the last graph is random. One scratch buffer, pre-filled with
-  // NaN and reused across graphs of different sizes, shows its stale
+  // The one forward body under its two buffer maps: forward_segment()'s
+  // aliased scratch (serving) and forward_train()'s Activations
+  // (pre-training) must give the same graph embedding byte for byte, so the
+  // encoder serves exactly what it was trained as. Dims 16 and 32 run the
+  // width-specialized kernels, 8 the generic loops; the last graph is
+  // random. The scratch and every activation buffer are pre-filled with NaN
+  // and reused across graphs of different sizes, which shows their stale
   // contents never reach the result.
   util::Rng rng(91);
   const std::vector<std::size_t> sizes = {4, 2, 5, 1, 37};
@@ -634,34 +676,35 @@ TEST_F(SgFormerTest, SegmentForwardBitIdenticalToForward) {
     adjs.push_back(SgFormer::build_norm_adjacency(sizes[g], &edge_sets[g]));
   }
 
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const std::size_t dim : {8u, 16u, 32u}) {
     SgFormer::Config cfg = cfg_;
     cfg.dim = dim;
     const SgFormer enc(cfg);
-    std::vector<float> scratch(enc.segment_scratch_floats(37),
-                               std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> scratch(enc.segment_scratch_floats(37), nan);
+    SgFormer::Activations act;
+    for (Matrix* m : {&act.h, &act.q, &act.k, &act.v, &act.ktv, &act.ah,
+                      &act.combined, &act.node_emb}) {
+      *m = Matrix(37, dim, nan);
+    }
     for (const std::size_t g : {4u, 0u, 1u, 2u, 3u}) {
-      GraphView v;
-      v.num_nodes = sizes[g];
-      v.feat_dim = 6;
-      v.features = feats[g].data();
-      v.edges = &edge_sets[g];
-      const Matrix ref = enc.forward(v).graph_emb;
+      act.x = feats[g];
+      std::vector<float> want(dim, -1.0f);
+      enc.forward_train(adjs[g], act, want.data());
 
       ASSERT_LE(enc.segment_scratch_floats(sizes[g]), scratch.size());
-      std::vector<float> out(dim, -1.0f);
+      std::vector<float> got(dim, -2.0f);
       enc.forward_segment(sizes[g], adjs[g], feats[g].data(), scratch.data(),
-                          out.data());
-      ASSERT_EQ(ref.size(), out.size());
-      EXPECT_EQ(std::memcmp(out.data(), ref.data(), dim * sizeof(float)), 0)
-          << "dim=" << dim << " graph=" << g;
+                          got.data());
+      expect_same_bytes(got, want, "dim=" + std::to_string(dim) +
+                                       " graph=" + std::to_string(g));
     }
   }
 }
 
 // The whole serving segment forward recomputed with this file's scalar
 // references, from the weights as collect_params() exposes them
-// (w_in, b_in, Wq, Wk, Wv, Wg, W_out, b_out), in forward()'s op order.
+// (w_in, b_in, Wq, Wk, Wv, Wg, W_out, b_out), in the forward body's op order.
 std::vector<float> ref_segment_forward(std::vector<ParamRef>& params,
                                        std::size_t in_dim, std::size_t d,
                                        float alpha, std::size_t n,
@@ -777,57 +820,74 @@ TEST_F(SgFormerTest, SegmentForwardMatchesScalarReferenceBytes) {
 }
 
 TEST_F(SgFormerTest, ForwardPropagationMatchesScalarEdgeLoop) {
-  // forward()'s A H on a random graph, at the width-specialized dims, must
-  // equal the scalar edge loop byte for byte (forward_segment runs the same
-  // kernel; the test above pins it against forward).
+  // The H and A H that forward_train() keeps for backward(), on a random
+  // graph at the width-specialized dims, must equal the scalar GEMM and edge
+  // loops byte for byte (forward_segment runs the same body; the test above
+  // pins the two against each other).
   util::Rng rng(4242);
   const std::size_t n = 37;
   const auto edges = random_edges(n, 3 * n, rng);
-  const Matrix feats = Matrix::randn(n, 6, rng, 1.0f);
-  GraphView v;
-  v.num_nodes = n;
-  v.feat_dim = 6;
-  v.features = feats.data();
-  v.edges = &edges;
   const SgFormer::NormAdjacency adj = SgFormer::build_norm_adjacency(n, &edges);
 
   for (const std::size_t dim : {16u, 32u}) {
     SgFormer::Config cfg = cfg_;
     cfg.dim = dim;
-    SgFormer::Cache cache;
-    SgFormer(cfg).forward(v, &cache);
+    SgFormer enc(cfg);
+    std::vector<ParamRef> params;
+    enc.collect_params(params);
+    for (std::size_t j = 0; j < params[1].size; ++j) {  // b_in starts at zero
+      params[1].value[j] = static_cast<float>(rng.next_gaussian()) * 0.5f;
+    }
+    SgFormer::Activations act;
+    act.x = Matrix::randn(n, 6, rng, 1.0f);
+    std::vector<float> graph_emb(dim);
+    enc.forward_train(adj, act, graph_emb.data());
+
+    std::vector<float> h(n * dim, 0.0f);
+    ref_gemm_rows(act.x.data(), 6, params[0].value, dim, h.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        float& x = h[i * dim + j];
+        x += params[1].value[j];
+        x = x > 0.0f ? x : 0.0f;
+      }
+    }
     std::vector<float> ah(n * dim, 0.0f);
-    ref_propagate(adj, cache.h.data(), dim, ah.data());
-    ASSERT_EQ(cache.ah.size(), ah.size());
-    EXPECT_EQ(std::memcmp(cache.ah.data(), ah.data(), ah.size() * sizeof(float)), 0)
-        << "dim=" << dim;
+    ref_propagate(adj, h.data(), dim, ah.data());
+    const auto bytes = [](const Matrix& m) {
+      return std::vector<float>(m.data(), m.data() + m.size());
+    };
+    expect_same_bytes(bytes(act.h), h, "h dim=" + std::to_string(dim));
+    expect_same_bytes(bytes(act.ah), ah, "ah dim=" + std::to_string(dim));
   }
 }
 
 TEST_F(SgFormerTest, BuildNormAdjacencyMatchesForward) {
-  // forward() now consumes the shared adjacency builder; a graph forwarded
-  // through two independently built SgFormers with the same seed stays
-  // deterministic (guards the extraction refactor).
+  // A graph forwarded through two independently built SgFormers with the
+  // same seed over two independently built adjacencies stays deterministic.
   SgFormer a(cfg_), b(cfg_);
-  const auto oa = a.forward(view());
-  const auto ob = b.forward(view());
-  for (std::size_t i = 0; i < oa.graph_emb.size(); ++i) {
-    EXPECT_EQ(oa.graph_emb.data()[i], ob.graph_emb.data()[i]);
-  }
+  SgFormer::Activations act;
+  const std::vector<float> ga = encode(a, act);
+  const std::vector<float> gb =
+      encode(b, act, SgFormer::build_norm_adjacency(4, &edges_));
+  expect_same_bytes(gb, ga, "graph_emb");
   // Self-loops plus both directions of every edge, weights positive.
-  const auto adj = SgFormer::build_norm_adjacency(4, &edges_);
-  EXPECT_EQ(adj.edges.size(), 4 + 2 * edges_.size());
-  for (const float w : adj.weights) EXPECT_GT(w, 0.0f);
+  EXPECT_EQ(adj_.edges.size(), 4 + 2 * edges_.size());
+  for (const float w : adj_.weights) EXPECT_GT(w, 0.0f);
 }
 
 TEST_F(SgFormerTest, RejectsBadInputs) {
   SgFormer enc(cfg_);
-  GraphView empty;
-  empty.num_nodes = 0;
-  EXPECT_THROW(enc.forward(empty), std::invalid_argument);
-  GraphView wrong = view();
-  wrong.feat_dim = 5;
-  EXPECT_THROW(enc.forward(wrong), std::invalid_argument);
+  std::vector<float> graph_emb(8);
+  SgFormer::Activations empty;
+  EXPECT_THROW(enc.forward_train(adj_, empty, graph_emb.data()),
+               std::invalid_argument);
+  SgFormer::Activations wrong;
+  wrong.x = Matrix(4, 5);
+  EXPECT_THROW(enc.forward_train(adj_, wrong, graph_emb.data()),
+               std::invalid_argument);
+  EXPECT_THROW(enc.backward(wrong, Matrix(), Matrix(1, 8, 1.0f)),
+               std::invalid_argument);
   SgFormer::Config bad;
   bad.in_dim = 0;
   EXPECT_THROW(SgFormer{bad}, std::invalid_argument);

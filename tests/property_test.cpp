@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -748,6 +749,97 @@ TEST(TraceMutationProperty, DeltaDecodesOrThrowsTraceError) {
   // and 5829 at this seed).
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Liberty and SPEF text under seeded mutation.
+// ---------------------------------------------------------------------------
+
+/// Room for an error message that quotes an input word via util::excerpt:
+/// the allocation cap of a text decoder never drops below it.
+constexpr std::size_t kErrorMessageBytes = 256;
+
+// Mutated write_liberty text of the default library: each input parses to a
+// library or is rejected, as a LibertyParseError or as the
+// std::invalid_argument the library model throws for a well-formed file it
+// cannot hold (an unknown cell function, a duplicate cell, a LUT whose index
+// and values differ in length). Allocations stay within a small multiple of
+// the input, and an accepted library's own text is a write/parse fixed point.
+TEST(LibertyMutationProperty, ParsesOrRejectsTyped) {
+  const std::string seed = liberty::write_liberty(liberty::make_default_library());
+  util::Rng rng(0x11b);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    std::string text = seed;
+    mutate(text, rng, 0, 0);
+    std::optional<liberty::Library> parsed;
+    const bool ok = decodes_or_rejects<liberty::LibertyParseError>(
+        [&] {
+          try {
+            parsed.emplace(liberty::parse_library(text));
+          } catch (const std::invalid_argument& e) {
+            throw liberty::LibertyParseError(e.what(), 0);
+          }
+        },
+        std::max<std::size_t>(4 * text.size(), kErrorMessageBytes), text);
+    (ok ? accepted : rejected) += 1;
+    if (!ok || !parsed) continue;
+    const std::string once = liberty::write_liberty(*parsed);
+    ASSERT_EQ(liberty::write_liberty(liberty::parse_library(once)), once)
+        << "mutated input " << util::hash_hex(util::fnv1a64(text));
+  }
+  // Both outcomes stay well exercised (265 and 1235 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+// Mutated write_spef text of a small design's extracted parasitics, with
+// edits aimed at the *D_NET sections or anywhere: each input parses or
+// throws std::runtime_error, and every cap an accepted input yields is finite.
+// Allocations stay within a small multiple of the input or of the netlist.
+TEST(SpefMutationProperty, ParsesOrThrowsRuntimeError) {
+  designgen::DesignSpec spec;
+  spec.name = "spef_mut";
+  spec.seed = 29;
+  spec.target_cells = 300;
+  const layout::LayoutResult laid =
+      layout::run_layout(designgen::generate_design(spec, lib()));
+  const std::string seed = layout::write_spef(laid.netlist, laid.parasitics);
+  const std::size_t dnets_at = seed.find("*D_NET");
+  // The parser sizes its by-name index and its per-net caps by the netlist,
+  // whatever the text: the cap is a small multiple of that or of the input.
+  const auto cap = [&](const std::string& text) {
+    return std::max({4 * text.size(),
+                     4 * sizeof(double) * laid.netlist.num_nets(),
+                     kErrorMessageBytes});
+  };
+  ASSERT_NE(dnets_at, std::string::npos);
+  util::Rng rng(0x5bef);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    std::string text = seed;
+    if (rng.next_bool()) {
+      mutate(text, rng, dnets_at, text.size());
+    } else {
+      mutate(text, rng, 0, 0);
+    }
+    std::optional<layout::Parasitics> parsed;
+    const bool ok = decodes_or_rejects<std::runtime_error>(
+        [&] { parsed.emplace(layout::parse_spef(text, laid.netlist)); },
+        cap(text), text);
+    (ok ? accepted : rejected) += 1;
+    if (!ok || !parsed) continue;
+    ASSERT_EQ(parsed->wire_cap_ff.size(), laid.netlist.num_nets());
+    for (const double cap : parsed->wire_cap_ff) {
+      ASSERT_TRUE(std::isfinite(cap))
+          << "mutated input " << util::hash_hex(util::fnv1a64(text));
+    }
+  }
+  // Both outcomes stay well exercised (510 and 990 at this seed).
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------------

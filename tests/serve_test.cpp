@@ -1976,7 +1976,7 @@ std::shared_ptr<const DesignArtifacts> dummy_design(
 }
 
 TEST_F(ServeTest, FeatureCacheLruEvictsOldestDesign) {
-  FeatureCache cache(/*max_designs=*/2, /*max_embeddings_per_design=*/2);
+  FeatureCache cache(/*max_designs=*/2, /*max_predictions_per_design=*/2);
   auto d = dummy_design(*lib_);
   cache.put_design(1, d);
   cache.put_design(2, d);
@@ -2019,7 +2019,7 @@ TEST_F(ServeTest, FeatureCacheByteBudgetEvictsBySize) {
   ASSERT_GT(design_cost, 0u);
   // Count-wise all three designs fit; byte-wise the budget has headroom for
   // the designs plus a small prediction, but not a huge one.
-  FeatureCache cache(/*max_designs=*/8, /*max_embeddings_per_design=*/8,
+  FeatureCache cache(/*max_designs=*/8, /*max_predictions_per_design=*/8,
                      /*max_bytes=*/3 * design_cost + (2u << 20));
   cache.put_design(1, d);
   cache.put_design(2, d);
@@ -2052,7 +2052,7 @@ TEST_F(ServeTest, FeatureCacheCountsDroppedEmbeddings) {
   // up design 1, computes its prediction, but by insert time the design
   // entry is gone. The work is discarded — and must be counted, because a
   // climbing drop counter is the signal to size the cache up.
-  FeatureCache cache(/*max_designs=*/1, /*max_embeddings_per_design=*/8);
+  FeatureCache cache(/*max_designs=*/1, /*max_predictions_per_design=*/8);
   auto d = dummy_design(*lib_);
   cache.put_design(1, d);
   cache.put_design(2, d);  // evicts design 1
@@ -2075,7 +2075,7 @@ TEST_F(ServeTest, FeatureCacheInsertReturnsWinningEntry) {
   // first insert wins; the loser must get the winner's pointer back (so it
   // serves exactly what the cache retained), and on the eviction race the
   // caller must get its own computed prediction back instead of nothing.
-  FeatureCache cache(/*max_designs=*/2, /*max_embeddings_per_design=*/8);
+  FeatureCache cache(/*max_designs=*/2, /*max_predictions_per_design=*/8);
   auto d1 = dummy_design(*lib_);
   auto d2 = dummy_design(*lib_);
   EXPECT_EQ(cache.put_design(1, d1), d1);  // normal insert: caller wins
@@ -2085,12 +2085,12 @@ TEST_F(ServeTest, FeatureCacheInsertReturnsWinningEntry) {
   auto p1 = prediction_of_rows(32);
   auto p2 = prediction_of_rows(32);
   EXPECT_EQ(cache.put_prediction(1, {"m", "w1", 10}, p1), p1);
-  const std::size_t bytes_after_first = cache.embedding_bytes();
+  const std::size_t bytes_after_first = cache.prediction_bytes();
   EXPECT_EQ(bytes_after_first, approx_prediction_bytes(*p1));
   // Losing racer: existing entry returned, byte accounting unchanged (the
   // duplicate is discarded, not double-counted).
   EXPECT_EQ(cache.put_prediction(1, {"m", "w1", 10}, p2), p1);
-  EXPECT_EQ(cache.embedding_bytes(), bytes_after_first);
+  EXPECT_EQ(cache.prediction_bytes(), bytes_after_first);
   EXPECT_EQ(cache.find_prediction(1, {"m", "w1", 10}), p1);
 
   // Eviction race: the design entry is gone by insert time. The drop is
