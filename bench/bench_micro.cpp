@@ -106,9 +106,10 @@ void BM_LogicRewrite(benchmark::State& state) {
 BENCHMARK(BM_LogicRewrite);
 
 // One pre-training step of the encoder on one graph: forward_train() then
-// backward() of a graph-embedding gradient, as pretrain_encoder runs it per
-// sample, with the adjacency prebuilt and the Activations reused. Synthetic
-// chain graph of the requested size with ATLAS feature width, dim 32.
+// backward() of a graph-embedding gradient read in place as a dim-float row,
+// as pretrain_encoder runs it per sample for its contrastive graphs, with the
+// adjacency prebuilt and the Activations reused. Synthetic chain graph of the
+// requested size with ATLAS feature width, dim 32.
 void BM_SgFormerTrainStep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(5);
@@ -122,11 +123,11 @@ void BM_SgFormerTrainStep(benchmark::State& state) {
       ml::SgFormer::build_norm_adjacency(n, &edges);
   ml::SgFormer::Activations act;
   act.x = ml::Matrix::randn(n, graph::kFeatureDim, rng, 1.0f);
-  const ml::Matrix d_graph(1, cfg.dim, 1.0f);
+  const std::vector<float> d_graph(cfg.dim, 1.0f);
   std::vector<float> graph_emb(cfg.dim);
   for (auto _ : state) {
     enc.forward_train(adj, act, graph_emb.data());
-    enc.backward(act, ml::Matrix(), d_graph);
+    enc.backward(act, {}, d_graph);
     benchmark::DoNotOptimize(graph_emb.data());
     benchmark::ClobberMemory();
   }

@@ -1,6 +1,7 @@
 #include "atlas/pretrain.h"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "graph/submodule_graph.h"
@@ -28,17 +29,23 @@ struct StageAdjacency {
   ml::SgFormer::NormAdjacency gate, plus, post;
 };
 
-/// Per-sample forward state within a batch. Reused batch to batch, so the
-/// activation buffers keep their storage.
+/// The nodes one masked-node task (#1 toggle, #2 node type) masked in a
+/// sample, in draw order, and their true labels.
+struct MaskedNodes {
+  std::vector<std::uint32_t> nodes;
+  std::vector<int> labels;
+};
+
+/// Per-sample state within a batch: the forward activations and the loss
+/// gradient w.r.t. the masked graph's node embeddings. Reused batch to
+/// batch, so every buffer keeps its storage.
 struct SampleState {
   ml::SgFormer::Activations masked;  // masked gate graph (tasks #1-#3)
   ml::SgFormer::Activations gate;    // unmasked gate graph (CL anchor)
   ml::SgFormer::Activations plus;    // N_g+ graph (CL1 positive)
   ml::SgFormer::Activations post;    // N_p graph (CL2 positive)
-  std::vector<std::uint32_t> toggle_nodes;  // masked node indices
-  std::vector<int> toggle_labels;
-  std::vector<std::uint32_t> type_nodes;
-  std::vector<int> type_labels;
+  MaskedNodes toggle, type;
+  Matrix d_node;  // n x dim, zeroed each batch; empty without tasks #1, #2
 };
 
 int toggle_bit(const SubmoduleGraph& g, const sim::ToggleTrace& trace, int cycle,
@@ -46,6 +53,42 @@ int toggle_bit(const SubmoduleGraph& g, const sim::ToggleTrace& trace, int cycle
   const netlist::NetId net = g.out_net[node];
   if (net == netlist::kNoNet) return 0;
   return trace.transitions(cycle, net) > 0 ? 1 : 0;
+}
+
+/// One masked-node classification task over a batch: gathers the masked
+/// nodes' embeddings sample by sample in mask order, runs `head` and its
+/// cross-entropy, and adds the head's input gradient into each sample's
+/// d_node rows. Adds the batch loss and accuracy to `loss` and `acc`.
+void masked_node_task(std::vector<SampleState>& states,
+                      MaskedNodes SampleState::*task, ml::Mlp& head,
+                      std::size_t dim, double& loss, double& acc) {
+  std::size_t total = 0;
+  for (const SampleState& st : states) total += (st.*task).nodes.size();
+  Matrix gathered(total, dim);
+  std::vector<int> labels;
+  labels.reserve(total);
+  std::size_t row = 0;
+  for (const SampleState& st : states) {
+    const MaskedNodes& masked = st.*task;
+    for (std::size_t m = 0; m < masked.nodes.size(); ++m) {
+      const float* src = st.masked.node_emb.row(masked.nodes[m]);
+      std::copy(src, src + dim, gathered.row(row++));
+      labels.push_back(masked.labels[m]);
+    }
+  }
+  const Matrix logits = head.forward(gathered);
+  const ml::LossGrad lg = ml::softmax_cross_entropy(logits, labels);
+  loss += lg.loss;
+  acc += ml::accuracy(logits, labels);
+  const Matrix dg = head.backward(lg.grad);
+  row = 0;
+  for (SampleState& st : states) {
+    for (const std::uint32_t node : (st.*task).nodes) {
+      const float* src = dg.row(row++);
+      float* dst = st.d_node.row(node);
+      for (std::size_t j = 0; j < dim; ++j) dst[j] += src[j];
+    }
+  }
 }
 
 }  // namespace
@@ -146,131 +189,80 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
         const StageAdjacency& adj = adjacency[s.slot];
         const auto& wl = s.design->workloads[static_cast<std::size_t>(s.workload)];
         const SubmoduleGraph& gg = s.design->gate_graphs[s.graph_idx];
-        const SubmoduleGraph& gp = s.design->plus_graphs[s.graph_idx];
-        const SubmoduleGraph& gq = s.design->post_graphs[s.graph_idx];
 
         // Masked gate graph.
         Matrix& feats = st.masked.x;
         graph::fill_cycle_features(gg, wl.gate_trace, s.cycle, feats);
         const std::size_t n = gg.num_nodes();
-        st.toggle_nodes.clear();
-        st.toggle_labels.clear();
-        st.type_nodes.clear();
-        st.type_labels.clear();
+        st.toggle.nodes.clear();
+        st.toggle.labels.clear();
+        st.type.nodes.clear();
+        st.type.labels.clear();
         const int n_mask = std::max<int>(1, static_cast<int>(
                                                 std::lround(config.mask_fraction *
                                                             static_cast<double>(n))));
         for (int m = 0; m < n_mask; ++m) {
           const auto node = static_cast<std::uint32_t>(rng.next_below(n));
-          st.toggle_nodes.push_back(node);
-          st.toggle_labels.push_back(toggle_bit(gg, wl.gate_trace, s.cycle, node));
+          st.toggle.nodes.push_back(node);
+          st.toggle.labels.push_back(toggle_bit(gg, wl.gate_trace, s.cycle, node));
           feats.at(node, graph::kToggleOffset) = 0.0f;
           feats.at(node, graph::kMaskToggleFlag) = 1.0f;
         }
         for (int m = 0; m < n_mask; ++m) {
           const auto node = static_cast<std::uint32_t>(rng.next_below(n));
-          st.type_nodes.push_back(node);
-          st.type_labels.push_back(gg.node_type[node]);
+          st.type.nodes.push_back(node);
+          st.type.labels.push_back(gg.node_type[node]);
           for (int t = 0; t < liberty::kNumNodeTypes; ++t) {
             feats.at(node, static_cast<std::size_t>(graph::kTypeOffset + t)) = 0.0f;
           }
           feats.at(node, graph::kMaskTypeFlag) = 1.0f;
         }
         enc.forward_train(adj.gate, st.masked, masked_embs.row(b));
+        if (tasks.toggle || tasks.node_type) {
+          st.d_node.resize(n, config.dim);
+          st.d_node.fill(0.0f);
+        }
 
-        // Unmasked gate graph (CL anchor).
-        graph::fill_cycle_features(gg, wl.gate_trace, s.cycle, st.gate.x);
-        enc.forward_train(adj.gate, st.gate, anchors.row(b));
-
-        // N_g+ positive.
-        graph::fill_cycle_features(gp, wl.plus_trace, s.cycle, st.plus.x);
-        enc.forward_train(adj.plus, st.plus, pos_plus.row(b));
-
-        // N_p positive.
-        graph::fill_cycle_features(gq, wl.post_trace, s.cycle, st.post.x);
-        enc.forward_train(adj.post, st.post, pos_post.row(b));
+        // Unmasked graphs: the gate-level CL anchor, then the N_g+ and N_p
+        // positives.
+        const struct {
+          const SubmoduleGraph& graph;
+          const sim::ToggleTrace& trace;
+          const ml::SgFormer::NormAdjacency& adj;
+          ml::SgFormer::Activations& act;
+          Matrix& out;
+        } unmasked[] = {
+            {gg, wl.gate_trace, adj.gate, st.gate, anchors},
+            {s.design->plus_graphs[s.graph_idx], wl.plus_trace, adj.plus,
+             st.plus, pos_plus},
+            {s.design->post_graphs[s.graph_idx], wl.post_trace, adj.post,
+             st.post, pos_post},
+        };
+        for (const auto& u : unmasked) {
+          graph::fill_cycle_features(u.graph, u.trace, s.cycle, u.act.x);
+          enc.forward_train(u.adj, u.act, u.out.row(b));
+        }
 
         size_targets[b] = std::log1p(static_cast<float>(n));
       }
 
-      // ---- Task #1: masked toggle ------------------------------------------
-      // Gather masked node embeddings across the batch.
-      std::vector<Matrix> d_node_masked(bsz);
-      for (std::size_t b = 0; b < bsz; ++b) {
-        d_node_masked[b] = Matrix(states[b].masked.n, config.dim);
-      }
+      // ---- Tasks #1, #2: masked toggle, masked node type -------------------
       if (tasks.toggle) {
-        std::size_t total = 0;
-        for (const SampleState& st : states) total += st.toggle_nodes.size();
-        Matrix gathered(total, config.dim);
-        std::vector<int> labels;
-        labels.reserve(total);
-        std::size_t row = 0;
-        for (const SampleState& st : states) {
-          for (std::size_t m = 0; m < st.toggle_nodes.size(); ++m) {
-            const float* src = st.masked.node_emb.row(st.toggle_nodes[m]);
-            std::copy(src, src + config.dim, gathered.row(row));
-            labels.push_back(st.toggle_labels[m]);
-            ++row;
-          }
-        }
-        const Matrix logits = toggle_head.forward(gathered);
-        const ml::LossGrad lg = ml::softmax_cross_entropy(logits, labels);
-        stats.loss_toggle += lg.loss;
-        stats.acc_toggle += ml::accuracy(logits, labels);
-        const Matrix dg = toggle_head.backward(lg.grad);
-        row = 0;
-        for (std::size_t b = 0; b < bsz; ++b) {
-          for (const std::uint32_t node : states[b].toggle_nodes) {
-            const float* src = dg.row(row++);
-            float* dst = d_node_masked[b].row(node);
-            for (std::size_t j = 0; j < config.dim; ++j) dst[j] += src[j];
-          }
-        }
+        masked_node_task(states, &SampleState::toggle, toggle_head, config.dim,
+                         stats.loss_toggle, stats.acc_toggle);
       }
-
-      // ---- Task #2: masked node type ---------------------------------------
       if (tasks.node_type) {
-        std::size_t total = 0;
-        for (const SampleState& st : states) total += st.type_nodes.size();
-        Matrix gathered(total, config.dim);
-        std::vector<int> labels;
-        labels.reserve(total);
-        std::size_t row = 0;
-        for (const SampleState& st : states) {
-          for (std::size_t m = 0; m < st.type_nodes.size(); ++m) {
-            const float* src = st.masked.node_emb.row(st.type_nodes[m]);
-            std::copy(src, src + config.dim, gathered.row(row));
-            labels.push_back(st.type_labels[m]);
-            ++row;
-          }
-        }
-        const Matrix logits = type_head.forward(gathered);
-        const ml::LossGrad lg = ml::softmax_cross_entropy(logits, labels);
-        stats.loss_type += lg.loss;
-        stats.acc_type += ml::accuracy(logits, labels);
-        const Matrix dg = type_head.backward(lg.grad);
-        row = 0;
-        for (std::size_t b = 0; b < bsz; ++b) {
-          for (const std::uint32_t node : states[b].type_nodes) {
-            const float* src = dg.row(row++);
-            float* dst = d_node_masked[b].row(node);
-            for (std::size_t j = 0; j < config.dim; ++j) dst[j] += src[j];
-          }
-        }
+        masked_node_task(states, &SampleState::type, type_head, config.dim,
+                         stats.loss_type, stats.acc_type);
       }
 
       // ---- Task #3: sub-module size ----------------------------------------
-      std::vector<Matrix> d_graph_masked(bsz);
+      Matrix d_size;
       if (tasks.size) {
         const Matrix pred = size_head.forward(masked_embs);
         const ml::LossGrad lg = ml::mse(pred, size_targets);
         stats.loss_size += lg.loss;
-        const Matrix dg = size_head.backward(lg.grad);
-        for (std::size_t b = 0; b < bsz; ++b) {
-          d_graph_masked[b] = Matrix(1, config.dim);
-          std::copy(dg.row(b), dg.row(b) + config.dim, d_graph_masked[b].row(0));
-        }
+        d_size = size_head.backward(lg.grad);
       }
 
       // ---- Tasks #4, #5: contrastive ---------------------------------------
@@ -291,27 +283,21 @@ PretrainResult pretrain_encoder(const std::vector<const DesignData*>& designs,
       }
 
       // ---- Backward through the encoder ------------------------------------
+      // Graph-embedding gradients are rows of the B x dim matrices above;
+      // a task that is off left its matrix empty, which backward reads as 0.
+      const auto row_of = [&](const Matrix& m, std::size_t b) {
+        return m.empty() ? std::span<const float>()
+                         : std::span<const float>(m.row(b), config.dim);
+      };
       for (std::size_t b = 0; b < bsz; ++b) {
         const SampleState& st = states[b];
-        const bool have_node = tasks.toggle || tasks.node_type;
-        enc.backward(st.masked,
-                     have_node ? d_node_masked[b] : Matrix(),
-                     tasks.size ? d_graph_masked[b] : Matrix());
-        Matrix da(1, config.dim);
-        std::copy(d_anchor.row(b), d_anchor.row(b) + config.dim, da.row(0));
+        enc.backward(st.masked, {st.d_node.data(), st.d_node.size()},
+                     row_of(d_size, b));
         if (tasks.cl_gate || tasks.cl_cross) {
-          enc.backward(st.gate, Matrix(), da);
+          enc.backward(st.gate, {}, row_of(d_anchor, b));
         }
-        if (tasks.cl_gate) {
-          Matrix dp(1, config.dim);
-          std::copy(d_plus.row(b), d_plus.row(b) + config.dim, dp.row(0));
-          enc.backward(st.plus, Matrix(), dp);
-        }
-        if (tasks.cl_cross) {
-          Matrix dq(1, config.dim);
-          std::copy(d_post.row(b), d_post.row(b) + config.dim, dq.row(0));
-          enc.backward(st.post, Matrix(), dq);
-        }
+        if (tasks.cl_gate) enc.backward(st.plus, {}, row_of(d_plus, b));
+        if (tasks.cl_cross) enc.backward(st.post, {}, row_of(d_post, b));
       }
       adam.step();
       ++batches;

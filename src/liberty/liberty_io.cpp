@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "util/hash.h"
@@ -213,20 +214,24 @@ class Parser {
   Token cur_;
 };
 
-/// `text`, the value of attribute `name`, as one whole finite T.
+/// `text`, the value of attribute `name`, as one whole finite T no smaller
+/// than `min`.
 template <typename T = double>
-T number(std::string_view text, const char* name) {
-  if (const auto v = util::parse_number<T>(text)) return *v;
-  throw LibertyParseError(
-      "'" + util::excerpt(text) + "' is not a finite number for " + name, 0);
+T number(std::string_view text, const char* name,
+         T min = std::numeric_limits<T>::lowest()) {
+  const auto v = util::parse_number<T>(text);
+  if (v && *v >= min) return *v;
+  const char* why = v ? "' is out of range for " : "' is not a finite number for ";
+  throw LibertyParseError("'" + util::excerpt(text) + why + name, 0);
 }
 
+/// A comma-separated list of non-negative numbers (a LUT axis or its values).
 std::vector<double> parse_number_list(std::string_view s, const char* name) {
   std::vector<double> out;
   for (const std::string& tok : util::split(s, ',')) {
     const auto t = util::trim(tok);
     if (t.empty()) continue;
-    out.push_back(number(t, name));
+    out.push_back(number(t, name, 0.0));
   }
   return out;
 }
@@ -315,7 +320,9 @@ std::string write_liberty(const Library& lib) {
   return os.str();
 }
 
-Library library_from_group(const LibertyGroup& root) {
+// What the library model rejects with std::invalid_argument is, read from a
+// file, a parse error.
+Library library_from_group(const LibertyGroup& root) try {
   if (root.kind != "library" || root.args.empty()) {
     throw LibertyParseError("top-level group must be library(name)", 0);
   }
@@ -332,23 +339,23 @@ Library library_from_group(const LibertyGroup& root) {
     c.func = cell_func_from_name(cg.attr("cell_function"));
     c.type = cg.has_attr("node_type") ? node_type_from_name(cg.attr("node_type"))
                                       : node_type_of(c.func);
-    c.drive = number<int>(cg.attr("drive_strength", "1"), "drive_strength");
-    c.area_um2 = number(cg.attr("area", "0"), "area");
+    c.drive = number<int>(cg.attr("drive_strength", "1"), "drive_strength", 1);
+    c.area_um2 = number(cg.attr("area", "0"), "area", 0.0);
     c.leakage_uw =
-        number(cg.attr("cell_leakage_power", "0"), "cell_leakage_power");
+        number(cg.attr("cell_leakage_power", "0"), "cell_leakage_power", 0.0);
     c.clock_pin_energy_fj =
-        number(cg.attr("clock_pin_energy", "0"), "clock_pin_energy");
-    c.read_energy_fj = number(cg.attr("read_energy", "0"), "read_energy");
-    c.write_energy_fj = number(cg.attr("write_energy", "0"), "write_energy");
+        number(cg.attr("clock_pin_energy", "0"), "clock_pin_energy", 0.0);
+    c.read_energy_fj = number(cg.attr("read_energy", "0"), "read_energy", 0.0);
+    c.write_energy_fj = number(cg.attr("write_energy", "0"), "write_energy", 0.0);
     for (const LibertyGroup& sub : cg.children) {
       if (sub.kind == "pin") {
         if (sub.args.empty()) throw LibertyParseError("pin group without name", 0);
         Pin p;
         p.name = sub.args[0];
         p.dir = sub.attr("direction") == "output" ? PinDir::kOutput : PinDir::kInput;
-        p.cap_ff = number(sub.attr("capacitance", "0"), "capacitance");
+        p.cap_ff = number(sub.attr("capacitance", "0"), "capacitance", 0.0);
         p.max_cap_ff =
-            number(sub.attr("max_capacitance", "0"), "max_capacitance");
+            number(sub.attr("max_capacitance", "0"), "max_capacitance", 0.0);
         p.is_clock = sub.attr("clock", "false") == "true";
         c.pins.push_back(std::move(p));
       } else if (sub.kind == "internal_power") {
@@ -359,6 +366,8 @@ Library library_from_group(const LibertyGroup& root) {
     lib.add_cell(std::move(c));
   }
   return lib;
+} catch (const std::invalid_argument& e) {
+  throw LibertyParseError(e.what(), 0);
 }
 
 Library parse_library(std::string_view text) {

@@ -49,9 +49,12 @@ LibertyGroup parse_liberty_text(std::string_view text);
 std::string write_liberty(const Library& lib);
 
 /// Interpret a parsed Liberty AST as a Library (expects the writer's schema).
+/// Throws LibertyParseError on a value that is not one whole finite number,
+/// a negative physical value, a drive strength below 1, and anything the
+/// library model rejects (unknown cell function, duplicate cell, ...).
 Library library_from_group(const LibertyGroup& root);
 
-/// Convenience: parse text straight into a Library.
+/// Convenience: parse text straight into a Library (same errors).
 Library parse_library(std::string_view text);
 
 /// File round-trip helpers (throw std::runtime_error on I/O failure).

@@ -188,8 +188,8 @@ void SgFormer::forward_body(std::size_t n, const NormAdjacency& adj,
   raw::mean_rows(emb, n, d, graph_emb);
 }
 
-void SgFormer::backward(const Activations& act, const Matrix& d_node,
-                        const Matrix& d_graph) {
+void SgFormer::backward(const Activations& act, std::span<const float> d_node,
+                        std::span<const float> d_graph) {
   backward_counter().inc();
   if (act.adj == nullptr) {
     throw std::invalid_argument("SgFormer::backward: no forward_train ran");
@@ -197,21 +197,20 @@ void SgFormer::backward(const Activations& act, const Matrix& d_node,
   ensure_grads();
   const std::size_t n = act.n;
   const std::size_t d = config_.dim;
-  Matrix de(n, d);
-  if (!d_node.empty()) {
-    if (d_node.rows() != n || d_node.cols() != d) {
-      throw std::invalid_argument("SgFormer::backward: d_node shape mismatch");
-    }
-    de += d_node;
+  if (!d_node.empty() && d_node.size() != n * d) {
+    throw std::invalid_argument("SgFormer::backward: d_node shape mismatch");
   }
+  if (!d_graph.empty() && d_graph.size() != d) {
+    throw std::invalid_argument("SgFormer::backward: d_graph shape mismatch");
+  }
+  Matrix de(n, d);
+  float* e = de.data();
+  for (std::size_t i = 0; i < d_node.size(); ++i) e[i] += d_node[i];
   if (!d_graph.empty()) {
-    if (d_graph.rows() != 1 || d_graph.cols() != d) {
-      throw std::invalid_argument("SgFormer::backward: d_graph shape mismatch");
-    }
     const float inv_n = 1.0f / static_cast<float>(n);
     for (std::size_t i = 0; i < n; ++i) {
       float* r = de.row(i);
-      for (std::size_t j = 0; j < d; ++j) r[j] += d_graph.at(0, j) * inv_n;
+      for (std::size_t j = 0; j < d; ++j) r[j] += d_graph[j] * inv_n;
     }
   }
 

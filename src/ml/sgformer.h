@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/mlp.h"
@@ -92,10 +93,13 @@ class SgFormer {
   void forward_train(const NormAdjacency& adj, Activations& act,
                      float* graph_emb) const;
 
-  /// Accumulate parameter gradients for the graph `act` holds. `d_node` may
-  /// be empty (zero); `d_graph` may be empty (zero).
-  void backward(const Activations& act, const Matrix& d_node,
-                const Matrix& d_graph);
+  /// Accumulate parameter gradients for the graph `act` holds, given the
+  /// loss gradient w.r.t. its node embeddings (`d_node`, n x dim row-major)
+  /// and its graph embedding (`d_graph`, dim floats). Both are read in
+  /// place, so a caller passes rows of the matrices it already holds. An
+  /// empty span means zero; any other size throws std::invalid_argument.
+  void backward(const Activations& act, std::span<const float> d_node,
+                std::span<const float> d_graph);
 
   /// The training entry points. The first of these (or backward) on a
   /// loaded encoder sizes its gradient storage; it is never reallocated

@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "router/fleet_obs.h"
 #include "serve/client.h"
+#include "serve/feature_cache.h"
 #include "util/hash.h"
 
 namespace atlas::router {
@@ -266,7 +267,7 @@ std::uint64_t Router::placement_key(std::uint64_t netlist_hash,
                                     const std::string& model) const {
   std::uint64_t lib_hash = pool_->library_hash_for(model);
   if (lib_hash == 0) lib_hash = util::fnv1a64(model);
-  return util::hash_mix(netlist_hash, lib_hash);
+  return serve::design_cache_key(netlist_hash, lib_hash);
 }
 
 Frame Router::route_predict(UpstreamMap& upstreams, Frame request) {

@@ -5,7 +5,7 @@
 // Request handling splits three ways:
 //
 //   * **Routed data path** (Predict, StreamBegin/Chunk/End): the router
-//     computes the backends' own design-cache key — hash_mix(netlist
+//     computes the backends' own design-cache key — design_cache_key(netlist
 //     content hash, Liberty content hash of the request's model, learned
 //     from backend model lists) — and forwards the raw frames to the shard
 //     the hash ring owns that key to. One (design, substrate) pair lands on
@@ -175,9 +175,10 @@ class Router {
   bool forward(UpstreamMap& upstreams, const std::string& id,
                const serve::Frame& request, serve::Frame& response);
 
-  /// The placement key for (netlist hash, model): mixes in the model's
-  /// Liberty content hash when the prober has learned it, else a hash of
-  /// the model name (correct partitioning, no cross-model design sharing).
+  /// The placement key for (netlist hash, model): the shards' own
+  /// design_cache_key over the model's Liberty content hash when the prober
+  /// has learned it, else over a hash of the model name (correct
+  /// partitioning, no cross-model design sharing).
   std::uint64_t placement_key(std::uint64_t netlist_hash,
                               const std::string& model) const;
 

@@ -139,31 +139,19 @@ std::shared_ptr<const DesignArtifacts> FeatureCache::put_design(
     // A racing request inserted first: keep its entry (first insert wins,
     // content is identical by determinism) and hand the winner back so the
     // loser serves what the cache retained.
-    if (it->second.design) {
-      touch(key, it->second);
-      publish_gauges();
-      return it->second.design;
-    }
-    const std::size_t weight = d ? approx_design_bytes(*d) : 0;
-    design_bytes_ -= it->second.design_bytes;
-    it->second.design = std::move(d);
-    it->second.design_bytes = weight;
-    design_bytes_ += weight;
     touch(key, it->second);
-    evict_if_needed();
     publish_gauges();
     return it->second.design;
   }
-  const std::size_t weight = d ? approx_design_bytes(*d) : 0;
+  const std::size_t weight = approx_design_bytes(*d);
   lru_.push_front(key);
   Entry e;
   e.design = std::move(d);
   e.design_bytes = weight;
   e.lru_pos = lru_.begin();
-  auto [ins, inserted] = entries_.emplace(key, std::move(e));
-  (void)inserted;
+  it = entries_.emplace(key, std::move(e)).first;
   design_bytes_ += weight;
-  std::shared_ptr<const DesignArtifacts> winner = ins->second.design;
+  std::shared_ptr<const DesignArtifacts> winner = it->second.design;
   evict_if_needed();
   publish_gauges();
   return winner;
@@ -236,7 +224,7 @@ std::shared_ptr<const core::Prediction> FeatureCache::put_prediction(
 bool FeatureCache::peek_design(std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
-  return it != entries_.end() && it->second.design != nullptr;
+  return it != entries_.end();
 }
 
 bool FeatureCache::peek_prediction(std::uint64_t design_key,

@@ -136,12 +136,13 @@ class FeatureCache {
                         std::size_t max_bytes = 0);
 
   std::shared_ptr<const DesignArtifacts> find_design(std::uint64_t key);
-  /// Insert `d`, returning the entry that will serve future lookups. When a
-  /// concurrent request already populated the key (both computed after
-  /// racing on the same miss), the first insert wins and the loser gets the
-  /// winner's pointer back — identical content by determinism, but callers
-  /// must serve the returned entry so what they answer is what the cache
-  /// holds.
+  /// Insert `d`, which must not be null, returning the entry that will
+  /// serve future lookups. When a concurrent request already populated the
+  /// key (both computed after racing on the same miss), the first insert
+  /// wins and the loser gets the winner's pointer back — identical content
+  /// by determinism, but callers must serve the returned entry so what they
+  /// answer is what the cache holds. Only this call creates entries, so
+  /// every entry holds a design.
   std::shared_ptr<const DesignArtifacts> put_design(
       std::uint64_t key, std::shared_ptr<const DesignArtifacts> d);
 

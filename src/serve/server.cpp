@@ -893,9 +893,10 @@ void Server::prepare_predict(PendingJob& job, PredictPrep& prep) {
     std::optional<netlist::Netlist> parsed;
     try {
       parsed = netlist::parse_verilog(req.netlist_verilog, *entry->library);
-      // A combinational loop parses but cannot be simulated: reject it as
-      // the client's error before it enters the design cache.
-      parsed->comb_topo_order();
+      // A combinational loop or a clock cell fed by a data net parses but
+      // cannot be simulated: reject it as the client's error before it
+      // enters the design cache.
+      sim::CycleSimulator{*parsed};
     } catch (const std::exception& e) {
       prep.reply = error_reply(ErrorCode::kBadRequest,
                                std::string("invalid netlist: ") + e.what());

@@ -269,11 +269,23 @@ TEST(LibertyIo, MalformedInputThrows) {
                  LibertyParseError)
         << v;
   }
+  // Physical values are checked for sign: next to a cell that loads, a
+  // negative capacitance and a drive strength below 1 are rejected too.
+  const auto inv_cell = [](const char* body) {
+    return std::string("library(x) { cell(Z) { cell_function : \"INV\"; ") +
+           body + " } }";
+  };
+  EXPECT_NO_THROW(
+      parse_library(inv_cell("drive_strength : 1; pin(A) { capacitance : 0.5; }")));
+  for (const char* body : {"drive_strength : 1; pin(A) { capacitance : -0.5; }",
+                           "drive_strength : 0; pin(A) { capacitance : 0.5; }"}) {
+    EXPECT_THROW(parse_library(inv_cell(body)), LibertyParseError) << body;
+  }
 }
 
 TEST(LibertyIo, UnknownCellFunctionThrows) {
   const char* text = R"(library(m) { cell(Z) { cell_function : "WAT"; } })";
-  EXPECT_THROW(parse_library(text), std::invalid_argument);
+  EXPECT_THROW(parse_library(text), LibertyParseError);
 }
 
 TEST(LibertyIo, GenericAstExposesStructure) {

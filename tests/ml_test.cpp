@@ -503,8 +503,8 @@ TEST_F(SgFormerTest, GradientNumericOnWeights) {
     SgFormer::Activations act;
     encode(enc, act);
     enc.zero_grad();
-    Matrix d_graph(1, dim, 1.0f);  // dL/d(graph_emb) = 1
-    enc.backward(act, Matrix(), d_graph);
+    const std::vector<float> d_graph(dim, 1.0f);  // dL/d(graph_emb) = 1
+    enc.backward(act, {}, d_graph);
 
     std::vector<ParamRef> params;
     enc.collect_params(params);
@@ -543,9 +543,9 @@ TEST_F(SgFormerTest, GradientNumericNodeLoss) {
     SgFormer::Activations act;
     encode(enc, act);
     enc.zero_grad();
-    Matrix d_node(4, dim);
-    d_node.at(2, 3) = 1.0f;
-    enc.backward(act, d_node, Matrix());
+    std::vector<float> d_node(4 * dim);
+    d_node[2 * dim + 3] = 1.0f;  // row 2, column 3
+    enc.backward(act, d_node, {});
 
     std::vector<ParamRef> params;
     enc.collect_params(params);
@@ -596,11 +596,11 @@ TEST_F(SgFormerTest, LoadedEncoderSizesGradientsOnFirstTrainingUse) {
   util::ByteReader in(bytes);
   SgFormer back = SgFormer::load(in);
 
-  const Matrix d_graph(1, 8, 1.0f);
+  const std::vector<float> d_graph(8, 1.0f);
   for (SgFormer* e : {&enc, &back}) {
     SgFormer::Activations act;
     encode(*e, act);
-    e->backward(act, Matrix(), d_graph);
+    e->backward(act, {}, d_graph);
   }
   std::vector<ParamRef> want, got;
   enc.collect_params(want);
@@ -886,8 +886,17 @@ TEST_F(SgFormerTest, RejectsBadInputs) {
   wrong.x = Matrix(4, 5);
   EXPECT_THROW(enc.forward_train(adj_, wrong, graph_emb.data()),
                std::invalid_argument);
-  EXPECT_THROW(enc.backward(wrong, Matrix(), Matrix(1, 8, 1.0f)),
+  const std::vector<float> d_graph(8, 1.0f);
+  EXPECT_THROW(enc.backward(wrong, {}, d_graph), std::invalid_argument);
+  // After a forward, a non-empty gradient of the wrong length is rejected:
+  // d_node must hold n x dim floats (4 x 8 here), d_graph dim.
+  SgFormer::Activations act;
+  encode(enc, act);
+  EXPECT_THROW(enc.backward(act, std::vector<float>(4 * 8 - 1), {}),
                std::invalid_argument);
+  EXPECT_THROW(enc.backward(act, {}, std::vector<float>(4 * 8)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(enc.backward(act, std::vector<float>(4 * 8), d_graph));
   SgFormer::Config bad;
   bad.in_dim = 0;
   EXPECT_THROW(SgFormer{bad}, std::invalid_argument);

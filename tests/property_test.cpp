@@ -760,11 +760,11 @@ TEST(TraceMutationProperty, DeltaDecodesOrThrowsTraceError) {
 constexpr std::size_t kErrorMessageBytes = 256;
 
 // Mutated write_liberty text of the default library: each input parses to a
-// library or is rejected, as a LibertyParseError or as the
-// std::invalid_argument the library model throws for a well-formed file it
-// cannot hold (an unknown cell function, a duplicate cell, a LUT whose index
-// and values differ in length). Allocations stay within a small multiple of
-// the input, and an accepted library's own text is a write/parse fixed point.
+// library or throws LibertyParseError, also when the file is well formed but
+// the library model cannot hold it (an unknown cell function, a duplicate
+// cell, a LUT whose index and values differ in length). Allocations stay
+// within a small multiple of the input, and an accepted library's own text
+// is a write/parse fixed point.
 TEST(LibertyMutationProperty, ParsesOrRejectsTyped) {
   const std::string seed = liberty::write_liberty(liberty::make_default_library());
   util::Rng rng(0x11b);
@@ -775,13 +775,7 @@ TEST(LibertyMutationProperty, ParsesOrRejectsTyped) {
     mutate(text, rng, 0, 0);
     std::optional<liberty::Library> parsed;
     const bool ok = decodes_or_rejects<liberty::LibertyParseError>(
-        [&] {
-          try {
-            parsed.emplace(liberty::parse_library(text));
-          } catch (const std::invalid_argument& e) {
-            throw liberty::LibertyParseError(e.what(), 0);
-          }
-        },
+        [&] { parsed.emplace(liberty::parse_library(text)); },
         std::max<std::size_t>(4 * text.size(), kErrorMessageBytes), text);
     (ok ? accepted : rejected) += 1;
     if (!ok || !parsed) continue;

@@ -585,13 +585,17 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
   }
 
   // Netlists that parse but are not circuits: a combinational loop, a
-  // multi-driven net, an empty module and a module with ports but no
-  // cells (nothing to encode: no sub-module graph).
+  // clock buffer fed by a data input, a multi-driven net, an empty module
+  // and a module with ports but no cells (nothing to encode: no sub-module
+  // graph).
   for (const char* text :
        {"module x (a, y);\n  input a;\n  output y;\n  wire n1, n2;\n"
         "  NAND2_X1 u0 (.A(a), .B(n2), .Y(n1));\n"
         "  INV_X1 u1 (.A(n1), .Y(n2));\n"
         "  INV_X1 u2 (.A(n1), .Y(y));\nendmodule\n",
+        "module c (a, b, y);\n  input a, b;\n  output y;\n  wire n1;\n"
+        "  CKBUF_X1 u1 (.CK(a), .Y(n1));\n"
+        "  NAND2_X1 u2 (.A(n1), .B(b), .Y(y));\nendmodule\n",
         "module x (a, y);\n  input a;\n  output y;\n"
         "  INV_X1 u0 (.A(a), .Y(y));\n"
         "  INV_X1 u1 (.A(a), .Y(y));\nendmodule\n",
@@ -606,6 +610,8 @@ TEST_F(ServeTest, BadRequestsGetErrorResponsesNotCrashes) {
       EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
     }
   }
+  // None of the rejected netlists entered the design cache.
+  EXPECT_EQ(server.health_snapshot().cache_designs, 0u);
 
   // The same connection still works after every rejection...
   client.ping();
